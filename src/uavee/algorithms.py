@@ -217,65 +217,6 @@ def build_jhtpa_subproblem(
         out[1:, 1:][np.diag_indices(n)] = diag
         return inv_obj * out
 
-    constraints = [
-        Functional(
-            value=lambda z: (1.0 + THETA_GAP) - z[0],
-            grad=lambda z: np.concatenate(([-1.0], np.zeros(n))),
-            hess=lambda z: np.zeros((n + 1, n + 1)),
-        )
-    ]
-
-    def make_causality(idx: int) -> Functional:
-        k = cap[idx]
-
-        def value(z):
-            return 1.0 / (z[1 + idx] * k) - z[0] + 1.0
-
-        def grad(z):
-            out = np.zeros(n + 1)
-            out[0] = -1.0
-            out[1 + idx] = -1.0 / (z[1 + idx] ** 2 * k)
-            return out
-
-        def hess(z):
-            out = np.zeros((n + 1, n + 1))
-            out[1 + idx, 1 + idx] = 2.0 / (z[1 + idx] ** 3 * k)
-            return out
-
-        return Functional(value, grad, hess)
-
-    def make_qos(idx: int) -> Functional:
-        row = off[idx]
-
-        def value(z):
-            theta, q = z[0], z[1:]
-            psi = (
-                a_const[idx]
-                - cx[idx] * q[idx] / hd[idx]
-                - cy[idx] * (row @ (1.0 / q) + s2)
-                - ct[idx] * theta
-            )
-            return (r_bar - psi) / qos_scale
-
-        def grad(z):
-            q = z[1:]
-            out = np.empty(n + 1)
-            out[0] = ct[idx] / qos_scale
-            out[1:] = -cy[idx] * row / (q * q) / qos_scale
-            out[1 + idx] += cx[idx] / hd[idx] / qos_scale
-            return out
-
-        def hess(z):
-            q = z[1:]
-            out = np.zeros((n + 1, n + 1))
-            out[1:, 1:][np.diag_indices(n)] = 2.0 * cy[idx] * row / q**3 / qos_scale
-            return out
-
-        return Functional(value, grad, hess)
-
-    constraints.extend(make_causality(i) for i in range(n))
-    constraints.extend(make_qos(i) for i in range(n))
-
     def all_values(z: np.ndarray) -> np.ndarray:
         theta, q = z[0], z[1:]
         caus = 1.0 / (q * cap) - theta + 1.0
@@ -308,7 +249,6 @@ def build_jhtpa_subproblem(
     return ConvexProgram(
         dim=n + 1,
         objective=Functional(obj_value, obj_grad, obj_hess),
-        ineq_constraints=constraints,
         domain_guard=lambda z: bool(z[0] > 1.0 and np.all(z[1:] > 0.0) and np.all(np.isfinite(z))),
         constraint_values=all_values,
         constraint_jacobian=all_jacobian,
@@ -453,70 +393,20 @@ def jhtpa(
     started = time.perf_counter()
     if r_bar is None:
         r_bar = core.qos_threshold(ch, config)
-
-    try:
-        z = find_feasible(
-            _jhtpa_feasibility_constraints(ch, config, r_bar),
-            _jhtpa_sampler(ch, config, r_bar),
-            _rng_for(config, "jhtpa"),
-            settings.max_feasible_tries,
-        )
-    except NoFeasiblePointFoundError:
-        z = _pinned_inverse_iterate(ch, config, r_bar)
-        if z is None:
-            raise
-        # No strict interior to iterate in; the boundary point is the answer.
-        state = ScaState(iterate=z, phi=_jhtpa_objective(z, ch, config))
-        state.trace = [state.phi]
-        alloc = Allocation.from_theta(float(z[0]), 1.0 / z[1:])
-        return _finish_report(
-            "jhtpa", alloc, ch, config, r_bar, state, "converged", 0, started
-        )
-    phi = _jhtpa_objective(z, ch, config)
-    state = ScaState(iterate=z, phi=phi, trace=[phi])
-    status = "max_iterations"
-    subsolver_calls = 0
-    warm_t = 1.0
-    mu2 = settings.solver.barrier_mu**2
-    for _ in range(settings.max_iterations):
-        prog = build_jhtpa_subproblem(state, ch, config, r_bar)
-        if np.any(prog.constraint_values(state.iterate) >= 0.0):
-            # The surrogate re-evaluation of a boundary-hugging iterate lost
-            # its slack to rounding; no room left to iterate in.
-            status = "converged"
-            break
-        try:
-            outcome = solve(prog, state.iterate, settings.solver, t0=warm_t)
-        except InfeasibleStartError:
-            status = "converged"
-            break
-        subsolver_calls += 1
-        if outcome.status is SolveStatus.NUMERICAL_FAILURE:
-            status = "failed"
-            break
-        phi_step = _jhtpa_objective(outcome.z_star, ch, config)
-        z, phi_new = _jhtpa_extrapolate(
-            state.iterate, outcome.z_star, phi_step, ch, config, r_bar
-        )
-        # Extrapolation moves the iterate far off this solve's central path.
-        warm_t = 1.0 if phi_new > phi_step else max(1.0, outcome.barrier_t_final / mu2)
-        if phi_new < phi:
-            # Ascent is guaranteed in exact arithmetic; a non-improving step
-            # means the numerical floor is reached. Keep the better iterate.
-            status = "converged"
-            break
-        state = ScaState(
-            iterate=z, phi=phi_new, kappa=state.kappa + 1, trace=state.trace + [phi_new]
-        )
-        if _converged(phi_new, phi, settings.epsilon):
-            status = "converged"
-            phi = phi_new
-            break
-        phi = phi_new
-
-    alloc = Allocation.from_theta(float(state.iterate[0]), 1.0 / state.iterate[1:])
-    return _finish_report(
-        "jhtpa", alloc, ch, config, r_bar, state, status, subsolver_calls, started
+    return _sca_loop(
+        "jhtpa",
+        ch,
+        config,
+        r_bar,
+        settings,
+        started,
+        constraints=_jhtpa_feasibility_constraints(ch, config, r_bar),
+        sampler=_jhtpa_sampler(ch, config, r_bar),
+        boundary_point=lambda: _pinned_inverse_iterate(ch, config, r_bar),
+        build=lambda state: build_jhtpa_subproblem(state, ch, config, r_bar),
+        evaluate=lambda z: _jhtpa_objective(z, ch, config),
+        allocation=lambda z: Allocation.from_theta(float(z[0]), 1.0 / z[1:]),
+        extrapolate=lambda z_bar, z, phi: _jhtpa_extrapolate(z_bar, z, phi, ch, config, r_bar),
     )
 
 
@@ -576,41 +466,6 @@ def build_opa_subproblem(
     def obj_hess(p: np.ndarray) -> np.ndarray:
         return np.diag(inv_obj * 2.0 * b_rec / p**3)
 
-    def make_box(idx: int) -> Functional:
-        cap = p_max[idx]
-
-        def value(p):
-            return p[idx] / cap - 1.0
-
-        def grad(p):
-            out = np.zeros(n)
-            out[idx] = 1.0 / cap
-            return out
-
-        return Functional(value, grad, lambda p: np.zeros((n, n)))
-
-    def make_qos(idx: int) -> Functional:
-        row = off[idx]
-
-        def value(p):
-            psi = a_const[idx] - cx[idx] / (hd[idx] * p[idx]) - cy[idx] * (row @ p + s2) - ct[idx]
-            return (qos_rhs - psi) / qos_scale
-
-        def grad(p):
-            out = cy[idx] * row / qos_scale
-            out[idx] -= cx[idx] / (hd[idx] * p[idx] ** 2) / qos_scale
-            return out
-
-        def hess(p):
-            out = np.zeros((n, n))
-            out[idx, idx] = 2.0 * cx[idx] / (hd[idx] * p[idx] ** 3) / qos_scale
-            return out
-
-        return Functional(value, grad, hess)
-
-    constraints = [make_box(i) for i in range(n)]
-    constraints.extend(make_qos(i) for i in range(n))
-
     def all_values(p: np.ndarray) -> np.ndarray:
         return np.concatenate((p / p_max - 1.0, (qos_rhs - psi_vec(p)) / qos_scale))
 
@@ -631,7 +486,6 @@ def build_opa_subproblem(
     return ConvexProgram(
         dim=n,
         objective=Functional(obj_value, obj_grad, obj_hess),
-        ineq_constraints=constraints,
         domain_guard=lambda p: bool(np.all(p > 0.0) and np.all(np.isfinite(p))),
         constraint_values=all_values,
         constraint_jacobian=all_jacobian,
@@ -700,72 +554,35 @@ def opa(
     if theta_fix is None:
         theta_fix = config.theta_fix
 
+    p_max = (theta_fix - 1.0) * config.eta * config.p0_watt * ch.g
+
     def ln_domain_phi(p_vec: np.ndarray) -> float:
         alloc = Allocation.from_theta(theta_fix, p_vec)
         return float(np.sum(np.log1p(core.sinr(p_vec, ch)))) / core.total_power(alloc, config)
 
-    p_max = (theta_fix - 1.0) * config.eta * config.p0_watt * ch.g
-    try:
-        p = find_feasible(
-            _opa_feasibility_constraints(ch, config, r_bar, theta_fix),
-            _opa_sampler(ch, config, r_bar, theta_fix),
-            _rng_for(config, "opa"),
-            settings.max_feasible_tries,
-        )
-    except NoFeasiblePointFoundError:
+    def full_power_vertex():
         # Without interference coupling the QoS floor can pin the feasible
         # set to exactly the full-power vertex; answer with it when it is
         # weakly feasible, otherwise the instance is genuinely infeasible.
         qos_gap = theta_fix * r_bar - np.log1p(core.sinr(p_max, ch))
         if float(np.max(qos_gap)) / max(theta_fix * r_bar, _QOS_SCALE_FLOOR) >= 1e-9:
-            raise
-        state = ScaState(iterate=p_max, phi=ln_domain_phi(p_max))
-        state.trace = [state.phi / theta_fix]
-        alloc = Allocation.from_theta(theta_fix, p_max)
-        return _finish_report(
-            "opa", alloc, ch, config, r_bar, state, "converged", 0, started
-        )
+            return None
+        return p_max
 
-    lam = ln_domain_phi(p)
-    ee = lam / theta_fix
-    state = ScaState(iterate=p, phi=lam, trace=[ee])
-    status = "max_iterations"
-    subsolver_calls = 0
-    warm_t = 1.0
-    mu2 = settings.solver.barrier_mu**2
-    for _ in range(settings.max_iterations):
-        prog = build_opa_subproblem(state, ch, config, r_bar, theta_fix)
-        if np.any(prog.constraint_values(state.iterate) >= 0.0):
-            status = "converged"
-            break
-        try:
-            outcome = solve(prog, state.iterate, settings.solver, t0=warm_t)
-        except InfeasibleStartError:
-            status = "converged"
-            break
-        subsolver_calls += 1
-        if outcome.status is SolveStatus.NUMERICAL_FAILURE:
-            status = "failed"
-            break
-        p = outcome.z_star
-        warm_t = max(1.0, outcome.barrier_t_final / mu2)
-        lam_new = ln_domain_phi(p)
-        ee_new = lam_new / theta_fix
-        if ee_new < ee:
-            status = "converged"
-            break
-        state = ScaState(
-            iterate=p, phi=lam_new, kappa=state.kappa + 1, trace=state.trace + [ee_new]
-        )
-        if _converged(ee_new, ee, settings.epsilon):
-            status = "converged"
-            ee = ee_new
-            break
-        ee = ee_new
-
-    alloc = Allocation.from_theta(theta_fix, state.iterate)
-    return _finish_report(
-        "opa", alloc, ch, config, r_bar, state, status, subsolver_calls, started
+    return _sca_loop(
+        "opa",
+        ch,
+        config,
+        r_bar,
+        settings,
+        started,
+        constraints=_opa_feasibility_constraints(ch, config, r_bar, theta_fix),
+        sampler=_opa_sampler(ch, config, r_bar, theta_fix),
+        boundary_point=full_power_vertex,
+        build=lambda state: build_opa_subproblem(state, ch, config, r_bar, theta_fix),
+        evaluate=ln_domain_phi,
+        allocation=lambda p: Allocation.from_theta(theta_fix, p),
+        phi_per_ee=theta_fix,
     )
 
 
@@ -774,14 +591,13 @@ def opa(
 # ---------------------------------------------------------------------------
 
 
-def build_oht_surrogate(
-    theta_bar: float, ch: ChannelRealization, config: ScenarioConfig
-) -> list[Functional]:
+def _oht_surrogate(theta_bar, ch, config):
     """Per-pair concave surrogates psi_hat_n(theta) of the full-harvest rates.
 
     Substitutions: x = 1/((theta-1) h_nn g_n),
-    y = (theta-1) sum_{i!=n} h_ni g_i + sigma2/(eta P0), t = theta. Each
-    functional takes the one-element vector z = [theta].
+    y = (theta-1) sum_{i!=n} h_ni g_i + sigma2/(eta P0), t = theta. The
+    returned function maps theta to the vector of psi_hat_n(theta), which
+    touches the pinned rates at theta_bar and bounds them from below.
     """
     hd = np.diag(ch.h).copy()
     off = ch.h - np.diag(hd)
@@ -789,55 +605,16 @@ def build_oht_surrogate(
     u = hd * ch.g
     w = off @ ch.g
     c_noise = ch.sigma2_watt / ep
-
-    x_bar = 1.0 / ((theta_bar - 1.0) * u)
-    y_bar = (theta_bar - 1.0) * w + c_noise
-    coeffs = core.log_bound_coeffs(x_bar, y_bar, theta_bar)
-    a_const, cx, cy, ct = coeffs.const_term, coeffs.cx, coeffs.cy, coeffs.ct
-
-    def make(idx: int) -> Functional:
-        def value(z):
-            t = z[0]
-            return float(
-                a_const[idx]
-                - cx[idx] / ((t - 1.0) * u[idx])
-                - cy[idx] * ((t - 1.0) * w[idx] + c_noise)
-                - ct[idx] * t
-            )
-
-        def grad(z):
-            t = z[0]
-            return np.array(
-                [cx[idx] / ((t - 1.0) ** 2 * u[idx]) - cy[idx] * w[idx] - ct[idx]]
-            )
-
-        def hess(z):
-            t = z[0]
-            return np.array([[-2.0 * cx[idx] / ((t - 1.0) ** 3 * u[idx])]])
-
-        return Functional(value, grad, hess)
-
-    return [make(i) for i in range(ch.num_pairs)]
-
-
-def _oht_surrogate_min(theta_bar, ch, config):
-    """Vectorized min_n psi_hat_n(theta) for the golden-section search."""
-    hd = np.diag(ch.h).copy()
-    off = ch.h - np.diag(hd)
-    ep = config.eta * config.p0_watt
-    u = hd * ch.g
-    w = off @ ch.g
-    c_noise = ch.sigma2_watt / ep
     x_bar = 1.0 / ((theta_bar - 1.0) * u)
     y_bar = (theta_bar - 1.0) * w + c_noise
     coeffs = core.log_bound_coeffs(x_bar, y_bar, theta_bar)
 
-    def fn(theta: float) -> float:
+    def psi(theta: float) -> np.ndarray:
         x = 1.0 / ((theta - 1.0) * u)
         y = (theta - 1.0) * w + c_noise
-        return float(np.min(core.surrogate_psi(coeffs, x, y, theta)))
+        return core.surrogate_psi(coeffs, x, y, theta)
 
-    return fn
+    return psi
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -891,8 +668,8 @@ def oht(
         return float(np.min(core.pinned_rates(t, ch, config)))
 
     for _ in range(settings.max_iterations):
-        fn = _oht_surrogate_min(theta, ch, config)
-        theta_new = _golden_max(fn, lo, hi)
+        psi = _oht_surrogate(theta, ch, config)
+        theta_new = _golden_max(lambda t: float(np.min(psi(t))), lo, hi)
         obj_new = min_rate(theta_new)
         # Monotone extrapolation on the true max-min objective: saturating
         # realizations push theta to the search bound, which the surrogate
@@ -936,8 +713,94 @@ def oht(
 
 
 # ---------------------------------------------------------------------------
-# shared reporting
+# shared SCA loop and reporting
 # ---------------------------------------------------------------------------
+
+
+def _sca_loop(
+    name: str,
+    ch: ChannelRealization,
+    config: ScenarioConfig,
+    r_bar: float,
+    settings: ScaSettings,
+    started: float,
+    *,
+    constraints,
+    sampler,
+    boundary_point,
+    build,
+    evaluate,
+    allocation,
+    phi_per_ee: float = 1.0,
+    extrapolate=None,
+) -> SolveReport:
+    """The SCA loop jhtpa and opa share.
+
+    Random-searches a strictly feasible start with the algorithm's
+    constraints and sampler. When there is none, boundary_point() is the
+    answer, or the search's NoFeasiblePointFoundError is re-raised if it
+    returns None. Otherwise each iteration builds the surrogate program at
+    the iterate with build(state), solves it and scores the solution with
+    evaluate(z), the Dinkelbach multiplier in the builder's units;
+    extrapolate(z_bar, z, phi) may extend the step. The trace and the
+    ascent and convergence tests use phi / phi_per_ee, the energy
+    efficiency, and allocation(z) maps the final iterate to an Allocation.
+    """
+    try:
+        z = find_feasible(constraints, sampler, _rng_for(config, name), settings.max_feasible_tries)
+    except NoFeasiblePointFoundError:
+        z = boundary_point()
+        if z is None:
+            raise
+        # No strict interior to iterate in; the boundary point is the answer.
+        phi = evaluate(z)
+        state = ScaState(iterate=z, phi=phi, trace=[phi / phi_per_ee])
+        return _finish_report(name, allocation(z), ch, config, r_bar, state, "converged", 0, started)
+    phi = evaluate(z)
+    ee = phi / phi_per_ee
+    state = ScaState(iterate=z, phi=phi, trace=[ee])
+    status = "max_iterations"
+    subsolver_calls = 0
+    warm_t = 1.0
+    mu2 = settings.solver.barrier_mu**2
+    for _ in range(settings.max_iterations):
+        prog = build(state)
+        if np.any(prog.constraint_values(state.iterate) >= 0.0):
+            # The surrogate re-evaluation of a boundary-hugging iterate lost
+            # its slack to rounding; no room left to iterate in.
+            status = "converged"
+            break
+        try:
+            outcome = solve(prog, state.iterate, settings.solver, t0=warm_t)
+        except InfeasibleStartError:
+            status = "converged"
+            break
+        subsolver_calls += 1
+        if outcome.status is SolveStatus.NUMERICAL_FAILURE:
+            status = "failed"
+            break
+        phi_step = evaluate(outcome.z_star)
+        z, phi_new = outcome.z_star, phi_step
+        if extrapolate is not None:
+            z, phi_new = extrapolate(state.iterate, z, phi_step)
+        # Extrapolation moves the iterate far off this solve's central path.
+        warm_t = 1.0 if phi_new > phi_step else max(1.0, outcome.barrier_t_final / mu2)
+        ee_new = phi_new / phi_per_ee
+        if ee_new < ee:
+            # Ascent is guaranteed in exact arithmetic; a non-improving step
+            # means the numerical floor is reached. Keep the better iterate.
+            status = "converged"
+            break
+        state = ScaState(
+            iterate=z, phi=phi_new, kappa=state.kappa + 1, trace=state.trace + [ee_new]
+        )
+        if _converged(ee_new, ee, settings.epsilon):
+            status = "converged"
+            break
+        ee = ee_new
+    return _finish_report(
+        name, allocation(state.iterate), ch, config, r_bar, state, status, subsolver_calls, started
+    )
 
 
 def _finish_report(

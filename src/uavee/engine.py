@@ -55,27 +55,26 @@ class Functional:
 
 @dataclass(frozen=True)
 class ConvexProgram:
-    """Minimize `objective` over {z : c_j(z) <= 0 for all j} intersected with an open domain.
+    """Minimize `objective` over {z : c(z) < 0} intersected with an open domain.
 
     Callers minimizing a concave SCA surrogate negate it first. domain_guard
     marks the open set where all oracles are defined (positive coordinates,
     theta above 1, ...).
 
-    The optional vectorized oracles are pure performance fast paths and must
-    agree with the per-constraint Functionals: constraint_values returns all
-    constraint values in list order, constraint_jacobian their stacked
-    gradients (m x dim), and constraint_hessian_weighted(z, w) the sum of
-    w_j * hess(c_j)(z). The solver falls back to the Functionals when they
-    are absent.
+    The m inequality constraints c_1..c_m come in one vectorized form, which
+    is all the barrier method needs: constraint_values(z) returns the vector
+    c(z), constraint_jacobian(z) its m x dim Jacobian (row j is the gradient
+    of c_j), and constraint_hessian_weighted(z, w) the dim x dim matrix
+    sum_j w_j * hess(c_j)(z). check_gradients verifies all three against
+    finite differences of constraint_values.
     """
 
     dim: int
     objective: Functional
-    ineq_constraints: Sequence[Functional]
     domain_guard: Callable[[np.ndarray], bool]
-    constraint_values: Callable[[np.ndarray], np.ndarray] | None = None
-    constraint_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    constraint_hessian_weighted: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    constraint_values: Callable[[np.ndarray], np.ndarray]
+    constraint_jacobian: Callable[[np.ndarray], np.ndarray]
+    constraint_hessian_weighted: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -107,17 +106,11 @@ class SolveOutcome:
     outer_objective_trace: list[float] = field(default_factory=list)
 
 
-def _constraint_vector(prog: ConvexProgram, z: np.ndarray) -> np.ndarray:
-    if prog.constraint_values is not None:
-        return np.asarray(prog.constraint_values(z), dtype=float)
-    return np.array([c.value(z) for c in prog.ineq_constraints], dtype=float)
-
-
 def _barrier_value(prog: ConvexProgram, z: np.ndarray, inv_t: float) -> float:
     """f(z) + (1/t) * sum -ln(-c_j(z)); +inf outside the strictly feasible region."""
     if not prog.domain_guard(z):
         return np.inf
-    c = _constraint_vector(prog, z)
+    c = prog.constraint_values(z)
     if not np.all(np.isfinite(c)) or np.any(c >= 0.0):
         return np.inf
     f = prog.objective.value(z)
@@ -127,28 +120,15 @@ def _barrier_value(prog: ConvexProgram, z: np.ndarray, inv_t: float) -> float:
 
 
 def _barrier_derivatives(prog: ConvexProgram, z: np.ndarray, inv_t: float):
-    """Gradient and Hessian of f + (1/t) * barrier, or None when a constraint
-    evaluates to >= 0 here (possible at the rounding floor: the scalar oracle
-    and the vectorized fast path round differently)."""
+    """Gradient and Hessian of f + (1/t) * barrier at a strictly feasible z."""
     grad = np.array(prog.objective.grad(z), dtype=float)
     hess = np.array(prog.objective.hess(z), dtype=float)
-    if prog.constraint_jacobian is not None and prog.constraint_hessian_weighted is not None:
-        v = _constraint_vector(prog, z)
-        if not np.all(v < 0.0):
-            return None
-        jac = prog.constraint_jacobian(z)
-        w = inv_t / (-v)
-        grad += jac.T @ w
-        hess += (jac * (inv_t / (v * v))[:, None]).T @ jac
-        hess += prog.constraint_hessian_weighted(z, w)
-        return grad, hess
-    for con in prog.ineq_constraints:
-        v = con.value(z)
-        if not v < 0.0:
-            return None
-        gc = np.asarray(con.grad(z), dtype=float)
-        grad += inv_t * gc / (-v)
-        hess += inv_t * (np.outer(gc, gc) / (v * v) + con.hess(z) / (-v))
+    v = prog.constraint_values(z)
+    jac = prog.constraint_jacobian(z)
+    w = inv_t / (-v)
+    grad += jac.T @ w
+    hess += (jac * (inv_t / (v * v))[:, None]).T @ jac
+    hess += prog.constraint_hessian_weighted(z, w)
     return grad, hess
 
 
@@ -193,10 +173,7 @@ def _center(prog: ConvexProgram, z: np.ndarray, inv_t: float, settings: SolverSe
     stalls = 0
     base = _barrier_value(prog, z, inv_t)
     for _ in range(settings.max_newton_iters):
-        derivs = _barrier_derivatives(prog, z, inv_t)
-        if derivs is None:
-            return z, steps, False, True
-        grad, hess = derivs
+        grad, hess = _barrier_derivatives(prog, z, inv_t)
         if np.linalg.norm(grad) <= settings.newton_tol:
             return z, steps, True, True
         direction, ok = _newton_direction(hess, grad)
@@ -249,27 +226,30 @@ def solve(
     z = np.array(z0, dtype=float)
     if not prog.domain_guard(z):
         raise InfeasibleStartError("starting point violates the domain guard")
-    c0 = _constraint_vector(prog, z)
+    c0 = prog.constraint_values(z)
     if np.any(c0 >= 0.0) or not np.all(np.isfinite(c0)):
         raise InfeasibleStartError("starting point is not strictly feasible")
 
-    m = len(prog.ineq_constraints)
+    m = c0.size
     t = max(t0, 1e-12)
     total_steps = 0
     trace: list[float] = []
     status = SolveStatus.MAX_ITERATIONS
     for _ in range(settings.max_outer_iters):
-        z, steps, centered, ok = _center(prog, z, 1.0 / t, settings)
+        z_stage, steps, centered, ok = _center(prog, z, 1.0 / t, settings)
         total_steps += steps
         if not ok:
+            z = z_stage
             status = SolveStatus.NUMERICAL_FAILURE
             break
-        f_val = float(prog.objective.value(z))
+        f_val = float(prog.objective.value(z_stage))
         # Exact centering walks the central path, along which the true
         # objective never increases; allow slack for inexact Newton stops.
-        assert not trace or f_val <= trace[-1] + 1e-7 * max(1.0, abs(trace[-1])), (
-            "barrier outer loop lost monotonicity"
-        )
+        # A stage that rises beyond it has lost the path: keep the previous
+        # stage's point and report MAX_ITERATIONS.
+        if trace and f_val > trace[-1] + 1e-7 * max(1.0, abs(trace[-1])):
+            break
+        z = z_stage
         trace.append(f_val)
         if m / t < settings.duality_gap_tol:
             status = SolveStatus.OPTIMAL if centered else SolveStatus.MAX_ITERATIONS
@@ -284,7 +264,7 @@ def solve(
                     "status": status.value,
                     "newton_steps": total_steps,
                     "barrier_t_final": t,
-                    "constraint_values": _constraint_vector(prog, z).tolist(),
+                    "constraint_values": prog.constraint_values(z).tolist(),
                     "outer_objective_trace": trace,
                 }
             ),
@@ -331,18 +311,9 @@ def _fd_step(z: np.ndarray, rel_step: float) -> np.ndarray:
     return rel_step * np.maximum(np.abs(z), 1e-8)
 
 
-def _fd_gradient(fn: Callable, z: np.ndarray, rel_step: float) -> np.ndarray:
-    h = _fd_step(z, rel_step)
-    out = np.empty_like(z)
-    for i in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h[i]
-        zm[i] -= h[i]
-        out[i] = (fn(zp) - fn(zm)) / (2.0 * h[i])
-    return out
-
-
 def _fd_jacobian(fn: Callable, z: np.ndarray, rel_step: float) -> np.ndarray:
+    """Central differences of fn along each coordinate: the gradient of a
+    scalar fn, the (rows x dim) Jacobian of a vector fn."""
     h = _fd_step(z, rel_step)
     cols = []
     for i in range(z.size):
@@ -350,7 +321,7 @@ def _fd_jacobian(fn: Callable, z: np.ndarray, rel_step: float) -> np.ndarray:
         zp[i] += h[i]
         zm[i] -= h[i]
         cols.append((np.asarray(fn(zp)) - np.asarray(fn(zm))) / (2.0 * h[i]))
-    return np.stack(cols, axis=1)
+    return np.stack(cols, axis=-1)
 
 
 def _fd_error(analytic, numeric, column_noise: np.ndarray) -> float:
@@ -364,25 +335,39 @@ def _fd_error(analytic, numeric, column_noise: np.ndarray) -> float:
 def check_gradients(prog: ConvexProgram, z: np.ndarray, rel_step: float = 1e-6) -> float:
     """Max relative error of all gradient/Hessian oracles against central differences.
 
-    Gradients are differenced from values, Hessians from analytic gradients.
-    Each difference column carries a rounding allowance of ~1e3 * eps * scale
-    / step that is subtracted before the relative comparison: a central
-    difference cannot resolve derivatives below that floor, so near-flat
-    directions are not flagged for noise.
+    The objective's gradient is differenced from its value and its Hessian
+    from its gradient. Constraint j is checked the same way: row j of
+    constraint_jacobian against differences of constraint_values, and
+    constraint_hessian_weighted(z, e_j) against differences of that row.
+    Each difference carries a rounding allowance of ~1e3 * eps * scale / step
+    that is subtracted before the relative comparison: a central difference
+    cannot resolve derivatives below that floor, so near-flat directions are
+    not flagged for noise. The scale is max(1, |value|) for a differenced
+    value and |g_i| for a differenced gradient entry g_i, so Hessians of
+    badly scaled coordinates (q = 1/p ~ 1e8) are still resolved.
     """
     z = np.asarray(z, dtype=float)
     h = _fd_step(z, rel_step)
     eps_safety = 1e3 * np.finfo(float).eps
+    rows = np.eye(prog.constraint_values(z).size)
+    constraints = [
+        Functional(
+            value=lambda x, j=j: prog.constraint_values(x)[j],
+            grad=lambda x, j=j: prog.constraint_jacobian(x)[j],
+            hess=lambda x, e=e: prog.constraint_hessian_weighted(x, e),
+        )
+        for j, e in enumerate(rows)
+    ]
     worst = 0.0
-    for fn in (prog.objective, *prog.ineq_constraints):
+    for fn in (prog.objective, *constraints):
         g_analytic = np.asarray(fn.grad(z), dtype=float)
         value_scale = max(1.0, abs(float(fn.value(z))))
         g_noise = eps_safety * value_scale / h
         worst = max(
-            worst, _fd_error(g_analytic, _fd_gradient(fn.value, z, rel_step), g_noise)
+            worst, _fd_error(g_analytic, _fd_jacobian(fn.value, z, rel_step), g_noise)
         )
-        grad_scale = max(1.0, float(np.max(np.abs(g_analytic))))
         h_fd = _fd_jacobian(fn.grad, z, rel_step)
-        h_noise = eps_safety * grad_scale / np.minimum(h[None, :], h[:, None])
+        h_noise = eps_safety * np.abs(g_analytic)[:, None] / h[None, :]
+        h_noise = 0.5 * (h_noise + h_noise.T)
         worst = max(worst, _fd_error(fn.hess(z), 0.5 * (h_fd + h_fd.T), h_noise))
     return worst

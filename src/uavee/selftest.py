@@ -34,11 +34,10 @@ def _solver_quadratic(_: np.random.Generator) -> bool:
             grad=lambda z: np.array([2.0 * (z[0] - 3.0)]),
             hess=lambda z: np.array([[2.0]]),
         ),
-        ineq_constraints=[
-            Functional(lambda z: -z[0], lambda z: np.array([-1.0]), lambda z: np.zeros((1, 1))),
-            Functional(lambda z: z[0] - 10.0, lambda z: np.array([1.0]), lambda z: np.zeros((1, 1))),
-        ],
         domain_guard=lambda z: True,
+        constraint_values=lambda z: np.array([-z[0], z[0] - 10.0]),
+        constraint_jacobian=lambda z: np.array([[-1.0], [1.0]]),
+        constraint_hessian_weighted=lambda z, w: np.zeros((1, 1)),
     )
     out = solve(prog, np.array([1.0]))
     return abs(out.z_star[0] - 3.0) < 1e-6

@@ -1,23 +1,34 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import uavee
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
     ScaSettings,
     ScaState,
     _jhtpa_objective,
+    _oht_surrogate,
     build_jhtpa_subproblem,
-    build_oht_surrogate,
     build_opa_subproblem,
     jhtpa,
     oht,
     opa,
     run_algorithm,
 )
-from uavee.engine import ConvexProgram, check_gradients
 
-from oracles import grid_ee_n1, grid_oht_theta, grid_opa_ee_n1
+from oracles import (
+    grid_ee_n1,
+    grid_oht_theta,
+    grid_opa_ee_n1,
+    pinned_rates_direct,
+    tangency_errors,
+)
 
 
 def scenario(n, seed):
@@ -191,30 +202,26 @@ def test_jhtpa_qos_constraint_tangent_at_expansion():
     np.testing.assert_allclose(qos_rows, true_deficit, atol=1e-10)
 
 
-def test_build_oht_surrogate_gradients():
+def test_oht_surrogate_touches_pinned_rates():
     config, ch = scenario(3, 7)
     for theta_bar in (1.5, 2.0, 10.0):
-        for fn in build_oht_surrogate(theta_bar, ch, config):
-            prog = ConvexProgram(
-                dim=1,
-                objective=fn,
-                ineq_constraints=[],
-                domain_guard=lambda z: bool(z[0] > 1.0),
-            )
-            assert check_gradients(prog, np.array([theta_bar * 1.3])) < 1e-5
+        value_error, slope_error = tangency_errors(
+            _oht_surrogate(theta_bar, ch, config),
+            lambda t: pinned_rates_direct(t, ch, config),
+            theta_bar,
+        )
+        assert value_error < 1e-12
+        assert slope_error < 1e-5
 
 
 def test_oht_surrogate_minorizes_true_rates():
     config, ch = scenario(3, 7)
     thetas = np.linspace(1.01, 900.0, 500)
+    true_vals = np.array([core.pinned_rates(t, ch, config) for t in thetas])
     for theta_bar in (1.5, 2.0, 30.0):
-        fns = build_oht_surrogate(theta_bar, ch, config)
-        for idx, fn in enumerate(fns):
-            psi_vals = np.array([fn.value(np.array([t])) for t in thetas])
-            true_vals = np.array(
-                [core.pinned_rates(t, ch, config)[idx] for t in thetas]
-            )
-            assert np.all(psi_vals <= true_vals + 1e-12)
+        psi = _oht_surrogate(theta_bar, ch, config)
+        psi_vals = np.array([psi(t) for t in thetas])
+        assert np.all(psi_vals <= true_vals + 1e-12)
 
 
 def test_opa_subproblem_objective_zero_at_expansion():
@@ -258,3 +265,31 @@ def test_run_algorithm_rejects_unknown():
     config, ch = scenario(2, 7)
     with pytest.raises(ValueError):
         run_algorithm("genie", ch, config)
+
+
+_SOLVE_IN_SUBPROCESS = """
+import sys
+from uavee import ScenarioConfig, jhtpa, make_scenario
+config = ScenarioConfig(num_pairs=5, theta_fix=1.01, seed=int(sys.argv[1]))
+report = jhtpa(make_scenario(config)[1], config)
+print(report.status, report.ee_nats_per_joule.hex())
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_jhtpa_barrier_monotonicity_loss_regression(seed):
+    # A barrier stage of these solves lets the objective rise; engine.solve
+    # once asserted on it, so jhtpa raised AssertionError here and returned
+    # a different result under python -O.
+    config = ScenarioConfig(num_pairs=5, theta_fix=1.01, seed=seed)
+    _, ch = make_scenario(config)
+    report = jhtpa(ch, config)
+    assert_report_sane(report, ch, config)
+    assert np.all(np.diff(report.trace) >= 0.0)
+    src = str(Path(uavee.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-c", _SOLVE_IN_SUBPROCESS, str(seed)],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert optimized.stdout.split() == [report.status, report.ee_nats_per_joule.hex()]

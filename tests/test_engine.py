@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from uavee.algorithms import (
     _jhtpa_feasibility_constraints,
     _jhtpa_objective,
     _jhtpa_sampler,
+    _opa_feasibility_constraints,
+    _opa_sampler,
     _rng_for,
     build_jhtpa_subproblem,
+    build_opa_subproblem,
     jhtpa,
 )
 from uavee.engine import (
@@ -34,6 +39,17 @@ def affine(a, b, dim):
     )
 
 
+def affine_constraints(a, b):
+    """The vectorized constraint oracles of A z + b <= 0."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return dict(
+        constraint_values=lambda z: a @ z + b,
+        constraint_jacobian=lambda z: a.copy(),
+        constraint_hessian_weighted=lambda z, w: np.zeros((a.shape[1], a.shape[1])),
+    )
+
+
 def box_program():
     # minimize (z - 3)^2 on [0, 10]
     return ConvexProgram(
@@ -43,8 +59,8 @@ def box_program():
             grad=lambda z: np.array([2.0 * (z[0] - 3.0)]),
             hess=lambda z: np.array([[2.0]]),
         ),
-        ineq_constraints=[affine([-1.0], 0.0, 1), affine([1.0], -10.0, 1)],
         domain_guard=lambda z: True,
+        **affine_constraints([[-1.0], [1.0]], [0.0, -10.0]),
     )
 
 
@@ -57,8 +73,8 @@ def reciprocal_program():
             grad=lambda z: np.array([-1.0 / z[0] ** 2, -1.0 / z[1] ** 2]),
             hess=lambda z: np.diag([2.0 / z[0] ** 3, 2.0 / z[1] ** 3]),
         ),
-        ineq_constraints=[affine([1.0, 1.0], -4.0, 2)],
         domain_guard=lambda z: bool(np.all(z > 0.0)),
+        **affine_constraints([[1.0, 1.0]], [-4.0]),
     )
 
 
@@ -74,6 +90,24 @@ def jhtpa_fixture_program(n=2, seed=7):
     )
     state = ScaState(iterate=z, phi=_jhtpa_objective(z, ch, config))
     return build_jhtpa_subproblem(state, ch, config, r_bar), z, ch, config, r_bar
+
+
+def opa_fixture_program(n=3, seed=11):
+    config = ScenarioConfig(num_pairs=n, seed=seed)
+    _, ch = make_scenario(config)
+    r_bar = core.qos_threshold(ch, config)
+    theta_fix = config.theta_fix
+    p = find_feasible(
+        _opa_feasibility_constraints(ch, config, r_bar, theta_fix),
+        _opa_sampler(ch, config, r_bar, theta_fix),
+        _rng_for(config, "opa"),
+        10000,
+    )
+    lam = float(np.sum(np.log1p(core.sinr(p, ch)))) / core.total_power(
+        core.Allocation.from_theta(theta_fix, p), config
+    )
+    state = ScaState(iterate=p, phi=lam)
+    return build_opa_subproblem(state, ch, config, r_bar, theta_fix), p
 
 
 def test_solve_quadratic_box():
@@ -185,8 +219,8 @@ def test_check_gradients_affine_exact():
     prog = ConvexProgram(
         dim=3,
         objective=affine([1.0, -2.0, 0.5], 3.0, 3),
-        ineq_constraints=[affine([0.0, 1.0, 1.0], -5.0, 3)],
         domain_guard=lambda z: True,
+        **affine_constraints([[0.0, 1.0, 1.0]], [-5.0]),
     )
     assert check_gradients(prog, np.array([1.0, 2.0, 3.0])) < 1e-9
 
@@ -206,8 +240,8 @@ def test_check_gradients_reciprocal_product():
                 ]
             ),
         ),
-        ineq_constraints=[],
         domain_guard=lambda z: bool(np.all(z > 0.0)),
+        **affine_constraints(np.zeros((0, 2)), []),
     )
     z = np.array([1.0, 2.0])
     np.testing.assert_allclose(prog.objective.grad(z), [-0.5, -0.25], rtol=1e-12)
@@ -219,24 +253,54 @@ def test_check_gradients_jhtpa_oracles():
     assert check_gradients(prog, z0) < 1e-5
 
 
-def test_vectorized_paths_match_functionals():
-    prog, z0, *_ = jhtpa_fixture_program(n=4, seed=3)
-    rng = np.random.default_rng(1)
-    jac_slow = np.array([c.grad(z0) for c in prog.ineq_constraints])
-    jac_fast = prog.constraint_jacobian(z0)
-    scale = max(np.max(np.abs(jac_slow)), 1e-300)
-    assert np.max(np.abs(jac_fast - jac_slow)) / scale < 1e-12
+def test_check_gradients_opa_oracles():
+    prog, p0 = opa_fixture_program()
+    assert check_gradients(prog, p0) < 1e-5
 
-    w = rng.uniform(0.1, 3.0, len(prog.ineq_constraints))
-    h_slow = sum(wi * c.hess(z0) for wi, c in zip(w, prog.ineq_constraints))
-    h_fast = prog.constraint_hessian_weighted(z0, w)
-    scale = max(np.max(np.abs(h_slow)), 1e-300)
-    assert np.max(np.abs(h_fast - h_slow)) / scale < 1e-12
 
-    vals_slow = np.array([c.value(z0) for c in prog.ineq_constraints])
-    vals_fast = prog.constraint_values(z0)
-    scale = max(np.max(np.abs(vals_slow)), 1e-300)
-    assert np.max(np.abs(vals_fast - vals_slow)) / scale < 1e-12
+def _corrupt(prog, z, oracle):
+    """prog with one entry of one oracle perturbed by 1% of that oracle's
+    largest entry at z."""
+    if oracle == "objective_grad":
+        g = np.asarray(prog.objective.grad(z))
+        k = int(np.argmax(np.abs(g)))
+        delta = np.zeros_like(g)
+        delta[k] = 1e-2 * abs(g[k])
+        grad = prog.objective.grad
+        return dataclasses.replace(
+            prog, objective=dataclasses.replace(prog.objective, grad=lambda x: grad(x) + delta)
+        )
+    if oracle == "jacobian":
+        jac = prog.constraint_jacobian(z)
+        j, k = np.unravel_index(np.argmax(np.abs(jac)), jac.shape)
+        delta = np.zeros_like(jac)
+        delta[j, k] = 1e-2 * abs(jac[j, k])
+        fn = prog.constraint_jacobian
+        return dataclasses.replace(prog, constraint_jacobian=lambda x: fn(x) + delta)
+    # weighted Hessian: one diagonal entry of one constraint's Hessian
+    m = prog.constraint_values(z).size
+    hessians = [prog.constraint_hessian_weighted(z, e) for e in np.eye(m)]
+    j = int(np.argmax([np.max(np.abs(hj)) for hj in hessians]))
+    k = int(np.argmax(np.abs(np.diag(hessians[j]))))
+    bump = 1e-2 * abs(hessians[j][k, k])
+    fn = prog.constraint_hessian_weighted
+
+    def corrupted(x, w):
+        out = fn(x, w)
+        out[k, k] += bump * w[j]
+        return out
+
+    return dataclasses.replace(prog, constraint_hessian_weighted=corrupted)
+
+
+@pytest.mark.parametrize("oracle", ["objective_grad", "jacobian", "weighted_hessian"])
+@pytest.mark.parametrize("subproblem", ["jhtpa", "opa"])
+def test_check_gradients_flags_corrupted_oracle(subproblem, oracle):
+    if subproblem == "jhtpa":
+        prog, z0, *_ = jhtpa_fixture_program(n=3, seed=11)
+    else:
+        prog, z0 = opa_fixture_program()
+    assert check_gradients(_corrupt(prog, z0, oracle), z0) > 1e-3
 
 
 def test_find_feasible_boundary_point_weakly_feasible(channels3, config3):
