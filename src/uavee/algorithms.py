@@ -183,6 +183,10 @@ def build_jhtpa_subproblem(
     # and the engine's absolute tolerances would otherwise fire early.
     inv_obj = 1.0 / max(float(np.sum(core.rates_from_inverse(theta_bar, q_bar, ch))), 1e-300)
 
+    diag_idx = np.arange(n)
+    # The interference block of the QoS rows' Jacobian, before the 1/q^2 factor.
+    qos_interference = -(cy[:, None] * off)
+
     def psi_vec(z: np.ndarray) -> np.ndarray:
         theta, q = z[0], z[1:]
         return a_const - cx * q / hd - cy * (off @ (1.0 / q) + s2) - ct * theta
@@ -194,14 +198,14 @@ def build_jhtpa_subproblem(
             f_const
             + float(a_lin @ q + b_rec @ recip)
             + sum_ct * theta
-            + phi * (float(np.sum(recip)) / theta + pw_lin * theta)
+            + phi * (float(recip.sum()) / theta + pw_lin * theta)
         )
 
     def obj_grad(z: np.ndarray) -> np.ndarray:
         theta, q = z[0], z[1:]
         recip2 = 1.0 / (q * q)
         out = np.empty(n + 1)
-        out[0] = sum_ct + phi * (pw_lin - float(np.sum(1.0 / q)) / theta**2)
+        out[0] = sum_ct + phi * (pw_lin - float((1.0 / q).sum()) / theta**2)
         out[1:] = a_lin - b_rec * recip2 - (phi / theta) * recip2
         return inv_obj * out
 
@@ -209,12 +213,11 @@ def build_jhtpa_subproblem(
         theta, q = z[0], z[1:]
         recip = 1.0 / q
         out = np.zeros((n + 1, n + 1))
-        out[0, 0] = 2.0 * phi * float(np.sum(recip)) / theta**3
+        out[0, 0] = 2.0 * phi * float(recip.sum()) / theta**3
         cross = (phi / theta**2) * recip**2
         out[0, 1:] = cross
         out[1:, 0] = cross
-        diag = 2.0 * b_rec * recip**3 + (2.0 * phi / theta) * recip**3
-        out[1:, 1:][np.diag_indices(n)] = diag
+        out[1 + diag_idx, 1 + diag_idx] = 2.0 * b_rec * recip**3 + (2.0 * phi / theta) * recip**3
         return inv_obj * out
 
     def all_values(z: np.ndarray) -> np.ndarray:
@@ -222,8 +225,6 @@ def build_jhtpa_subproblem(
         caus = 1.0 / (q * cap) - theta + 1.0
         qos = (r_bar - psi_vec(z)) / qos_scale
         return np.concatenate(([(1.0 + THETA_GAP) - theta], caus, qos))
-
-    diag_idx = np.arange(n)
 
     def all_jacobian(z: np.ndarray) -> np.ndarray:
         q = z[1:]
@@ -233,7 +234,7 @@ def build_jhtpa_subproblem(
         jac[1 : n + 1, 0] = -1.0
         jac[1 + diag_idx, 1 + diag_idx] = -recip2 / cap
         jac[n + 1 :, 0] = ct / qos_scale
-        jac[n + 1 :, 1:] = -(cy[:, None] * off) * recip2[None, :] / qos_scale
+        jac[n + 1 :, 1:] = qos_interference * recip2[None, :] / qos_scale
         jac[n + 1 + diag_idx, 1 + diag_idx] += (cx / hd) / qos_scale
         return jac
 
@@ -249,7 +250,7 @@ def build_jhtpa_subproblem(
     return ConvexProgram(
         dim=n + 1,
         objective=Functional(obj_value, obj_grad, obj_hess),
-        domain_guard=lambda z: bool(z[0] > 1.0 and np.all(z[1:] > 0.0) and np.all(np.isfinite(z))),
+        domain_guard=lambda z: bool(z[0] > 1.0 and (z[1:] > 0.0).all() and np.isfinite(z).all()),
         constraint_values=all_values,
         constraint_jacobian=all_jacobian,
         constraint_hessian_weighted=weighted_hessian,
@@ -454,6 +455,10 @@ def build_opa_subproblem(
     # in ln(1 + SINR) units).
     inv_obj = 1.0 / max(float(np.sum(np.log1p(core.sinr(p_bar, ch)))), 1e-300)
 
+    diag_idx = np.arange(n)
+    # The QoS rows' interference block, constant in p.
+    qos_interference = cy[:, None] * off / qos_scale
+
     def psi_vec(p: np.ndarray) -> np.ndarray:
         return a_const - cx / (hd * p) - cy * (off @ p + s2) - ct
 
@@ -464,17 +469,17 @@ def build_opa_subproblem(
         return inv_obj * (a_lin - b_rec / (p * p))
 
     def obj_hess(p: np.ndarray) -> np.ndarray:
-        return np.diag(inv_obj * 2.0 * b_rec / p**3)
+        out = np.zeros((n, n))
+        out[diag_idx, diag_idx] = inv_obj * 2.0 * b_rec / p**3
+        return out
 
     def all_values(p: np.ndarray) -> np.ndarray:
         return np.concatenate((p / p_max - 1.0, (qos_rhs - psi_vec(p)) / qos_scale))
 
-    diag_idx = np.arange(n)
-
     def all_jacobian(p: np.ndarray) -> np.ndarray:
         jac = np.zeros((2 * n, n))
         jac[diag_idx, diag_idx] = 1.0 / p_max
-        jac[n:, :] = cy[:, None] * off / qos_scale
+        jac[n:, :] = qos_interference
         jac[n + diag_idx, diag_idx] -= b_rec / (p * p) / qos_scale
         return jac
 
@@ -486,7 +491,7 @@ def build_opa_subproblem(
     return ConvexProgram(
         dim=n,
         objective=Functional(obj_value, obj_grad, obj_hess),
-        domain_guard=lambda p: bool(np.all(p > 0.0) and np.all(np.isfinite(p))),
+        domain_guard=lambda p: bool((p > 0.0).all() and np.isfinite(p).all()),
         constraint_values=all_values,
         constraint_jacobian=all_jacobian,
         constraint_hessian_weighted=weighted_hessian,

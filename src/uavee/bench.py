@@ -63,6 +63,7 @@ class ResultRow:
     wall_time_ms: float | None
     iterations: int | None
     status: str  # converged | infeasible | failed
+    error: str | None = None  # "ClassName: message" of the exception behind a failed row
 
 
 def derive_child_seed(base_seed: int, n_pairs: int, trial: int) -> int:
@@ -111,9 +112,12 @@ def run_trial(
             rows.append(
                 ResultRow(n_pairs, name, trial, seed, None, None, None, None, "infeasible")
             )
-        except Exception:
+        except Exception as exc:
             rows.append(
-                ResultRow(n_pairs, name, trial, seed, None, None, None, None, "failed")
+                ResultRow(
+                    n_pairs, name, trial, seed, None, None, None, None, "failed",
+                    error=f"{type(exc).__name__}: {exc}",
+                )
             )
     return rows
 

@@ -130,3 +130,32 @@ def test_rows_sorted_and_paired():
         for trial in (0, 1):
             seeds = {r.seed for r in rows if r.n_pairs == n and r.trial == trial}
             assert len(seeds) == 1
+
+
+def test_failed_row_records_exception(monkeypatch, tmp_path):
+    import dataclasses
+
+    import uavee.bench as bench
+
+    real = bench.run_algorithm
+
+    def raising(name, *args, **kwargs):
+        if name == "opa":
+            raise ValueError("boom")
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_algorithm", raising)
+    rows, _ = run_experiment(small_spec(output_path=str(tmp_path / "rows.json"), output_format="json"))
+    by_alg = {r.algorithm: r for r in rows}
+    assert by_alg["opa"].status == "failed"
+    assert by_alg["opa"].error == "ValueError: boom"
+    assert by_alg["jhtpa"].status == "converged" and by_alg["jhtpa"].error is None
+    payload = json.loads((tmp_path / "rows.json").read_text())
+    assert [r["error"] for r in payload["rows"]] == [None, "ValueError: boom", None]
+
+    # the CSV carries no error column: same bytes as the rows without it
+    bench.write_csv(rows, str(tmp_path / "with.csv"))
+    bench.write_csv([dataclasses.replace(r, error=None) for r in rows], str(tmp_path / "without.csv"))
+    text = (tmp_path / "with.csv").read_bytes()
+    assert text == (tmp_path / "without.csv").read_bytes()
+    assert text.splitlines()[0].decode() == CSV_HEADER

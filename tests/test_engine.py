@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
@@ -16,8 +18,10 @@ from uavee.algorithms import (
     build_jhtpa_subproblem,
     build_opa_subproblem,
     jhtpa,
+    opa,
 )
 from uavee.engine import (
+    _linearized_step_bound,
     ConvexProgram,
     Functional,
     InfeasibleStartError,
@@ -383,3 +387,110 @@ def test_subproblem_latency_soft(monkeypatch):
         "(stated target 10 ms, soft)"
     )
     assert median < 25.0
+
+
+@pytest.mark.parametrize(
+    "algorithm, max_steps, max_values_per_step",
+    # ~10% above the measured 397 steps at 1.023 values per step (jhtpa) and
+    # 145 steps at 1.862 (opa); the full-step-first line search with exact
+    # centering at every stage took 522 at 2.77 and 300 at 6.21
+    [(jhtpa, 437, 1.13), (opa, 160, 2.05)],
+    ids=["jhtpa", "opa"],
+)
+def test_subproblem_step_counts(monkeypatch, algorithm, max_steps, max_values_per_step):
+    # deterministic companion of test_subproblem_latency_soft, on its seeds
+    import uavee.algorithms as alg
+
+    counts = {"steps": 0, "values": 0}
+
+    def counting_solve(prog, z0, settings=None, t0=1.0):
+        def values(z, fn=prog.constraint_values):
+            counts["values"] += 1
+            return fn(z)
+
+        out = solve(dataclasses.replace(prog, constraint_values=values), z0, settings, t0)
+        counts["steps"] += out.newton_step_count
+        return out
+
+    monkeypatch.setattr(alg, "solve", counting_solve)
+    for seed in (5, 23, 87):
+        config = ScenarioConfig(num_pairs=10, seed=seed)
+        _, ch = make_scenario(config)
+        assert algorithm(ch, config).subsolver_calls >= 1
+    print(f"{algorithm.__name__}: {counts['steps']} Newton steps, {counts['values']} constraint evaluations")
+    assert counts["steps"] <= max_steps
+    assert counts["values"] <= max_values_per_step * counts["steps"]
+
+
+@pytest.fixture(scope="module")
+def captured_subproblems():
+    """(program, point) pairs from jhtpa and opa SCA runs on the N=3 fixture
+    scenario: every surrogate program the runs solve, at its start and at its
+    solution."""
+    import uavee.algorithms as alg
+
+    captured = []
+
+    def capturing_solve(prog, z0, settings=None, t0=1.0):
+        out = solve(prog, z0, settings, t0)
+        captured.extend([(prog, np.array(z0, dtype=float)), (prog, out.z_star)])
+        return out
+
+    config = ScenarioConfig(num_pairs=3, seed=11)
+    _, ch = make_scenario(config)
+    real = alg.solve
+    alg.solve = capturing_solve
+    try:
+        jhtpa(ch, config)
+        opa(ch, config)
+    finally:
+        alg.solve = real
+    return captured
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    pick=st.integers(min_value=0),
+    unit=st.lists(st.floats(-1.0, 1.0), min_size=31, max_size=31),
+    beyond=st.one_of(st.just(0.0), st.floats(1e-12, 1e3)),
+)
+def test_linearized_step_bound_cuts_no_feasible_step(captured_subproblems, pick, unit, beyond):
+    # convex rows lie above their linearizations, so every step at or past
+    # the bound leaves the strictly feasible set (or the oracles' domain).
+    # The rows are scaled to O(1) and round at ~1e-16 when evaluated, so a
+    # point on the boundary may read a hair below zero.
+    prog, z = captured_subproblems[pick % len(captured_subproblems)]
+    direction = np.asarray(unit[: z.size]) * np.abs(z)
+    c = prog.constraint_values(z)
+    bound = _linearized_step_bound(c, prog.constraint_jacobian(z) @ direction)
+    if not np.isfinite(bound):
+        return
+    trial = z + bound * (1.0 + beyond) * direction
+    assert not prog.domain_guard(trial) or prog.constraint_values(trial).max() >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "program, start, optimum",
+    [
+        (box_program, lambda share, fill: [10.0 * fill], [3.0]),
+        (reciprocal_program, lambda share, fill: 4.0 * fill * np.array([share, 1.0 - share]), [2.0, 2.0]),
+    ],
+    ids=["box", "reciprocal"],
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(share=st.floats(0.01, 0.99), fill=st.floats(1e-6, 1.0 - 1e-6))
+def test_affine_rows_line_search_stays_feasible(program, start, optimum, share, fill):
+    # affine rows only: the linearization bound is exact, so no line-search
+    # trial point may leave the feasible set
+    prog = program()
+    infeasible = 0
+
+    def values(z, fn=prog.constraint_values):
+        nonlocal infeasible
+        c = fn(z)
+        infeasible += int(not (c < 0.0).all())
+        return c
+
+    out = solve(dataclasses.replace(prog, constraint_values=values), np.asarray(start(share, fill)))
+    np.testing.assert_allclose(out.z_star, optimum, atol=1e-5)
+    assert infeasible == 0
