@@ -46,6 +46,9 @@ def _parse_pairs(text: str) -> tuple[int, ...]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uavee", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="debug logging to stderr")
+    # Accepted after run/solve too. SUPPRESS keeps the subcommand's default
+    # from overwriting a --verbose given before the subcommand.
+    verbose = dict(action="store_true", default=argparse.SUPPRESS, help="debug logging to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="Monte Carlo sweep over numbers of D2D pairs")
@@ -57,7 +60,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", help="output file path")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--jobs", type=int, default=1, help="worker processes")
-    run.add_argument("--verbose", action="store_true")
+    run.add_argument("--verbose", **verbose)
 
     gen = sub.add_parser("gen-scenario", help="emit a scenario config as JSON")
     gen.add_argument("--pairs", type=int, default=5)
@@ -68,7 +71,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--scenario", required=True, help="scenario JSON path")
     solve.add_argument("--algorithm", required=True, choices=ALGORITHM_NAMES)
     solve.add_argument("--trace", action="store_true", help="include the objective trace")
-    solve.add_argument("--verbose", action="store_true")
+    solve.add_argument("--verbose", **verbose)
 
     sub.add_parser("selftest", help="run the quick invariant suite")
     return parser
@@ -141,7 +144,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if getattr(args, "verbose", False) or os.environ.get("UAVEE_VERBOSE") == "1":
+    if args.verbose or os.environ.get("UAVEE_VERBOSE") == "1":
         logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
 
     try:

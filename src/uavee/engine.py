@@ -57,7 +57,7 @@ class InfeasibleStartError(ValueError):
 
 
 class NoFeasiblePointFoundError(RuntimeError):
-    """Random search exhausted its tries without a strictly feasible point."""
+    """No candidate was strictly feasible: the constraint set has no usable interior."""
 
 
 class SolveStatus(Enum):
@@ -346,15 +346,16 @@ def solve(
 
 def find_feasible(
     constraints: Sequence[Callable[[np.ndarray], float]],
-    sampler: Callable[[np.random.Generator, int], np.ndarray | None],
-    rng: np.random.Generator,
-    max_tries: int = 10000,
+    sampler: Callable[[np.random.Generator | None, int], np.ndarray | None],
+    rng: np.random.Generator | None,
+    max_tries: int,
 ) -> np.ndarray:
-    """Random-search a strictly feasible point (all constraints < 0).
+    """The first of max_tries candidates that is strictly feasible (all constraints < 0).
 
-    sampler(rng, k) proposes the k-th candidate and may return None to skip.
-    Raises NoFeasiblePointFoundError after max_tries proposals, which signals
-    an (effectively) infeasible constraint set for this realization.
+    sampler(rng, k) proposes the k-th candidate and may return None to skip;
+    rng is handed through and may be None for a deterministic candidate
+    list. Raises NoFeasiblePointFoundError when none of the max_tries
+    proposals passes.
     """
     for k in range(max_tries):
         z = sampler(rng, k)

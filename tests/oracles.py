@@ -4,6 +4,8 @@ Everything here recomputes the physics from first principles with plain
 numpy grids; none of it calls into the solver or the SCA loops.
 """
 
+import math
+
 import numpy as np
 
 
@@ -96,3 +98,79 @@ def tangency_errors(psi, truth, theta_bar, rel_step=1e-6):
     excess = np.maximum(np.abs(slope_psi - slope_true) - noise, 0.0)
     scale = max(float(np.max(np.abs(slope_psi))), float(np.max(np.abs(slope_true))), 1e-300)
     return value_error, float(np.max(excess)) / scale
+
+
+# Scaled QoS margin a sampled point must clear, as for the algorithms' starts.
+_QOS_MARGIN = 1e-13
+
+
+def _rejection_sample(draw, feasible, count, max_attempts=100_000):
+    points = []
+    for _ in range(max_attempts):
+        if len(points) == count:
+            break
+        z = draw()
+        if feasible(z):
+            points.append(z)
+    assert len(points) == count, "could not sample enough feasible points"
+    return points
+
+
+def log_uniform_jhtpa_points(rng, ch, config, r_bar, count):
+    """count strictly feasible (theta, q_1..q_N) points of the joint problem, q = 1/p.
+
+    theta is log-uniform on [1.01, 100]. Each pair's power sits below its
+    causality cap by its own factor u = exp(U(1e-13, ln(1 + 10^U(-12, 6)))),
+    so backoffs spread log-uniformly from ~1e-12 to ~1e6. Draws that miss
+    the QoS floor r_bar by the scaled margin are rejected.
+    """
+    n = ch.num_pairs
+    cap = config.eta * config.p0_watt * ch.g
+    hd = np.diag(ch.h)
+
+    def draw():
+        theta = float(np.exp(rng.uniform(math.log(1.01), math.log(100.0))))
+        span = 10.0 ** rng.uniform(-12.0, 6.0, size=n)
+        u = np.exp(rng.uniform(np.full(n, 1e-13), np.log1p(span)))
+        return np.concatenate(([theta], u / ((theta - 1.0) * cap)))
+
+    def feasible(z):
+        theta, q = z[0], z[1:]
+        recip = 1.0 / q
+        rates = np.log1p(hd / (q * (ch.h @ recip - hd * recip) + q * ch.sigma2_watt)) / theta
+        rows = (
+            (1.0 + 1e-9) - theta,
+            float(np.max(1.0 / (q * cap) - theta + 1.0)),
+            float(np.max(r_bar - rates)) / max(r_bar, 1e-12) + _QOS_MARGIN,
+        )
+        return all(np.isfinite(v) and v < 0.0 for v in rows)
+
+    return _rejection_sample(draw, feasible, count)
+
+
+def log_uniform_opa_points(rng, ch, config, r_bar, theta_fix, count):
+    """count strictly feasible power vectors at harvesting time theta_fix.
+
+    Each pair's power sits below its full-harvest power by a factor drawn as
+    in log_uniform_jhtpa_points; draws that miss the QoS floor
+    ln(1 + SINR) >= theta_fix * r_bar by the scaled margin are rejected.
+    """
+    n = ch.num_pairs
+    p_max = (theta_fix - 1.0) * config.eta * config.p0_watt * ch.g
+    hd = np.diag(ch.h)
+    qos_rhs = theta_fix * r_bar
+
+    def draw():
+        span = 10.0 ** rng.uniform(-12.0, 6.0, size=n)
+        u = np.exp(rng.uniform(np.full(n, 1e-13), np.log1p(span)))
+        return p_max / u
+
+    def feasible(p):
+        sinr = hd * p / (ch.h @ p - hd * p + ch.sigma2_watt)
+        rows = (
+            float(np.max(p / p_max - 1.0)),
+            float(np.max(qos_rhs - np.log1p(sinr))) / max(qos_rhs, 1e-12) + _QOS_MARGIN,
+        )
+        return all(np.isfinite(v) and v < 0.0 for v in rows)
+
+    return _rejection_sample(draw, feasible, count)

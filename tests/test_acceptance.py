@@ -13,11 +13,7 @@ import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
     ScaState,
-    _jhtpa_feasibility_constraints,
     _jhtpa_objective,
-    _jhtpa_sampler,
-    _opa_feasibility_constraints,
-    _opa_sampler,
     _oht_surrogate,
     build_jhtpa_subproblem,
     build_opa_subproblem,
@@ -28,7 +24,14 @@ from uavee.algorithms import (
 from uavee.bench import ExperimentSpec, run_experiment
 from uavee.engine import NoFeasiblePointFoundError, check_gradients
 
-from oracles import grid_ee_n1, grid_oht_theta, pinned_rates_direct, tangency_errors
+from oracles import (
+    grid_ee_n1,
+    grid_oht_theta,
+    log_uniform_jhtpa_points,
+    log_uniform_opa_points,
+    pinned_rates_direct,
+    tangency_errors,
+)
 
 PAIR_COUNTS = tuple(range(2, 11))
 SCENARIOS_PER_N = 12  # 9 x 12 = 108 seeded scenarios >= 100
@@ -242,22 +245,6 @@ def test_criterion_6_latency(timing_rows):
     )
 
 
-def _random_feasible_points(constraints, sampler, rng, count, skip_probes):
-    points = []
-    k = skip_probes
-    attempts = 0
-    while len(points) < count and attempts < 100_000:
-        z = sampler(rng, k)
-        k += 1
-        attempts += 1
-        if z is None:
-            continue
-        if all(np.isfinite(c(z)) and c(z) < 0.0 for c in constraints):
-            points.append(np.asarray(z, dtype=float))
-    assert len(points) == count, "could not sample enough feasible points"
-    return points
-
-
 def test_criterion_7_gradient_checks():
     rng = np.random.default_rng(77)
     worst = 0.0
@@ -266,17 +253,13 @@ def test_criterion_7_gradient_checks():
     _, ch = make_scenario(config)
     r_bar = core.qos_threshold(ch, config)
 
-    constraints = _jhtpa_feasibility_constraints(ch, config, r_bar)
-    sampler = _jhtpa_sampler(ch, config, r_bar)
-    for z in _random_feasible_points(constraints, sampler, rng, 10, skip_probes=1000):
+    for z in log_uniform_jhtpa_points(rng, ch, config, r_bar, 10):
         state = ScaState(iterate=z, phi=_jhtpa_objective(z, ch, config))
         prog = build_jhtpa_subproblem(state, ch, config, r_bar)
         worst = max(worst, check_gradients(prog, z))
 
     theta_fix = config.theta_fix
-    constraints = _opa_feasibility_constraints(ch, config, r_bar, theta_fix)
-    sampler = _opa_sampler(ch, config, r_bar, theta_fix)
-    for p in _random_feasible_points(constraints, sampler, rng, 10, skip_probes=1000):
+    for p in log_uniform_opa_points(rng, ch, config, r_bar, theta_fix, 10):
         lam = float(np.sum(np.log1p(core.sinr(p, ch)))) / core.total_power(
             core.Allocation.from_theta(theta_fix, p), config
         )

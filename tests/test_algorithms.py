@@ -10,7 +10,6 @@ import uavee
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
-    ScaSettings,
     ScaState,
     _jhtpa_objective,
     _oht_surrogate,
@@ -254,11 +253,10 @@ def test_infeasible_qos_raises():
     from uavee.engine import NoFeasiblePointFoundError
 
     config, ch = scenario(2, 7)
-    settings = ScaSettings(max_feasible_tries=300)
     with pytest.raises(NoFeasiblePointFoundError):
-        jhtpa(ch, config, settings=settings, r_bar=1e3)
+        jhtpa(ch, config, r_bar=1e3)
     with pytest.raises(NoFeasiblePointFoundError):
-        opa(ch, config, settings=settings, r_bar=1e3)
+        opa(ch, config, r_bar=1e3)
 
 
 def test_run_algorithm_rejects_unknown():

@@ -1,8 +1,10 @@
 import csv
 import json
 
+import pytest
+
 from uavee.bench import CSV_HEADER
-from uavee.cli import cli_main
+from uavee.cli import _build_parser, cli_main
 from uavee.scenario import ScenarioConfig
 
 
@@ -74,3 +76,11 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", [["run"], ["solve", "--scenario", "s.json", "--algorithm", "oht"]])
+def test_verbose_before_or_after_subcommand(command):
+    parser = _build_parser()
+    assert parser.parse_args(["--verbose", *command]).verbose is True
+    assert parser.parse_args([*command, "--verbose"]).verbose is True
+    assert parser.parse_args(command).verbose is False

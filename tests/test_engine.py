@@ -9,12 +9,10 @@ import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
     ScaState,
-    _jhtpa_feasibility_constraints,
     _jhtpa_objective,
-    _jhtpa_sampler,
-    _opa_feasibility_constraints,
-    _opa_sampler,
-    _rng_for,
+    _jhtpa_start_thetas,
+    _start,
+    _violation,
     build_jhtpa_subproblem,
     build_opa_subproblem,
     jhtpa,
@@ -29,7 +27,6 @@ from uavee.engine import (
     SolverSettings,
     SolveStatus,
     check_gradients,
-    find_feasible,
     solve,
 )
 
@@ -86,12 +83,9 @@ def jhtpa_fixture_program(n=2, seed=7):
     config = ScenarioConfig(num_pairs=n, seed=seed)
     _, ch = make_scenario(config)
     r_bar = core.qos_threshold(ch, config)
-    z = find_feasible(
-        _jhtpa_feasibility_constraints(ch, config, r_bar),
-        _jhtpa_sampler(ch, config, r_bar),
-        _rng_for(config, "jhtpa"),
-        10000,
-    )
+    theta, p, strict = _start(ch, config, r_bar, _jhtpa_start_thetas(config.theta_fix))
+    assert strict
+    z = np.concatenate(([theta], 1.0 / p))
     state = ScaState(iterate=z, phi=_jhtpa_objective(z, ch, config))
     return build_jhtpa_subproblem(state, ch, config, r_bar), z, ch, config, r_bar
 
@@ -101,12 +95,8 @@ def opa_fixture_program(n=3, seed=11):
     _, ch = make_scenario(config)
     r_bar = core.qos_threshold(ch, config)
     theta_fix = config.theta_fix
-    p = find_feasible(
-        _opa_feasibility_constraints(ch, config, r_bar, theta_fix),
-        _opa_sampler(ch, config, r_bar, theta_fix),
-        _rng_for(config, "opa"),
-        10000,
-    )
+    _, p, strict = _start(ch, config, r_bar, [theta_fix])
+    assert strict
     lam = float(np.sum(np.log1p(core.sinr(p, ch)))) / core.total_power(
         core.Allocation.from_theta(theta_fix, p), config
     )
@@ -308,34 +298,24 @@ def test_check_gradients_flags_corrupted_oracle(subproblem, oracle):
 
 
 def test_find_feasible_boundary_point_weakly_feasible(channels3, config3):
-    # with no QoS floor, the full-harvest point at theta = 2 satisfies the
-    # transformed constraint set with equality on every causality row
-    constraints = _jhtpa_feasibility_constraints(channels3, config3, r_bar=0.0)
-    cap = config3.eta * config3.p0_watt * channels3.g
-    z_boundary = np.concatenate(([2.0], 1.0 / ((2.0 - 1.0) * cap)))
-    assert constraints[0](z_boundary) < 0.0
-    assert constraints[1](z_boundary) <= 1e-12  # causality: equality up to rounding
-    assert constraints[2](z_boundary) <= 1e-12  # rates are nonnegative
+    # with no QoS floor, the full-harvest point at theta = 2 meets every
+    # causality row with equality and clears the theta guard and QoS rows
+    p_full = (2.0 - 1.0) * config3.eta * config3.p0_watt * channels3.g
+    assert _violation(2.0, p_full, channels3, config3, r_bar=0.0) <= 1e-12
 
 
 def test_find_feasible_succeeds_on_fixture(channels3, config3):
     r_bar = core.qos_threshold(channels3, config3)
-    z = find_feasible(
-        _jhtpa_feasibility_constraints(channels3, config3, r_bar),
-        _jhtpa_sampler(channels3, config3, r_bar),
-        np.random.default_rng(7),
-        10000,
-    )
-    alloc = core.Allocation.from_theta(float(z[0]), 1.0 / z[1:])
+    theta, p, strict = _start(channels3, config3, r_bar, _jhtpa_start_thetas(config3.theta_fix))
+    assert strict
+    alloc = core.Allocation.from_theta(theta, p)
     report = core.check_feasible(alloc, channels3, config3, r_bar)
     assert report.is_feasible(atol=1e-18)
 
 
 def test_find_feasible_impossible_qos(channels3, config3):
-    constraints = _jhtpa_feasibility_constraints(channels3, config3, r_bar=1e3)
-    sampler = _jhtpa_sampler(channels3, config3, r_bar=1e3)
     with pytest.raises(NoFeasiblePointFoundError):
-        find_feasible(constraints, sampler, np.random.default_rng(0), max_tries=500)
+        _start(channels3, config3, 1e3, _jhtpa_start_thetas(config3.theta_fix))
 
 
 def test_settings_validation():
