@@ -64,8 +64,9 @@ def _report_fields(report):
     ids=["one_pair", "radius_5000", "noise_-80"],
 )
 def test_edge_configs_start_from_few_candidates(monkeypatch, physics):
-    # The former random search drew up to 10,000 candidates per run on these
-    # configs; the closed form proposes one per harvesting time tried.
+    # Noise-limited and single-pair configs, where the feasible set can shrink
+    # to the full-harvest point: the start proposes one candidate per
+    # harvesting time tried, then falls back to that point.
     proposals = []
     real_find_feasible = algorithms.find_feasible
 
