@@ -61,6 +61,15 @@ _INTERIOR_DEPTH = 0.01
 # as weakly feasible when no strict interior point passes the check.
 _BOUNDARY_TOL = 1e-9
 
+# SolveReport.status of the stop reasons that are not "converged". jhtpa and
+# opa stop for one of: boundary_fallback (the start is the full-harvest point,
+# 0 iterations), surrogate_lost_slack (the iterate is not strictly feasible
+# for its own surrogate), infeasible_start (the subsolver rejected it),
+# numerical_failure, non_improving (a step lowered the EE; the better iterate
+# is kept), epsilon (the relative EE change met ScaSettings.epsilon) or
+# max_iterations. oht stops at epsilon or max_iterations.
+_STOP_STATUS = {"numerical_failure": "failed", "max_iterations": "max_iterations"}
+
 
 @dataclass(frozen=True)
 class ScaSettings:
@@ -104,6 +113,7 @@ class SolveReport:
     trace: list[float]
     status: str
     r_bar: float
+    stop_reason: str
 
     def to_json(self, include_trace: bool = False) -> str:
         data = {
@@ -116,6 +126,7 @@ class SolveReport:
             "subsolver_calls": self.subsolver_calls,
             "wall_time_ms": self.wall_time_ms,
             "status": self.status,
+            "stop_reason": self.stop_reason,
             "r_bar": self.r_bar,
             "causality_violation": self.feasibility.causality_violation.tolist(),
             "qos_violation": self.feasibility.qos_violation.tolist(),
@@ -644,7 +655,7 @@ def oht(
     theta = float(config.theta_fix)
     obj = float(np.min(core.pinned_rates(theta, ch, config)))
     trace = [obj]
-    status = "max_iterations"
+    stop_reason = "max_iterations"
     iterations = 0
     lo, hi = 1.0 + THETA_GAP, settings.theta_max
 
@@ -674,7 +685,7 @@ def oht(
         theta, prev_obj = theta_new, obj
         obj = obj_new
         if _converged(obj_new, prev_obj, settings.epsilon) and not moved:
-            status = "converged"
+            stop_reason = "epsilon"
             break
 
     alloc = core.pinned_allocation(theta, ch, config)
@@ -689,7 +700,7 @@ def oht(
         config,
         r_bar,
         state,
-        status,
+        stop_reason,
         iterations,
         started,
         ee_override=ee,
@@ -728,7 +739,8 @@ def _sca_loop(
     builder's units; extrapolate(z_bar, z, phi) may extend the step. The
     trace and the ascent and convergence tests use phi / phi_per_ee, the
     energy efficiency, and allocation(z) maps the final iterate to an
-    Allocation.
+    Allocation. The report's stop_reason names the exit taken (see
+    _STOP_STATUS).
     """
     theta, p, strict = _start(ch, config, r_bar, thetas)
     z = to_z(theta, p)
@@ -736,8 +748,10 @@ def _sca_loop(
     ee = phi / phi_per_ee
     state = ScaState(iterate=z, phi=phi, trace=[ee])
     if not strict:
-        return _finish_report(name, allocation(z), ch, config, r_bar, state, "converged", 0, started)
-    status = "max_iterations"
+        return _finish_report(
+            name, allocation(z), ch, config, r_bar, state, "boundary_fallback", 0, started
+        )
+    stop_reason = "max_iterations"
     subsolver_calls = 0
     warm_t = 1.0
     mu2 = settings.solver.barrier_mu**2
@@ -746,16 +760,16 @@ def _sca_loop(
         if np.any(prog.constraint_values(state.iterate) >= 0.0):
             # The surrogate re-evaluation of a boundary-hugging iterate lost
             # its slack to rounding; no room left to iterate in.
-            status = "converged"
+            stop_reason = "surrogate_lost_slack"
             break
         try:
             outcome = solve(prog, state.iterate, settings.solver, t0=warm_t)
         except InfeasibleStartError:
-            status = "converged"
+            stop_reason = "infeasible_start"
             break
         subsolver_calls += 1
         if outcome.status is SolveStatus.NUMERICAL_FAILURE:
-            status = "failed"
+            stop_reason = "numerical_failure"
             break
         phi_step = evaluate(outcome.z_star)
         z, phi_new = outcome.z_star, phi_step
@@ -767,17 +781,25 @@ def _sca_loop(
         if ee_new < ee:
             # Ascent is guaranteed in exact arithmetic; a non-improving step
             # means the numerical floor is reached. Keep the better iterate.
-            status = "converged"
+            stop_reason = "non_improving"
             break
         state = ScaState(
             iterate=z, phi=phi_new, kappa=state.kappa + 1, trace=state.trace + [ee_new]
         )
         if _converged(ee_new, ee, settings.epsilon):
-            status = "converged"
+            stop_reason = "epsilon"
             break
         ee = ee_new
     return _finish_report(
-        name, allocation(state.iterate), ch, config, r_bar, state, status, subsolver_calls, started
+        name,
+        allocation(state.iterate),
+        ch,
+        config,
+        r_bar,
+        state,
+        stop_reason,
+        subsolver_calls,
+        started,
     )
 
 
@@ -788,11 +810,13 @@ def _finish_report(
     config: ScenarioConfig,
     r_bar: float,
     state: ScaState,
-    status: str,
+    stop_reason: str,
     subsolver_calls: int,
     started: float,
     ee_override: float | None = None,
 ) -> SolveReport:
+    """The report of a finished run; its status follows from stop_reason
+    (_STOP_STATUS, "converged" for every other reason)."""
     ee = ee_override if ee_override is not None else core.energy_efficiency(alloc, ch, config)
     return SolveReport(
         algorithm=algorithm,
@@ -804,8 +828,9 @@ def _finish_report(
         wall_time_ms=(time.perf_counter() - started) * 1e3,
         feasibility=core.check_feasible(alloc, ch, config, r_bar),
         trace=list(state.trace),
-        status=status,
+        status=_STOP_STATUS.get(stop_reason, "converged"),
         r_bar=r_bar,
+        stop_reason=stop_reason,
     )
 
 

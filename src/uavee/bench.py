@@ -64,6 +64,7 @@ class ResultRow:
     iterations: int | None
     status: str  # converged | infeasible | failed
     error: str | None = None  # "ClassName: message" of the exception behind a failed row
+    stop_reason: str | None = None  # SolveReport.stop_reason; None when the run raised
 
 
 def derive_child_seed(base_seed: int, n_pairs: int, trial: int) -> int:
@@ -106,6 +107,7 @@ def run_trial(
                     wall_time_ms=report.wall_time_ms,
                     iterations=report.iterations,
                     status=status,
+                    stop_reason=report.stop_reason,
                 )
             )
         except NoFeasiblePointFoundError:

@@ -5,19 +5,31 @@ smooth, strictly feasible convex programs at every iteration and need them
 solved at millisecond latency. A generic conic solver is overkill for that:
 this module implements classic path-following on the log barrier with damped
 Newton steps, backtracking line search, Jacobi equilibration of the Newton
-system and Levenberg regularization on factorization failure.
+system (solved by one LU factorization) and Levenberg regularization when
+that solve fails or gives no descent direction.
 
-Two choices keep each solve cheap (Boyd & Vandenberghe, Convex Optimization,
-9.3 and 11.3.3):
+Three choices keep each solve cheap (Boyd & Vandenberghe, Convex
+Optimization, 9.3, 9.5 and 11.3.3):
 
-- The line search starts below the linearization bound. Every constraint
+- The line search stays below the linearization bound. Every constraint
   row is convex, so it lies above its linearization at the current point,
   and no step beyond min over (J d)_j > 0 of -c_j / (J d)_j is feasible.
-  Backtracking starts at the first rung of 1, b, b^2, ... below 0.99 times
-  that bound, using the Jacobian the Newton step already computed. The bound
-  is exact for affine rows and sound for the others. Each trial evaluates
-  the constraints once, and the accepted trial's values feed the next
+  The bound uses the Jacobian the Newton step already computed; it is exact
+  for affine rows and sound for the others. Each trial evaluates the
+  constraints once, and the accepted trial's values feed the next
   derivatives.
+- The first trial step comes from a model of the barrier along the Newton
+  direction d (_model_step). The quadratic model behind the Newton step
+  treats each -log slack as a parabola, so from a point whose slacks are
+  ~1e-12 (where the SCA iterates start) a full step only doubles them, and
+  the solve would crawl off the boundary for tens of steps (the damped
+  phase). The model keeps the logarithms of the linearized slacks exactly,
+  1 - s (J d)_j / -c_j, with the objective's slope and curvature along d.
+  When 0.99 times the linearization bound exceeds 1, backtracking starts at
+  the model's minimizer over [1, 0.99 * bound], which is never shorter than
+  the Newton step, so convergence near the solution is unchanged. Otherwise
+  it starts at the first rung of 1, b, b^2, ... below 0.99 times the bound.
+  The Armijo test accepts or shortens the step as before.
 - Centering is inexact between stages. Only the final barrier stage, the one
   whose duality gap bound m/t is below duality_gap_tol, is centered to
   1e-4 * newton_tol. Earlier stages stop once half the squared Newton
@@ -50,6 +62,11 @@ _MIN_STEP = 1e-16
 # Half squared Newton decrement at which barrier stages before the final one
 # stop (inexact centering, see the module docstring).
 _STAGE_DECREMENT_TOL = 1e-6
+
+# Model step (see _model_step): at most this many evaluations of m', and the
+# relative change of s at which the iteration stops.
+_MODEL_ITERS = 12
+_MODEL_TOL = 0.05
 
 
 class InfeasibleStartError(ValueError):
@@ -180,7 +197,10 @@ def _linearized_step_bound(c: np.ndarray, jd: np.ndarray) -> float:
 def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     """Solve H d = -g with Jacobi equilibration and a Levenberg fallback.
 
-    Returns (direction, ok). ok is False when the regularization cap is hit.
+    The equilibrated system is solved by one LU factorization. The
+    regularization grows while the solve fails, returns a non-finite y or a
+    y that is not a descent direction (gs . y >= 0). Returns (direction, ok);
+    ok is False when the regularization cap is hit.
     """
     diag = hess.diagonal()
     top = float(diag.max()) if diag.size else 1.0
@@ -190,19 +210,60 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     reg = 0.0
     while True:
         try:
-            chol = np.linalg.cholesky(hs if reg == 0.0 else hs + reg * np.eye(hs.shape[0]))
+            y = np.linalg.solve(hs if reg == 0.0 else hs + reg * np.eye(hs.shape[0]), -gs)
+            if np.isfinite(y).all() and float(gs @ y) < 0.0:
+                return scale * y, True
         except np.linalg.LinAlgError:
-            reg = _REG_START if reg == 0.0 else reg * _REG_GROW
-            if reg > _REG_CAP:
-                return None, False
-            continue
-        y = np.linalg.solve(chol.T, np.linalg.solve(chol, -gs))
-        if not np.isfinite(y).all():
-            reg = _REG_START if reg == 0.0 else reg * _REG_GROW
-            if reg > _REG_CAP:
-                return None, False
-            continue
-        return scale * y, True
+            pass
+        reg = _REG_START if reg == 0.0 else reg * _REG_GROW
+        if reg > _REG_CAP:
+            return None, False
+
+
+def _model_step(a: float, kappa: float, r: np.ndarray, inv_t: float, hi: float) -> float:
+    """Minimizer over [1, hi] of the barrier's one-dimensional model along d,
+
+        m(s) = s * a + kappa * s^2 / 2 - (1/t) * sum_j log(1 - s * r_j),
+
+    where a is the objective's directional derivative, kappa the non-barrier
+    curvature and r_j = (J d)_j / -c_j; 1 - s * r_j > 0 must hold on [1, hi].
+    m is convex, so its minimizer over [1, hi] is max(1, min(s*, hi)).
+
+    Safeguarded Newton from s = 1 on u(s) * m'(s), u = 1 - s * max_j r_j,
+    which has the root and sign of m' on [1, hi] but not its pole at the
+    nearest linearized boundary (a single growing row makes it affine).
+    Each point narrows the bracket. A step past the bracket's upper end
+    tries hi once; a step outside the bracket, or one longer in log s than
+    half the previous one, is replaced by the bracket's geometric midpoint,
+    so a bracket spanning decades still shrinks. Stops when a step moves s
+    by at most _MODEL_TOL relative, or after _MODEL_ITERS points.
+    """
+    lo, up = 1.0, hi
+    pole = max(float(r.max()), 0.0)
+    s = 1.0
+    hi_untried = True
+    last_move = math.inf
+    for _ in range(_MODEL_ITERS):
+        q = r / (1.0 - s * r)
+        slope = a + kappa * s + inv_t * float(q.sum())
+        if slope < 0.0:
+            lo = s
+        else:
+            up, hi_untried = s, False
+        if lo >= up:
+            return s
+        u = 1.0 - s * pole
+        curvature = u * (kappa + inv_t * float(q @ q)) - pole * slope
+        nxt = s - u * slope / curvature if curvature > 0.0 else math.inf
+        if nxt >= up and hi_untried:
+            nxt, hi_untried = up, False
+        elif not lo < nxt < up or abs(math.log(nxt / s)) > 0.5 * last_move:
+            nxt = math.sqrt(lo * up)
+        if abs(nxt - s) <= _MODEL_TOL * s:
+            return nxt
+        last_move = abs(math.log(nxt / s))
+        s = nxt
+    return s
 
 
 def _center(
@@ -216,8 +277,10 @@ def _center(
     """Damped Newton from z (constraint values c) until half the squared
     Newton decrement drops to decrement_tol or the gradient norm to newton_tol.
 
-    Backtracking starts below the linearization bound (see the module
-    docstring).
+    When 0.99 times the linearization bound exceeds 1, backtracking starts at
+    the model step (_model_step on the slope, curvature and linearized slack
+    ratios this direction already gives), else at the first rung below 0.99
+    times the bound (see the module docstring).
 
     Returns (z, c, steps_taken, converged, numerically_ok). Stages that stop
     making float-level progress (hair-thin active sets push constraint slacks
@@ -237,15 +300,24 @@ def _center(
             return z, c, steps, False, False
         # The decrement approximates the remaining value gap; iterate error
         # scales like its square root.
-        decrement2 = float(-grad @ direction)
-        if 0.5 * decrement2 <= decrement_tol:
+        gd = float(grad @ direction)
+        if -0.5 * gd <= decrement_tol:
             return z, c, steps, True, True
 
-        slope = settings.line_search_slope * float(grad @ direction)
-        limit = 0.99 * _linearized_step_bound(c, jac @ direction)
-        step = 1.0
-        while step >= limit and step >= _MIN_STEP:
-            step *= backtrack
+        slope = settings.line_search_slope * gd
+        jd = jac @ direction
+        limit = 0.99 * _linearized_step_bound(c, jd)
+        if 1.0 < limit < math.inf:
+            # along d: objective slope a = g.d - (1/t) sum r_j, non-barrier
+            # curvature lambda^2 - (1/t) sum r_j^2, with lambda^2 = -g.d
+            r = jd / -c
+            step = _model_step(
+                gd - inv_t * float(r.sum()), max(-gd - inv_t * float(r @ r), 0.0), r, inv_t, limit
+            )
+        else:
+            step = 1.0
+            while step >= limit and step >= _MIN_STEP:
+                step *= backtrack
         while True:
             if step < _MIN_STEP:
                 return z, c, steps, False, True

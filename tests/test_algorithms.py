@@ -249,6 +249,29 @@ def test_report_serialization_roundtrip():
     assert "trace" not in json.loads(report.to_json())
 
 
+def test_stop_reason_names_the_exit():
+    import json
+
+    from uavee.algorithms import ScaSettings
+
+    # one pair: the start misses the QoS margin and opa returns the
+    # full-harvest point without iterating
+    config, ch = scenario(1, 0)
+    report = opa(ch, config)
+    assert (report.stop_reason, report.iterations, report.status) == (
+        "boundary_fallback",
+        0,
+        "converged",
+    )
+    config, ch = scenario(5, 42)
+    report = jhtpa(ch, config)
+    assert (report.stop_reason, report.status) == ("epsilon", "converged")
+    assert json.loads(report.to_json())["stop_reason"] == "epsilon"
+    capped = jhtpa(ch, config, ScaSettings(max_iterations=1))
+    assert (capped.stop_reason, capped.status) == ("max_iterations", "max_iterations")
+    assert oht(ch, config).stop_reason == "epsilon"
+
+
 def test_infeasible_qos_raises():
     from uavee.engine import NoFeasiblePointFoundError
 

@@ -103,6 +103,25 @@ def test_json_output(tmp_path):
     assert payload["summary"] == summary
 
 
+def test_json_rows_carry_stop_reason(tmp_path):
+    import dataclasses
+
+    import uavee.bench as bench
+
+    path = tmp_path / "rows.json"
+    rows, _ = run_experiment(small_spec(output_path=str(path), output_format="json"))
+    payload = json.loads(path.read_text())
+    assert [r["stop_reason"] for r in payload["rows"]] == ["epsilon"] * 3
+    assert [r.stop_reason for r in rows] == ["epsilon"] * 3
+
+    # the CSV carries no stop_reason column
+    bench.write_csv(rows, str(tmp_path / "with.csv"))
+    bench.write_csv(
+        [dataclasses.replace(r, stop_reason=None) for r in rows], str(tmp_path / "without.csv")
+    )
+    assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+
 def test_summarize_counts_statuses():
     rows = [
         ResultRow(2, "jhtpa", 0, 1, 0.5, 0.7, 10.0, 3, "converged"),

@@ -19,7 +19,9 @@ from uavee.algorithms import (
     opa,
 )
 from uavee.engine import (
+    _MODEL_TOL,
     _linearized_step_bound,
+    _model_step,
     ConvexProgram,
     Functional,
     InfeasibleStartError,
@@ -371,10 +373,11 @@ def test_subproblem_latency_soft(monkeypatch):
 
 @pytest.mark.parametrize(
     "algorithm, max_steps, max_values_per_step",
-    # ~10% above the measured 397 steps at 1.023 values per step (jhtpa) and
-    # 145 steps at 1.862 (opa); the full-step-first line search with exact
-    # centering at every stage took 522 at 2.77 and 300 at 6.21
-    [(jhtpa, 437, 1.13), (opa, 160, 2.05)],
+    # ~10% above the measured 291 steps at 1.031 values per step (jhtpa) and
+    # 122 steps at 1.918 (opa). Backtracking from the first rung below the
+    # linearization bound took 396 and 139; the full-step-first line search
+    # with exact centering at every stage took 522 at 2.77 and 300 at 6.21
+    [(jhtpa, 320, 1.13), (opa, 134, 2.05)],
     ids=["jhtpa", "opa"],
 )
 def test_subproblem_step_counts(monkeypatch, algorithm, max_steps, max_values_per_step):
@@ -474,3 +477,57 @@ def test_affine_rows_line_search_stays_feasible(program, start, optimum, share, 
     out = solve(dataclasses.replace(prog, constraint_values=values), np.asarray(start(share, fill)))
     np.testing.assert_allclose(out.z_star, optimum, atol=1e-5)
     assert infeasible == 0
+
+
+def _model_slope(s, a, kappa, r, inv_t):
+    return a + kappa * s + inv_t * float((r / (1.0 - s * r)).sum())
+
+
+_magnitude = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    r=st.lists(
+        st.one_of(st.just(0.0), _magnitude, _magnitude.map(lambda v: -v)), min_size=1, max_size=8
+    ),
+    a=_magnitude.map(lambda v: -v),
+    kappa=st.one_of(st.just(0.0), _magnitude),
+    inv_t=st.floats(-9.0, 0.0).map(lambda e: 10.0**e),
+    shrink=st.floats(1e-3, 1.0),
+)
+def test_model_step_minimizes_barrier_model(r, a, kappa, inv_t, shrink):
+    # the model m(s) = s a + kappa s^2 / 2 - (1/t) sum log(1 - s r_j) is
+    # convex on [1, 0.99 * limit] when no row reaches its linearized
+    # boundary before limit; the model step is its minimizer there, to the
+    # stop tolerance, or one end of that bracket
+    r = np.asarray(r)
+    growth = r.max()
+    limit = shrink / growth if growth > 0.0 else 1e3 * shrink
+    hi = 0.99 * limit
+    if not hi > 1.0:
+        return
+    step = _model_step(a, kappa, r, inv_t, hi)
+    assert 1.0 <= step <= hi < limit
+    lo_end, hi_end = 1.0, hi
+    for _ in range(200):  # bisection on the increasing m'
+        mid = 0.5 * (lo_end + hi_end)
+        if _model_slope(mid, a, kappa, r, inv_t) < 0.0:
+            lo_end = mid
+        else:
+            hi_end = mid
+    exact = 0.5 * (lo_end + hi_end)
+    assert step in (1.0, hi) or abs(step - exact) <= _MODEL_TOL * exact
+    if step == 1.0:
+        assert _model_slope(1.0, a, kappa, r, inv_t) >= 0.0 or exact <= 1.0 + _MODEL_TOL
+    if step == hi:
+        assert _model_slope(hi, a, kappa, r, inv_t) <= 0.0 or exact >= hi * (1.0 - _MODEL_TOL)
+
+
+@pytest.mark.parametrize("kappa", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("limit", [1.02, 10.0, 1e9])
+def test_model_step_of_a_quadratic_is_the_newton_step(kappa, limit):
+    # no barrier curvature along d (r = 0) and a = -kappa: the model is the
+    # Newton quadratic, whose minimizer is the full step
+    step = _model_step(-kappa, kappa, np.zeros(3), 1e-3, 0.99 * limit)
+    assert abs(step - 1.0) <= _MODEL_TOL
