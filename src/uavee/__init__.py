@@ -31,7 +31,6 @@ from .engine import (
     InfeasibleStartError,
     NoFeasiblePointFoundError,
     SolveOutcome,
-    SolverSettings,
     SolveStatus,
     check_gradients,
     find_feasible,
@@ -66,7 +65,6 @@ __all__ = [
     "SolveOutcome",
     "SolveReport",
     "SolveStatus",
-    "SolverSettings",
     "check_feasible",
     "check_gradients",
     "derive_child_seed",

@@ -23,12 +23,12 @@ import numpy as np
 from . import core
 from .core import THETA_GAP, Allocation, FeasibilityReport
 from .engine import (
+    BARRIER_MU,
     ConvexProgram,
     Functional,
     InfeasibleStartError,
     NoFeasiblePointFoundError,
     SolveStatus,
-    SolverSettings,
     find_feasible,
     solve,
 )
@@ -70,10 +70,16 @@ _BOUNDARY_TOL = 1e-9
 # max_iterations. oht stops at epsilon or max_iterations.
 _STOP_STATUS = {"numerical_failure": "failed", "max_iterations": "max_iterations"}
 
+# oht's harvesting-time search interval ends at _OHT_THETA_MAX; an iteration
+# counts as having moved theta when it changes it by more than _OHT_THETA_TOL
+# relative.
+_OHT_THETA_MAX = 1e3
+_OHT_THETA_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ScaSettings:
-    """Outer-loop controls shared by the three algorithms.
+    """The SCA stopping rule shared by the three algorithms.
 
     epsilon is applied as a relative change test on successive objective
     values, |phi_new - phi| <= epsilon * max(|phi_new|, PHI_FLOOR). Trace
@@ -83,9 +89,6 @@ class ScaSettings:
 
     epsilon: float = 1e-2
     max_iterations: int = 100
-    theta_max: float = 1e3
-    oht_theta_tol: float = 1e-6
-    solver: SolverSettings = field(default_factory=SolverSettings)
 
 
 @dataclass
@@ -388,11 +391,10 @@ def _jhtpa_extrapolate(z_bar, z_new, phi_new, ch, config, r_bar):
     Candidates scale (theta - 1) by the accepted step's ratio raised to
     doubling powers while holding each pair's position relative to its
     causality bound fixed, i.e. they track the harvest-budget boundary the
-    optimizer rides. Every candidate is vetted against the original
-    constraints with strict margins, so ascent and feasibility are preserved.
+    optimizer rides. Every candidate must be strictly feasible by _violation,
+    so ascent and feasibility are preserved.
     """
     cap = config.eta * config.p0_watt * ch.g
-    qos_scale = max(r_bar, _QOS_SCALE_FLOOR)
     theta_bar = float(z_bar[0])
     theta_new = float(z_new[0])
     ratio_t = (theta_new - 1.0) / (theta_bar - 1.0)
@@ -405,16 +407,13 @@ def _jhtpa_extrapolate(z_bar, z_new, phi_new, ch, config, r_bar):
         q_e = slack_u / ((theta_e - 1.0) * cap)
         if not np.all(np.isfinite(q_e)) or np.any(q_e <= 0.0):
             break
-        if np.max(1.0 / (q_e * cap) - theta_e + 1.0) >= -1e-13:
+        if not _violation(theta_e, 1.0 / q_e, ch, config, r_bar) < 0.0:
             break
-        rates = core.rates_from_inverse(theta_e, q_e, ch)
-        if float(np.min(rates - r_bar)) / qos_scale <= _QOS_FEAS_MARGIN:
-            break
-        phi_e = float(np.sum(rates)) / core.total_power_from_inverse(theta_e, q_e, config)
+        z_e = np.concatenate(([theta_e], q_e))
+        phi_e = _jhtpa_objective(z_e, ch, config)
         if phi_e <= best_phi:
             break
-        best_z = np.concatenate(([theta_e], q_e))
-        best_phi = phi_e
+        best_z, best_phi = z_e, phi_e
     return best_z, best_phi
 
 
@@ -465,9 +464,8 @@ def build_opa_subproblem(
     ch: ChannelRealization,
     config: ScenarioConfig,
     r_bar: float,
-    theta_fix: float,
 ) -> ConvexProgram:
-    """Convex program over transmit powers p at a fixed harvesting time.
+    """Convex program over transmit powers p at the harvesting time config.theta_fix.
 
     The rate bound uses x_n = 1/(p_n h_nn), y_n = sum_{i!=n} h_ni p_i + sigma2,
     t = 1, so psi_n bounds ln(1 + SINR_n) and the QoS row reads
@@ -480,6 +478,7 @@ def build_opa_subproblem(
     off = ch.h - np.diag(hd)
     s2 = ch.sigma2_watt
     ep = config.eta * config.p0_watt
+    theta_fix = config.theta_fix
     p_max = (theta_fix - 1.0) * ep * ch.g
 
     x_bar = 1.0 / (p_bar * hd)
@@ -545,21 +544,15 @@ def build_opa_subproblem(
 def opa(
     ch: ChannelRealization,
     config: ScenarioConfig,
-    theta_fix: float | None = None,
     settings: ScaSettings | None = None,
     r_bar: float | None = None,
 ) -> SolveReport:
-    """Power-only SCA at a fixed harvesting time (default config.theta_fix).
-
-    The QoS floor r_bar always comes from the configured theta_fix, so runs
-    with an overridden harvesting time still target the same original problem.
-    """
+    """Power-only SCA at the fixed harvesting time config.theta_fix."""
     settings = settings or ScaSettings()
     started = time.perf_counter()
     if r_bar is None:
         r_bar = core.qos_threshold(ch, config)
-    if theta_fix is None:
-        theta_fix = config.theta_fix
+    theta_fix = config.theta_fix
 
     def ln_domain_phi(p_vec: np.ndarray) -> float:
         alloc = Allocation.from_theta(theta_fix, p_vec)
@@ -574,7 +567,7 @@ def opa(
         started,
         thetas=[theta_fix],
         to_z=lambda theta, p: p,
-        build=lambda state: build_opa_subproblem(state, ch, config, r_bar, theta_fix),
+        build=lambda state: build_opa_subproblem(state, ch, config, r_bar),
         evaluate=ln_domain_phi,
         allocation=lambda p: Allocation.from_theta(theta_fix, p),
         phi_per_ee=theta_fix,
@@ -657,7 +650,7 @@ def oht(
     trace = [obj]
     stop_reason = "max_iterations"
     iterations = 0
-    lo, hi = 1.0 + THETA_GAP, settings.theta_max
+    lo, hi = 1.0 + THETA_GAP, _OHT_THETA_MAX
 
     def min_rate(t: float) -> float:
         return float(np.min(core.pinned_rates(t, ch, config)))
@@ -681,7 +674,7 @@ def oht(
                     break
         iterations += 1
         trace.append(obj_new)
-        moved = abs(theta_new - theta) > settings.oht_theta_tol * max(1.0, abs(theta_new))
+        moved = abs(theta_new - theta) > _OHT_THETA_TOL * max(1.0, abs(theta_new))
         theta, prev_obj = theta_new, obj
         obj = obj_new
         if _converged(obj_new, prev_obj, settings.epsilon) and not moved:
@@ -754,7 +747,6 @@ def _sca_loop(
     stop_reason = "max_iterations"
     subsolver_calls = 0
     warm_t = 1.0
-    mu2 = settings.solver.barrier_mu**2
     for _ in range(settings.max_iterations):
         prog = build(state)
         if np.any(prog.constraint_values(state.iterate) >= 0.0):
@@ -763,7 +755,7 @@ def _sca_loop(
             stop_reason = "surrogate_lost_slack"
             break
         try:
-            outcome = solve(prog, state.iterate, settings.solver, t0=warm_t)
+            outcome = solve(prog, state.iterate, t0=warm_t)
         except InfeasibleStartError:
             stop_reason = "infeasible_start"
             break
@@ -776,7 +768,7 @@ def _sca_loop(
         if extrapolate is not None:
             z, phi_new = extrapolate(state.iterate, z, phi_step)
         # Extrapolation moves the iterate far off this solve's central path.
-        warm_t = 1.0 if phi_new > phi_step else max(1.0, outcome.barrier_t_final / mu2)
+        warm_t = 1.0 if phi_new > phi_step else max(1.0, outcome.barrier_t_final / BARRIER_MU**2)
         ee_new = phi_new / phi_per_ee
         if ee_new < ee:
             # Ascent is guaranteed in exact arithmetic; a non-improving step
@@ -844,7 +836,7 @@ def run_algorithm(
     if name == "jhtpa":
         return jhtpa(ch, config, settings)
     if name == "opa":
-        return opa(ch, config, settings=settings)
+        return opa(ch, config, settings)
     if name == "oht":
         return oht(ch, config, settings)
     raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}")

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import multiprocessing
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class ExperimentSpec:
     algorithms: tuple[str, ...] = ALGORITHM_NAMES
     output_path: str | None = None
     output_format: str = "csv"
-    settings: ScaSettings = field(default_factory=ScaSettings)
 
     def __post_init__(self):
         if self.trials_per_point < 1:
@@ -82,7 +81,7 @@ def run_trial(
     n_pairs: int,
     trial: int,
     algorithms: tuple[str, ...],
-    settings: ScaSettings,
+    settings: ScaSettings | None,
 ) -> list[ResultRow]:
     """Run every requested algorithm on one shared channel realization."""
     seed = derive_child_seed(base_config.seed, n_pairs, trial)
@@ -162,7 +161,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[ResultRow]
     scheduling. Per-trial algorithm failures become rows, never abort the sweep.
     """
     tasks = [
-        (spec.base_config, n, trial, tuple(spec.algorithms), spec.settings)
+        (spec.base_config, n, trial, tuple(spec.algorithms), ScaSettings())
         for n in spec.pair_counts
         for trial in range(spec.trials_per_point)
     ]

@@ -31,10 +31,14 @@ Optimization, 9.3, 9.5 and 11.3.3):
   it starts at the first rung of 1, b, b^2, ... below 0.99 times the bound.
   The Armijo test accepts or shortens the step as before.
 - Centering is inexact between stages. Only the final barrier stage, the one
-  whose duality gap bound m/t is below duality_gap_tol, is centered to
-  1e-4 * newton_tol. Earlier stages stop once half the squared Newton
+  whose duality gap bound m/t is below _DUALITY_GAP_TOL, is centered to
+  1e-4 * _NEWTON_TOL. Earlier stages stop once half the squared Newton
   decrement is below _STAGE_DECREMENT_TOL: they only warm-start the next
   stage, whose Newton steps absorb the remaining centering error.
+
+The barrier parameters are fixed, as is standard: the total Newton step count
+varies little for mu between about 3 and 100, and the backtracking constants
+are the usual ones (B&V 11.3.3 and 9.2).
 """
 
 from __future__ import annotations
@@ -50,6 +54,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 logger = logging.getLogger("uavee.engine")
+
+# Barrier method: t grows by BARRIER_MU per stage until the duality gap bound
+# m/t is below _DUALITY_GAP_TOL, at most _MAX_OUTER_ITERS stages of at most
+# _MAX_NEWTON_ITERS Newton steps each. _NEWTON_TOL governs the final stage
+# only: it stops once the gradient norm is below _NEWTON_TOL or half the
+# squared Newton decrement is below 1e-4 * _NEWTON_TOL. Earlier stages stop at
+# the gradient norm test or at _STAGE_DECREMENT_TOL.
+BARRIER_MU = 10.0
+_DUALITY_GAP_TOL = 1e-7
+_NEWTON_TOL = 1e-9
+_MAX_NEWTON_ITERS = 50
+_MAX_OUTER_ITERS = 40
+
+# Backtracking line search: step shrink factor and Armijo slope fraction.
+_BACKTRACK = 0.5
+_ARMIJO_SLOPE = 1e-4
 
 # Levenberg schedule: start, growth factor, cap. Applied to the equilibrated
 # Newton matrix, whose diagonal is ~1.
@@ -114,32 +134,6 @@ class ConvexProgram:
     constraint_values: Callable[[np.ndarray], np.ndarray]
     constraint_jacobian: Callable[[np.ndarray], np.ndarray]
     constraint_hessian_weighted: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Barrier-method controls.
-
-    newton_tol governs the final barrier stage only: it stops once the
-    gradient norm is below newton_tol or half the squared Newton decrement is
-    below 1e-4 * newton_tol. Earlier stages stop at the gradient norm test or
-    at the module's fixed _STAGE_DECREMENT_TOL.
-    """
-
-    barrier_mu: float = 10.0
-    newton_tol: float = 1e-9
-    max_newton_iters: int = 50
-    max_outer_iters: int = 40
-    line_search_backtrack: float = 0.5
-    line_search_slope: float = 1e-4
-    duality_gap_tol: float = 1e-7
-
-    def __post_init__(self):
-        if not 0.0 < self.line_search_backtrack < 1.0:
-            raise ValueError("line_search_backtrack must lie in (0, 1)")
-        for name in ("barrier_mu", "newton_tol", "duality_gap_tol", "line_search_slope"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -267,15 +261,10 @@ def _model_step(a: float, kappa: float, r: np.ndarray, inv_t: float, hi: float) 
 
 
 def _center(
-    prog: ConvexProgram,
-    z: np.ndarray,
-    c: np.ndarray,
-    inv_t: float,
-    decrement_tol: float,
-    settings: SolverSettings,
+    prog: ConvexProgram, z: np.ndarray, c: np.ndarray, inv_t: float, decrement_tol: float
 ):
     """Damped Newton from z (constraint values c) until half the squared
-    Newton decrement drops to decrement_tol or the gradient norm to newton_tol.
+    Newton decrement drops to decrement_tol or the gradient norm to _NEWTON_TOL.
 
     When 0.99 times the linearization bound exceeds 1, backtracking starts at
     the model step (_model_step on the slope, curvature and linearized slack
@@ -289,11 +278,10 @@ def _center(
     """
     steps = 0
     stalls = 0
-    backtrack = settings.line_search_backtrack
     base = prog.objective.value(z) - inv_t * float(np.log(-c).sum())
-    for _ in range(settings.max_newton_iters):
+    for _ in range(_MAX_NEWTON_ITERS):
         grad, hess, jac = _barrier_derivatives(prog, z, c, inv_t)
-        if math.sqrt(grad @ grad) <= settings.newton_tol:
+        if math.sqrt(grad @ grad) <= _NEWTON_TOL:
             return z, c, steps, True, True
         direction, ok = _newton_direction(hess, grad)
         if not ok:
@@ -304,7 +292,7 @@ def _center(
         if -0.5 * gd <= decrement_tol:
             return z, c, steps, True, True
 
-        slope = settings.line_search_slope * gd
+        slope = _ARMIJO_SLOPE * gd
         jd = jac @ direction
         limit = 0.99 * _linearized_step_bound(c, jd)
         if 1.0 < limit < math.inf:
@@ -317,7 +305,7 @@ def _center(
         else:
             step = 1.0
             while step >= limit and step >= _MIN_STEP:
-                step *= backtrack
+                step *= _BACKTRACK
         while True:
             if step < _MIN_STEP:
                 return z, c, steps, False, True
@@ -325,7 +313,7 @@ def _center(
             trial_val, trial_c = _barrier_value(prog, trial, inv_t)
             if trial_val <= base + step * slope:
                 break
-            step *= backtrack
+            step *= _BACKTRACK
         achieved = base - trial_val
         z, c, base = trial, trial_c, trial_val
         steps += 1
@@ -338,22 +326,16 @@ def _center(
     return z, c, steps, False, True
 
 
-def solve(
-    prog: ConvexProgram,
-    z0: np.ndarray,
-    settings: SolverSettings | None = None,
-    t0: float = 1.0,
-) -> SolveOutcome:
+def solve(prog: ConvexProgram, z0: np.ndarray, t0: float = 1.0) -> SolveOutcome:
     """Path-following log-barrier minimization from a strictly feasible start.
 
-    Centers f + (1/t) * barrier for t = t0, t0*mu, ... until the duality gap
-    bound m/t drops below duality_gap_tol. Only that final stage is centered
-    to 1e-4 * newton_tol; earlier stages stop at _STAGE_DECREMENT_TOL.
-    Raises InfeasibleStartError when z0 is not strictly feasible; numerical
-    breakdown is reported via status rather than raised so callers can keep
-    partial traces.
+    Centers f + (1/t) * barrier for t = t0, t0 * BARRIER_MU, ... until the
+    duality gap bound m/t drops below _DUALITY_GAP_TOL. Only that final stage
+    is centered to 1e-4 * _NEWTON_TOL; earlier stages stop at
+    _STAGE_DECREMENT_TOL. Raises InfeasibleStartError when z0 is not strictly
+    feasible; numerical breakdown is reported via status rather than raised
+    so callers can keep partial traces.
     """
-    settings = settings or SolverSettings()
     started = time.perf_counter()
     z = np.array(z0, dtype=float)
     if not prog.domain_guard(z):
@@ -364,14 +346,14 @@ def solve(
 
     m = c.size
     t = max(t0, 1e-12)
-    final_tol = 1e-4 * settings.newton_tol
+    final_tol = 1e-4 * _NEWTON_TOL
     total_steps = 0
     trace: list[float] = []
     status = SolveStatus.MAX_ITERATIONS
-    for _ in range(settings.max_outer_iters):
-        final = m / t < settings.duality_gap_tol
+    for _ in range(_MAX_OUTER_ITERS):
+        final = m / t < _DUALITY_GAP_TOL
         z_stage, c_stage, steps, centered, ok = _center(
-            prog, z, c, 1.0 / t, final_tol if final else _STAGE_DECREMENT_TOL, settings
+            prog, z, c, 1.0 / t, final_tol if final else _STAGE_DECREMENT_TOL
         )
         total_steps += steps
         if not ok:
@@ -390,7 +372,7 @@ def solve(
         if final:
             status = SolveStatus.OPTIMAL if centered else SolveStatus.MAX_ITERATIONS
             break
-        t *= settings.barrier_mu
+        t *= BARRIER_MU
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "%s",
@@ -444,14 +426,18 @@ def find_feasible(
     raise NoFeasiblePointFoundError(f"no strictly feasible point in {max_tries} tries")
 
 
-def _fd_step(z: np.ndarray, rel_step: float) -> np.ndarray:
-    return rel_step * np.maximum(np.abs(z), 1e-8)
+# Finite-difference step of check_gradients, relative to |z_i| (floored).
+_FD_REL_STEP = 1e-6
 
 
-def _fd_jacobian(fn: Callable, z: np.ndarray, rel_step: float) -> np.ndarray:
+def _fd_step(z: np.ndarray) -> np.ndarray:
+    return _FD_REL_STEP * np.maximum(np.abs(z), 1e-8)
+
+
+def _fd_jacobian(fn: Callable, z: np.ndarray) -> np.ndarray:
     """Central differences of fn along each coordinate: the gradient of a
     scalar fn, the (rows x dim) Jacobian of a vector fn."""
-    h = _fd_step(z, rel_step)
+    h = _fd_step(z)
     cols = []
     for i in range(z.size):
         zp, zm = z.copy(), z.copy()
@@ -469,7 +455,7 @@ def _fd_error(analytic, numeric, column_noise: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
     return float(np.max(excess)) / scale
 
-def check_gradients(prog: ConvexProgram, z: np.ndarray, rel_step: float = 1e-6) -> float:
+def check_gradients(prog: ConvexProgram, z: np.ndarray) -> float:
     """Max relative error of all gradient/Hessian oracles against central differences.
 
     The objective's gradient is differenced from its value and its Hessian
@@ -484,7 +470,7 @@ def check_gradients(prog: ConvexProgram, z: np.ndarray, rel_step: float = 1e-6) 
     badly scaled coordinates (q = 1/p ~ 1e8) are still resolved.
     """
     z = np.asarray(z, dtype=float)
-    h = _fd_step(z, rel_step)
+    h = _fd_step(z)
     eps_safety = 1e3 * np.finfo(float).eps
     rows = np.eye(prog.constraint_values(z).size)
     constraints = [
@@ -500,10 +486,8 @@ def check_gradients(prog: ConvexProgram, z: np.ndarray, rel_step: float = 1e-6) 
         g_analytic = np.asarray(fn.grad(z), dtype=float)
         value_scale = max(1.0, abs(float(fn.value(z))))
         g_noise = eps_safety * value_scale / h
-        worst = max(
-            worst, _fd_error(g_analytic, _fd_jacobian(fn.value, z, rel_step), g_noise)
-        )
-        h_fd = _fd_jacobian(fn.grad, z, rel_step)
+        worst = max(worst, _fd_error(g_analytic, _fd_jacobian(fn.value, z), g_noise))
+        h_fd = _fd_jacobian(fn.grad, z)
         h_noise = eps_safety * np.abs(g_analytic)[:, None] / h[None, :]
         h_noise = 0.5 * (h_noise + h_noise.T)
         worst = max(worst, _fd_error(fn.hess(z), 0.5 * (h_fd + h_fd.T), h_noise))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,16 @@ class ScenarioConfig:
     theta_fix: float = 2.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("num_pairs", "seed"):
+                ok, kind = isinstance(value, numbers.Integral), "an integer"
+            else:
+                ok = isinstance(value, numbers.Real) and math.isfinite(value)
+                kind = "a finite real number"
+            # bool is an int subclass, but a true pair count or wattage is a type error
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.num_pairs < 1:
             raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
         if not 0.0 < self.eta < 1.0:
@@ -59,6 +70,8 @@ class ScenarioConfig:
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.rate_cap_bpshz < 0.0:
+            raise ValueError(f"rate_cap_bpshz must be nonnegative, got {self.rate_cap_bpshz}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2)
@@ -66,6 +79,8 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("scenario JSON must be an object")
         if "seed" not in data:
             raise ValueError("scenario JSON must carry a 'seed' field")
         known = {f.name for f in dataclasses.fields(cls)}

@@ -263,7 +263,7 @@ def test_criterion_7_gradient_checks():
         lam = float(np.sum(np.log1p(core.sinr(p, ch)))) / core.total_power(
             core.Allocation.from_theta(theta_fix, p), config
         )
-        prog = build_opa_subproblem(ScaState(iterate=p, phi=lam), ch, config, r_bar, theta_fix)
+        prog = build_opa_subproblem(ScaState(iterate=p, phi=lam), ch, config, r_bar)
         worst = max(worst, check_gradients(prog, p))
 
     # oht's surrogate has no derivative oracles (golden-section search needs

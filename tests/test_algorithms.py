@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -81,7 +82,11 @@ def test_opa_at_jhtpa_theta_does_not_beat_jhtpa():
     config, ch = scenario(3, 7)
     joint = jhtpa(ch, config)
     try:
-        restricted = opa(ch, config, theta_fix=joint.allocation.theta)
+        restricted = opa(
+            ch,
+            dataclasses.replace(config, theta_fix=joint.allocation.theta),
+            r_bar=core.qos_threshold(ch, config),
+        )
     except Exception as exc:  # pragma: no cover - diagnostic path
         pytest.skip(f"no strictly feasible start at theta*: {exc}")
     assert restricted.ee_nats_per_joule <= joint.ee_nats_per_joule + 1e-2
@@ -231,7 +236,7 @@ def test_opa_subproblem_objective_zero_at_expansion():
         core.Allocation.from_theta(theta_fix, p), config
     )
     prog = build_opa_subproblem(
-        ScaState(iterate=p, phi=lam), ch, config, core.qos_threshold(ch, config), theta_fix
+        ScaState(iterate=p, phi=lam), ch, config, core.qos_threshold(ch, config)
     )
     assert abs(prog.objective.value(p)) < 1e-9
 

@@ -67,6 +67,24 @@ def test_solve_missing_scenario_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"num_pairs": 2.5, "seed": 1}', "num_pairs must be an integer"), ("[1, 2]", "must be an object")],
+)
+@pytest.mark.parametrize("command", ["solve", "run"])
+def test_bad_scenario_json_is_an_input_error(tmp_path, capsys, text, message, command):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(text)
+    if command == "solve":
+        argv = ["solve", "--scenario", str(scenario), "--algorithm", "oht"]
+    else:
+        argv = ["run", "--pairs", "2", "--trials", "1", "--config", str(scenario)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("uavee: error:")
+    assert message in err
+
+
 def test_run_invalid_algorithms(capsys):
     assert cli_main(["run", "--pairs", "2", "--algorithms", "genie"]) == 1
 

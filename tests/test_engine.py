@@ -26,7 +26,6 @@ from uavee.engine import (
     Functional,
     InfeasibleStartError,
     NoFeasiblePointFoundError,
-    SolverSettings,
     SolveStatus,
     check_gradients,
     solve,
@@ -103,7 +102,7 @@ def opa_fixture_program(n=3, seed=11):
         core.Allocation.from_theta(theta_fix, p), config
     )
     state = ScaState(iterate=p, phi=lam)
-    return build_opa_subproblem(state, ch, config, r_bar, theta_fix), p
+    return build_opa_subproblem(state, ch, config, r_bar), p
 
 
 def test_solve_quadratic_box():
@@ -320,13 +319,6 @@ def test_find_feasible_impossible_qos(channels3, config3):
         _start(channels3, config3, 1e3, _jhtpa_start_thetas(config3.theta_fix))
 
 
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(line_search_backtrack=1.5)
-    with pytest.raises(ValueError):
-        SolverSettings(barrier_mu=-1.0)
-
-
 def test_debug_dump_emits_json(caplog):
     import json
     import logging
@@ -352,8 +344,8 @@ def test_subproblem_latency_soft(monkeypatch):
     times_ms = []
     real_solve = solve
 
-    def recording_solve(prog, z0, settings=None, t0=1.0):
-        out = real_solve(prog, z0, settings, t0)
+    def recording_solve(prog, z0, t0=1.0):
+        out = real_solve(prog, z0, t0)
         times_ms.append(out.wall_time * 1e3)
         return out
 
@@ -386,12 +378,12 @@ def test_subproblem_step_counts(monkeypatch, algorithm, max_steps, max_values_pe
 
     counts = {"steps": 0, "values": 0}
 
-    def counting_solve(prog, z0, settings=None, t0=1.0):
+    def counting_solve(prog, z0, t0=1.0):
         def values(z, fn=prog.constraint_values):
             counts["values"] += 1
             return fn(z)
 
-        out = solve(dataclasses.replace(prog, constraint_values=values), z0, settings, t0)
+        out = solve(dataclasses.replace(prog, constraint_values=values), z0, t0)
         counts["steps"] += out.newton_step_count
         return out
 
@@ -414,8 +406,8 @@ def captured_subproblems():
 
     captured = []
 
-    def capturing_solve(prog, z0, settings=None, t0=1.0):
-        out = solve(prog, z0, settings, t0)
+    def capturing_solve(prog, z0, t0=1.0):
+        out = solve(prog, z0, t0)
         captured.extend([(prog, np.array(z0, dtype=float)), (prog, out.z_star)])
         return out
 

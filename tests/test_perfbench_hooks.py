@@ -1,4 +1,5 @@
-"""Guard for the names perfbench/tracer.py hooks into.
+"""Guard for the names perfbench/tracer.py hooks into, and the call shapes
+perfbench/selftest.py and perfbench/harness.py use.
 
 The benchmark's tracer wraps uavee.algorithms.find_feasible / solve / the
 subproblem builders and rebuilds every ConvexProgram by field name. A
@@ -6,6 +7,7 @@ renamed hook or field would otherwise surface only in the benchmark's own
 self-test; this runs one traced paired trial instead.
 """
 
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 
 import uavee.algorithms as algorithms
 import uavee.engine as engine
+from uavee.algorithms import ScaSettings
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +55,20 @@ def test_tracer_hooks_count_and_keep_results(perfbench):
         assert tr.counts[f"engine.solve.calls.{alg}"] > 0
         assert tr.counts[f"oracle.values.calls.{alg}"] > 0
         assert tr.counts[f"engine.find_feasible.calls.{alg}"] > 0
+
+
+def test_run_trial_takes_sca_settings_as_the_benchmark_passes_them(perfbench):
+    # perfbench/selftest.py hands ScaSettings() to bench.run_trial, and the
+    # harness hands None to bench.run_algorithm; both reach the same EE.
+    harness, _ = perfbench
+    workload = harness.WORKLOADS["paper_sweep"]
+    trial = workload.trial(101, 3)
+    base = dict(workload.mix)[trial.label]
+    rows = harness.bench.run_trial(
+        dataclasses.replace(base, seed=101), base.num_pairs, trial.index, harness.ALGORITHMS, ScaSettings()
+    )
+    paired = harness.run_paired_trial(trial)
+    assert [row.algorithm for row in rows] == list(harness.ALGORITHMS)
+    for row in rows:
+        assert row.seed == trial.config.seed
+        assert row.ee_nats_per_joule == paired.solves[row.algorithm].report.ee_nats_per_joule

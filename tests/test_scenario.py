@@ -42,6 +42,18 @@ def test_config_defaults():
         {"theta_fix": 1.0},
         {"coverage_radius_m": -1.0},
         {"bandwidth_hz": 0.0},
+        {"p0_watt": math.nan},
+        {"theta_fix": math.inf},
+        {"noise_density_dbm_hz": math.nan},
+        {"coverage_radius_m": math.inf},
+        {"beta0_db": -math.inf},
+        {"rate_cap_bpshz": -1.0},
+        {"num_pairs": 2.5},
+        {"num_pairs": True},
+        {"seed": 1.5},
+        {"seed": "1"},
+        {"p0_watt": "5"},
+        {"eta": None},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -49,6 +61,11 @@ def test_config_rejects_bad_values(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         ScenarioConfig(**base)
+
+
+def test_config_accepts_numpy_integers_and_integer_physics():
+    cfg = ScenarioConfig(num_pairs=np.int64(3), seed=np.uint64(7), p0_watt=5, rate_cap_bpshz=0.0)
+    assert cfg.num_pairs == 3 and cfg.seed == 7
 
 
 def test_config_json_roundtrip():
