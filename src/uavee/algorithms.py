@@ -1,10 +1,11 @@
 """The three resource-allocation algorithms.
 
-All three ascend a fractional objective by successive convex approximation:
-the nonconcave rate terms are replaced by the affine lower bound from
-`core.log_bound_coeffs` at the current iterate, and the resulting concave
-subproblem is handed to the log-barrier engine (or, for the one-dimensional
-harvesting-time search, a golden-section max-min).
+jhtpa and opa ascend a fractional objective by successive convex
+approximation: the nonconcave rate terms are replaced by the affine lower
+bound from `core.log_bound_coeffs` at the current iterate, and the resulting
+concave subproblem is handed to the log-barrier engine. oht needs no
+surrogate: its max-min rate is quasi-concave in the one harvesting-time
+variable, so one golden-section search on the exact objective finds it.
 
   jhtpa  joint harvesting-time and power allocation in (theta, 1/p) space
   opa    power-only allocation at a fixed harvesting time
@@ -63,23 +64,22 @@ _BOUNDARY_TOL = 1e-9
 
 # SolveReport.status of the stop reasons that are not "converged". jhtpa and
 # opa stop for one of: boundary_fallback (the start is the full-harvest point,
-# 0 iterations), surrogate_lost_slack (the iterate is not strictly feasible
-# for its own surrogate), infeasible_start (the subsolver rejected it),
-# numerical_failure, non_improving (a step lowered the EE; the better iterate
-# is kept), epsilon (the relative EE change met ScaSettings.epsilon) or
-# max_iterations. oht stops at epsilon or max_iterations.
+# 0 iterations), infeasible_start (the subsolver rejected the iterate as a
+# start of its own surrogate), numerical_failure, non_improving (a step
+# lowered the EE; the better iterate is kept), epsilon (the relative EE change
+# met ScaSettings.epsilon) or max_iterations. oht always stops at epsilon,
+# its search's bracket tolerance.
 _STOP_STATUS = {"numerical_failure": "failed", "max_iterations": "max_iterations"}
 
-# oht's harvesting-time search interval ends at _OHT_THETA_MAX; an iteration
-# counts as having moved theta when it changes it by more than _OHT_THETA_TOL
-# relative.
+# oht searches the harvesting time on [1 + THETA_GAP, _OHT_THETA_MAX] until
+# the bracket is _GOLDEN_TOL wide relative to its upper end.
 _OHT_THETA_MAX = 1e3
-_OHT_THETA_TOL = 1e-6
+_GOLDEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class ScaSettings:
-    """The SCA stopping rule shared by the three algorithms.
+    """The SCA stopping rule jhtpa and opa share (oht does not iterate).
 
     epsilon is applied as a relative change test on successive objective
     values, |phi_new - phi| <= epsilon * max(|phi_new|, PHI_FLOOR). Trace
@@ -579,42 +579,16 @@ def opa(
 # ---------------------------------------------------------------------------
 
 
-def _oht_surrogate(theta_bar, ch, config):
-    """Per-pair concave surrogates psi_hat_n(theta) of the full-harvest rates.
-
-    Substitutions: x = 1/((theta-1) h_nn g_n),
-    y = (theta-1) sum_{i!=n} h_ni g_i + sigma2/(eta P0), t = theta. The
-    returned function maps theta to the vector of psi_hat_n(theta), which
-    touches the pinned rates at theta_bar and bounds them from below.
-    """
-    hd = np.diag(ch.h).copy()
-    off = ch.h - np.diag(hd)
-    ep = config.eta * config.p0_watt
-    u = hd * ch.g
-    w = off @ ch.g
-    c_noise = ch.sigma2_watt / ep
-    x_bar = 1.0 / ((theta_bar - 1.0) * u)
-    y_bar = (theta_bar - 1.0) * w + c_noise
-    coeffs = core.log_bound_coeffs(x_bar, y_bar, theta_bar)
-
-    def psi(theta: float) -> np.ndarray:
-        x = 1.0 / ((theta - 1.0) * u)
-        y = (theta - 1.0) * w + c_noise
-        return core.surrogate_psi(coeffs, x, y, theta)
-
-    return psi
-
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _golden_max(fn, lo: float, hi: float) -> float:
     """Golden-section maximum of a unimodal function on [lo, hi]."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol * max(1.0, abs(b)):
+    while b - a > _GOLDEN_TOL * max(1.0, abs(b)):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -629,74 +603,40 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
 def oht(
     ch: ChannelRealization,
     config: ScenarioConfig,
-    settings: ScaSettings | None = None,
     r_bar: float | None = None,
 ) -> SolveReport:
     """Harvesting-time-only max-min rate with powers pinned to the harvest budget.
 
-    SCA on the scalar theta: each iteration maximizes min_n psi_hat_n by
-    golden-section search, starting from theta_fix so the final allocation
-    never drops below the QoS floor derived there. The trace records the
-    max-min objective (nats per slot), which is the quantity this algorithm
-    ascends; the reported EE uses the closed-form full-harvest power draw.
+    Each full-harvest rate ln(1 + SINR_n(theta)) / theta is a concave
+    function of theta - 1 over a positive affine one, hence quasi-concave,
+    and so is their minimum (Boyd & Vandenberghe, Convex Optimization,
+    sec. 3.4); one golden-section search on the exact max-min rate therefore
+    finds its maximizer. theta_fix is kept when the search ends lower, so
+    the allocation never drops below the QoS floor derived there. The trace
+    holds the max-min objective (nats per slot) at theta_fix and at the
+    answer; the reported EE uses the closed-form full-harvest power draw.
     """
-    settings = settings or ScaSettings()
     started = time.perf_counter()
     if r_bar is None:
         r_bar = core.qos_threshold(ch, config)
 
-    theta = float(config.theta_fix)
-    obj = float(np.min(core.pinned_rates(theta, ch, config)))
-    trace = [obj]
-    stop_reason = "max_iterations"
-    iterations = 0
-    lo, hi = 1.0 + THETA_GAP, _OHT_THETA_MAX
-
     def min_rate(t: float) -> float:
         return float(np.min(core.pinned_rates(t, ch, config)))
 
-    for _ in range(settings.max_iterations):
-        psi = _oht_surrogate(theta, ch, config)
-        theta_new = _golden_max(lambda t: float(np.min(psi(t))), lo, hi)
-        obj_new = min_rate(theta_new)
-        # Monotone extrapolation on the true max-min objective: saturating
-        # realizations push theta to the search bound, which the surrogate
-        # maximizer alone approaches too slowly.
-        ratio = (theta_new - 1.0) / (theta - 1.0)
-        if ratio != 1.0:
-            for s in _EXTRAPOLATION_POWERS:
-                theta_e = min(1.0 + (theta - 1.0) * ratio**s, hi)
-                obj_e = min_rate(theta_e)
-                if obj_e <= obj_new:
-                    break
-                theta_new, obj_new = theta_e, obj_e
-                if theta_new >= hi:
-                    break
-        iterations += 1
-        trace.append(obj_new)
-        moved = abs(theta_new - theta) > _OHT_THETA_TOL * max(1.0, abs(theta_new))
-        theta, prev_obj = theta_new, obj
-        obj = obj_new
-        if _converged(obj_new, prev_obj, settings.epsilon) and not moved:
-            stop_reason = "epsilon"
-            break
+    theta_fix = float(config.theta_fix)
+    obj_fix = min_rate(theta_fix)
+    theta = _golden_max(min_rate, 1.0 + THETA_GAP, _OHT_THETA_MAX)
+    obj = min_rate(theta)
+    if obj < obj_fix:
+        theta, obj = theta_fix, obj_fix
 
     alloc = core.pinned_allocation(theta, ch, config)
     ee = float(np.sum(core.pinned_rates(theta, ch, config))) / core.pinned_total_power(
         theta, ch, config
     )
-    state = ScaState(iterate=np.array([theta]), phi=obj, kappa=iterations, trace=trace)
+    state = ScaState(iterate=np.array([theta]), phi=obj, kappa=1, trace=[obj_fix, obj])
     return _finish_report(
-        "oht",
-        alloc,
-        ch,
-        config,
-        r_bar,
-        state,
-        stop_reason,
-        iterations,
-        started,
-        ee_override=ee,
+        "oht", alloc, ch, config, r_bar, state, "epsilon", 1, started, ee_override=ee
     )
 
 
@@ -748,14 +688,8 @@ def _sca_loop(
     subsolver_calls = 0
     warm_t = 1.0
     for _ in range(settings.max_iterations):
-        prog = build(state)
-        if np.any(prog.constraint_values(state.iterate) >= 0.0):
-            # The surrogate re-evaluation of a boundary-hugging iterate lost
-            # its slack to rounding; no room left to iterate in.
-            stop_reason = "surrogate_lost_slack"
-            break
         try:
-            outcome = solve(prog, state.iterate, t0=warm_t)
+            outcome = solve(build(state), state.iterate, t0=warm_t)
         except InfeasibleStartError:
             stop_reason = "infeasible_start"
             break
@@ -838,5 +772,5 @@ def run_algorithm(
     if name == "opa":
         return opa(ch, config, settings)
     if name == "oht":
-        return oht(ch, config, settings)
+        return oht(ch, config)
     raise ValueError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES}")

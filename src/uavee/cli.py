@@ -106,12 +106,9 @@ def _cmd_run(args) -> int:
         output_format=args.format,
     )
     rows, summary = run_experiment(spec, jobs=max(1, args.jobs))
-    if not args.out:
-        json.dump({"summary": summary}, sys.stdout, indent=2)
-        print()
-    else:
+    if args.out:
         logger.info("wrote %d rows to %s", len(rows), args.out)
-        print(json.dumps({"summary": summary}, indent=2))
+    print(json.dumps({"summary": summary}, indent=2))
     return 0
 
 

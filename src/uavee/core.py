@@ -51,7 +51,6 @@ class BoundCoeffs:
     cx: np.ndarray
     cy: np.ndarray
     ct: np.ndarray
-    expansion: tuple
 
     def __post_init__(self):
         if np.any(self.cx <= 0.0) or np.any(self.cy <= 0.0) or np.any(self.ct <= 0.0):
@@ -95,11 +94,6 @@ def sinr(p: np.ndarray, ch: ChannelRealization) -> np.ndarray:
 def rates(alloc: Allocation, ch: ChannelRealization) -> np.ndarray:
     """Per-pair throughput (nats per slot): (1 - tau) * ln(1 + SINR)."""
     return (1.0 - alloc.tau) * np.log1p(sinr(alloc.p, ch))
-
-
-def rate(alloc: Allocation, ch: ChannelRealization, n: int) -> float:
-    """Throughput of pair n in nats per slot."""
-    return float(rates(alloc, ch)[n])
 
 
 def total_power(alloc: Allocation, config: ScenarioConfig) -> float:
@@ -160,7 +154,6 @@ def log_bound_coeffs(x_bar, y_bar, t_bar) -> BoundCoeffs:
         cx=1.0 / (x_bar * denom),
         cy=1.0 / (y_bar * denom),
         ct=log_term / t_bar**2,
-        expansion=(x_bar, y_bar, t_bar),
     )
 
 

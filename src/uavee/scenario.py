@@ -56,6 +56,8 @@ class ScenarioConfig:
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.num_pairs < 1:
             raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.theta_fix <= 1.0:

@@ -81,25 +81,6 @@ def pinned_rates_direct(theta, ch, config):
     return out
 
 
-def tangency_errors(psi, truth, theta_bar, rel_step=1e-6):
-    """How far a per-pair surrogate psi(theta) is from touching truth(theta) at theta_bar.
-
-    Returns (value_error, slope_error): the largest relative mismatch of the
-    values at theta_bar, and the largest mismatch of the central-difference
-    slopes there beyond check_gradients' rounding allowance of
-    1e3 * eps * max(1, |value|) / step, relative to the largest slope.
-    """
-    h = rel_step * theta_bar
-    value = np.asarray(truth(theta_bar))
-    value_error = float(np.max(np.abs(psi(theta_bar) - value) / np.abs(value)))
-    slope_psi = (psi(theta_bar + h) - psi(theta_bar - h)) / (2.0 * h)
-    slope_true = (truth(theta_bar + h) - truth(theta_bar - h)) / (2.0 * h)
-    noise = 1e3 * np.finfo(float).eps * np.maximum(1.0, np.abs(value)) / h
-    excess = np.maximum(np.abs(slope_psi - slope_true) - noise, 0.0)
-    scale = max(float(np.max(np.abs(slope_psi))), float(np.max(np.abs(slope_true))), 1e-300)
-    return value_error, float(np.max(excess)) / scale
-
-
 # Scaled QoS margin a sampled point must clear, as for the algorithms' starts.
 _QOS_MARGIN = 1e-13
 

@@ -14,7 +14,6 @@ from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
     ScaState,
     _jhtpa_objective,
-    _oht_surrogate,
     build_jhtpa_subproblem,
     build_opa_subproblem,
     jhtpa,
@@ -29,8 +28,6 @@ from oracles import (
     grid_oht_theta,
     log_uniform_jhtpa_points,
     log_uniform_opa_points,
-    pinned_rates_direct,
-    tangency_errors,
 )
 
 PAIR_COUNTS = tuple(range(2, 11))
@@ -265,16 +262,6 @@ def test_criterion_7_gradient_checks():
         )
         prog = build_opa_subproblem(ScaState(iterate=p, phi=lam), ch, config, r_bar)
         worst = max(worst, check_gradients(prog, p))
-
-    # oht's surrogate has no derivative oracles (golden-section search needs
-    # values only); check that it touches the true pinned rates at theta_bar
-    for theta_bar in np.exp(rng.uniform(np.log(1.01), np.log(500.0), size=10)):
-        errors = tangency_errors(
-            _oht_surrogate(float(theta_bar), ch, config),
-            lambda t: pinned_rates_direct(t, ch, config),
-            float(theta_bar),
-        )
-        worst = max(worst, *errors)
 
     ok = worst < 1e-5
     _verdict(7, "gradient checks", ok, f"max relative oracle error {worst:.2e} (<1e-5)")

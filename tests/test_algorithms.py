@@ -6,14 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uavee
+import uavee.algorithms as algorithms
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
     ScaState,
     _jhtpa_objective,
-    _oht_surrogate,
     build_jhtpa_subproblem,
     build_opa_subproblem,
     jhtpa,
@@ -22,13 +24,7 @@ from uavee.algorithms import (
     run_algorithm,
 )
 
-from oracles import (
-    grid_ee_n1,
-    grid_oht_theta,
-    grid_opa_ee_n1,
-    pinned_rates_direct,
-    tangency_errors,
-)
+from oracles import grid_ee_n1, grid_oht_theta, grid_opa_ee_n1, pinned_rates_direct
 
 
 def scenario(n, seed):
@@ -123,6 +119,40 @@ def test_oht_single_pair_theta_matches_grid():
         assert abs(report.allocation.theta - theta_grid) <= 1e-2 * max(1.0, theta_grid)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    num_pairs=st.integers(1, 30),
+    radius=st.floats(20.0, 5000.0),
+    eta=st.floats(0.01, 0.99),
+    theta_fix=st.floats(1.01, 50.0),
+    noise=st.floats(-170.0, -80.0),
+    p_cir=st.floats(1e-6, 10.0),
+    rate_cap=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oht_max_min_rate_beats_grid_and_theta_fix(
+    num_pairs, radius, eta, theta_fix, noise, p_cir, rate_cap, seed
+):
+    config = ScenarioConfig(
+        num_pairs=num_pairs,
+        seed=seed,
+        coverage_radius_m=radius,
+        eta=eta,
+        theta_fix=theta_fix,
+        noise_density_dbm_hz=noise,
+        p_cir_watt=p_cir,
+        rate_cap_bpshz=rate_cap,
+    )
+    _, ch = make_scenario(config)
+    report = oht(ch, config)
+    assert report.status == "converged"
+    assert_report_sane(report, ch, config)
+    value = float(np.min(pinned_rates_direct(report.allocation.theta, ch, config)))
+    _, grid_best = grid_oht_theta(ch, config, points=10**4)
+    assert value >= grid_best * (1.0 - 1e-9)
+    assert value >= float(np.min(pinned_rates_direct(theta_fix, ch, config))) * (1.0 - 1e-12)
+
+
 def test_oht_closed_form_power_identity():
     for seed in (7, 11, 42):
         config, ch = scenario(4, seed)
@@ -206,28 +236,6 @@ def test_jhtpa_qos_constraint_tangent_at_expansion():
     np.testing.assert_allclose(qos_rows, true_deficit, atol=1e-10)
 
 
-def test_oht_surrogate_touches_pinned_rates():
-    config, ch = scenario(3, 7)
-    for theta_bar in (1.5, 2.0, 10.0):
-        value_error, slope_error = tangency_errors(
-            _oht_surrogate(theta_bar, ch, config),
-            lambda t: pinned_rates_direct(t, ch, config),
-            theta_bar,
-        )
-        assert value_error < 1e-12
-        assert slope_error < 1e-5
-
-
-def test_oht_surrogate_minorizes_true_rates():
-    config, ch = scenario(3, 7)
-    thetas = np.linspace(1.01, 900.0, 500)
-    true_vals = np.array([core.pinned_rates(t, ch, config) for t in thetas])
-    for theta_bar in (1.5, 2.0, 30.0):
-        psi = _oht_surrogate(theta_bar, ch, config)
-        psi_vals = np.array([psi(t) for t in thetas])
-        assert np.all(psi_vals <= true_vals + 1e-12)
-
-
 def test_opa_subproblem_objective_zero_at_expansion():
     config, ch = scenario(3, 11)
     theta_fix = config.theta_fix
@@ -275,6 +283,31 @@ def test_stop_reason_names_the_exit():
     capped = jhtpa(ch, config, ScaSettings(max_iterations=1))
     assert (capped.stop_reason, capped.status) == ("max_iterations", "max_iterations")
     assert oht(ch, config).stop_reason == "epsilon"
+
+
+def test_subproblem_rejecting_the_start_stops_at_infeasible_start(monkeypatch):
+    # A surrogate whose rows read >= 0 at the iterate: engine.solve rejects
+    # the start and jhtpa answers with it, without iterating.
+    build = algorithms.build_jhtpa_subproblem
+
+    def rejecting(state, ch, config, r_bar):
+        prog = build(state, ch, config, r_bar)
+        return dataclasses.replace(
+            prog, constraint_values=lambda z: np.abs(prog.constraint_values(z))
+        )
+
+    monkeypatch.setattr(algorithms, "build_jhtpa_subproblem", rejecting)
+    config, ch = scenario(3, 7)
+    r_bar = core.qos_threshold(ch, config)
+    theta, p, strict = algorithms._start(
+        ch, config, r_bar, algorithms._jhtpa_start_thetas(config.theta_fix)
+    )
+    assert strict
+    report = jhtpa(ch, config)
+    assert (report.stop_reason, report.status) == ("infeasible_start", "converged")
+    assert (report.iterations, report.subsolver_calls, len(report.trace)) == (0, 0, 1)
+    start = core.Allocation.from_theta(theta, 1.0 / (1.0 / p))
+    assert report.ee_nats_per_joule == core.energy_efficiency(start, ch, config)
 
 
 def test_infeasible_qos_raises():

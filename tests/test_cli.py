@@ -69,7 +69,11 @@ def test_solve_missing_scenario_is_runtime_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, message",
-    [('{"num_pairs": 2.5, "seed": 1}', "num_pairs must be an integer"), ("[1, 2]", "must be an object")],
+    [
+        ('{"num_pairs": 2.5, "seed": 1}', "num_pairs must be an integer"),
+        ("[1, 2]", "must be an object"),
+        ('{"num_pairs": 3, "seed": -1}', "seed must be >= 0"),
+    ],
 )
 @pytest.mark.parametrize("command", ["solve", "run"])
 def test_bad_scenario_json_is_an_input_error(tmp_path, capsys, text, message, command):

@@ -15,7 +15,6 @@ from uavee.core import (
     pinned_rates,
     pinned_total_power,
     qos_threshold,
-    rate,
     rates,
     rates_from_inverse,
     sinr,
@@ -50,17 +49,17 @@ def test_harvested_energy():
 def test_rate_edge_cases():
     ch = toy_channels([[8e-9, 1e-10], [1e-10, 8e-9]], [1e-6, 1e-6], 1e-10)
     c = cfg()
-    assert rate(Allocation(tau=0.5, p=np.array([0.0, 1e-5])), ch, 0) == 0.0
+    assert rates(Allocation(tau=0.5, p=np.array([0.0, 1e-5])), ch)[0] == 0.0
     near_one = Allocation(tau=1.0 - 1e-15, p=np.array([1e-5, 1e-5]))
-    assert rate(near_one, ch, 0) < 1e-14
+    assert rates(near_one, ch)[0] < 1e-14
 
 
 def test_rate_two_pair_oracle():
     ch = toy_channels([[8e-9, 1e-10], [1e-10, 8e-9]], [1e-6, 1e-6], 1e-10)
     alloc = Allocation(tau=0.5, p=np.array([1e-5, 1e-5]))
     expected = 0.5 * math.log(1.0 + 8e-14 / (1e-15 + 1e-10))
-    assert rate(alloc, ch, 0) == pytest.approx(expected, rel=1e-12)
-    assert rate(alloc, ch, 1) == pytest.approx(expected, rel=1e-12)
+    assert rates(alloc, ch)[0] == pytest.approx(expected, rel=1e-12)
+    assert rates(alloc, ch)[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_total_power_values():

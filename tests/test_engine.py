@@ -166,11 +166,11 @@ def test_solved_jhtpa_subproblem_matches_grid():
         y1 = off[0, 1] / q2 + ch.sigma2_watt
         y2 = off[1, 0] / q1 + ch.sigma2_watt
         psi1 = core.surrogate_psi(
-            core.BoundCoeffs(coeffs.const_term[0], coeffs.cx[0], coeffs.cy[0], coeffs.ct[0], ()),
+            core.BoundCoeffs(coeffs.const_term[0], coeffs.cx[0], coeffs.cy[0], coeffs.ct[0]),
             x1, y1, theta,
         )
         psi2 = core.surrogate_psi(
-            core.BoundCoeffs(coeffs.const_term[1], coeffs.cx[1], coeffs.cy[1], coeffs.ct[1], ()),
+            core.BoundCoeffs(coeffs.const_term[1], coeffs.cx[1], coeffs.cy[1], coeffs.ct[1]),
             x2, y2, theta,
         )
         power = 1.0 / (theta * q1) + 1.0 / (theta * q2) + pw_const + pw_lin * theta

@@ -54,12 +54,13 @@ def test_config_defaults():
         {"seed": "1"},
         {"p0_watt": "5"},
         {"eta": None},
+        {"seed": -1},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     base = {"num_pairs": 2, "seed": 0}
     base.update(kwargs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         ScenarioConfig(**base)
 
 
