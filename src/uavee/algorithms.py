@@ -224,8 +224,8 @@ def _interior_power(ch, config, r_bar: float, theta: float) -> np.ndarray | None
 
 
 def _jhtpa_start_thetas(theta_fix: float) -> list[float]:
-    """Harvesting times jhtpa tries for its start, in order: theta_fix, then
-    multiples of it clipped to [1.01, 999]."""
+    """Harvesting times jhtpa scores for its start: theta_fix (the fallback's
+    harvesting time), then multiples of it clipped to [1.01, 999]."""
     factors = np.array([1.1, 0.9, 1.25, 0.8, 1.5, 2.0 / 3.0, 2.0, 0.5, 3.0])
     return [theta_fix, *np.clip(theta_fix * factors, 1.01, 999.0)]
 
@@ -233,23 +233,35 @@ def _jhtpa_start_thetas(theta_fix: float) -> list[float]:
 def _start(ch, config, r_bar: float, thetas) -> tuple[float, np.ndarray, bool]:
     """The starting (theta, p) of jhtpa and opa and whether it is strictly feasible.
 
-    The candidates are _interior_power at each theta in order, and the first
-    that passes _violation is the start. When none does, the QoS floor can
-    pin the feasible set to (a neighborhood of) the full-harvest point at
-    thetas[0], the floor's own harvesting time; that point is returned,
-    flagged not strict, when it is weakly feasible, and
-    NoFeasiblePointFoundError is raised otherwise.
+    The candidates are _interior_power at each distinct theta, scored by
+    _violation. find_feasible gets one proposal per distinct theta: those
+    that pass (violation < 0; NaN does not) widest interior first, i.e. most
+    negative violation first, then None for each that does not. The start is
+    thus the candidate whose nearest row is farthest away: a barrier solve
+    from a hair-thin slack spends its first stage leaving it.
+    When none passes, the QoS floor can pin the feasible set to (a
+    neighborhood of) the full-harvest point at thetas[0], the floor's own
+    harvesting time; that point is returned, flagged not strict, when it is
+    weakly feasible, and NoFeasiblePointFoundError is raised otherwise.
     """
-
-    def candidate(rng, k):
-        p = _interior_power(ch, config, r_bar, thetas[k])
-        return None if p is None else np.concatenate(([thetas[k]], p))
 
     def violation(v):
         return _violation(v[0], v[1:], ch, config, r_bar)
 
+    distinct = list(dict.fromkeys(thetas))
+    scored = []
+    for theta in distinct:
+        p = _interior_power(ch, config, r_bar, theta)
+        if p is not None:
+            v = np.concatenate(([theta], p))
+            score = violation(v)
+            if score < 0.0:
+                scored.append((score, v))
+    ranked = [v for _, v in sorted(scored, key=lambda sv: sv[0])]
     try:
-        v = find_feasible([violation], candidate, None, len(thetas))
+        v = find_feasible(
+            [violation], lambda rng, k: ranked[k] if k < len(ranked) else None, None, len(distinct)
+        )
         return float(v[0]), v[1:], True
     except NoFeasiblePointFoundError:
         theta = thetas[0]
@@ -262,6 +274,27 @@ def _start(ch, config, r_bar: float, thetas) -> tuple[float, np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 # JHTPA: joint harvesting time and power allocation
 # ---------------------------------------------------------------------------
+
+
+def _reciprocal_rows(c0: np.ndarray, lin: np.ndarray, rec: np.ndarray) -> dict:
+    """The constraint oracles of c(z) = c0 + lin @ z + rec @ (1/z), 1/z elementwise.
+
+    Each row is convex where rec >= 0 and z > 0. Its Jacobian is
+    lin - rec / z^2 and sum_j w_j hess(c_j) is the diagonal 2 (rec^T w) / z^3.
+    Columns of rec for coordinates that enter linearly only are zero.
+    """
+    dim = lin.shape[1]
+
+    def weighted_hessian(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        out = np.zeros((dim, dim))
+        out.flat[:: dim + 1] = 2.0 * (w @ rec) / z**3
+        return out
+
+    return dict(
+        constraint_values=lambda z: c0 + lin @ z + rec @ (1.0 / z),
+        constraint_jacobian=lambda z: lin - rec / (z * z),
+        constraint_hessian_weighted=weighted_hessian,
+    )
 
 
 def build_jhtpa_subproblem(
@@ -277,6 +310,13 @@ def build_jhtpa_subproblem(
     causality 1/q_n <= (theta-1)*eta*P0*g_n, and psi_n >= r_bar. psi_n is the
     affine rate bound with x_n = q_n/h_nn, y_n = sum_{i!=n} h_ni/q_i + sigma2,
     t = theta; causality and QoS rows are rescaled to O(1).
+
+    Every coefficient is computed here, once per subproblem, as an array. With
+    s = max(r_bar, _QOS_SCALE_FLOOR), QoS row n is
+    k0_n + k1_n q_n + sum_i W_ni / q_i + k2_n theta with k0 = (r_bar - a + cy
+    sigma2) / s, k1 = cx / (h_nn s), W = cy off / s and k2 = ct / s, so all
+    2N + 1 rows are one _reciprocal_rows form. The objective's coefficients
+    carry its O(1) normalization.
     """
     z_bar = np.asarray(state.iterate, dtype=float)
     theta_bar, q_bar = float(z_bar[0]), z_bar[1:]
@@ -287,95 +327,57 @@ def build_jhtpa_subproblem(
     ep = config.eta * config.p0_watt
     cap = ep * ch.g  # causality scale: p_n <= (theta-1) * cap_n
 
-    x_bar = q_bar / hd
-    y_bar = off @ (1.0 / q_bar) + s2
-    coeffs = core.log_bound_coeffs(x_bar, y_bar, theta_bar)
+    coeffs = core.log_bound_coeffs(q_bar / hd, off @ (1.0 / q_bar) + s2, theta_bar)
     a_const, cx, cy, ct = coeffs.const_term, coeffs.cx, coeffs.cy, coeffs.ct
-
-    phi = float(state.phi)
-    a_lin = cx / hd  # coefficient of q_n in sum psi
-    b_rec = off.T @ cy  # coefficient of 1/q_n in sum psi
-    sum_a = float(np.sum(a_const - cy * s2))
-    sum_ct = float(np.sum(ct))
-    pw_const = (1.0 - 2.0 / theta_bar) * ep + config.p_cir_watt
-    pw_lin = ep / theta_bar**2
-    f_const = -sum_a + phi * pw_const
     qos_scale = max(r_bar, _QOS_SCALE_FLOOR)
+
+    # rows: theta guard, causality 1 - theta + 1/(cap q), QoS
+    c0 = np.concatenate(([1.0 + THETA_GAP], np.ones(n), (r_bar - a_const + cy * s2) / qos_scale))
+    lin = np.zeros((2 * n + 1, n + 1))
+    lin[: n + 1, 0] = -1.0
+    lin[n + 1 :, 0] = ct / qos_scale
+    lin[n + 1 :, 1:] = np.diag(cx / (hd * qos_scale))
+    rec = np.zeros((2 * n + 1, n + 1))
+    rec[1 : n + 1, 1:] = np.diag(1.0 / cap)
+    rec[n + 1 :, 1:] = cy[:, None] * off / qos_scale
+
+    # objective: f0 + f_lin @ z + (f_rec + f_cpl / theta) @ (1/z), where f_cpl
+    # carries phi on the q entries (the linearized power's sum(1/q) / theta).
     # Normalize the surplus to O(1): sum rates can sit many decades below one
     # and the engine's absolute tolerances would otherwise fire early.
+    phi = float(state.phi)
     inv_obj = 1.0 / max(float(np.sum(core.rates_from_inverse(theta_bar, q_bar, ch))), 1e-300)
-
-    diag_idx = np.arange(n)
-    # The interference block of the QoS rows' Jacobian, before the 1/q^2 factor.
-    qos_interference = -(cy[:, None] * off)
-
-    def psi_vec(z: np.ndarray) -> np.ndarray:
-        theta, q = z[0], z[1:]
-        return a_const - cx * q / hd - cy * (off @ (1.0 / q) + s2) - ct * theta
+    f0 = inv_obj * (
+        phi * ((1.0 - 2.0 / theta_bar) * ep + config.p_cir_watt) - float(np.sum(a_const - cy * s2))
+    )
+    f_lin = inv_obj * np.concatenate(([float(np.sum(ct)) + phi * ep / theta_bar**2], cx / hd))
+    f_rec = inv_obj * np.concatenate(([0.0], off.T @ cy))
+    f_cpl = inv_obj * np.concatenate(([0.0], np.full(n, phi)))
 
     def obj_value(z: np.ndarray) -> float:
-        theta, q = z[0], z[1:]
-        recip = 1.0 / q
-        return inv_obj * (
-            f_const
-            + float(a_lin @ q + b_rec @ recip)
-            + sum_ct * theta
-            + phi * (float(recip.sum()) / theta + pw_lin * theta)
-        )
+        r = 1.0 / z
+        return f0 + float(f_lin @ z + (f_rec + f_cpl * r[0]) @ r)
 
     def obj_grad(z: np.ndarray) -> np.ndarray:
-        theta, q = z[0], z[1:]
-        recip2 = 1.0 / (q * q)
-        out = np.empty(n + 1)
-        out[0] = sum_ct + phi * (pw_lin - float((1.0 / q).sum()) / theta**2)
-        out[1:] = a_lin - b_rec * recip2 - (phi / theta) * recip2
-        return inv_obj * out
-
-    def obj_hess(z: np.ndarray) -> np.ndarray:
-        theta, q = z[0], z[1:]
-        recip = 1.0 / q
-        out = np.zeros((n + 1, n + 1))
-        out[0, 0] = 2.0 * phi * float(recip.sum()) / theta**3
-        cross = (phi / theta**2) * recip**2
-        out[0, 1:] = cross
-        out[1:, 0] = cross
-        out[1 + diag_idx, 1 + diag_idx] = 2.0 * b_rec * recip**3 + (2.0 * phi / theta) * recip**3
-        return inv_obj * out
-
-    def all_values(z: np.ndarray) -> np.ndarray:
-        theta, q = z[0], z[1:]
-        caus = 1.0 / (q * cap) - theta + 1.0
-        qos = (r_bar - psi_vec(z)) / qos_scale
-        return np.concatenate(([(1.0 + THETA_GAP) - theta], caus, qos))
-
-    def all_jacobian(z: np.ndarray) -> np.ndarray:
-        q = z[1:]
-        recip2 = 1.0 / (q * q)
-        jac = np.zeros((2 * n + 1, n + 1))
-        jac[0, 0] = -1.0
-        jac[1 : n + 1, 0] = -1.0
-        jac[1 + diag_idx, 1 + diag_idx] = -recip2 / cap
-        jac[n + 1 :, 0] = ct / qos_scale
-        jac[n + 1 :, 1:] = qos_interference * recip2[None, :] / qos_scale
-        jac[n + 1 + diag_idx, 1 + diag_idx] += (cx / hd) / qos_scale
-        return jac
-
-    def weighted_hessian(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        q = z[1:]
-        recip3 = 1.0 / q**3
-        out = np.zeros((n + 1, n + 1))
-        diag = w[1 : n + 1] * 2.0 * recip3 / cap
-        diag += (off.T @ (w[n + 1 :] * cy)) * 2.0 * recip3 / qos_scale
-        out[1 + diag_idx, 1 + diag_idx] = diag
+        r = 1.0 / z
+        out = f_lin - (f_rec + f_cpl * r[0]) * (r * r)
+        out[0] -= r[0] * r[0] * float(f_cpl @ r)
         return out
 
+    def obj_hess(z: np.ndarray) -> np.ndarray:
+        r = 1.0 / z
+        out = np.zeros((n + 1, n + 1))
+        out[0] = out[:, 0] = f_cpl * (r[0] * r) ** 2
+        out.flat[:: n + 2] = 2.0 * (f_rec + f_cpl * r[0]) * r**3
+        out[0, 0] = 2.0 * r[0] ** 3 * float(f_cpl @ r)
+        return out
+
+    lo = np.concatenate(([1.0], np.zeros(n)))  # the open domain is z > lo
     return ConvexProgram(
         dim=n + 1,
         objective=Functional(obj_value, obj_grad, obj_hess),
-        domain_guard=lambda z: bool(z[0] > 1.0 and (z[1:] > 0.0).all() and np.isfinite(z).all()),
-        constraint_values=all_values,
-        constraint_jacobian=all_jacobian,
-        constraint_hessian_weighted=weighted_hessian,
+        domain_guard=lambda z: bool(((lo < z) & (z < math.inf)).all()),
+        **_reciprocal_rows(c0, lin, rec),
     )
 
 
@@ -425,8 +427,8 @@ def jhtpa(
 ) -> SolveReport:
     """Joint harvesting-time and power allocation (Algorithm-1-style SCA loop).
 
-    Starts from the closed-form interior point at theta_fix, or at the first
-    of _jhtpa_start_thetas' harvesting times where one passes, then
+    Starts from the closed-form interior point with the widest interior
+    among _jhtpa_start_thetas' harvesting times (see _start), then
     alternates between building the surrogate convex program at the current
     iterate and solving it, updating the Dinkelbach multiplier with the true
     energy efficiency, until the relative change drops below epsilon. Each
@@ -471,6 +473,11 @@ def build_opa_subproblem(
     t = 1, so psi_n bounds ln(1 + SINR_n) and the QoS row reads
     psi_n >= theta_fix * r_bar. state.phi holds the Dinkelbach multiplier in
     the same ln(1 + SINR) units (theta_fix times the energy efficiency).
+
+    As in the joint builder, the coefficients are computed once: box rows
+    p / p_max - 1 and QoS rows k0 + k_b / p + W p, with k_b = cx / (h_nn s)
+    and W = cy off / s, form one _reciprocal_rows form, and the objective is
+    f0 + f_lin @ p + f_rec @ (1/p) with its O(1) normalization folded in.
     """
     p_bar = np.asarray(state.iterate, dtype=float)
     n = p_bar.size
@@ -481,63 +488,40 @@ def build_opa_subproblem(
     theta_fix = config.theta_fix
     p_max = (theta_fix - 1.0) * ep * ch.g
 
-    x_bar = 1.0 / (p_bar * hd)
-    y_bar = off @ p_bar + s2
-    coeffs = core.log_bound_coeffs(x_bar, y_bar, 1.0)
+    coeffs = core.log_bound_coeffs(1.0 / (p_bar * hd), off @ p_bar + s2, 1.0)
     a_const, cx, cy, ct = coeffs.const_term, coeffs.cx, coeffs.cy, coeffs.ct
-
-    lam = float(state.phi)
-    b_rec = cx / hd  # coefficient of 1/p_n in sum psi
-    a_lin = off.T @ cy + lam / theta_fix  # coefficient of p_n in the negated objective
-    f_const = -float(np.sum(a_const - cy * s2 - ct)) + lam * (
-        (1.0 - 1.0 / theta_fix) * ep + config.p_cir_watt
-    )
     qos_rhs = theta_fix * r_bar
     qos_scale = max(qos_rhs, _QOS_SCALE_FLOOR)
+
+    c0 = np.concatenate((-np.ones(n), (qos_rhs - a_const + cy * s2 + ct) / qos_scale))
+    lin = np.vstack((np.diag(1.0 / p_max), cy[:, None] * off / qos_scale))
+    rec = np.vstack((np.zeros((n, n)), np.diag(cx / (hd * qos_scale))))
+
     # Same O(1) normalization as the joint builder (here the rate terms live
     # in ln(1 + SINR) units).
+    lam = float(state.phi)
     inv_obj = 1.0 / max(float(np.sum(np.log1p(core.sinr(p_bar, ch)))), 1e-300)
-
-    diag_idx = np.arange(n)
-    # The QoS rows' interference block, constant in p.
-    qos_interference = cy[:, None] * off / qos_scale
-
-    def psi_vec(p: np.ndarray) -> np.ndarray:
-        return a_const - cx / (hd * p) - cy * (off @ p + s2) - ct
-
-    def obj_value(p: np.ndarray) -> float:
-        return inv_obj * (f_const + float(a_lin @ p + b_rec @ (1.0 / p)))
-
-    def obj_grad(p: np.ndarray) -> np.ndarray:
-        return inv_obj * (a_lin - b_rec / (p * p))
+    f0 = inv_obj * (
+        lam * ((1.0 - 1.0 / theta_fix) * ep + config.p_cir_watt)
+        - float(np.sum(a_const - cy * s2 - ct))
+    )
+    f_lin = inv_obj * (off.T @ cy + lam / theta_fix)
+    f_rec = inv_obj * cx / hd
 
     def obj_hess(p: np.ndarray) -> np.ndarray:
         out = np.zeros((n, n))
-        out[diag_idx, diag_idx] = inv_obj * 2.0 * b_rec / p**3
-        return out
-
-    def all_values(p: np.ndarray) -> np.ndarray:
-        return np.concatenate((p / p_max - 1.0, (qos_rhs - psi_vec(p)) / qos_scale))
-
-    def all_jacobian(p: np.ndarray) -> np.ndarray:
-        jac = np.zeros((2 * n, n))
-        jac[diag_idx, diag_idx] = 1.0 / p_max
-        jac[n:, :] = qos_interference
-        jac[n + diag_idx, diag_idx] -= b_rec / (p * p) / qos_scale
-        return jac
-
-    def weighted_hessian(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-        out = np.zeros((n, n))
-        out[diag_idx, diag_idx] = w[n:] * 2.0 * b_rec / p**3 / qos_scale
+        out.flat[:: n + 1] = 2.0 * f_rec / p**3
         return out
 
     return ConvexProgram(
         dim=n,
-        objective=Functional(obj_value, obj_grad, obj_hess),
-        domain_guard=lambda p: bool((p > 0.0).all() and np.isfinite(p).all()),
-        constraint_values=all_values,
-        constraint_jacobian=all_jacobian,
-        constraint_hessian_weighted=weighted_hessian,
+        objective=Functional(
+            lambda p: f0 + float(f_lin @ p + f_rec @ (1.0 / p)),
+            lambda p: f_lin - f_rec / (p * p),
+            obj_hess,
+        ),
+        domain_guard=lambda p: bool(((0.0 < p) & (p < math.inf)).all()),
+        **_reciprocal_rows(c0, lin, rec),
     )
 
 

@@ -70,9 +70,10 @@ def derive_child_seed(base_seed: int, n_pairs: int, trial: int) -> int:
     """Stable per-trial seed: first 64-bit word of SeedSequence([base_seed, n_pairs, trial]).
 
     Pure function of its arguments; the whole sweep is reproducible from the
-    base seed alone and any single trial from its row's seed.
+    base seed alone and any single trial from its row's seed. SeedSequence
+    takes integers of any size, so distinct base seeds give distinct sweeps.
     """
-    ss = np.random.SeedSequence([base_seed & 0xFFFFFFFFFFFFFFFF, n_pairs, trial])
+    ss = np.random.SeedSequence([base_seed, n_pairs, trial])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

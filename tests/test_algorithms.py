@@ -23,6 +23,7 @@ from uavee.algorithms import (
     opa,
     run_algorithm,
 )
+from uavee.engine import ConvexProgram, Functional, check_gradients
 
 from oracles import grid_ee_n1, grid_oht_theta, grid_opa_ee_n1, pinned_rates_direct
 
@@ -151,6 +152,97 @@ def test_oht_max_min_rate_beats_grid_and_theta_fix(
     _, grid_best = grid_oht_theta(ch, config, points=10**4)
     assert value >= grid_best * (1.0 - 1e-9)
     assert value >= float(np.min(pinned_rates_direct(theta_fix, ch, config))) * (1.0 - 1e-12)
+
+
+def _in_units_of(prog, scale):
+    """prog in the coordinates u = z / scale, with its oracles chained accordingly."""
+    outer = np.outer(scale, scale)
+    obj = prog.objective
+    return ConvexProgram(
+        dim=prog.dim,
+        objective=Functional(
+            lambda u: obj.value(u * scale),
+            lambda u: obj.grad(u * scale) * scale,
+            lambda u: obj.hess(u * scale) * outer,
+        ),
+        domain_guard=lambda u: prog.domain_guard(u * scale),
+        constraint_values=lambda u: prog.constraint_values(u * scale),
+        constraint_jacobian=lambda u: prog.constraint_jacobian(u * scale) * scale,
+        constraint_hessian_weighted=lambda u, w: (
+            prog.constraint_hessian_weighted(u * scale, w) * outer
+        ),
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    num_pairs=st.integers(1, 30),
+    radius=st.floats(20.0, 5000.0),
+    eta=st.floats(0.01, 0.99),
+    theta_fix=st.floats(1.01, 50.0),
+    noise=st.floats(-170.0, -80.0),
+    p_cir=st.floats(1e-6, 10.0),
+    rate_cap=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subproblem_oracles_match_the_surrogate_rate_bound(
+    num_pairs, radius, eta, theta_fix, noise, p_cir, rate_cap, seed
+):
+    # Both builders hold their rows as precomputed coefficient arrays. Their
+    # QoS rows must equal (rhs - surrogate_psi) / scale, evaluated from
+    # core's bound directly, up to rounding of the sum's terms, and their
+    # derivative oracles must pass the finite-difference check, at points
+    # anywhere in the builders' domains.
+    config = ScenarioConfig(
+        num_pairs=num_pairs,
+        seed=seed,
+        coverage_radius_m=radius,
+        eta=eta,
+        theta_fix=theta_fix,
+        noise_density_dbm_hz=noise,
+        p_cir_watt=p_cir,
+        rate_cap_bpshz=rate_cap,
+    )
+    _, ch = make_scenario(config)
+    r_bar = core.qos_threshold(ch, config)
+    rng = np.random.default_rng(seed)
+    hd = np.diag(ch.h)
+    off = ch.h - np.diag(hd)
+    cap = config.eta * config.p0_watt * ch.g
+
+    def powers(theta):
+        return rng.uniform(0.05, 1.0, num_pairs) * (theta - 1.0) * cap
+
+    def assert_qos_rows(rows, rhs, coeffs, x, y, t):
+        scale = max(rhs, 1e-12)
+        expected = (rhs - core.surrogate_psi(coeffs, x, y, t)) / scale
+        terms = rhs + np.abs(coeffs.const_term) + coeffs.cx * x + coeffs.cy * y + coeffs.ct * t
+        terms /= scale
+        assert np.all(np.abs(rows - expected) <= 1e-12 * terms)
+
+    theta_bar, theta = 1.0 + (theta_fix - 1.0) * rng.uniform(0.2, 5.0, 2)
+    z_bar = np.concatenate(([theta_bar], 1.0 / powers(theta_bar)))
+    z = np.concatenate(([theta], 1.0 / powers(theta)))
+    state = ScaState(iterate=z_bar, phi=_jhtpa_objective(z_bar, ch, config))
+    prog = build_jhtpa_subproblem(state, ch, config, r_bar)
+    q_bar = z_bar[1:]
+    coeffs = core.log_bound_coeffs(q_bar / hd, off @ (1.0 / q_bar) + ch.sigma2_watt, theta_bar)
+    rows = prog.constraint_values(z)[num_pairs + 1 :]
+    assert_qos_rows(rows, r_bar, coeffs, z[1:] / hd, off @ (1.0 / z[1:]) + ch.sigma2_watt, theta)
+    assert check_gradients(prog, z) < 1e-5
+
+    p_bar, p = powers(theta_fix), powers(theta_fix)
+    lam = float(np.sum(np.log1p(core.sinr(p_bar, ch)))) / core.total_power(
+        core.Allocation.from_theta(theta_fix, p_bar), config
+    )
+    prog = build_opa_subproblem(ScaState(iterate=p_bar, phi=lam), ch, config, r_bar)
+    coeffs = core.log_bound_coeffs(1.0 / (p_bar * hd), off @ p_bar + ch.sigma2_watt, 1.0)
+    rows = prog.constraint_values(p)[num_pairs:]
+    assert_qos_rows(rows, theta_fix * r_bar, coeffs, 1.0 / (p * hd), off @ p + ch.sigma2_watt, 1.0)
+    # Powers can be ~1e-12 W, below check_gradients' absolute step floor of
+    # 1e-14 relative to which its differences are no longer resolved, so
+    # opa's oracles are checked in units of the expansion point's powers.
+    assert check_gradients(_in_units_of(prog, p_bar), p / p_bar) < 1e-5
 
 
 def test_oht_closed_form_power_identity():

@@ -53,6 +53,13 @@ def test_child_seed_stable():
     ]
 
 
+def test_child_seed_is_not_wrapped_to_64_bits():
+    # base seed 2^64 once drew exactly the trials of base seed 0; seeds
+    # below 2^64 keep their child seeds
+    assert derive_child_seed(2**64, 2, 0) != derive_child_seed(0, 2, 0)
+    assert derive_child_seed(2**64 - 1, 2, 0) == 12859645445789163360
+
+
 def test_single_trial_shape():
     rows = run_trial(
         ScenarioConfig(num_pairs=2, seed=7), 2, 0, ("jhtpa", "opa", "oht"), None

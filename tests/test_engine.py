@@ -319,6 +319,55 @@ def test_find_feasible_impossible_qos(channels3, config3):
         _start(channels3, config3, 1e3, _jhtpa_start_thetas(config3.theta_fix))
 
 
+@pytest.mark.parametrize(
+    "n, seed, theta_fix", [(3, 7, 2.0), (6, 3, 2.0), (10, 5, 2.0), (5, 11, 1.01)]
+)
+def test_start_is_the_widest_candidate_and_tries_each_theta_once(monkeypatch, n, seed, theta_fix):
+    # jhtpa starts from the candidate with the most negative _violation, not
+    # the first that passes; clipping to 1.01 makes five of the ten thetas at
+    # theta_fix = 1.01 equal, and each distinct one is tried and proposed once
+    import uavee.algorithms as alg
+
+    tried, tries = [], []
+    real_interior, real_find = alg._interior_power, alg.find_feasible
+
+    def recording_interior(ch, config, r_bar, theta):
+        tried.append(theta)
+        return real_interior(ch, config, r_bar, theta)
+
+    def recording_find(constraints, sampler, rng, max_tries):
+        tries.append(max_tries)
+        return real_find(constraints, sampler, rng, max_tries)
+
+    monkeypatch.setattr(alg, "_interior_power", recording_interior)
+    monkeypatch.setattr(alg, "find_feasible", recording_find)
+    config = ScenarioConfig(num_pairs=n, seed=seed, theta_fix=theta_fix)
+    _, ch = make_scenario(config)
+    r_bar = core.qos_threshold(ch, config)
+    thetas = _jhtpa_start_thetas(theta_fix)
+    theta, p, strict = _start(ch, config, r_bar, thetas)
+    distinct = sorted(set(thetas))
+    assert sorted(tried) == distinct and tries == [len(distinct)]
+    assert len(distinct) == (6 if theta_fix == 1.01 else 10)
+    scores = {}
+    for t in distinct:
+        candidate = real_interior(ch, config, r_bar, t)
+        if candidate is not None:
+            scores[t] = _violation(t, candidate, ch, config, r_bar)
+    best = min(scores, key=scores.get)
+    assert strict and scores[best] < 0.0
+    assert theta == best and np.array_equal(p, real_interior(ch, config, r_bar, best))
+
+    del tried[:], tries[:]
+    with pytest.raises(NoFeasiblePointFoundError):
+        _start(ch, config, 1e3, thetas)
+    assert sorted(tried) == distinct and tries == [len(distinct)]
+
+    del tried[:], tries[:]
+    opa(ch, config)
+    assert tried == [theta_fix] and tries == [1]
+
+
 def test_debug_dump_emits_json(caplog):
     import json
     import logging
@@ -365,11 +414,14 @@ def test_subproblem_latency_soft(monkeypatch):
 
 @pytest.mark.parametrize(
     "algorithm, max_steps, max_values_per_step",
-    # ~10% above the measured 291 steps at 1.031 values per step (jhtpa) and
-    # 122 steps at 1.918 (opa). Backtracking from the first rung below the
-    # linearization bound took 396 and 139; the full-step-first line search
-    # with exact centering at every stage took 522 at 2.77 and 300 at 6.21
-    [(jhtpa, 320, 1.13), (opa, 134, 2.05)],
+    # ~10% above the measured 244 steps at 1.033 values per step (jhtpa) and
+    # 116 steps at 1.647 (opa); jhtpa's values bound stays at 1.13. Before
+    # jhtpa started from its widest candidate interior and the subproblem
+    # oracles were held as coefficient arrays they took 291 at 1.031 and 122
+    # at 1.918. Backtracking from the first rung below the linearization
+    # bound took 396 and 139; the full-step-first line search with exact
+    # centering at every stage took 522 at 2.77 and 300 at 6.21
+    [(jhtpa, 268, 1.13), (opa, 128, 1.81)],
     ids=["jhtpa", "opa"],
 )
 def test_subproblem_step_counts(monkeypatch, algorithm, max_steps, max_values_per_step):
