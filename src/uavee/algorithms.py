@@ -14,6 +14,7 @@ variable, so one golden-section search on the exact objective finds it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
@@ -51,16 +52,18 @@ _QOS_SCALE_FLOOR = 1e-12
 _QOS_FEAS_MARGIN = 1e-13
 
 # Where the start sits on the segment from the full-harvest point (0) to the
-# center of the SINR polytope (1); see _interior_power. Measured on 360
+# center of the SINR polytope (1); see _interior_powers. Measured on 360
 # paper_sweep trials: the center cost jhtpa 46% more subsolver calls and 0.9%
 # mean EE, and 0.2 raised opa's constraint evaluations per Newton step to 2.13
-# on N = 10. At 0.01 opa's start clears the QoS margin on 325 of the 360, and
-# on the rest opa answers with the full-harvest point.
+# on N = 10 (both before opa's presolve).
 _INTERIOR_DEPTH = 0.01
 
 # A full-harvest point whose scaled QoS deficit stays below this is accepted
 # as weakly feasible when no strict interior point passes the check.
 _BOUNDARY_TOL = 1e-9
+
+# opa pins pair k at full harvest when 1 - x_min_k <= _PIN_TOL (see opa).
+_PIN_TOL = 1e-5
 
 # SolveReport.status of the stop reasons that are not "converged". jhtpa and
 # opa stop for one of: boundary_fallback (the start is the full-harvest point,
@@ -117,6 +120,7 @@ class SolveReport:
     status: str
     r_bar: float
     stop_reason: str
+    pinned: int = 0  # pairs opa's presolve fixed at full harvest
 
     def to_json(self, include_trace: bool = False) -> str:
         data = {
@@ -130,6 +134,7 @@ class SolveReport:
             "wall_time_ms": self.wall_time_ms,
             "status": self.status,
             "stop_reason": self.stop_reason,
+            "pinned": self.pinned,
             "r_bar": self.r_bar,
             "causality_violation": self.feasibility.causality_violation.tolist(),
             "qos_violation": self.feasibility.qos_violation.tolist(),
@@ -159,23 +164,28 @@ _THETA_CAP = 1e6
 # ---------------------------------------------------------------------------
 
 
-def _violation(theta: float, p: np.ndarray, ch, config, r_bar: float) -> float:
+def _violation(theta, p: np.ndarray, ch, config, r_bar: float, pinned=None):
     """Largest constraint value of (theta, p) in the original problem.
 
     The rows, each scaled to O(1), are the theta guard, energy causality
     p_n / p_max_n - 1 and QoS (theta r_bar - ln(1 + SINR_n)) / (theta r_bar)
-    plus _QOS_FEAS_MARGIN. Negative iff (theta, p) is strictly feasible with
-    that margin; NaN propagates.
+    plus _QOS_FEAS_MARGIN; a pinned pair (see opa) passes only at p_max.
+    Negative iff (theta, p) is strictly feasible with that margin; NaN
+    propagates. theta (K,) and p (K, N) score K candidates at once.
     """
-    p_max = (theta - 1.0) * config.eta * config.p0_watt * ch.g
-    qos_rhs = theta * r_bar
-    qos = (qos_rhs - np.log1p(core.sinr(p, ch))) / max(qos_rhs, _QOS_SCALE_FLOOR)
-    rows = np.concatenate(([(1.0 + THETA_GAP) - theta], p / p_max - 1.0, qos + _QOS_FEAS_MARGIN))
-    return float(rows.max())
+    theta = np.asarray(theta, dtype=float)
+    column = theta[:, None] if theta.ndim else float(theta)  # broadcasts over pairs
+    p_max = (column - 1.0) * config.eta * config.p0_watt * ch.g
+    qos_rhs = column * r_bar
+    qos = (qos_rhs - np.log1p(core.sinr(p, ch))) / np.maximum(qos_rhs, _QOS_SCALE_FLOOR)
+    pairs = np.maximum(p / p_max - 1.0, qos + _QOS_FEAS_MARGIN)
+    if pinned is not None:
+        pairs[..., pinned] = np.where(p[..., pinned] == p_max[..., pinned], -math.inf, math.inf)
+    return np.maximum((1.0 + THETA_GAP) - theta, pairs.max(axis=-1))
 
 
-def _interior_power(ch, config, r_bar: float, theta: float) -> np.ndarray | None:
-    """Transmit powers strictly inside the SINR polytope at harvesting time theta, or None.
+def _interior_powers(ch, config, r_bar: float, thetas, pinned=None):
+    """Transmit powers strictly inside the SINR polytope at each harvesting time.
 
     At fixed theta the QoS rows ln(1 + SINR_n) >= theta r_bar are linear in
     p. With x = p / p_max and gamma = expm1(theta r_bar) they read
@@ -192,35 +202,42 @@ def _interior_power(ch, config, r_bar: float, theta: float) -> np.ndarray | None
     whenever full harvest is weakly feasible, as it is at theta_fix by the
     definition of the QoS floor.
 
-    None when gamma overflows, x_min is negative, m1 is not positive or
-    delta eps*/2 <= _QOS_FEAS_MARGIN: at theta_fix the QoS rows' slack at p
-    is about delta eps*/2 (in units of x), and a thinner interior could not
-    clear the margin the start is checked against, nor be resolved in
-    floating point.
+    Returns (p, x_min), a row per theta from one (K, N, N) solve. p is NaN
+    when gamma overflows, x_min < 0, m1 <= 0 or delta eps*/2 <=
+    _QOS_FEAS_MARGIN: at theta_fix the QoS rows' slack at p is about
+    delta eps*/2 (in units of x), and a thinner interior could not clear the
+    margin the start is checked against, nor be resolved in floating point.
+    Pinned pairs stay at x = 1: (I - G)_FF [x_min, m1] = [b_F + G_FP 1, 1].
     """
-    try:
-        gamma = math.expm1(theta * r_bar)
-    except OverflowError:
-        return None
-    p_max = (theta - 1.0) * config.eta * config.p0_watt * ch.g
+    thetas = np.asarray(thetas, dtype=float)
+    n = ch.num_pairs
+    free = np.ones(n, dtype=bool) if pinned is None else ~pinned
+    p_max = (thetas[:, None] - 1.0) * config.eta * config.p0_watt * ch.g
+    gamma = np.full(thetas.size, math.inf)  # math.expm1: np.expm1 rounds differently
+    for k, theta in enumerate(thetas):
+        with contextlib.suppress(OverflowError):
+            gamma[k] = math.expm1(theta * r_bar)
     with np.errstate(all="ignore"):
-        scale = gamma / (np.diag(ch.h) * p_max)
-        system = -(scale[:, None] * ch.h * p_max)
-        np.fill_diagonal(system, 1.0)
-        rhs = np.column_stack((scale * ch.sigma2_watt, np.ones(ch.num_pairs)))
-        if not (np.isfinite(system).all() and np.isfinite(rhs).all()):
-            return None
+        scale = gamma[:, None] / (np.diag(ch.h) * p_max)
+        system = -(scale[:, :, None] * ch.h * p_max[:, None, :])
+        system.reshape(thetas.size, -1)[:, :: n + 1] = 1.0  # diagonals, via a flat view
+        rhs = np.stack((scale * ch.sigma2_watt, np.ones_like(scale)), axis=-1)
+        if pinned is not None:  # x_P = 1 moves to the right-hand side
+            rhs[:, :, 0] -= system[:, :, pinned].sum(axis=-1)
+            system, rhs = system[:, free][:, :, free], rhs[:, free]
         try:
-            x_min, m1 = np.linalg.solve(system, rhs).T
-        except np.linalg.LinAlgError:
-            return None
-        if not ((x_min >= 0.0).all() and (m1 > 0.0).all()):
-            return None
-        eps = float(((1.0 - x_min) / m1).min())
-        if not 0.5 * _INTERIOR_DEPTH * eps > _QOS_FEAS_MARGIN:
-            return None
-        x_c = x_min + 0.5 * eps * m1
-        return (1.0 - _INTERIOR_DEPTH * (1.0 - x_c)) * p_max
+            sol = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:  # an exact zero pivot: no candidate
+            sol = np.full(rhs.shape, np.nan)
+        x_min, m1 = sol[..., 0], sol[..., 1]
+        eps = ((1.0 - x_min) / m1).min(axis=-1, initial=math.inf)
+        ok = (x_min >= 0.0).all(axis=-1) & (m1 > 0.0).all(axis=-1) & free.any()
+        ok &= 0.5 * _INTERIOR_DEPTH * eps > _QOS_FEAS_MARGIN
+        x_c = x_min + 0.5 * eps[:, None] * m1
+        p = p_max.copy()
+        p[:, free] = (1.0 - _INTERIOR_DEPTH * (1.0 - x_c)) * p_max[:, free]
+    p[~ok] = np.nan
+    return p, x_min
 
 
 def _jhtpa_start_thetas(theta_fix: float) -> list[float]:
@@ -230,10 +247,10 @@ def _jhtpa_start_thetas(theta_fix: float) -> list[float]:
     return [theta_fix, *np.clip(theta_fix * factors, 1.01, 999.0)]
 
 
-def _start(ch, config, r_bar: float, thetas) -> tuple[float, np.ndarray, bool]:
+def _start(ch, config, r_bar: float, thetas, pinned=None) -> tuple[float, np.ndarray, bool]:
     """The starting (theta, p) of jhtpa and opa and whether it is strictly feasible.
 
-    The candidates are _interior_power at each distinct theta, scored by
+    The candidates are _interior_powers at each distinct theta, scored by
     _violation. find_feasible gets one proposal per distinct theta: those
     that pass (violation < 0; NaN does not) widest interior first, i.e. most
     negative violation first, then None for each that does not. The start is
@@ -246,18 +263,12 @@ def _start(ch, config, r_bar: float, thetas) -> tuple[float, np.ndarray, bool]:
     """
 
     def violation(v):
-        return _violation(v[0], v[1:], ch, config, r_bar)
+        return _violation(v[0], v[1:], ch, config, r_bar, pinned)
 
-    distinct = list(dict.fromkeys(thetas))
-    scored = []
-    for theta in distinct:
-        p = _interior_power(ch, config, r_bar, theta)
-        if p is not None:
-            v = np.concatenate(([theta], p))
-            score = violation(v)
-            if score < 0.0:
-                scored.append((score, v))
-    ranked = [v for _, v in sorted(scored, key=lambda sv: sv[0])]
+    distinct = np.array(list(dict.fromkeys(thetas)))
+    candidates = np.column_stack((distinct, _interior_powers(ch, config, r_bar, distinct, pinned)[0]))
+    scores = _violation(distinct, candidates[:, 1:], ch, config, r_bar, pinned)
+    ranked = [candidates[k] for k in np.argsort(scores, kind="stable") if scores[k] < 0.0]
     try:
         v = find_feasible(
             [violation], lambda rng, k: ranked[k] if k < len(ranked) else None, None, len(distinct)
@@ -466,6 +477,7 @@ def build_opa_subproblem(
     ch: ChannelRealization,
     config: ScenarioConfig,
     r_bar: float,
+    pinned: np.ndarray | None = None,
 ) -> ConvexProgram:
     """Convex program over transmit powers p at the harvesting time config.theta_fix.
 
@@ -478,15 +490,18 @@ def build_opa_subproblem(
     p / p_max - 1 and QoS rows k0 + k_b / p + W p, with k_b = cx / (h_nn s)
     and W = cy off / s, form one _reciprocal_rows form, and the objective is
     f0 + f_lin @ p + f_rec @ (1/p) with its O(1) normalization folded in.
+    Pinned pairs (see opa) sit at p_max, folded into c0 and f0; z is the rest.
     """
-    p_bar = np.asarray(state.iterate, dtype=float)
-    n = p_bar.size
+    n = ch.num_pairs
+    free = np.ones(n, dtype=bool) if pinned is None else ~pinned
     hd = np.diag(ch.h).copy()
     off = ch.h - np.diag(hd)
     s2 = ch.sigma2_watt
     ep = config.eta * config.p0_watt
     theta_fix = config.theta_fix
     p_max = (theta_fix - 1.0) * ep * ch.g
+    p_bar = p_max.copy()
+    p_bar[free] = state.iterate
 
     coeffs = core.log_bound_coeffs(1.0 / (p_bar * hd), off @ p_bar + s2, 1.0)
     a_const, cx, cy, ct = coeffs.const_term, coeffs.cx, coeffs.cy, coeffs.ct
@@ -507,6 +522,11 @@ def build_opa_subproblem(
     )
     f_lin = inv_obj * (off.T @ cy + lam / theta_fix)
     f_rec = inv_obj * cx / hd
+
+    p_pin, rows = p_max[~free], np.concatenate((free, free))  # free rows of rec: no pinned column
+    c0, lin, rec = c0[rows] + lin[rows][:, ~free] @ p_pin, lin[rows][:, free], rec[rows][:, free]
+    f0 += float(f_lin[~free] @ p_pin + f_rec[~free] @ (1.0 / p_pin))
+    f_lin, f_rec, n = f_lin[free], f_rec[free], int(free.sum())
 
     def obj_hess(p: np.ndarray) -> np.ndarray:
         out = np.zeros((n, n))
@@ -531,18 +551,33 @@ def opa(
     settings: ScaSettings | None = None,
     r_bar: float | None = None,
 ) -> SolveReport:
-    """Power-only SCA at the fixed harvesting time config.theta_fix."""
+    """Power-only SCA at the fixed harvesting time config.theta_fix.
+
+    The QoS floor leaves its worst pair a ~1e-10-wide power interval where a
+    barrier stalls, so a presolve fixes each pair with 1 - x_min_k <=
+    _PIN_TOL at p_max_k and drops its rows (Andersen & Andersen, Math.
+    Programming 71, 1995); its QoS row is implied, as SINR_k there is least
+    at full harvest, which meets the floor (checked). SCA runs on the rest.
+    """
     settings = settings or ScaSettings()
     started = time.perf_counter()
     if r_bar is None:
         r_bar = core.qos_threshold(ch, config)
     theta_fix = config.theta_fix
+    p_max = (theta_fix - 1.0) * config.eta * config.p0_watt * ch.g
+    pinned = 1.0 - _interior_powers(ch, config, r_bar, [theta_fix])[1][0] <= _PIN_TOL
+    pinned &= _violation(theta_fix, p_max, ch, config, r_bar) < _BOUNDARY_TOL
+
+    def powers(z: np.ndarray) -> np.ndarray:
+        p = p_max.copy()
+        p[~pinned] = z
+        return p
 
     def ln_domain_phi(p_vec: np.ndarray) -> float:
         alloc = Allocation.from_theta(theta_fix, p_vec)
         return float(np.sum(np.log1p(core.sinr(p_vec, ch)))) / core.total_power(alloc, config)
 
-    return _sca_loop(
+    report = _sca_loop(
         "opa",
         ch,
         config,
@@ -550,12 +585,15 @@ def opa(
         settings,
         started,
         thetas=[theta_fix],
-        to_z=lambda theta, p: p,
-        build=lambda state: build_opa_subproblem(state, ch, config, r_bar),
-        evaluate=ln_domain_phi,
-        allocation=lambda p: Allocation.from_theta(theta_fix, p),
+        pinned=pinned,
+        to_z=lambda theta, p: p[~pinned],
+        build=lambda state: build_opa_subproblem(state, ch, config, r_bar, pinned),
+        evaluate=lambda z: ln_domain_phi(powers(z)),
+        allocation=lambda z: Allocation.from_theta(theta_fix, powers(z)),
         phi_per_ee=theta_fix,
     )
+    report.pinned = int(pinned.sum())
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +680,13 @@ def _sca_loop(
     build,
     evaluate,
     allocation,
+    pinned=None,
     phi_per_ee: float = 1.0,
     extrapolate=None,
 ) -> SolveReport:
     """The SCA loop jhtpa and opa share.
 
-    Starts from _start(ch, config, r_bar, thetas), whose (theta, p)
+    Starts from _start(ch, config, r_bar, thetas, pinned), whose (theta, p)
     to_z(theta, p) maps to the algorithm's variables; a start that is only
     weakly feasible (the full-harvest point) is the answer, as there is no
     strict interior to iterate in. Otherwise each iteration builds the
@@ -659,7 +698,7 @@ def _sca_loop(
     Allocation. The report's stop_reason names the exit taken (see
     _STOP_STATUS).
     """
-    theta, p, strict = _start(ch, config, r_bar, thetas)
+    theta, p, strict = _start(ch, config, r_bar, thetas, pinned)
     z = to_z(theta, p)
     phi = evaluate(z)
     ee = phi / phi_per_ee

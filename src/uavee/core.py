@@ -84,10 +84,10 @@ def harvested_energy(tau: float, g_n: float, config: ScenarioConfig) -> float:
 
 
 def sinr(p: np.ndarray, ch: ChannelRealization) -> np.ndarray:
-    """Per-pair SINR for transmit powers p: desired gain over cross interference plus noise."""
+    """Per-pair SINR of powers p (or of each row of p): desired gain over interference plus noise."""
     p = np.asarray(p, dtype=float)
     hd = np.diag(ch.h)
-    interference = ch.h @ p - hd * p
+    interference = (ch.h @ p[..., None])[..., 0] - hd * p
     return hd * p / (interference + ch.sigma2_watt)
 
 

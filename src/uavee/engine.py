@@ -426,12 +426,12 @@ def find_feasible(
     raise NoFeasiblePointFoundError(f"no strictly feasible point in {max_tries} tries")
 
 
-# Finite-difference step of check_gradients, relative to |z_i| (floored).
+# Finite-difference step of check_gradients, relative to |z_i| (1e-8 at 0).
 _FD_REL_STEP = 1e-6
 
 
 def _fd_step(z: np.ndarray) -> np.ndarray:
-    return _FD_REL_STEP * np.maximum(np.abs(z), 1e-8)
+    return _FD_REL_STEP * np.where(z == 0.0, 1e-8, np.abs(z))
 
 
 def _fd_jacobian(fn: Callable, z: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from uavee.algorithms import (
     opa,
     run_algorithm,
 )
-from uavee.engine import ConvexProgram, Functional, check_gradients
+from uavee.engine import check_gradients
 
 from oracles import grid_ee_n1, grid_oht_theta, grid_opa_ee_n1, pinned_rates_direct
 
@@ -154,26 +154,6 @@ def test_oht_max_min_rate_beats_grid_and_theta_fix(
     assert value >= float(np.min(pinned_rates_direct(theta_fix, ch, config))) * (1.0 - 1e-12)
 
 
-def _in_units_of(prog, scale):
-    """prog in the coordinates u = z / scale, with its oracles chained accordingly."""
-    outer = np.outer(scale, scale)
-    obj = prog.objective
-    return ConvexProgram(
-        dim=prog.dim,
-        objective=Functional(
-            lambda u: obj.value(u * scale),
-            lambda u: obj.grad(u * scale) * scale,
-            lambda u: obj.hess(u * scale) * outer,
-        ),
-        domain_guard=lambda u: prog.domain_guard(u * scale),
-        constraint_values=lambda u: prog.constraint_values(u * scale),
-        constraint_jacobian=lambda u: prog.constraint_jacobian(u * scale) * scale,
-        constraint_hessian_weighted=lambda u, w: (
-            prog.constraint_hessian_weighted(u * scale, w) * outer
-        ),
-    )
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     num_pairs=st.integers(1, 30),
@@ -239,10 +219,9 @@ def test_subproblem_oracles_match_the_surrogate_rate_bound(
     coeffs = core.log_bound_coeffs(1.0 / (p_bar * hd), off @ p_bar + ch.sigma2_watt, 1.0)
     rows = prog.constraint_values(p)[num_pairs:]
     assert_qos_rows(rows, theta_fix * r_bar, coeffs, 1.0 / (p * hd), off @ p + ch.sigma2_watt, 1.0)
-    # Powers can be ~1e-12 W, below check_gradients' absolute step floor of
-    # 1e-14 relative to which its differences are no longer resolved, so
-    # opa's oracles are checked in units of the expansion point's powers.
-    assert check_gradients(_in_units_of(prog, p_bar), p / p_bar) < 1e-5
+    # Powers can be ~1e-12 W; check_gradients' step is relative to each
+    # coordinate, so it resolves them directly.
+    assert check_gradients(prog, p) < 1e-5
 
 
 def test_oht_closed_form_power_identity():
@@ -359,15 +338,17 @@ def test_stop_reason_names_the_exit():
 
     from uavee.algorithms import ScaSettings
 
-    # one pair: the start misses the QoS margin and opa returns the
-    # full-harvest point without iterating
+    # one pair: opa's presolve pins it at full harvest, which leaves nothing
+    # to iterate over, so opa returns that point without iterating
     config, ch = scenario(1, 0)
     report = opa(ch, config)
-    assert (report.stop_reason, report.iterations, report.status) == (
+    assert (report.stop_reason, report.iterations, report.status, report.pinned) == (
         "boundary_fallback",
         0,
         "converged",
+        1,
     )
+    assert json.loads(report.to_json())["pinned"] == 1
     config, ch = scenario(5, 42)
     report = jhtpa(ch, config)
     assert (report.stop_reason, report.status) == ("epsilon", "converged")

@@ -3,8 +3,7 @@
 tests/data/ee_reference.json holds the EE (nats/J) of jhtpa, opa and oht on
 40 fixed trials drawn as `uavee run` draws them (bench.run_trial, base seed
 1): four per N = 2-10 and four at N = 30. oht must reproduce its EE bit for
-bit, jhtpa to 1e-6 and opa to 1e-5 relative; opa's looser gate is the float
-floor of its nearly empty feasible interval (ROADMAP item 1).
+bit, jhtpa and opa to 1e-6 relative.
 
 A change that moves an EE beyond its gate either is wrong or changes the
 answer on purpose. In the second case regenerate the file with
@@ -26,7 +25,7 @@ from uavee.bench import run_trial
 REFERENCE = Path(__file__).parent / "data" / "ee_reference.json"
 BASE = ScenarioConfig(num_pairs=2, seed=1)  # run_trial sets num_pairs
 TRIALS = [(n, k) for n in (*range(2, 11), 30) for k in range(4)]
-REL_TOL = {"jhtpa": 1e-6, "opa": 1e-5, "oht": 0.0}
+REL_TOL = {"jhtpa": 1e-6, "opa": 1e-6, "oht": 0.0}
 
 
 def trial_ee(n_pairs, trial):

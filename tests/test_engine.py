@@ -325,21 +325,26 @@ def test_find_feasible_impossible_qos(channels3, config3):
 def test_start_is_the_widest_candidate_and_tries_each_theta_once(monkeypatch, n, seed, theta_fix):
     # jhtpa starts from the candidate with the most negative _violation, not
     # the first that passes; clipping to 1.01 makes five of the ten thetas at
-    # theta_fix = 1.01 equal, and each distinct one is tried and proposed once
+    # theta_fix = 1.01 equal, and each distinct one is tried and proposed once.
+    # The candidates are built in one batch, equal bit for bit to one-theta
+    # batches, and scored in one batch too.
     import uavee.algorithms as alg
 
     tried, tries = [], []
-    real_interior, real_find = alg._interior_power, alg.find_feasible
+    real_interior, real_find = alg._interior_powers, alg.find_feasible
 
-    def recording_interior(ch, config, r_bar, theta):
-        tried.append(theta)
-        return real_interior(ch, config, r_bar, theta)
+    def interior(ch, config, r_bar, theta):
+        return real_interior(ch, config, r_bar, [theta])[0][0]
+
+    def recording_interior(ch, config, r_bar, thetas, pinned=None):
+        tried.append(list(thetas))
+        return real_interior(ch, config, r_bar, thetas, pinned)
 
     def recording_find(constraints, sampler, rng, max_tries):
         tries.append(max_tries)
         return real_find(constraints, sampler, rng, max_tries)
 
-    monkeypatch.setattr(alg, "_interior_power", recording_interior)
+    monkeypatch.setattr(alg, "_interior_powers", recording_interior)
     monkeypatch.setattr(alg, "find_feasible", recording_find)
     config = ScenarioConfig(num_pairs=n, seed=seed, theta_fix=theta_fix)
     _, ch = make_scenario(config)
@@ -347,25 +352,31 @@ def test_start_is_the_widest_candidate_and_tries_each_theta_once(monkeypatch, n,
     thetas = _jhtpa_start_thetas(theta_fix)
     theta, p, strict = _start(ch, config, r_bar, thetas)
     distinct = sorted(set(thetas))
-    assert sorted(tried) == distinct and tries == [len(distinct)]
+    assert len(tried) == 1 and sorted(tried[0]) == distinct and tries == [len(distinct)]
     assert len(distinct) == (6 if theta_fix == 1.01 else 10)
+    batch = real_interior(ch, config, r_bar, tried[0])[0]
+    batch_scores = _violation(tried[0], batch, ch, config, r_bar)
     scores = {}
-    for t in distinct:
-        candidate = real_interior(ch, config, r_bar, t)
-        if candidate is not None:
+    for t, row, row_score in zip(tried[0], batch, batch_scores):
+        candidate = interior(ch, config, r_bar, t)
+        assert np.array_equal(row, candidate, equal_nan=True)
+        if not np.isnan(candidate).all():
             scores[t] = _violation(t, candidate, ch, config, r_bar)
+            assert row_score == scores[t]
     best = min(scores, key=scores.get)
     assert strict and scores[best] < 0.0
-    assert theta == best and np.array_equal(p, real_interior(ch, config, r_bar, best))
+    assert theta == best and np.array_equal(p, interior(ch, config, r_bar, best))
 
     del tried[:], tries[:]
     with pytest.raises(NoFeasiblePointFoundError):
         _start(ch, config, 1e3, thetas)
-    assert sorted(tried) == distinct and tries == [len(distinct)]
+    assert len(tried) == 1 and sorted(tried[0]) == distinct and tries == [len(distinct)]
 
+    # opa's presolve reads x_min at theta_fix, then its start builds one
+    # candidate there
     del tried[:], tries[:]
     opa(ch, config)
-    assert tried == [theta_fix] and tries == [1]
+    assert tried == [[theta_fix], [theta_fix]] and tries == [1]
 
 
 def test_debug_dump_emits_json(caplog):
@@ -415,13 +426,15 @@ def test_subproblem_latency_soft(monkeypatch):
 @pytest.mark.parametrize(
     "algorithm, max_steps, max_values_per_step",
     # ~10% above the measured 244 steps at 1.033 values per step (jhtpa) and
-    # 116 steps at 1.647 (opa); jhtpa's values bound stays at 1.13. Before
-    # jhtpa started from its widest candidate interior and the subproblem
-    # oracles were held as coefficient arrays they took 291 at 1.031 and 122
-    # at 1.918. Backtracking from the first rung below the linearization
-    # bound took 396 and 139; the full-step-first line search with exact
-    # centering at every stage took 522 at 2.77 and 300 at 6.21
-    [(jhtpa, 268, 1.13), (opa, 128, 1.81)],
+    # 107 steps at 1.056 (opa); jhtpa's values bound stays at 1.13. Before
+    # opa's presolve pinned the pair its QoS floor holds at full harvest, opa
+    # took 116 at 1.647. Before jhtpa started from its widest candidate
+    # interior and the subproblem oracles were held as coefficient arrays
+    # they took 291 at 1.031 and 122 at 1.918. Backtracking from the first
+    # rung below the linearization bound took 396 and 139; the
+    # full-step-first line search with exact centering at every stage took
+    # 522 at 2.77 and 300 at 6.21
+    [(jhtpa, 268, 1.13), (opa, 118, 1.16)],
     ids=["jhtpa", "opa"],
 )
 def test_subproblem_step_counts(monkeypatch, algorithm, max_steps, max_values_per_step):

@@ -1,4 +1,4 @@
-"""The closed-form feasible start of jhtpa and opa (algorithms._interior_power)."""
+"""The closed-form feasible start of jhtpa and opa (algorithms._interior_powers)."""
 
 import dataclasses
 import json
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import uavee.algorithms as algorithms
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
-from uavee.algorithms import _interior_power, jhtpa, opa
+from uavee.algorithms import _interior_powers, jhtpa, opa
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -42,10 +42,10 @@ def test_interior_power_is_strictly_feasible_or_none(
     _, ch = make_scenario(config)
     # r_bar = 1e3 puts theta_fix * r_bar beyond expm1's float range
     r_bar = 1e3 if overflow else core.qos_threshold(ch, config)
-    p = _interior_power(ch, config, r_bar, theta_fix)
+    p = _interior_powers(ch, config, r_bar, [theta_fix])[0][0]
     if overflow:
-        assert p is None
-    if p is None:
+        assert np.isnan(p).all()
+    if np.isnan(p).all():
         return
     p_max = (theta_fix - 1.0) * eta * config.p0_watt * ch.g
     assert np.all(p > 0.0) and np.all(p < p_max)
@@ -94,3 +94,53 @@ def test_edge_configs_start_from_few_candidates(monkeypatch, physics):
             # the seed draws the channels, and nothing else reaches a solve
             reseeded = algorithm(ch, dataclasses.replace(config, seed=seed + 1000))
             assert _report_fields(reseeded) == _report_fields(report)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    num_pairs=st.integers(1, 30),
+    radius=st.floats(20.0, 5000.0),
+    eta=st.floats(0.01, 0.99),
+    theta_fix=st.floats(1.01, 50.0),
+    noise=st.floats(-170.0, -80.0),
+    p_cir=st.floats(1e-6, 10.0),
+    rate_cap=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_opa_presolve_pins_the_pairs_the_floor_holds_at_full_harvest(
+    num_pairs, radius, eta, theta_fix, noise, p_cir, rate_cap, seed
+):
+    # opa fixes pair k at p_max_k when the QoS floor leaves it at most
+    # _PIN_TOL of room there, 1 - x_min_k <= _PIN_TOL, with x_min the
+    # minimal-power point of (I - G) x >= b (computed here on its own). The
+    # answer stays feasible, the pinned pairs sit exactly at full harvest,
+    # and opa falls back to the full-harvest point only when all are pinned.
+    config = ScenarioConfig(
+        num_pairs=num_pairs,
+        seed=seed,
+        coverage_radius_m=radius,
+        eta=eta,
+        theta_fix=theta_fix,
+        noise_density_dbm_hz=noise,
+        p_cir_watt=p_cir,
+        rate_cap_bpshz=rate_cap,
+    )
+    _, ch = make_scenario(config)
+    r_bar = core.qos_threshold(ch, config)
+    p_max = (theta_fix - 1.0) * eta * config.p0_watt * ch.g
+    hd = np.diag(ch.h)
+    gamma = np.expm1(theta_fix * r_bar)
+    interference = gamma * ch.h * p_max[None, :] / (hd * p_max)[:, None]
+    np.fill_diagonal(interference, 0.0)
+    x_min = np.linalg.solve(np.eye(num_pairs) - interference, gamma * ch.sigma2_watt / (hd * p_max))
+    pinned = 1.0 - x_min <= algorithms._PIN_TOL
+
+    report = opa(ch, config)
+    assert report.pinned == pinned.sum()
+    assert np.array_equal(report.allocation.p[pinned], p_max[pinned])
+    feas = core.check_feasible(report.allocation, ch, config, r_bar)
+    budget = report.allocation.tau * eta * config.p0_watt * ch.g
+    assert np.max(feas.causality_violation / budget) <= 1e-8
+    assert np.max(feas.qos_violation) / r_bar <= 1e-8
+    if report.stop_reason == "boundary_fallback":
+        assert pinned.all()
