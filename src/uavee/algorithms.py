@@ -115,14 +115,21 @@ class SolveReport:
     iterations: int
     subsolver_calls: int
     wall_time_ms: float
-    feasibility: FeasibilityReport
     trace: list[float]
     status: str
     r_bar: float
     stop_reason: str
+    channels: ChannelRealization = field(repr=False, compare=False)
+    config: ScenarioConfig = field(repr=False, compare=False)
     pinned: int = 0  # pairs opa's presolve fixed at full harvest
 
+    @property
+    def feasibility(self) -> FeasibilityReport:
+        """The allocation checked against the original problem, on demand."""
+        return core.check_feasible(self.allocation, self.channels, self.config, self.r_bar)
+
     def to_json(self, include_trace: bool = False) -> str:
+        feasibility = self.feasibility
         data = {
             "algorithm": self.algorithm,
             "tau": self.allocation.tau,
@@ -136,9 +143,9 @@ class SolveReport:
             "stop_reason": self.stop_reason,
             "pinned": self.pinned,
             "r_bar": self.r_bar,
-            "causality_violation": self.feasibility.causality_violation.tolist(),
-            "qos_violation": self.feasibility.qos_violation.tolist(),
-            "tau_in_range": self.feasibility.tau_in_range,
+            "causality_violation": feasibility.causality_violation.tolist(),
+            "qos_violation": feasibility.qos_violation.tolist(),
+            "tau_in_range": feasibility.tau_in_range,
         }
         if include_trace:
             data["trace"] = list(self.trace)
@@ -184,7 +191,23 @@ def _violation(theta, p: np.ndarray, ch, config, r_bar: float, pinned=None):
     return np.maximum((1.0 + THETA_GAP) - theta, pairs.max(axis=-1))
 
 
-def _interior_powers(ch, config, r_bar: float, thetas, pinned=None):
+def _qos_systems(ch, config, r_bar: float, thetas):
+    """p_max (K, N) and the systems (I - G) (K, N, N), [b, 1] (K, N, 2) of _interior_powers."""
+    thetas = np.asarray(thetas, dtype=float)
+    p_max = (thetas[:, None] - 1.0) * config.eta * config.p0_watt * ch.g
+    gamma = np.full(thetas.size, math.inf)  # math.expm1: np.expm1 rounds differently
+    for k, theta in enumerate(thetas):
+        with contextlib.suppress(OverflowError):
+            gamma[k] = math.expm1(theta * r_bar)
+    with np.errstate(all="ignore"):
+        scale = gamma[:, None] / (np.diag(ch.h) * p_max)
+        system = -(scale[:, :, None] * ch.h * p_max[:, None, :])
+        system.reshape(thetas.size, -1)[:, :: ch.num_pairs + 1] = 1.0  # diagonals, via a flat view
+        rhs = np.stack((scale * ch.sigma2_watt, np.ones_like(scale)), axis=-1)
+    return p_max, system, rhs
+
+
+def _interior_powers(ch, config, r_bar: float, thetas, pinned=None, systems=None):
     """Transmit powers strictly inside the SINR polytope at each harvesting time.
 
     At fixed theta the QoS rows ln(1 + SINR_n) >= theta r_bar are linear in
@@ -208,23 +231,15 @@ def _interior_powers(ch, config, r_bar: float, thetas, pinned=None):
     delta eps*/2 (in units of x), and a thinner interior could not clear the
     margin the start is checked against, nor be resolved in floating point.
     Pinned pairs stay at x = 1: (I - G)_FF [x_min, m1] = [b_F + G_FP 1, 1].
+    systems, when given, is _qos_systems(ch, config, r_bar, thetas).
     """
-    thetas = np.asarray(thetas, dtype=float)
-    n = ch.num_pairs
-    free = np.ones(n, dtype=bool) if pinned is None else ~pinned
-    p_max = (thetas[:, None] - 1.0) * config.eta * config.p0_watt * ch.g
-    gamma = np.full(thetas.size, math.inf)  # math.expm1: np.expm1 rounds differently
-    for k, theta in enumerate(thetas):
-        with contextlib.suppress(OverflowError):
-            gamma[k] = math.expm1(theta * r_bar)
+    p_max, system, rhs = systems or _qos_systems(ch, config, r_bar, thetas)
+    free = np.ones(ch.num_pairs, dtype=bool) if pinned is None else ~pinned
     with np.errstate(all="ignore"):
-        scale = gamma[:, None] / (np.diag(ch.h) * p_max)
-        system = -(scale[:, :, None] * ch.h * p_max[:, None, :])
-        system.reshape(thetas.size, -1)[:, :: n + 1] = 1.0  # diagonals, via a flat view
-        rhs = np.stack((scale * ch.sigma2_watt, np.ones_like(scale)), axis=-1)
         if pinned is not None:  # x_P = 1 moves to the right-hand side
-            rhs[:, :, 0] -= system[:, :, pinned].sum(axis=-1)
-            system, rhs = system[:, free][:, :, free], rhs[:, free]
+            rows = system[:, free]
+            system, rhs = rows[:, :, free], rhs[:, free]
+            rhs[:, :, 0] -= rows[:, :, pinned].sum(axis=-1)
         try:
             sol = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:  # an exact zero pivot: no candidate
@@ -247,7 +262,9 @@ def _jhtpa_start_thetas(theta_fix: float) -> list[float]:
     return [theta_fix, *np.clip(theta_fix * factors, 1.01, 999.0)]
 
 
-def _start(ch, config, r_bar: float, thetas, pinned=None) -> tuple[float, np.ndarray, bool]:
+def _start(
+    ch, config, r_bar: float, thetas, pinned=None, systems=None
+) -> tuple[float, np.ndarray, bool]:
     """The starting (theta, p) of jhtpa and opa and whether it is strictly feasible.
 
     The candidates are _interior_powers at each distinct theta, scored by
@@ -266,7 +283,8 @@ def _start(ch, config, r_bar: float, thetas, pinned=None) -> tuple[float, np.nda
         return _violation(v[0], v[1:], ch, config, r_bar, pinned)
 
     distinct = np.array(list(dict.fromkeys(thetas)))
-    candidates = np.column_stack((distinct, _interior_powers(ch, config, r_bar, distinct, pinned)[0]))
+    p, _ = _interior_powers(ch, config, r_bar, distinct, pinned, systems)
+    candidates = np.column_stack((distinct, p))
     scores = _violation(distinct, candidates[:, 1:], ch, config, r_bar, pinned)
     ranked = [candidates[k] for k in np.argsort(scores, kind="stable") if scores[k] < 0.0]
     try:
@@ -458,7 +476,7 @@ def jhtpa(
         r_bar,
         settings,
         started,
-        thetas=_jhtpa_start_thetas(config.theta_fix),
+        start=_start(ch, config, r_bar, _jhtpa_start_thetas(config.theta_fix)),
         to_z=lambda theta, p: np.concatenate(([theta], 1.0 / p)),
         build=lambda state: build_jhtpa_subproblem(state, ch, config, r_bar),
         evaluate=lambda z: _jhtpa_objective(z, ch, config),
@@ -565,7 +583,8 @@ def opa(
         r_bar = core.qos_threshold(ch, config)
     theta_fix = config.theta_fix
     p_max = (theta_fix - 1.0) * config.eta * config.p0_watt * ch.g
-    pinned = 1.0 - _interior_powers(ch, config, r_bar, [theta_fix])[1][0] <= _PIN_TOL
+    systems = _qos_systems(ch, config, r_bar, [theta_fix])  # the presolve's and the start's
+    pinned = 1.0 - _interior_powers(ch, config, r_bar, [theta_fix], None, systems)[1][0] <= _PIN_TOL
     pinned &= _violation(theta_fix, p_max, ch, config, r_bar) < _BOUNDARY_TOL
 
     def powers(z: np.ndarray) -> np.ndarray:
@@ -584,8 +603,7 @@ def opa(
         r_bar,
         settings,
         started,
-        thetas=[theta_fix],
-        pinned=pinned,
+        start=_start(ch, config, r_bar, [theta_fix], pinned, systems),
         to_z=lambda theta, p: p[~pinned],
         build=lambda state: build_opa_subproblem(state, ch, config, r_bar, pinned),
         evaluate=lambda z: ln_domain_phi(powers(z)),
@@ -675,18 +693,17 @@ def _sca_loop(
     settings: ScaSettings,
     started: float,
     *,
-    thetas,
+    start,
     to_z,
     build,
     evaluate,
     allocation,
-    pinned=None,
     phi_per_ee: float = 1.0,
     extrapolate=None,
 ) -> SolveReport:
     """The SCA loop jhtpa and opa share.
 
-    Starts from _start(ch, config, r_bar, thetas, pinned), whose (theta, p)
+    Starts from start, _start's (theta, p, strict), whose (theta, p)
     to_z(theta, p) maps to the algorithm's variables; a start that is only
     weakly feasible (the full-harvest point) is the answer, as there is no
     strict interior to iterate in. Otherwise each iteration builds the
@@ -698,7 +715,7 @@ def _sca_loop(
     Allocation. The report's stop_reason names the exit taken (see
     _STOP_STATUS).
     """
-    theta, p, strict = _start(ch, config, r_bar, thetas, pinned)
+    theta, p, strict = start
     z = to_z(theta, p)
     phi = evaluate(z)
     ee = phi / phi_per_ee
@@ -775,11 +792,12 @@ def _finish_report(
         iterations=state.kappa,
         subsolver_calls=subsolver_calls,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
-        feasibility=core.check_feasible(alloc, ch, config, r_bar),
         trace=list(state.trace),
         status=_STOP_STATUS.get(stop_reason, "converged"),
         r_bar=r_bar,
         stop_reason=stop_reason,
+        channels=ch,
+        config=config,
     )
 
 

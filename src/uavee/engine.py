@@ -8,16 +8,21 @@ Newton steps, backtracking line search, Jacobi equilibration of the Newton
 system (solved by one LU factorization) and Levenberg regularization when
 that solve fails or gives no descent direction.
 
-Three choices keep each solve cheap (Boyd & Vandenberghe, Convex
-Optimization, 9.3, 9.5 and 11.3.3):
+Four choices keep each solve cheap (Boyd & Vandenberghe, Convex
+Optimization, 9.3, 9.5, 11.3.1 and 11.3.3):
 
+- The first stage is the most central one (_first_stage): of t0 mu^j,
+  j <= _FIRST_STAGE_SPAN, the t whose scale-free Newton decrement at the
+  start is least, so a start near a stage's center skips the stages before
+  it. The span is bounded: SCA starts extrapolated onto their causality rows
+  read most central at t = 1e6-1e8, and final stages entered there crawled.
 - The line search stays below the linearization bound. Every constraint
   row is convex, so it lies above its linearization at the current point,
   and no step beyond min over (J d)_j > 0 of -c_j / (J d)_j is feasible.
   The bound uses the Jacobian the Newton step already computed; it is exact
   for affine rows and sound for the others. Each trial evaluates the
-  constraints once, and the accepted trial's values feed the next
-  derivatives.
+  constraints once, and each accepted point's derivative oracles run once
+  (_Point): the barrier is linear in 1/t, so later stages reuse them.
 - The first trial step comes from a model of the barrier along the Newton
   direction d (_model_step). The quadratic model behind the Newton step
   treats each -log slack as a parabola, so from a point whose slacks are
@@ -88,6 +93,10 @@ _STAGE_DECREMENT_TOL = 1e-6
 _MODEL_ITERS = 12
 _MODEL_TOL = 0.05
 
+# _first_stage picks among t0 * BARRIER_MU**j, j = 0.._FIRST_STAGE_SPAN. At 5,
+# two jhtpa final stages of the 440 benchmark trials end uncentered; none at 4.
+_FIRST_STAGE_SPAN = 4
+
 
 class InfeasibleStartError(ValueError):
     """The supplied starting point is not strictly feasible."""
@@ -143,37 +152,39 @@ class SolveOutcome:
     status: SolveStatus
     newton_step_count: int
     wall_time: float
+    barrier_t_start: float = 1.0
     barrier_t_final: float = 1.0
     outer_objective_trace: list[float] = field(default_factory=list)
 
 
-def _barrier_value(prog: ConvexProgram, z: np.ndarray, inv_t: float):
-    """(f(z) + (1/t) * sum -ln(-c_j(z)), c(z)).
+class _Point:
+    """A strictly feasible z with c(z), f(z) and log_slack = sum_j log(-c_j(z)),
+    so the barrier value at weight 1/t is f - (1/t) * log_slack. With u = 1/-c
+    the derivatives at any weight combine g_f, H_f, J^T u and J^T diag(u^2) J
+    + sum_j u_j hess(c_j) (constraint_hessian_weighted is linear in its
+    weights), which the first call to derivatives evaluates once."""
 
-    The value is +inf outside the strictly feasible region; c is None when z
-    fails the domain guard.
-    """
-    if not prog.domain_guard(z):
-        return math.inf, None
-    c = prog.constraint_values(z)
-    if not (c < 0.0).all():
-        return math.inf, c
-    value = prog.objective.value(z) - inv_t * float(np.log(-c).sum())
-    return (value if math.isfinite(value) else math.inf), c
+    def __init__(self, z: np.ndarray, c: np.ndarray, f: float):
+        self.z, self.c, self.f, self.parts = z, c, f, None
+        self.log_slack = float(np.log(-c).sum())
+
+    def derivatives(self, prog: ConvexProgram, inv_t: float):
+        """Gradient and Hessian of f + (1/t) * barrier, and the constraint Jacobian."""
+        if self.parts is None:
+            z, jac, u = self.z, prog.constraint_jacobian(self.z), 1.0 / -self.c
+            hess_b = (jac * (u * u)[:, None]).T @ jac + prog.constraint_hessian_weighted(z, u)
+            self.parts = (prog.objective.grad(z), prog.objective.hess(z), jac, jac.T @ u, hess_b)
+        grad_f, hess_f, jac, grad_b, hess_b = self.parts
+        return grad_f + inv_t * grad_b, hess_f + inv_t * hess_b, jac
 
 
-def _barrier_derivatives(prog: ConvexProgram, z: np.ndarray, c: np.ndarray, inv_t: float):
-    """Gradient and Hessian of f + (1/t) * barrier at a strictly feasible z
-    whose constraint values are c, and the constraint Jacobian there."""
-    jac = prog.constraint_jacobian(z)
-    w = inv_t / (-c)
-    grad = prog.objective.grad(z) + jac.T @ w
-    hess = (
-        prog.objective.hess(z)
-        + (jac * (inv_t / (c * c))[:, None]).T @ jac
-        + prog.constraint_hessian_weighted(z, w)
-    )
-    return grad, hess, jac
+def _point_at(prog: ConvexProgram, z: np.ndarray) -> _Point | None:
+    """The _Point at z; None outside the strictly feasible set or the barrier's domain."""
+    c = prog.constraint_values(z) if prog.domain_guard(z) else None
+    if c is None or not (c < 0.0).all():
+        return None
+    point = _Point(z, c, float(prog.objective.value(z)))
+    return point if math.isfinite(point.f - point.log_slack) else None
 
 
 def _linearized_step_bound(c: np.ndarray, jd: np.ndarray) -> float:
@@ -260,45 +271,42 @@ def _model_step(a: float, kappa: float, r: np.ndarray, inv_t: float, hi: float) 
     return s
 
 
-def _center(
-    prog: ConvexProgram, z: np.ndarray, c: np.ndarray, inv_t: float, decrement_tol: float
-):
-    """Damped Newton from z (constraint values c) until half the squared
-    Newton decrement drops to decrement_tol or the gradient norm to _NEWTON_TOL.
+def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: float):
+    """Damped Newton from point until half the squared Newton decrement drops
+    to decrement_tol or the gradient norm to _NEWTON_TOL.
 
     When 0.99 times the linearization bound exceeds 1, backtracking starts at
     the model step (_model_step on the slope, curvature and linearized slack
     ratios this direction already gives), else at the first rung below 0.99
     times the bound (see the module docstring).
 
-    Returns (z, c, steps_taken, converged, numerically_ok). Stages that stop
+    Returns (point, steps_taken, converged, numerically_ok). Stages that stop
     making float-level progress (hair-thin active sets push constraint slacks
     to the rounding floor) end early with converged=False; only an
     unrepairable Newton system reports numerically_ok=False.
     """
-    steps = 0
-    stalls = 0
-    base = prog.objective.value(z) - inv_t * float(np.log(-c).sum())
+    steps = stalls = 0
+    base = point.f - inv_t * point.log_slack
     for _ in range(_MAX_NEWTON_ITERS):
-        grad, hess, jac = _barrier_derivatives(prog, z, c, inv_t)
+        grad, hess, jac = point.derivatives(prog, inv_t)
         if math.sqrt(grad @ grad) <= _NEWTON_TOL:
-            return z, c, steps, True, True
+            return point, steps, True, True
         direction, ok = _newton_direction(hess, grad)
         if not ok:
-            return z, c, steps, False, False
+            return point, steps, False, False
         # The decrement approximates the remaining value gap; iterate error
         # scales like its square root.
         gd = float(grad @ direction)
         if -0.5 * gd <= decrement_tol:
-            return z, c, steps, True, True
+            return point, steps, True, True
 
         slope = _ARMIJO_SLOPE * gd
         jd = jac @ direction
-        limit = 0.99 * _linearized_step_bound(c, jd)
+        limit = 0.99 * _linearized_step_bound(point.c, jd)
         if 1.0 < limit < math.inf:
             # along d: objective slope a = g.d - (1/t) sum r_j, non-barrier
             # curvature lambda^2 - (1/t) sum r_j^2, with lambda^2 = -g.d
-            r = jd / -c
+            r = jd / -point.c
             step = _model_step(
                 gd - inv_t * float(r.sum()), max(-gd - inv_t * float(r @ r), 0.0), r, inv_t, limit
             )
@@ -308,67 +316,79 @@ def _center(
                 step *= _BACKTRACK
         while True:
             if step < _MIN_STEP:
-                return z, c, steps, False, True
-            trial = z + step * direction
-            trial_val, trial_c = _barrier_value(prog, trial, inv_t)
+                return point, steps, False, True
+            trial = _point_at(prog, point.z + step * direction)
+            trial_val = math.inf if trial is None else trial.f - inv_t * trial.log_slack
             if trial_val <= base + step * slope:
                 break
             step *= _BACKTRACK
         achieved = base - trial_val
-        z, c, base = trial, trial_c, trial_val
+        point, base = trial, trial_val
         steps += 1
         if achieved <= 1e-11 * max(1.0, abs(base)):
             stalls += 1
             if stalls >= 2:
-                return z, c, steps, False, True
+                return point, steps, False, True
         else:
             stalls = 0
-    return z, c, steps, False, True
+    return point, steps, False, True
+
+
+def _first_stage(prog: ConvexProgram, point: _Point, t0: float) -> float:
+    """The t the first stage centers at (B&V 11.3.1): of t0 * BARRIER_MU**j,
+    j <= _FIRST_STAGE_SPAN, short of the final stage (m/t < _DUALITY_GAP_TOL),
+    the one whose scale-free Newton decrement t * (-g(t) . d(t)) at point is
+    least, the smaller t on a tie; t0 when there is none."""
+    best_t, best, t = t0, math.inf, t0
+    for _ in range(_FIRST_STAGE_SPAN + 1):
+        if point.c.size / t < _DUALITY_GAP_TOL:
+            break
+        grad, hess, _ = point.derivatives(prog, 1.0 / t)
+        direction, ok = _newton_direction(hess, grad)  # fails on a zero gradient: central
+        decrement = -t * float(grad @ direction) if ok else (math.inf if grad.any() else 0.0)
+        if decrement < best:
+            best_t, best = t, decrement
+        t *= BARRIER_MU
+    return best_t
 
 
 def solve(prog: ConvexProgram, z0: np.ndarray, t0: float = 1.0) -> SolveOutcome:
     """Path-following log-barrier minimization from a strictly feasible start.
 
-    Centers f + (1/t) * barrier for t = t0, t0 * BARRIER_MU, ... until the
-    duality gap bound m/t drops below _DUALITY_GAP_TOL. Only that final stage
-    is centered to 1e-4 * _NEWTON_TOL; earlier stages stop at
-    _STAGE_DECREMENT_TOL. Raises InfeasibleStartError when z0 is not strictly
-    feasible; numerical breakdown is reported via status rather than raised
-    so callers can keep partial traces.
+    Centers f + (1/t) * barrier for t = t_start, t_start * BARRIER_MU, ...
+    (t_start from _first_stage) until the duality gap bound m/t drops below
+    _DUALITY_GAP_TOL. Only that final stage is centered to 1e-4 *
+    _NEWTON_TOL; earlier stages stop at _STAGE_DECREMENT_TOL. Raises
+    InfeasibleStartError when z0 is not strictly feasible; numerical
+    breakdown is reported via status rather than raised so callers can keep
+    partial traces.
     """
     started = time.perf_counter()
-    z = np.array(z0, dtype=float)
-    if not prog.domain_guard(z):
-        raise InfeasibleStartError("starting point violates the domain guard")
-    c = prog.constraint_values(z)
-    if not ((c < 0.0).all() and np.isfinite(c).all()):
-        raise InfeasibleStartError("starting point is not strictly feasible")
-
-    m = c.size
-    t = max(t0, 1e-12)
+    point = _point_at(prog, np.array(z0, dtype=float))
+    if point is None:
+        raise InfeasibleStartError("starting point is outside the domain or not strictly feasible")
+    t = t_start = _first_stage(prog, point, max(t0, 1e-12))
     final_tol = 1e-4 * _NEWTON_TOL
     total_steps = 0
     trace: list[float] = []
     status = SolveStatus.MAX_ITERATIONS
     for _ in range(_MAX_OUTER_ITERS):
-        final = m / t < _DUALITY_GAP_TOL
-        z_stage, c_stage, steps, centered, ok = _center(
-            prog, z, c, 1.0 / t, final_tol if final else _STAGE_DECREMENT_TOL
+        final = point.c.size / t < _DUALITY_GAP_TOL
+        stage, steps, centered, ok = _center(
+            prog, point, 1.0 / t, final_tol if final else _STAGE_DECREMENT_TOL
         )
         total_steps += steps
         if not ok:
-            z = z_stage
-            status = SolveStatus.NUMERICAL_FAILURE
+            point, status = stage, SolveStatus.NUMERICAL_FAILURE
             break
-        f_val = float(prog.objective.value(z_stage))
         # Exact centering walks the central path, along which the true
         # objective never increases; allow slack for inexact Newton stops.
         # A stage that rises beyond it has lost the path: keep the previous
         # stage's point and report MAX_ITERATIONS.
-        if trace and f_val > trace[-1] + 1e-7 * max(1.0, abs(trace[-1])):
+        if trace and stage.f > trace[-1] + 1e-7 * max(1.0, abs(trace[-1])):
             break
-        z, c = z_stage, c_stage
-        trace.append(f_val)
+        point = stage
+        trace.append(stage.f)
         if final:
             status = SolveStatus.OPTIMAL if centered else SolveStatus.MAX_ITERATIONS
             break
@@ -381,18 +401,20 @@ def solve(prog: ConvexProgram, z0: np.ndarray, t0: float = 1.0) -> SolveOutcome:
                     "dim": prog.dim,
                     "status": status.value,
                     "newton_steps": total_steps,
+                    "barrier_t_start": t_start,
                     "barrier_t_final": t,
-                    "constraint_values": prog.constraint_values(z).tolist(),
+                    "constraint_values": point.c.tolist(),
                     "outer_objective_trace": trace,
                 }
             ),
         )
     return SolveOutcome(
-        z_star=z,
-        objective_value=float(prog.objective.value(z)),
+        z_star=point.z,
+        objective_value=point.f,
         status=status,
         newton_step_count=total_steps,
         wall_time=time.perf_counter() - started,
+        barrier_t_start=t_start,
         barrier_t_final=t,
         outer_objective_trace=trace,
     )

@@ -333,6 +333,38 @@ def test_report_serialization_roundtrip():
     assert "trace" not in json.loads(report.to_json())
 
 
+def test_feasibility_is_checked_on_demand():
+    # the report keeps the allocation's inputs and checks it when asked; its
+    # JSON is byte for byte what the report that stored the check wrote
+    # (captured at the commit that stored it; oht's answer is unchanged since)
+    import json
+
+    assert "feasibility" not in {f.name for f in dataclasses.fields(algorithms.SolveReport)}
+    config, ch = scenario(3, 7)
+    for run in (jhtpa, opa, oht):
+        report = run(ch, config)
+        expected = core.check_feasible(report.allocation, ch, config, report.r_bar)
+        feasibility = report.feasibility
+        assert np.array_equal(feasibility.causality_violation, expected.causality_violation)
+        assert np.array_equal(feasibility.qos_violation, expected.qos_violation)
+        assert feasibility.tau_in_range == expected.tau_in_range
+        payload = json.loads(report.to_json())
+        assert payload["causality_violation"] == expected.causality_violation.tolist()
+        assert payload["qos_violation"] == expected.qos_violation.tolist()
+        assert payload["tau_in_range"] == expected.tau_in_range
+        assert "channels" not in repr(report) and "config" not in repr(report)
+    fixed = dataclasses.replace(oht(ch, config), wall_time_ms=0.0)
+    assert fixed.to_json(include_trace=True) == (
+        '{"algorithm": "oht", "tau": 0.9989999999999535, "p_watt": [3.8396204359865727e-07, '
+        '1.3965495058652319e-06, 2.540911476848711e-07], "ee_nats_per_joule": '
+        '0.00010036979793155938, "ee_bits_per_joule": 0.00014480300973088807, "iterations": 1, '
+        '"subsolver_calls": 1, "wall_time_ms": 0.0, "status": "converged", "stop_reason": '
+        '"epsilon", "pinned": 0, "r_bar": 4.577914214582907e-09, "causality_violation": [0.0, '
+        '0.0, 0.0], "qos_violation": [0.0, 0.0, 0.0], "tau_in_range": true, "trace": '
+        '[4.577914214582907e-09, 9.146630726817275e-09]}'
+    )
+
+
 def test_stop_reason_names_the_exit():
     import json
 

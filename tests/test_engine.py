@@ -330,15 +330,19 @@ def test_start_is_the_widest_candidate_and_tries_each_theta_once(monkeypatch, n,
     # batches, and scored in one batch too.
     import uavee.algorithms as alg
 
-    tried, tries = [], []
-    real_interior, real_find = alg._interior_powers, alg.find_feasible
+    tried, tries, built = [], [], []
+    real_interior, real_find, real_systems = alg._interior_powers, alg.find_feasible, alg._qos_systems
 
     def interior(ch, config, r_bar, theta):
         return real_interior(ch, config, r_bar, [theta])[0][0]
 
-    def recording_interior(ch, config, r_bar, thetas, pinned=None):
+    def recording_interior(ch, config, r_bar, thetas, pinned=None, systems=None):
         tried.append(list(thetas))
-        return real_interior(ch, config, r_bar, thetas, pinned)
+        return real_interior(ch, config, r_bar, thetas, pinned, systems)
+
+    def recording_systems(ch, config, r_bar, thetas):
+        built.append(list(thetas))
+        return real_systems(ch, config, r_bar, thetas)
 
     def recording_find(constraints, sampler, rng, max_tries):
         tries.append(max_tries)
@@ -346,6 +350,7 @@ def test_start_is_the_widest_candidate_and_tries_each_theta_once(monkeypatch, n,
 
     monkeypatch.setattr(alg, "_interior_powers", recording_interior)
     monkeypatch.setattr(alg, "find_feasible", recording_find)
+    monkeypatch.setattr(alg, "_qos_systems", recording_systems)
     config = ScenarioConfig(num_pairs=n, seed=seed, theta_fix=theta_fix)
     _, ch = make_scenario(config)
     r_bar = core.qos_threshold(ch, config)
@@ -353,6 +358,7 @@ def test_start_is_the_widest_candidate_and_tries_each_theta_once(monkeypatch, n,
     theta, p, strict = _start(ch, config, r_bar, thetas)
     distinct = sorted(set(thetas))
     assert len(tried) == 1 and sorted(tried[0]) == distinct and tries == [len(distinct)]
+    assert built == tried
     assert len(distinct) == (6 if theta_fix == 1.01 else 10)
     batch = real_interior(ch, config, r_bar, tried[0])[0]
     batch_scores = _violation(tried[0], batch, ch, config, r_bar)
@@ -373,10 +379,10 @@ def test_start_is_the_widest_candidate_and_tries_each_theta_once(monkeypatch, n,
     assert len(tried) == 1 and sorted(tried[0]) == distinct and tries == [len(distinct)]
 
     # opa's presolve reads x_min at theta_fix, then its start builds one
-    # candidate there
-    del tried[:], tries[:]
+    # candidate there, both from one build of the theta_fix system
+    del tried[:], tries[:], built[:]
     opa(ch, config)
-    assert tried == [[theta_fix], [theta_fix]] and tries == [1]
+    assert tried == [[theta_fix], [theta_fix]] and tries == [1] and built == [[theta_fix]]
 
 
 def test_debug_dump_emits_json(caplog):
@@ -392,6 +398,7 @@ def test_debug_dump_emits_json(caplog):
     assert payload["status"] == "optimal"
     assert len(payload["constraint_values"]) == 2
     assert payload["outer_objective_trace"]
+    assert 1.0 <= payload["barrier_t_start"] <= payload["barrier_t_final"]
 
 
 def test_subproblem_latency_soft(monkeypatch):
@@ -425,16 +432,18 @@ def test_subproblem_latency_soft(monkeypatch):
 
 @pytest.mark.parametrize(
     "algorithm, max_steps, max_values_per_step",
-    # ~10% above the measured 244 steps at 1.033 values per step (jhtpa) and
-    # 107 steps at 1.056 (opa); jhtpa's values bound stays at 1.13. Before
-    # opa's presolve pinned the pair its QoS floor holds at full harvest, opa
-    # took 116 at 1.647. Before jhtpa started from its widest candidate
+    # ~10% above the measured 138 steps at 1.043 values per step (jhtpa) and
+    # 89 steps at 1.056 (opa); the values bounds stay at 1.13 and 1.16. Before
+    # each solve started at its most central stage (t0 mu^j, j <= 4) instead
+    # of t0, they took 244 at 1.033 and 107 at 1.056. Before opa's presolve
+    # pinned the pair its QoS floor holds at full harvest, opa took 116 at
+    # 1.647. Before jhtpa started from its widest candidate
     # interior and the subproblem oracles were held as coefficient arrays
     # they took 291 at 1.031 and 122 at 1.918. Backtracking from the first
     # rung below the linearization bound took 396 and 139; the
     # full-step-first line search with exact centering at every stage took
     # 522 at 2.77 and 300 at 6.21
-    [(jhtpa, 268, 1.13), (opa, 118, 1.16)],
+    [(jhtpa, 152, 1.13), (opa, 98, 1.16)],
     ids=["jhtpa", "opa"],
 )
 def test_subproblem_step_counts(monkeypatch, algorithm, max_steps, max_values_per_step):
@@ -588,3 +597,117 @@ def test_model_step_of_a_quadratic_is_the_newton_step(kappa, limit):
     # Newton quadratic, whose minimizer is the full step
     step = _model_step(-kappa, kappa, np.zeros(3), 1e-3, 0.99 * limit)
     assert abs(step - 1.0) <= _MODEL_TOL
+
+
+def unit_interval_program():
+    # minimize z on 0 < z < 1: the center of t z - log z - log(1 - z) solves
+    # t z^2 - (t + 2) z + 1 = 0, z*(t) = 2 / (t + 2 + sqrt(t^2 + 4))
+    return ConvexProgram(
+        dim=1,
+        objective=affine([1.0], 0.0, 1),
+        domain_guard=lambda z: True,
+        **affine_constraints([[-1.0], [1.0]], [0.0, -1.0]),
+    )
+
+
+def central_point(t):
+    return np.array([2.0 / (t + 2.0 + np.sqrt(t * t + 4.0))])
+
+
+@pytest.mark.parametrize("t0", [1.0, 0.3])
+def test_first_stage_is_the_most_central_one(monkeypatch, t0):
+    # started exactly on the central path at t0 mu^2, the scan picks that
+    # stage, which then takes no Newton step
+    import uavee.engine as engine
+
+    stages = []  # (t, Newton steps) per stage
+    real = engine._center
+
+    def center(prog, point, inv_t, decrement_tol):
+        out = real(prog, point, inv_t, decrement_tol)
+        stages.append((1.0 / inv_t, out[1]))
+        return out
+
+    monkeypatch.setattr(engine, "_center", center)
+    target = t0 * engine.BARRIER_MU * engine.BARRIER_MU
+    out = solve(unit_interval_program(), central_point(target), t0)
+    assert out.barrier_t_start == target
+    assert stages[0] == (target, 0)
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.z_star[0] == pytest.approx(0.0, abs=1e-7)
+
+
+def test_first_stage_stays_within_the_span(monkeypatch):
+    # a start central for t = 1e7, far above t0 mu^J: the scan may not jump
+    # there (an unbounded scan would), and the solve still ends centered
+    import uavee.engine as engine
+
+    prog, z0 = unit_interval_program(), central_point(1e7)
+    out = solve(prog, z0, 1.0)
+    assert out.barrier_t_start <= engine.BARRIER_MU**engine._FIRST_STAGE_SPAN < 1e7
+    assert out.status is SolveStatus.OPTIMAL
+    monkeypatch.setattr(engine, "_FIRST_STAGE_SPAN", 40)
+    assert solve(prog, z0, 1.0).barrier_t_start == 1e7
+
+
+def test_stage_reuse_matches_a_fresh_evaluation():
+    # the derivatives at a point are combined from weight-free parts, with
+    # one call of each oracle however many weights ask; at each weight they
+    # equal the direct formula to rounding
+    from uavee.engine import _Point
+
+    prog, z0, *_ = jhtpa_fixture_program()
+    calls = {"jacobian": 0}
+
+    def jacobian(z, fn=prog.constraint_jacobian):
+        calls["jacobian"] += 1
+        return fn(z)
+
+    counted = dataclasses.replace(prog, constraint_jacobian=jacobian)
+    c = prog.constraint_values(z0)
+    point = _Point(z0, c, prog.objective.value(z0))
+    jac = prog.constraint_jacobian(z0)
+    for t in (1.0, 10.0, 1e4, 1e9):
+        w = 1.0 / (t * -c)
+        grad = prog.objective.grad(z0) + jac.T @ w
+        hess = (
+            prog.objective.hess(z0)
+            + (jac * (1.0 / (t * c * c))[:, None]).T @ jac
+            + prog.constraint_hessian_weighted(z0, w)
+        )
+        grad_scale = np.abs(prog.objective.grad(z0)) + np.abs(jac).T @ np.abs(w)
+        hess_scale = (
+            np.abs(prog.objective.hess(z0))
+            + (np.abs(jac) * (1.0 / (t * c * c))[:, None]).T @ np.abs(jac)
+            + np.abs(prog.constraint_hessian_weighted(z0, w))
+        )
+        g, h, _ = point.derivatives(counted, 1.0 / t)
+        assert np.all(np.abs(g - grad) <= 1e-14 * grad_scale)
+        assert np.all(np.abs(h - hess) <= 1e-14 * hess_scale)
+    assert calls["jacobian"] == 1
+    assert point.log_slack == float(np.log(-c).sum())
+
+
+def test_crawling_second_subproblem_ends_optimal(monkeypatch):
+    # jhtpa's second subproblem on this N = 2 trial starts from the
+    # extrapolated point, which hugs its causality rows. An unbounded scan
+    # jumps to t = 1e6 and the final stage crawls for all its Newton steps;
+    # within the span the solve ends centered.
+    import uavee.algorithms as alg
+    import uavee.engine as engine
+
+    captured = []
+
+    def capturing_solve(prog, z0, t0=1.0):
+        captured.append((prog, np.array(z0, dtype=float), t0))
+        return solve(prog, z0, t0)
+
+    monkeypatch.setattr(alg, "solve", capturing_solve)
+    config = ScenarioConfig(num_pairs=2, seed=13346151560455507422)
+    _, ch = make_scenario(config)
+    jhtpa(ch, config)
+    prog, z0, t0 = captured[1]
+    assert solve(prog, z0, t0).status is SolveStatus.OPTIMAL
+    monkeypatch.setattr(engine, "_FIRST_STAGE_SPAN", 40)
+    crawled = solve(prog, z0, t0)
+    assert crawled.status is SolveStatus.MAX_ITERATIONS and crawled.barrier_t_start > 1e5
