@@ -53,9 +53,9 @@ _QOS_FEAS_MARGIN = 1e-13
 
 # Where the start sits on the segment from the full-harvest point (0) to the
 # center of the SINR polytope (1); see _interior_powers. Measured on 360
-# paper_sweep trials: the center cost jhtpa 46% more subsolver calls and 0.9%
-# mean EE, and 0.2 raised opa's constraint evaluations per Newton step to 2.13
-# on N = 10 (both before opa's presolve).
+# paper_sweep trials (seed 501): at 0.2 jhtpa and opa both take 2.0
+# subproblem solves per run instead of 1.0, and from the center jhtpa takes
+# 2.02 and loses 0.13% mean EE.
 _INTERIOR_DEPTH = 0.01
 
 # A full-harvest point whose scaled QoS deficit stays below this is accepted
@@ -163,7 +163,12 @@ def _converged(phi_new: float, phi_old: float, epsilon: float) -> bool:
 # slow for a 100-iteration budget; the safeguard climbs that ladder
 # exponentially while never accepting a worse or infeasible point.
 _EXTRAPOLATION_POWERS = tuple(float(2**j) for j in range(1, 11))
+
+# jhtpa's theta stays at or below _THETA_CAP: its start scans the full-harvest
+# face at theta_fix and _FACE_GRID times with theta - 1 log-spaced on [1e-3,
+# _THETA_CAP - 1] (_face_theta), and the extrapolation stops there.
 _THETA_CAP = 1e6
+_FACE_GRID = 128
 
 
 # ---------------------------------------------------------------------------
@@ -171,44 +176,40 @@ _THETA_CAP = 1e6
 # ---------------------------------------------------------------------------
 
 
-def _violation(theta, p: np.ndarray, ch, config, r_bar: float, pinned=None):
+def _violation(theta: float, p: np.ndarray, ch, config, r_bar: float, pinned=None):
     """Largest constraint value of (theta, p) in the original problem.
 
     The rows, each scaled to O(1), are the theta guard, energy causality
     p_n / p_max_n - 1 and QoS (theta r_bar - ln(1 + SINR_n)) / (theta r_bar)
     plus _QOS_FEAS_MARGIN; a pinned pair (see opa) passes only at p_max.
     Negative iff (theta, p) is strictly feasible with that margin; NaN
-    propagates. theta (K,) and p (K, N) score K candidates at once.
+    propagates.
     """
-    theta = np.asarray(theta, dtype=float)
-    column = theta[:, None] if theta.ndim else float(theta)  # broadcasts over pairs
-    p_max = (column - 1.0) * config.eta * config.p0_watt * ch.g
-    qos_rhs = column * r_bar
+    p_max = core.pinned_powers(theta, ch, config)
+    qos_rhs = theta * r_bar
     qos = (qos_rhs - np.log1p(core.sinr(p, ch))) / np.maximum(qos_rhs, _QOS_SCALE_FLOOR)
     pairs = np.maximum(p / p_max - 1.0, qos + _QOS_FEAS_MARGIN)
     if pinned is not None:
-        pairs[..., pinned] = np.where(p[..., pinned] == p_max[..., pinned], -math.inf, math.inf)
-    return np.maximum((1.0 + THETA_GAP) - theta, pairs.max(axis=-1))
+        pairs[pinned] = np.where(p[pinned] == p_max[pinned], -math.inf, math.inf)
+    return np.maximum((1.0 + THETA_GAP) - theta, pairs.max())
 
 
-def _qos_systems(ch, config, r_bar: float, thetas):
-    """p_max (K, N) and the systems (I - G) (K, N, N), [b, 1] (K, N, 2) of _interior_powers."""
-    thetas = np.asarray(thetas, dtype=float)
-    p_max = (thetas[:, None] - 1.0) * config.eta * config.p0_watt * ch.g
-    gamma = np.full(thetas.size, math.inf)  # math.expm1: np.expm1 rounds differently
-    for k, theta in enumerate(thetas):
-        with contextlib.suppress(OverflowError):
-            gamma[k] = math.expm1(theta * r_bar)
+def _qos_system(ch, config, r_bar: float, theta: float):
+    """p_max (N,) and the system (I - G) (N, N), [b, 1] (N, 2) of _interior_powers."""
+    p_max = core.pinned_powers(theta, ch, config)
+    gamma = math.inf  # math.expm1: np.expm1 rounds differently
+    with contextlib.suppress(OverflowError):
+        gamma = math.expm1(theta * r_bar)
     with np.errstate(all="ignore"):
-        scale = gamma[:, None] / (np.diag(ch.h) * p_max)
-        system = -(scale[:, :, None] * ch.h * p_max[:, None, :])
-        system.reshape(thetas.size, -1)[:, :: ch.num_pairs + 1] = 1.0  # diagonals, via a flat view
-        rhs = np.stack((scale * ch.sigma2_watt, np.ones_like(scale)), axis=-1)
+        scale = gamma / (np.diag(ch.h) * p_max)
+        system = -(scale[:, None] * ch.h * p_max)
+        system.flat[:: ch.num_pairs + 1] = 1.0
+        rhs = np.column_stack((scale * ch.sigma2_watt, np.ones_like(scale)))
     return p_max, system, rhs
 
 
-def _interior_powers(ch, config, r_bar: float, thetas, pinned=None, systems=None):
-    """Transmit powers strictly inside the SINR polytope at each harvesting time.
+def _interior_powers(ch, config, r_bar: float, theta: float, pinned=None, system=None):
+    """Transmit powers strictly inside the SINR polytope at harvesting time theta.
 
     At fixed theta the QoS rows ln(1 + SINR_n) >= theta r_bar are linear in
     p. With x = p / p_max and gamma = expm1(theta r_bar) they read
@@ -223,78 +224,72 @@ def _interior_powers(ch, config, r_bar: float, thetas, pinned=None, systems=None
     p = (1 - delta (1 - x_c)) p_max, delta = _INTERIOR_DEPTH, lies on the
     segment from x_c to full harvest x = 1, so it is strictly feasible
     whenever full harvest is weakly feasible, as it is at theta_fix by the
-    definition of the QoS floor.
+    definition of the QoS floor and at _face_theta by its choice.
 
-    Returns (p, x_min), a row per theta from one (K, N, N) solve. p is NaN
-    when gamma overflows, x_min < 0, m1 <= 0 or delta eps*/2 <=
-    _QOS_FEAS_MARGIN: at theta_fix the QoS rows' slack at p is about
-    delta eps*/2 (in units of x), and a thinner interior could not clear the
-    margin the start is checked against, nor be resolved in floating point.
-    Pinned pairs stay at x = 1: (I - G)_FF [x_min, m1] = [b_F + G_FP 1, 1].
-    systems, when given, is _qos_systems(ch, config, r_bar, thetas).
+    Returns (p, x_min). p is NaN when gamma overflows, x_min < 0, m1 <= 0
+    or delta eps*/2 <= _QOS_FEAS_MARGIN: at theta_fix the QoS rows' slack at
+    p is about delta eps*/2 (in units of x), and a thinner interior could
+    not clear the margin the start is checked against, nor be resolved in
+    floating point. Pinned pairs stay at x = 1:
+    (I - G)_FF [x_min, m1] = [b_F + G_FP 1, 1]. system, when given, is
+    _qos_system(ch, config, r_bar, theta).
     """
-    p_max, system, rhs = systems or _qos_systems(ch, config, r_bar, thetas)
+    p_max, system, rhs = system or _qos_system(ch, config, r_bar, theta)
     free = np.ones(ch.num_pairs, dtype=bool) if pinned is None else ~pinned
     with np.errstate(all="ignore"):
         if pinned is not None:  # x_P = 1 moves to the right-hand side
-            rows = system[:, free]
-            system, rhs = rows[:, :, free], rhs[:, free]
-            rhs[:, :, 0] -= rows[:, :, pinned].sum(axis=-1)
+            rows = system[free]
+            system, rhs = rows[:, free], rhs[free]
+            rhs[:, 0] -= rows[:, pinned].sum(axis=-1)
         try:
             sol = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:  # an exact zero pivot: no candidate
             sol = np.full(rhs.shape, np.nan)
-        x_min, m1 = sol[..., 0], sol[..., 1]
-        eps = ((1.0 - x_min) / m1).min(axis=-1, initial=math.inf)
-        ok = (x_min >= 0.0).all(axis=-1) & (m1 > 0.0).all(axis=-1) & free.any()
-        ok &= 0.5 * _INTERIOR_DEPTH * eps > _QOS_FEAS_MARGIN
-        x_c = x_min + 0.5 * eps[:, None] * m1
+        x_min, m1 = sol[:, 0], sol[:, 1]
+        eps = ((1.0 - x_min) / m1).min(initial=math.inf)
+        ok = (x_min >= 0.0).all() and (m1 > 0.0).all() and free.any()
+        ok = ok and 0.5 * _INTERIOR_DEPTH * eps > _QOS_FEAS_MARGIN
+        x_c = x_min + 0.5 * eps * m1
         p = p_max.copy()
-        p[:, free] = (1.0 - _INTERIOR_DEPTH * (1.0 - x_c)) * p_max[:, free]
-    p[~ok] = np.nan
-    return p, x_min
+        p[free] = (1.0 - _INTERIOR_DEPTH * (1.0 - x_c)) * p_max[free]
+    return (p if ok else np.full_like(p, np.nan)), x_min
 
 
-def _jhtpa_start_thetas(theta_fix: float) -> list[float]:
-    """Harvesting times jhtpa scores for its start: theta_fix (the fallback's
-    harvesting time), then multiples of it clipped to [1.01, 999]."""
-    factors = np.array([1.1, 0.9, 1.25, 0.8, 1.5, 2.0 / 3.0, 2.0, 0.5, 3.0])
-    return [theta_fix, *np.clip(theta_fix * factors, 1.01, 999.0)]
+def _face_theta(ch, config, r_bar: float) -> float:
+    """jhtpa's start theta: of the scanned ones (see _THETA_CAP), the one whose
+    full-harvest point has the highest EE while every pair's rate meets r_bar.
+    theta_fix, whose full-harvest rates define the floor, always qualifies."""
+    thetas = np.append(config.theta_fix, 1.0 + np.geomspace(1e-3, _THETA_CAP - 1.0, _FACE_GRID))
+    rates = core.pinned_rates(thetas[:, None], ch, config)
+    ee = rates.sum(axis=-1) / core.pinned_total_power(thetas, ch, config)
+    meets = (rates >= r_bar).all(axis=-1)
+    meets[0] = True
+    return float(thetas[np.argmax(np.where(meets, ee, -math.inf))])
 
 
 def _start(
-    ch, config, r_bar: float, thetas, pinned=None, systems=None
+    ch, config, r_bar: float, theta: float, pinned=None, system=None
 ) -> tuple[float, np.ndarray, bool]:
     """The starting (theta, p) of jhtpa and opa and whether it is strictly feasible.
 
-    The candidates are _interior_powers at each distinct theta, scored by
-    _violation. find_feasible gets one proposal per distinct theta: those
-    that pass (violation < 0; NaN does not) widest interior first, i.e. most
-    negative violation first, then None for each that does not. The start is
-    thus the candidate whose nearest row is farthest away: a barrier solve
-    from a hair-thin slack spends its first stage leaving it.
-    When none passes, the QoS floor can pin the feasible set to (a
-    neighborhood of) the full-harvest point at thetas[0], the floor's own
-    harvesting time; that point is returned, flagged not strict, when it is
-    weakly feasible, and NoFeasiblePointFoundError is raised otherwise.
+    theta is jhtpa's _face_theta or opa's theta_fix. The one candidate is
+    _interior_powers there, proposed once to find_feasible, which accepts it
+    when _violation is negative (NaN is not). When it fails, the QoS floor
+    can pin the feasible set to (a neighborhood of) the full-harvest point
+    at theta; that point is returned, flagged not strict, when it is weakly
+    feasible, and NoFeasiblePointFoundError is raised otherwise.
     """
 
     def violation(v):
         return _violation(v[0], v[1:], ch, config, r_bar, pinned)
 
-    distinct = np.array(list(dict.fromkeys(thetas)))
-    p, _ = _interior_powers(ch, config, r_bar, distinct, pinned, systems)
-    candidates = np.column_stack((distinct, p))
-    scores = _violation(distinct, candidates[:, 1:], ch, config, r_bar, pinned)
-    ranked = [candidates[k] for k in np.argsort(scores, kind="stable") if scores[k] < 0.0]
+    p = _interior_powers(ch, config, r_bar, theta, pinned, system)[0]
+    candidate = np.append(theta, p)
     try:
-        v = find_feasible(
-            [violation], lambda rng, k: ranked[k] if k < len(ranked) else None, None, len(distinct)
-        )
+        v = find_feasible([violation], lambda rng, k: candidate, None, 1)
         return float(v[0]), v[1:], True
     except NoFeasiblePointFoundError:
-        theta = thetas[0]
-        p = (theta - 1.0) * config.eta * config.p0_watt * ch.g
+        p = core.pinned_powers(theta, ch, config)
         if not _violation(theta, p, ch, config, r_bar) < _BOUNDARY_TOL:
             raise
         return theta, p, False
@@ -456,8 +451,8 @@ def jhtpa(
 ) -> SolveReport:
     """Joint harvesting-time and power allocation (Algorithm-1-style SCA loop).
 
-    Starts from the closed-form interior point with the widest interior
-    among _jhtpa_start_thetas' harvesting times (see _start), then
+    Starts from the closed-form interior point (see _start) at
+    _face_theta's harvesting time, the best scanned full-harvest point, then
     alternates between building the surrogate convex program at the current
     iterate and solving it, updating the Dinkelbach multiplier with the true
     energy efficiency, until the relative change drops below epsilon. Each
@@ -476,7 +471,7 @@ def jhtpa(
         r_bar,
         settings,
         started,
-        start=_start(ch, config, r_bar, _jhtpa_start_thetas(config.theta_fix)),
+        start=_start(ch, config, r_bar, _face_theta(ch, config, r_bar)),
         to_z=lambda theta, p: np.concatenate(([theta], 1.0 / p)),
         build=lambda state: build_jhtpa_subproblem(state, ch, config, r_bar),
         evaluate=lambda z: _jhtpa_objective(z, ch, config),
@@ -582,9 +577,9 @@ def opa(
     if r_bar is None:
         r_bar = core.qos_threshold(ch, config)
     theta_fix = config.theta_fix
-    p_max = (theta_fix - 1.0) * config.eta * config.p0_watt * ch.g
-    systems = _qos_systems(ch, config, r_bar, [theta_fix])  # the presolve's and the start's
-    pinned = 1.0 - _interior_powers(ch, config, r_bar, [theta_fix], None, systems)[1][0] <= _PIN_TOL
+    p_max = core.pinned_powers(theta_fix, ch, config)
+    system = _qos_system(ch, config, r_bar, theta_fix)  # the presolve's and the start's
+    pinned = 1.0 - _interior_powers(ch, config, r_bar, theta_fix, None, system)[1] <= _PIN_TOL
     pinned &= _violation(theta_fix, p_max, ch, config, r_bar) < _BOUNDARY_TOL
 
     def powers(z: np.ndarray) -> np.ndarray:
@@ -603,7 +598,7 @@ def opa(
         r_bar,
         settings,
         started,
-        start=_start(ch, config, r_bar, [theta_fix], pinned, systems),
+        start=_start(ch, config, r_bar, theta_fix, pinned, system),
         to_z=lambda theta, p: p[~pinned],
         build=lambda state: build_opa_subproblem(state, ch, config, r_bar, pinned),
         evaluate=lambda z: ln_domain_phi(powers(z)),

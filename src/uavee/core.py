@@ -181,7 +181,7 @@ def total_power_from_inverse(theta: float, q: np.ndarray, config: ScenarioConfig
 
 
 def pinned_rates(theta: float, ch: ChannelRealization, config: ScenarioConfig) -> np.ndarray:
-    """Per-pair rate when every Tx spends its full harvested energy, p_n = (theta-1)*eta*P0*g_n."""
+    """Per-pair full-harvest rates, p = pinned_powers(theta); a (K, 1) theta column gives (K, N)."""
     hd = np.diag(ch.h)
     cross = ch.h @ ch.g - hd * ch.g
     num = (theta - 1.0) * hd * ch.g
@@ -197,17 +197,19 @@ def pinned_allocation(theta: float, ch: ChannelRealization, config: ScenarioConf
     evaluates to exactly one on the reported object.
     """
     tau = 1.0 - 1.0 / theta
-    theta_eff = 1.0 / (1.0 - tau)
-    p = (theta_eff - 1.0) * config.eta * config.p0_watt * ch.g
-    return Allocation(tau=tau, p=p)
+    return Allocation(tau=tau, p=pinned_powers(1.0 / (1.0 - tau), ch, config))
 
 
-def pinned_total_power(theta: float, ch: ChannelRealization, config: ScenarioConfig) -> float:
-    """Closed-form power draw at the full-harvest allocation."""
-    return float(
-        (1.0 - 1.0 / theta) * config.eta * config.p0_watt * (np.sum(ch.g) + 1.0)
-        + config.p_cir_watt
-    )
+def pinned_powers(theta: float, ch: ChannelRealization, config: ScenarioConfig) -> np.ndarray:
+    """Full-harvest transmit powers p_n = (theta-1)*eta*P0*g_n, each pair's causality bound."""
+    return (theta - 1.0) * config.eta * config.p0_watt * ch.g
+
+
+def pinned_total_power(theta, ch: ChannelRealization, config: ScenarioConfig):
+    """Closed-form full-harvest power draw: a float for a scalar theta, else an array."""
+    share = (1.0 - 1.0 / np.asarray(theta)) * config.eta * config.p0_watt
+    power = share * (np.sum(ch.g) + 1.0) + config.p_cir_watt
+    return float(power) if power.ndim == 0 else power
 
 
 def qos_threshold(ch: ChannelRealization, config: ScenarioConfig) -> float:

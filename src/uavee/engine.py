@@ -93,8 +93,10 @@ _STAGE_DECREMENT_TOL = 1e-6
 _MODEL_ITERS = 12
 _MODEL_TOL = 0.05
 
-# _first_stage picks among t0 * BARRIER_MU**j, j = 0.._FIRST_STAGE_SPAN. At 5,
-# two jhtpa final stages of the 440 benchmark trials end uncentered; none at 4.
+# _first_stage picks among t0 * BARRIER_MU**j, j = 0.._FIRST_STAGE_SPAN. Spans
+# 4-40 give the same answers on the 440 benchmark trials. At 5, one more final
+# stage ends uncentered on 60 radius-20 m trials (p_cir 1e-6 W, noise -170
+# dBm/Hz), where jhtpa extrapolates to iterates most central at t = 1e6-1e8.
 _FIRST_STAGE_SPAN = 4
 
 

@@ -381,8 +381,12 @@ def test_stop_reason_names_the_exit():
         1,
     )
     assert json.loads(report.to_json())["pinned"] == 1
-    config, ch = scenario(5, 42)
+    # radius 20 m: interference moves jhtpa's answer away from its start, so
+    # it takes four SCA steps and a one-step cap stops it at max_iterations
+    config = ScenarioConfig(num_pairs=5, seed=7, coverage_radius_m=20.0)
+    _, ch = make_scenario(config)
     report = jhtpa(ch, config)
+    assert report.iterations >= 2
     assert (report.stop_reason, report.status) == ("epsilon", "converged")
     assert json.loads(report.to_json())["stop_reason"] == "epsilon"
     capped = jhtpa(ch, config, ScaSettings(max_iterations=1))
@@ -404,9 +408,8 @@ def test_subproblem_rejecting_the_start_stops_at_infeasible_start(monkeypatch):
     monkeypatch.setattr(algorithms, "build_jhtpa_subproblem", rejecting)
     config, ch = scenario(3, 7)
     r_bar = core.qos_threshold(ch, config)
-    theta, p, strict = algorithms._start(
-        ch, config, r_bar, algorithms._jhtpa_start_thetas(config.theta_fix)
-    )
+    face = algorithms._face_theta(ch, config, r_bar)
+    theta, p, strict = algorithms._start(ch, config, r_bar, face)
     assert strict
     report = jhtpa(ch, config)
     assert (report.stop_reason, report.status) == ("infeasible_start", "converged")

@@ -10,7 +10,9 @@ answer on purpose. In the second case regenerate the file with
 
     PYTHONPATH=src python tests/test_ee_reference.py
 
-and only together with a per-trial drift table in CHANGES.md.
+which prints the per-trial drift table that CHANGES.md then carries: one
+row per trial with each algorithm's relative change from the old reference
+value to the new one.
 """
 
 import json
@@ -42,5 +44,19 @@ def test_ee_matches_reference(n_pairs, trial):
         assert abs(got[name] - expected[name]) <= REL_TOL[name] * abs(expected[name]), name
 
 
+def drift(old, new):
+    """Relative change from old to new, or both values when either is missing or zero."""
+    if old is None or new is None or old == 0.0:
+        return f"{old} -> {new}"
+    return f"{(new - old) / abs(old):+.2e}"
+
+
 if __name__ == "__main__":
-    REFERENCE.write_text(json.dumps([trial_ee(n, k) for n, k in TRIALS], indent=1) + "\n")
+    before = {(r["n_pairs"], r["trial"]): r for r in json.loads(REFERENCE.read_text())}
+    rows = [trial_ee(n, k) for n, k in TRIALS]
+    print("n_pairs trial", *(f"{name:>10}" for name in ALGORITHM_NAMES))
+    for row in rows:
+        old = before.get((row["n_pairs"], row["trial"]), {})
+        cells = (drift(old.get(name), row[name]) for name in ALGORITHM_NAMES)
+        print(f"{row['n_pairs']:7d} {row['trial']:5d}", *(f"{cell:>10}" for cell in cells))
+    REFERENCE.write_text(json.dumps(rows, indent=1) + "\n")

@@ -9,8 +9,8 @@ import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
     ScaState,
+    _face_theta,
     _jhtpa_objective,
-    _jhtpa_start_thetas,
     _start,
     _violation,
     build_jhtpa_subproblem,
@@ -84,7 +84,7 @@ def jhtpa_fixture_program(n=2, seed=7):
     config = ScenarioConfig(num_pairs=n, seed=seed)
     _, ch = make_scenario(config)
     r_bar = core.qos_threshold(ch, config)
-    theta, p, strict = _start(ch, config, r_bar, _jhtpa_start_thetas(config.theta_fix))
+    theta, p, strict = _start(ch, config, r_bar, _face_theta(ch, config, r_bar))
     assert strict
     z = np.concatenate(([theta], 1.0 / p))
     state = ScaState(iterate=z, phi=_jhtpa_objective(z, ch, config))
@@ -96,7 +96,7 @@ def opa_fixture_program(n=3, seed=11):
     _, ch = make_scenario(config)
     r_bar = core.qos_threshold(ch, config)
     theta_fix = config.theta_fix
-    _, p, strict = _start(ch, config, r_bar, [theta_fix])
+    _, p, strict = _start(ch, config, r_bar, theta_fix)
     assert strict
     lam = float(np.sum(np.log1p(core.sinr(p, ch)))) / core.total_power(
         core.Allocation.from_theta(theta_fix, p), config
@@ -307,7 +307,7 @@ def test_find_feasible_boundary_point_weakly_feasible(channels3, config3):
 
 def test_find_feasible_succeeds_on_fixture(channels3, config3):
     r_bar = core.qos_threshold(channels3, config3)
-    theta, p, strict = _start(channels3, config3, r_bar, _jhtpa_start_thetas(config3.theta_fix))
+    theta, p, strict = _start(channels3, config3, r_bar, _face_theta(channels3, config3, r_bar))
     assert strict
     alloc = core.Allocation.from_theta(theta, p)
     report = core.check_feasible(alloc, channels3, config3, r_bar)
@@ -316,33 +316,28 @@ def test_find_feasible_succeeds_on_fixture(channels3, config3):
 
 def test_find_feasible_impossible_qos(channels3, config3):
     with pytest.raises(NoFeasiblePointFoundError):
-        _start(channels3, config3, 1e3, _jhtpa_start_thetas(config3.theta_fix))
+        _start(channels3, config3, 1e3, _face_theta(channels3, config3, 1e3))
 
 
 @pytest.mark.parametrize(
     "n, seed, theta_fix", [(3, 7, 2.0), (6, 3, 2.0), (10, 5, 2.0), (5, 11, 1.01)]
 )
-def test_start_is_the_widest_candidate_and_tries_each_theta_once(monkeypatch, n, seed, theta_fix):
-    # jhtpa starts from the candidate with the most negative _violation, not
-    # the first that passes; clipping to 1.01 makes five of the ten thetas at
-    # theta_fix = 1.01 equal, and each distinct one is tried and proposed once.
-    # The candidates are built in one batch, equal bit for bit to one-theta
-    # batches, and scored in one batch too.
+def test_each_start_builds_and_proposes_one_candidate(monkeypatch, n, seed, theta_fix):
+    # jhtpa starts from the one candidate at _face_theta and opa from the one
+    # at theta_fix, each built from one QoS system and proposed once. opa's
+    # presolve reads x_min from that same system before its start.
     import uavee.algorithms as alg
 
     tried, tries, built = [], [], []
-    real_interior, real_find, real_systems = alg._interior_powers, alg.find_feasible, alg._qos_systems
+    real_interior, real_find, real_system = alg._interior_powers, alg.find_feasible, alg._qos_system
 
-    def interior(ch, config, r_bar, theta):
-        return real_interior(ch, config, r_bar, [theta])[0][0]
+    def recording_interior(ch, config, r_bar, theta, pinned=None, system=None):
+        tried.append(theta)
+        return real_interior(ch, config, r_bar, theta, pinned, system)
 
-    def recording_interior(ch, config, r_bar, thetas, pinned=None, systems=None):
-        tried.append(list(thetas))
-        return real_interior(ch, config, r_bar, thetas, pinned, systems)
-
-    def recording_systems(ch, config, r_bar, thetas):
-        built.append(list(thetas))
-        return real_systems(ch, config, r_bar, thetas)
+    def recording_system(ch, config, r_bar, theta):
+        built.append(theta)
+        return real_system(ch, config, r_bar, theta)
 
     def recording_find(constraints, sampler, rng, max_tries):
         tries.append(max_tries)
@@ -350,39 +345,28 @@ def test_start_is_the_widest_candidate_and_tries_each_theta_once(monkeypatch, n,
 
     monkeypatch.setattr(alg, "_interior_powers", recording_interior)
     monkeypatch.setattr(alg, "find_feasible", recording_find)
-    monkeypatch.setattr(alg, "_qos_systems", recording_systems)
+    monkeypatch.setattr(alg, "_qos_system", recording_system)
     config = ScenarioConfig(num_pairs=n, seed=seed, theta_fix=theta_fix)
     _, ch = make_scenario(config)
     r_bar = core.qos_threshold(ch, config)
-    thetas = _jhtpa_start_thetas(theta_fix)
-    theta, p, strict = _start(ch, config, r_bar, thetas)
-    distinct = sorted(set(thetas))
-    assert len(tried) == 1 and sorted(tried[0]) == distinct and tries == [len(distinct)]
-    assert built == tried
-    assert len(distinct) == (6 if theta_fix == 1.01 else 10)
-    batch = real_interior(ch, config, r_bar, tried[0])[0]
-    batch_scores = _violation(tried[0], batch, ch, config, r_bar)
-    scores = {}
-    for t, row, row_score in zip(tried[0], batch, batch_scores):
-        candidate = interior(ch, config, r_bar, t)
-        assert np.array_equal(row, candidate, equal_nan=True)
-        if not np.isnan(candidate).all():
-            scores[t] = _violation(t, candidate, ch, config, r_bar)
-            assert row_score == scores[t]
-    best = min(scores, key=scores.get)
-    assert strict and scores[best] < 0.0
-    assert theta == best and np.array_equal(p, interior(ch, config, r_bar, best))
+    face = _face_theta(ch, config, r_bar)
+    theta, p, strict = _start(ch, config, r_bar, face)
+    assert tried == [face] and built == [face] and tries == [1]
+    assert strict and theta == face and _violation(theta, p, ch, config, r_bar) < 0.0
+    assert np.array_equal(p, real_interior(ch, config, r_bar, face)[0])
+
+    del tried[:], tries[:], built[:]
+    jhtpa(ch, config)
+    assert tried == [face] and built == [face] and tries == [1]
 
     del tried[:], tries[:]
     with pytest.raises(NoFeasiblePointFoundError):
-        _start(ch, config, 1e3, thetas)
-    assert len(tried) == 1 and sorted(tried[0]) == distinct and tries == [len(distinct)]
+        _start(ch, config, 1e3, _face_theta(ch, config, 1e3))
+    assert tried == [theta_fix] and tries == [1]
 
-    # opa's presolve reads x_min at theta_fix, then its start builds one
-    # candidate there, both from one build of the theta_fix system
     del tried[:], tries[:], built[:]
     opa(ch, config)
-    assert tried == [[theta_fix], [theta_fix]] and tries == [1] and built == [[theta_fix]]
+    assert tried == [theta_fix, theta_fix] and tries == [1] and built == [theta_fix]
 
 
 def test_debug_dump_emits_json(caplog):
@@ -689,25 +673,19 @@ def test_stage_reuse_matches_a_fresh_evaluation():
 
 
 def test_crawling_second_subproblem_ends_optimal(monkeypatch):
-    # jhtpa's second subproblem on this N = 2 trial starts from the
-    # extrapolated point, which hugs its causality rows. An unbounded scan
+    # The subproblem at an extrapolated jhtpa iterate on an N = 2 trial (the
+    # second one jhtpa solved on it when it started from a ladder of
+    # harvesting times), which hugs its causality rows. An unbounded scan
     # jumps to t = 1e6 and the final stage crawls for all its Newton steps;
     # within the span the solve ends centered.
-    import uavee.algorithms as alg
     import uavee.engine as engine
 
-    captured = []
-
-    def capturing_solve(prog, z0, t0=1.0):
-        captured.append((prog, np.array(z0, dtype=float), t0))
-        return solve(prog, z0, t0)
-
-    monkeypatch.setattr(alg, "solve", capturing_solve)
     config = ScenarioConfig(num_pairs=2, seed=13346151560455507422)
     _, ch = make_scenario(config)
-    jhtpa(ch, config)
-    prog, z0, t0 = captured[1]
-    assert solve(prog, z0, t0).status is SolveStatus.OPTIMAL
+    z0 = np.array([5266.229616174657, 101017.9200111014, 741884.9796771276])
+    state = ScaState(iterate=z0, phi=1.6250308719496592e-07)
+    prog = build_jhtpa_subproblem(state, ch, config, core.qos_threshold(ch, config))
+    assert solve(prog, z0, 1.0).status is SolveStatus.OPTIMAL
     monkeypatch.setattr(engine, "_FIRST_STAGE_SPAN", 40)
-    crawled = solve(prog, z0, t0)
+    crawled = solve(prog, z0, 1.0)
     assert crawled.status is SolveStatus.MAX_ITERATIONS and crawled.barrier_t_start > 1e5

@@ -42,7 +42,7 @@ def test_interior_power_is_strictly_feasible_or_none(
     _, ch = make_scenario(config)
     # r_bar = 1e3 puts theta_fix * r_bar beyond expm1's float range
     r_bar = 1e3 if overflow else core.qos_threshold(ch, config)
-    p = _interior_powers(ch, config, r_bar, [theta_fix])[0][0]
+    p = _interior_powers(ch, config, r_bar, theta_fix)[0]
     if overflow:
         assert np.isnan(p).all()
     if np.isnan(p).all():
@@ -65,8 +65,8 @@ def _report_fields(report):
 )
 def test_edge_configs_start_from_few_candidates(monkeypatch, physics):
     # Noise-limited and single-pair configs, where the feasible set can shrink
-    # to the full-harvest point: the start proposes one candidate per
-    # harvesting time tried, then falls back to that point.
+    # to the full-harvest point: the start proposes its one candidate, then
+    # falls back to that point.
     proposals = []
     real_find_feasible = algorithms.find_feasible
 
@@ -83,9 +83,9 @@ def test_edge_configs_start_from_few_candidates(monkeypatch, physics):
     for seed in range(5):
         config = ScenarioConfig(seed=seed, **physics)
         _, ch = make_scenario(config)
-        for algorithm, max_proposals in ((jhtpa, 10), (opa, 1)):
+        for algorithm in (jhtpa, opa):
             report = algorithm(ch, config)
-            assert 1 <= proposals[-1] <= max_proposals
+            assert proposals[-1] == 1
             feas = core.check_feasible(report.allocation, ch, config, report.r_bar)
             assert feas.tau_in_range
             budget = report.allocation.tau * config.eta * config.p0_watt * ch.g
@@ -144,3 +144,45 @@ def test_opa_presolve_pins_the_pairs_the_floor_holds_at_full_harvest(
     assert np.max(feas.qos_violation) / r_bar <= 1e-8
     if report.stop_reason == "boundary_fallback":
         assert pinned.all()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    num_pairs=st.integers(1, 30),
+    radius=st.floats(20.0, 5000.0),
+    eta=st.floats(0.01, 0.99),
+    theta_fix=st.floats(1.01, 50.0),
+    noise=st.floats(-170.0, -80.0),
+    p_cir=st.floats(1e-6, 10.0),
+    rate_cap=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jhtpa_from_the_face_start_is_feasible_and_ascends(
+    num_pairs, radius, eta, theta_fix, noise, p_cir, rate_cap, seed
+):
+    # jhtpa starts at _face_theta, whose full-harvest point meets the QoS
+    # floor; from there its answer is feasible, its trace never falls, and a
+    # start without interior returns exactly that full-harvest point.
+    config = ScenarioConfig(
+        num_pairs=num_pairs,
+        seed=seed,
+        coverage_radius_m=radius,
+        eta=eta,
+        theta_fix=theta_fix,
+        noise_density_dbm_hz=noise,
+        p_cir_watt=p_cir,
+        rate_cap_bpshz=rate_cap,
+    )
+    _, ch = make_scenario(config)
+    r_bar = core.qos_threshold(ch, config)
+    face = algorithms._face_theta(ch, config, r_bar)
+    assert np.all(core.pinned_rates(face, ch, config) >= r_bar)
+
+    report = jhtpa(ch, config)
+    assert report.feasibility.is_feasible(atol=1e-10)
+    assert np.all(np.diff(report.trace) >= 0.0)
+    assert report.stop_reason != "numerical_failure"
+    if report.stop_reason == "boundary_fallback":
+        assert report.allocation.tau == 1.0 - 1.0 / face
+        full = core.pinned_powers(face, ch, config)
+        np.testing.assert_allclose(report.allocation.p, full, rtol=1e-15)
