@@ -8,7 +8,7 @@ surrogate: its max-min rate is quasi-concave in the one harvesting-time
 variable, so one golden-section search on the exact objective finds it.
 
   jhtpa  joint harvesting-time and power allocation in (theta, 1/p) space
-  opa    power-only allocation at a fixed harvesting time
+  opa    jhtpa's power allocation at a fixed harvesting time, in 1/p space
   oht    harvesting-time-only max-min rate with full-harvest powers
 """
 
@@ -25,7 +25,6 @@ import numpy as np
 from . import core
 from .core import THETA_GAP, Allocation, FeasibilityReport
 from .engine import (
-    BARRIER_MU,
     ConvexProgram,
     Functional,
     InfeasibleStartError,
@@ -300,49 +299,26 @@ def _start(
 # ---------------------------------------------------------------------------
 
 
-def _reciprocal_rows(c0: np.ndarray, lin: np.ndarray, rec: np.ndarray) -> dict:
-    """The constraint oracles of c(z) = c0 + lin @ z + rec @ (1/z), 1/z elementwise.
+def _jhtpa_coefficients(z_bar: np.ndarray, phi: float, ch, config, r_bar: float):
+    """jhtpa's surrogate program at the iterate z_bar = (theta, q_1..q_N),
+    q_n = 1/p_n, with Dinkelbach multiplier phi (the iterate's EE), as
+    coefficient arrays over z = (theta, q): the rows c(z) = c0 + lin @ z +
+    rec @ (1/z) and the objective f0 + f_lin @ z + (f_rec + f_cpl / theta) @
+    (1/z), returned as ((c0, lin, rec), (f0, f_lin, f_rec, f_cpl)).
 
-    Each row is convex where rec >= 0 and z > 0. Its Jacobian is
-    lin - rec / z^2 and sum_j w_j hess(c_j) is the diagonal 2 (rec^T w) / z^3.
-    Columns of rec for coordinates that enter linearly only are zero.
+    The program maximizes the Dinkelbach surplus sum psi_n - phi *
+    linearized-power (negated for the minimizing engine) subject to theta >
+    1, per-pair energy causality 1/q_n <= (theta-1)*eta*P0*g_n, and psi_n >=
+    r_bar. psi_n is the affine rate bound with x_n = q_n/h_nn, y_n =
+    sum_{i!=n} h_ni/q_i + sigma2, t = theta; causality and QoS rows are
+    rescaled to O(1). Every row is convex where rec >= 0 and z > 0.
+
+    With s = max(r_bar, _QOS_SCALE_FLOOR), QoS row n is k0_n + k1_n q_n +
+    sum_i W_ni / q_i + k2_n theta with k0 = (r_bar - a + cy sigma2) / s,
+    k1 = cx / (h_nn s), W = cy off / s and k2 = ct / s. f_cpl carries phi on
+    the q entries (the linearized power's sum(1/q) / theta). The objective's
+    coefficients carry its O(1) normalization.
     """
-    dim = lin.shape[1]
-
-    def weighted_hessian(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        out.flat[:: dim + 1] = 2.0 * (w @ rec) / z**3
-        return out
-
-    return dict(
-        constraint_values=lambda z: c0 + lin @ z + rec @ (1.0 / z),
-        constraint_jacobian=lambda z: lin - rec / (z * z),
-        constraint_hessian_weighted=weighted_hessian,
-    )
-
-
-def build_jhtpa_subproblem(
-    state: ScaState,
-    ch: ChannelRealization,
-    config: ScenarioConfig,
-    r_bar: float,
-) -> ConvexProgram:
-    """Convex program over z = (theta, q_1..q_N), q_n = 1/p_n, at the current iterate.
-
-    Maximizes the Dinkelbach surplus sum psi_n - phi * linearized-power
-    (negated for the minimizing engine) subject to theta > 1, per-pair energy
-    causality 1/q_n <= (theta-1)*eta*P0*g_n, and psi_n >= r_bar. psi_n is the
-    affine rate bound with x_n = q_n/h_nn, y_n = sum_{i!=n} h_ni/q_i + sigma2,
-    t = theta; causality and QoS rows are rescaled to O(1).
-
-    Every coefficient is computed here, once per subproblem, as an array. With
-    s = max(r_bar, _QOS_SCALE_FLOOR), QoS row n is
-    k0_n + k1_n q_n + sum_i W_ni / q_i + k2_n theta with k0 = (r_bar - a + cy
-    sigma2) / s, k1 = cx / (h_nn s), W = cy off / s and k2 = ct / s, so all
-    2N + 1 rows are one _reciprocal_rows form. The objective's coefficients
-    carry its O(1) normalization.
-    """
-    z_bar = np.asarray(state.iterate, dtype=float)
     theta_bar, q_bar = float(z_bar[0]), z_bar[1:]
     n = q_bar.size
     hd = np.diag(ch.h).copy()
@@ -365,11 +341,9 @@ def build_jhtpa_subproblem(
     rec[1 : n + 1, 1:] = np.diag(1.0 / cap)
     rec[n + 1 :, 1:] = cy[:, None] * off / qos_scale
 
-    # objective: f0 + f_lin @ z + (f_rec + f_cpl / theta) @ (1/z), where f_cpl
-    # carries phi on the q entries (the linearized power's sum(1/q) / theta).
-    # Normalize the surplus to O(1): sum rates can sit many decades below one
-    # and the engine's absolute tolerances would otherwise fire early.
-    phi = float(state.phi)
+    # Normalize the surplus to O(1): sum rates can sit many decades below one,
+    # and the engine's decrement tolerances are absolute in objective units.
+    phi = float(phi)
     inv_obj = 1.0 / max(float(np.sum(core.rates_from_inverse(theta_bar, q_bar, ch))), 1e-300)
     f0 = inv_obj * (
         phi * ((1.0 - 2.0 / theta_bar) * ep + config.p_cir_watt) - float(np.sum(a_const - cy * s2))
@@ -377,6 +351,44 @@ def build_jhtpa_subproblem(
     f_lin = inv_obj * np.concatenate(([float(np.sum(ct)) + phi * ep / theta_bar**2], cx / hd))
     f_rec = inv_obj * np.concatenate(([0.0], off.T @ cy))
     f_cpl = inv_obj * np.concatenate(([0.0], np.full(n, phi)))
+    return (c0, lin, rec), (f0, f_lin, f_rec, f_cpl)
+
+
+def _subproblem(rows, objective: Functional, lo: np.ndarray) -> ConvexProgram:
+    """The ConvexProgram of _jhtpa_coefficients' rows on the open domain z > lo.
+
+    Row j is c0_j + lin_j @ z + rec_j @ (1/z): its Jacobian is lin - rec /
+    z^2 and sum_j w_j hess(c_j) is the diagonal 2 (rec^T w) / z^3.
+    """
+    c0, lin, rec = rows
+    dim = lin.shape[1]
+
+    def weighted_hessian(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        out = np.zeros((dim, dim))
+        out.flat[:: dim + 1] = 2.0 * (w @ rec) / z**3
+        return out
+
+    return ConvexProgram(
+        dim=dim,
+        objective=objective,
+        domain_guard=lambda z: bool(((lo < z) & (z < math.inf)).all()),
+        constraint_values=lambda z: c0 + lin @ z + rec @ (1.0 / z),
+        constraint_jacobian=lambda z: lin - rec / (z * z),
+        constraint_hessian_weighted=weighted_hessian,
+    )
+
+
+def build_jhtpa_subproblem(
+    state: ScaState,
+    ch: ChannelRealization,
+    config: ScenarioConfig,
+    r_bar: float,
+) -> ConvexProgram:
+    """Convex program over z = (theta, q_1..q_N), q_n = 1/p_n, at the current
+    iterate (see _jhtpa_coefficients)."""
+    z_bar = np.asarray(state.iterate, dtype=float)
+    rows, (f0, f_lin, f_rec, f_cpl) = _jhtpa_coefficients(z_bar, state.phi, ch, config, r_bar)
+    dim = z_bar.size
 
     def obj_value(z: np.ndarray) -> float:
         r = 1.0 / z
@@ -390,19 +402,14 @@ def build_jhtpa_subproblem(
 
     def obj_hess(z: np.ndarray) -> np.ndarray:
         r = 1.0 / z
-        out = np.zeros((n + 1, n + 1))
+        out = np.zeros((dim, dim))
         out[0] = out[:, 0] = f_cpl * (r[0] * r) ** 2
-        out.flat[:: n + 2] = 2.0 * (f_rec + f_cpl * r[0]) * r**3
+        out.flat[:: dim + 1] = 2.0 * (f_rec + f_cpl * r[0]) * r**3
         out[0, 0] = 2.0 * r[0] ** 3 * float(f_cpl @ r)
         return out
 
-    lo = np.concatenate(([1.0], np.zeros(n)))  # the open domain is z > lo
-    return ConvexProgram(
-        dim=n + 1,
-        objective=Functional(obj_value, obj_grad, obj_hess),
-        domain_guard=lambda z: bool(((lo < z) & (z < math.inf)).all()),
-        **_reciprocal_rows(c0, lin, rec),
-    )
+    lo = np.concatenate(([1.0], np.zeros(dim - 1)))
+    return _subproblem(rows, Functional(obj_value, obj_grad, obj_hess), lo)
 
 
 def _jhtpa_objective(z: np.ndarray, ch, config) -> float:
@@ -492,70 +499,41 @@ def build_opa_subproblem(
     r_bar: float,
     pinned: np.ndarray | None = None,
 ) -> ConvexProgram:
-    """Convex program over transmit powers p at the harvesting time config.theta_fix.
+    """jhtpa's subproblem at the fixed harvesting time config.theta_fix, over
+    q = 1/p of the pairs opa's presolve left free.
 
-    The rate bound uses x_n = 1/(p_n h_nn), y_n = sum_{i!=n} h_ni p_i + sigma2,
-    t = 1, so psi_n bounds ln(1 + SINR_n) and the QoS row reads
-    psi_n >= theta_fix * r_bar. state.phi holds the Dinkelbach multiplier in
-    the same ln(1 + SINR) units (theta_fix times the energy efficiency).
-
-    As in the joint builder, the coefficients are computed once: box rows
-    p / p_max - 1 and QoS rows k0 + k_b / p + W p, with k_b = cx / (h_nn s)
-    and W = cy off / s, form one _reciprocal_rows form, and the objective is
-    f0 + f_lin @ p + f_rec @ (1/p) with its O(1) normalization folded in.
-    Pinned pairs (see opa) sit at p_max, folded into c0 and f0; z is the rest.
+    state.iterate holds those q and state.phi the iterate's EE. The pinned
+    pairs sit at q = 1/p_max. _jhtpa_coefficients is taken at (theta_fix,
+    q); theta's and the pinned pairs' columns fold into the constants, and
+    the theta guard and the pinned pairs' rows are dropped. Each remaining
+    causality row reads q_n >= 1/p_max_n. With f_cpl / theta_fix folded into
+    f_rec the objective f0 + f_lin @ q + f_rec @ (1/q) is separable.
     """
-    n = ch.num_pairs
-    free = np.ones(n, dtype=bool) if pinned is None else ~pinned
-    hd = np.diag(ch.h).copy()
-    off = ch.h - np.diag(hd)
-    s2 = ch.sigma2_watt
-    ep = config.eta * config.p0_watt
     theta_fix = config.theta_fix
-    p_max = (theta_fix - 1.0) * ep * ch.g
-    p_bar = p_max.copy()
-    p_bar[free] = state.iterate
-
-    coeffs = core.log_bound_coeffs(1.0 / (p_bar * hd), off @ p_bar + s2, 1.0)
-    a_const, cx, cy, ct = coeffs.const_term, coeffs.cx, coeffs.cy, coeffs.ct
-    qos_rhs = theta_fix * r_bar
-    qos_scale = max(qos_rhs, _QOS_SCALE_FLOOR)
-
-    c0 = np.concatenate((-np.ones(n), (qos_rhs - a_const + cy * s2 + ct) / qos_scale))
-    lin = np.vstack((np.diag(1.0 / p_max), cy[:, None] * off / qos_scale))
-    rec = np.vstack((np.zeros((n, n)), np.diag(cx / (hd * qos_scale))))
-
-    # Same O(1) normalization as the joint builder (here the rate terms live
-    # in ln(1 + SINR) units).
-    lam = float(state.phi)
-    inv_obj = 1.0 / max(float(np.sum(np.log1p(core.sinr(p_bar, ch)))), 1e-300)
-    f0 = inv_obj * (
-        lam * ((1.0 - 1.0 / theta_fix) * ep + config.p_cir_watt)
-        - float(np.sum(a_const - cy * s2 - ct))
+    # over z = (theta, q): theta and the pinned pairs are fixed
+    free = np.append(False, np.ones(ch.num_pairs, dtype=bool) if pinned is None else ~pinned)
+    z_bar = np.append(theta_fix, 1.0 / core.pinned_powers(theta_fix, ch, config))
+    z_bar[free] = state.iterate
+    (c0, lin, rec), (f0, f_lin, f_rec, f_cpl) = _jhtpa_coefficients(
+        z_bar, state.phi, ch, config, r_bar
     )
-    f_lin = inv_obj * (off.T @ cy + lam / theta_fix)
-    f_rec = inv_obj * cx / hd
+    z_fix, r_fix = np.where(free, 0.0, z_bar), np.where(free, 0.0, 1.0 / z_bar)
+    keep = np.concatenate(([False], free[1:], free[1:]))  # drop the theta guard and pinned rows
+    c0 = (c0 + lin @ z_fix + rec @ r_fix)[keep]
+    lin, rec = lin[np.ix_(keep, free)], rec[np.ix_(keep, free)]
+    f_rec = f_rec + f_cpl / theta_fix
+    f0 += float(f_lin @ z_fix + f_rec @ r_fix)
+    f_lin, f_rec, dim = f_lin[free], f_rec[free], int(free.sum())
 
-    p_pin, rows = p_max[~free], np.concatenate((free, free))  # free rows of rec: no pinned column
-    c0, lin, rec = c0[rows] + lin[rows][:, ~free] @ p_pin, lin[rows][:, free], rec[rows][:, free]
-    f0 += float(f_lin[~free] @ p_pin + f_rec[~free] @ (1.0 / p_pin))
-    f_lin, f_rec, n = f_lin[free], f_rec[free], int(free.sum())
-
-    def obj_hess(p: np.ndarray) -> np.ndarray:
-        out = np.zeros((n, n))
-        out.flat[:: n + 1] = 2.0 * f_rec / p**3
+    def obj_hess(q: np.ndarray) -> np.ndarray:
+        out = np.zeros((dim, dim))
+        out.flat[:: dim + 1] = 2.0 * f_rec / q**3
         return out
 
-    return ConvexProgram(
-        dim=n,
-        objective=Functional(
-            lambda p: f0 + float(f_lin @ p + f_rec @ (1.0 / p)),
-            lambda p: f_lin - f_rec / (p * p),
-            obj_hess,
-        ),
-        domain_guard=lambda p: bool(((0.0 < p) & (p < math.inf)).all()),
-        **_reciprocal_rows(c0, lin, rec),
+    objective = Functional(
+        lambda q: f0 + float(f_lin @ q + f_rec @ (1.0 / q)), lambda q: f_lin - f_rec / (q * q), obj_hess
     )
+    return _subproblem((c0, lin, rec), objective, np.zeros(dim))
 
 
 def opa(
@@ -564,7 +542,8 @@ def opa(
     settings: ScaSettings | None = None,
     r_bar: float | None = None,
 ) -> SolveReport:
-    """Power-only SCA at the fixed harvesting time config.theta_fix.
+    """Power-only SCA at the fixed harvesting time config.theta_fix: jhtpa's
+    SCA with theta held there, iterating q = 1/p (build_opa_subproblem).
 
     The QoS floor leaves its worst pair a ~1e-10-wide power interval where a
     barrier stalls, so a presolve fixes each pair with 1 - x_min_k <=
@@ -582,14 +561,17 @@ def opa(
     pinned = 1.0 - _interior_powers(ch, config, r_bar, theta_fix, None, system)[1] <= _PIN_TOL
     pinned &= _violation(theta_fix, p_max, ch, config, r_bar) < _BOUNDARY_TOL
 
-    def powers(z: np.ndarray) -> np.ndarray:
-        p = p_max.copy()
-        p[~pinned] = z
-        return p
+    z_harvest = np.append(theta_fix, 1.0 / p_max)  # the full-harvest point in (theta, q)
 
-    def ln_domain_phi(p_vec: np.ndarray) -> float:
-        alloc = Allocation.from_theta(theta_fix, p_vec)
-        return float(np.sum(np.log1p(core.sinr(p_vec, ch)))) / core.total_power(alloc, config)
+    def full(q: np.ndarray) -> np.ndarray:  # (theta_fix, q), pinned pairs at 1/p_max
+        z = z_harvest.copy()
+        z[1:][~pinned] = q
+        return z
+
+    def powers(q: np.ndarray) -> np.ndarray:
+        p = p_max.copy()
+        p[~pinned] = 1.0 / q
+        return p
 
     report = _sca_loop(
         "opa",
@@ -599,11 +581,10 @@ def opa(
         settings,
         started,
         start=_start(ch, config, r_bar, theta_fix, pinned, system),
-        to_z=lambda theta, p: p[~pinned],
+        to_z=lambda theta, p: 1.0 / p[~pinned],
         build=lambda state: build_opa_subproblem(state, ch, config, r_bar, pinned),
-        evaluate=lambda z: ln_domain_phi(powers(z)),
-        allocation=lambda z: Allocation.from_theta(theta_fix, powers(z)),
-        phi_per_ee=theta_fix,
+        evaluate=lambda q: _jhtpa_objective(full(q), ch, config),
+        allocation=lambda q: Allocation.from_theta(theta_fix, powers(q)),
     )
     report.pinned = int(pinned.sum())
     return report
@@ -693,7 +674,6 @@ def _sca_loop(
     build,
     evaluate,
     allocation,
-    phi_per_ee: float = 1.0,
     extrapolate=None,
 ) -> SolveReport:
     """The SCA loop jhtpa and opa share.
@@ -702,29 +682,26 @@ def _sca_loop(
     to_z(theta, p) maps to the algorithm's variables; a start that is only
     weakly feasible (the full-harvest point) is the answer, as there is no
     strict interior to iterate in. Otherwise each iteration builds the
-    surrogate program at the iterate with build(state), solves it and scores
-    the solution with evaluate(z), the Dinkelbach multiplier in the
-    builder's units; extrapolate(z_bar, z, phi) may extend the step. The
-    trace and the ascent and convergence tests use phi / phi_per_ee, the
-    energy efficiency, and allocation(z) maps the final iterate to an
-    Allocation. The report's stop_reason names the exit taken (see
-    _STOP_STATUS).
+    surrogate program at the iterate with build(state), solves it from the
+    iterate (each solve picks its own first barrier stage) and scores the
+    solution with evaluate(z), the energy efficiency, which is also the next
+    Dinkelbach multiplier; extrapolate(z_bar, z, phi) may extend the step.
+    allocation(z) maps the final iterate to an Allocation. The report's
+    stop_reason names the exit taken (see _STOP_STATUS).
     """
     theta, p, strict = start
     z = to_z(theta, p)
-    phi = evaluate(z)
-    ee = phi / phi_per_ee
-    state = ScaState(iterate=z, phi=phi, trace=[ee])
+    ee = evaluate(z)
+    state = ScaState(iterate=z, phi=ee, trace=[ee])
     if not strict:
         return _finish_report(
             name, allocation(z), ch, config, r_bar, state, "boundary_fallback", 0, started
         )
     stop_reason = "max_iterations"
     subsolver_calls = 0
-    warm_t = 1.0
     for _ in range(settings.max_iterations):
         try:
-            outcome = solve(build(state), state.iterate, t0=warm_t)
+            outcome = solve(build(state), state.iterate)
         except InfeasibleStartError:
             stop_reason = "infeasible_start"
             break
@@ -732,20 +709,16 @@ def _sca_loop(
         if outcome.status is SolveStatus.NUMERICAL_FAILURE:
             stop_reason = "numerical_failure"
             break
-        phi_step = evaluate(outcome.z_star)
-        z, phi_new = outcome.z_star, phi_step
+        z, ee_new = outcome.z_star, evaluate(outcome.z_star)
         if extrapolate is not None:
-            z, phi_new = extrapolate(state.iterate, z, phi_step)
-        # Extrapolation moves the iterate far off this solve's central path.
-        warm_t = 1.0 if phi_new > phi_step else max(1.0, outcome.barrier_t_final / BARRIER_MU**2)
-        ee_new = phi_new / phi_per_ee
+            z, ee_new = extrapolate(state.iterate, z, ee_new)
         if ee_new < ee:
             # Ascent is guaranteed in exact arithmetic; a non-improving step
             # means the numerical floor is reached. Keep the better iterate.
             stop_reason = "non_improving"
             break
         state = ScaState(
-            iterate=z, phi=phi_new, kappa=state.kappa + 1, trace=state.trace + [ee_new]
+            iterate=z, phi=ee_new, kappa=state.kappa + 1, trace=state.trace + [ee_new]
         )
         if _converged(ee_new, ee, settings.epsilon):
             stop_reason = "epsilon"

@@ -257,11 +257,10 @@ def test_criterion_7_gradient_checks():
 
     theta_fix = config.theta_fix
     for p in log_uniform_opa_points(rng, ch, config, r_bar, theta_fix, 10):
-        lam = float(np.sum(np.log1p(core.sinr(p, ch)))) / core.total_power(
-            core.Allocation.from_theta(theta_fix, p), config
-        )
-        prog = build_opa_subproblem(ScaState(iterate=p, phi=lam), ch, config, r_bar)
-        worst = max(worst, check_gradients(prog, p))
+        q = 1.0 / p
+        phi = _jhtpa_objective(np.append(theta_fix, q), ch, config)
+        prog = build_opa_subproblem(ScaState(iterate=q, phi=phi), ch, config, r_bar)
+        worst = max(worst, check_gradients(prog, q))
 
     ok = worst < 1e-5
     _verdict(7, "gradient checks", ok, f"max relative oracle error {worst:.2e} (<1e-5)")
