@@ -8,8 +8,11 @@ surrogate: its max-min rate is quasi-concave in the one harvesting-time
 variable, so one golden-section search on the exact objective finds it.
 
   jhtpa  joint harvesting-time and power allocation in (theta, 1/p) space
-  opa    jhtpa's power allocation at a fixed harvesting time, in 1/p space
+  opa    jhtpa's SCA with theta and the presolve's pinned pairs held
   oht    harvesting-time-only max-min rate with full-harvest powers
+
+Both SCA algorithms iterate the one point z = (theta, q_1..q_N), q_n = 1/p_n;
+opa marks the entries it holds with a boolean mask over z.
 """
 
 from __future__ import annotations
@@ -91,16 +94,6 @@ class ScaSettings:
 
     epsilon: float = 1e-2
     max_iterations: int = 100
-
-
-@dataclass
-class ScaState:
-    """One SCA iterate: the current point, fractional objective value, and history."""
-
-    iterate: np.ndarray
-    phi: float
-    kappa: int = 0
-    trace: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -379,15 +372,15 @@ def _subproblem(rows, objective: Functional, lo: np.ndarray) -> ConvexProgram:
 
 
 def build_jhtpa_subproblem(
-    state: ScaState,
+    z_bar: np.ndarray,
+    phi: float,
     ch: ChannelRealization,
     config: ScenarioConfig,
     r_bar: float,
 ) -> ConvexProgram:
-    """Convex program over z = (theta, q_1..q_N), q_n = 1/p_n, at the current
-    iterate (see _jhtpa_coefficients)."""
-    z_bar = np.asarray(state.iterate, dtype=float)
-    rows, (f0, f_lin, f_rec, f_cpl) = _jhtpa_coefficients(z_bar, state.phi, ch, config, r_bar)
+    """Convex program over z = (theta, q_1..q_N), q_n = 1/p_n, at the iterate
+    z_bar with Dinkelbach multiplier phi, its EE (see _jhtpa_coefficients)."""
+    rows, (f0, f_lin, f_rec, f_cpl) = _jhtpa_coefficients(z_bar, phi, ch, config, r_bar)
     dim = z_bar.size
 
     def obj_value(z: np.ndarray) -> float:
@@ -479,10 +472,7 @@ def jhtpa(
         settings,
         started,
         start=_start(ch, config, r_bar, _face_theta(ch, config, r_bar)),
-        to_z=lambda theta, p: np.concatenate(([theta], 1.0 / p)),
-        build=lambda state: build_jhtpa_subproblem(state, ch, config, r_bar),
-        evaluate=lambda z: _jhtpa_objective(z, ch, config),
-        allocation=lambda z: Allocation.from_theta(float(z[0]), 1.0 / z[1:]),
+        build=lambda z, phi: build_jhtpa_subproblem(z, phi, ch, config, r_bar),
         extrapolate=lambda z_bar, z, phi: _jhtpa_extrapolate(z_bar, z, phi, ch, config, r_bar),
     )
 
@@ -493,35 +483,30 @@ def jhtpa(
 
 
 def build_opa_subproblem(
-    state: ScaState,
+    z_bar: np.ndarray,
+    phi: float,
     ch: ChannelRealization,
     config: ScenarioConfig,
     r_bar: float,
     pinned: np.ndarray | None = None,
 ) -> ConvexProgram:
-    """jhtpa's subproblem at the fixed harvesting time config.theta_fix, over
-    q = 1/p of the pairs opa's presolve left free.
+    """jhtpa's subproblem at the iterate z_bar = (theta, q) with theta and the
+    pinned pairs held, over the q = 1/p of the pairs left free.
 
-    state.iterate holds those q and state.phi the iterate's EE. The pinned
-    pairs sit at q = 1/p_max. _jhtpa_coefficients is taken at (theta_fix,
-    q); theta's and the pinned pairs' columns fold into the constants, and
-    the theta guard and the pinned pairs' rows are dropped. Each remaining
-    causality row reads q_n >= 1/p_max_n. With f_cpl / theta_fix folded into
-    f_rec the objective f0 + f_lin @ q + f_rec @ (1/q) is separable.
+    phi is z_bar's EE. _jhtpa_coefficients is taken at z_bar; theta's and
+    the pinned pairs' columns fold into the constants, and the theta guard
+    and the pinned pairs' rows are dropped. Each remaining causality row
+    reads q_n >= 1/p_max_n at theta = z_bar[0]. With f_cpl / theta folded
+    into f_rec the objective f0 + f_lin @ q + f_rec @ (1/q) is separable.
     """
-    theta_fix = config.theta_fix
-    # over z = (theta, q): theta and the pinned pairs are fixed
+    # over z = (theta, q): theta and the pinned pairs are held
     free = np.append(False, np.ones(ch.num_pairs, dtype=bool) if pinned is None else ~pinned)
-    z_bar = np.append(theta_fix, 1.0 / core.pinned_powers(theta_fix, ch, config))
-    z_bar[free] = state.iterate
-    (c0, lin, rec), (f0, f_lin, f_rec, f_cpl) = _jhtpa_coefficients(
-        z_bar, state.phi, ch, config, r_bar
-    )
+    (c0, lin, rec), (f0, f_lin, f_rec, f_cpl) = _jhtpa_coefficients(z_bar, phi, ch, config, r_bar)
     z_fix, r_fix = np.where(free, 0.0, z_bar), np.where(free, 0.0, 1.0 / z_bar)
     keep = np.concatenate(([False], free[1:], free[1:]))  # drop the theta guard and pinned rows
     c0 = (c0 + lin @ z_fix + rec @ r_fix)[keep]
     lin, rec = lin[np.ix_(keep, free)], rec[np.ix_(keep, free)]
-    f_rec = f_rec + f_cpl / theta_fix
+    f_rec = f_rec + f_cpl / z_bar[0]
     f0 += float(f_lin @ z_fix + f_rec @ r_fix)
     f_lin, f_rec, dim = f_lin[free], f_rec[free], int(free.sum())
 
@@ -543,7 +528,8 @@ def opa(
     r_bar: float | None = None,
 ) -> SolveReport:
     """Power-only SCA at the fixed harvesting time config.theta_fix: jhtpa's
-    SCA with theta held there, iterating q = 1/p (build_opa_subproblem).
+    SCA on z = (theta, q) with theta and the pinned pairs held
+    (build_opa_subproblem).
 
     The QoS floor leaves its worst pair a ~1e-10-wide power interval where a
     barrier stalls, so a presolve fixes each pair with 1 - x_min_k <=
@@ -556,23 +542,9 @@ def opa(
     if r_bar is None:
         r_bar = core.qos_threshold(ch, config)
     theta_fix = config.theta_fix
-    p_max = core.pinned_powers(theta_fix, ch, config)
     system = _qos_system(ch, config, r_bar, theta_fix)  # the presolve's and the start's
     pinned = 1.0 - _interior_powers(ch, config, r_bar, theta_fix, None, system)[1] <= _PIN_TOL
-    pinned &= _violation(theta_fix, p_max, ch, config, r_bar) < _BOUNDARY_TOL
-
-    z_harvest = np.append(theta_fix, 1.0 / p_max)  # the full-harvest point in (theta, q)
-
-    def full(q: np.ndarray) -> np.ndarray:  # (theta_fix, q), pinned pairs at 1/p_max
-        z = z_harvest.copy()
-        z[1:][~pinned] = q
-        return z
-
-    def powers(q: np.ndarray) -> np.ndarray:
-        p = p_max.copy()
-        p[~pinned] = 1.0 / q
-        return p
-
+    pinned &= _violation(theta_fix, system[0], ch, config, r_bar) < _BOUNDARY_TOL
     report = _sca_loop(
         "opa",
         ch,
@@ -581,10 +553,8 @@ def opa(
         settings,
         started,
         start=_start(ch, config, r_bar, theta_fix, pinned, system),
-        to_z=lambda theta, p: 1.0 / p[~pinned],
-        build=lambda state: build_opa_subproblem(state, ch, config, r_bar, pinned),
-        evaluate=lambda q: _jhtpa_objective(full(q), ch, config),
-        allocation=lambda q: Allocation.from_theta(theta_fix, powers(q)),
+        build=lambda z, phi: build_opa_subproblem(z, phi, ch, config, r_bar, pinned),
+        free=np.append(False, ~pinned),
     )
     report.pinned = int(pinned.sum())
     return report
@@ -650,9 +620,8 @@ def oht(
     ee = float(np.sum(core.pinned_rates(theta, ch, config))) / core.pinned_total_power(
         theta, ch, config
     )
-    state = ScaState(iterate=np.array([theta]), phi=obj, kappa=1, trace=[obj_fix, obj])
     return _finish_report(
-        "oht", alloc, ch, config, r_bar, state, "epsilon", 1, started, ee_override=ee
+        "oht", alloc, ch, config, r_bar, [obj_fix, obj], "epsilon", 1, started, ee_override=ee
     )
 
 
@@ -670,38 +639,34 @@ def _sca_loop(
     started: float,
     *,
     start,
-    to_z,
     build,
-    evaluate,
-    allocation,
+    free: np.ndarray | None = None,
     extrapolate=None,
 ) -> SolveReport:
-    """The SCA loop jhtpa and opa share.
+    """The SCA loop jhtpa and opa share, on the iterate z = (theta, 1/p).
 
-    Starts from start, _start's (theta, p, strict), whose (theta, p)
-    to_z(theta, p) maps to the algorithm's variables; a start that is only
-    weakly feasible (the full-harvest point) is the answer, as there is no
-    strict interior to iterate in. Otherwise each iteration builds the
-    surrogate program at the iterate with build(state), solves it from the
-    iterate (each solve picks its own first barrier stage) and scores the
-    solution with evaluate(z), the energy efficiency, which is also the next
-    Dinkelbach multiplier; extrapolate(z_bar, z, phi) may extend the step.
-    allocation(z) maps the final iterate to an Allocation. The report's
+    z starts at start, _start's (theta, p, strict). free marks the entries
+    of z the subproblems move (all by default); the others stay at the
+    start. Each iteration builds the surrogate program at z with build(z,
+    phi), phi being z's EE, solves it from z[free] (each solve picks its
+    own first barrier stage) and writes the solution into a copy of z,
+    which is scored by _jhtpa_objective, the next Dinkelbach multiplier;
+    extrapolate(z_bar, z, phi) may extend the step. A start that is only
+    weakly feasible (the full-harvest point) takes zero iterations, as
+    there is no strict interior to iterate in. The allocation is the final
+    z's, with the held pairs at the start's powers. The report's
     stop_reason names the exit taken (see _STOP_STATUS).
     """
-    theta, p, strict = start
-    z = to_z(theta, p)
-    ee = evaluate(z)
-    state = ScaState(iterate=z, phi=ee, trace=[ee])
-    if not strict:
-        return _finish_report(
-            name, allocation(z), ch, config, r_bar, state, "boundary_fallback", 0, started
-        )
-    stop_reason = "max_iterations"
+    theta, p_start, strict = start
+    z = np.append(theta, 1.0 / p_start)
+    free = np.ones(z.size, dtype=bool) if free is None else free
+    ee = _jhtpa_objective(z, ch, config)
+    trace = [ee]
+    stop_reason = "max_iterations" if strict else "boundary_fallback"
     subsolver_calls = 0
-    for _ in range(settings.max_iterations):
+    for _ in range(settings.max_iterations if strict else 0):
         try:
-            outcome = solve(build(state), state.iterate)
+            outcome = solve(build(z, ee), z[free])
         except InfeasibleStartError:
             stop_reason = "infeasible_start"
             break
@@ -709,31 +674,25 @@ def _sca_loop(
         if outcome.status is SolveStatus.NUMERICAL_FAILURE:
             stop_reason = "numerical_failure"
             break
-        z, ee_new = outcome.z_star, evaluate(outcome.z_star)
+        z_new = z.copy()
+        z_new[free] = outcome.z_star
+        ee_new = _jhtpa_objective(z_new, ch, config)
         if extrapolate is not None:
-            z, ee_new = extrapolate(state.iterate, z, ee_new)
+            z_new, ee_new = extrapolate(z, z_new, ee_new)
         if ee_new < ee:
             # Ascent is guaranteed in exact arithmetic; a non-improving step
             # means the numerical floor is reached. Keep the better iterate.
             stop_reason = "non_improving"
             break
-        state = ScaState(
-            iterate=z, phi=ee_new, kappa=state.kappa + 1, trace=state.trace + [ee_new]
-        )
+        z = z_new
+        trace.append(ee_new)
         if _converged(ee_new, ee, settings.epsilon):
             stop_reason = "epsilon"
             break
         ee = ee_new
+    alloc = Allocation.from_theta(float(z[0]), np.where(free[1:], 1.0 / z[1:], p_start))
     return _finish_report(
-        name,
-        allocation(state.iterate),
-        ch,
-        config,
-        r_bar,
-        state,
-        stop_reason,
-        subsolver_calls,
-        started,
+        name, alloc, ch, config, r_bar, trace, stop_reason, subsolver_calls, started
     )
 
 
@@ -743,24 +702,26 @@ def _finish_report(
     ch: ChannelRealization,
     config: ScenarioConfig,
     r_bar: float,
-    state: ScaState,
+    trace: list[float],
     stop_reason: str,
     subsolver_calls: int,
     started: float,
     ee_override: float | None = None,
 ) -> SolveReport:
-    """The report of a finished run; its status follows from stop_reason
-    (_STOP_STATUS, "converged" for every other reason)."""
+    """The report of a finished run. trace holds the objective at the start
+    and after each accepted step, so iterations = len(trace) - 1; status
+    follows from stop_reason (_STOP_STATUS, "converged" for every other
+    reason)."""
     ee = ee_override if ee_override is not None else core.energy_efficiency(alloc, ch, config)
     return SolveReport(
         algorithm=algorithm,
         allocation=alloc,
         ee_nats_per_joule=ee,
         ee_bits_per_joule=ee / core.LN2,
-        iterations=state.kappa,
+        iterations=len(trace) - 1,
         subsolver_calls=subsolver_calls,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
-        trace=list(state.trace),
+        trace=trace,
         status=_STOP_STATUS.get(stop_reason, "converged"),
         r_bar=r_bar,
         stop_reason=stop_reason,

@@ -44,6 +44,8 @@ class ExperimentSpec:
             raise ValueError("trials_per_point must be >= 1")
         if not self.pair_counts or any(n < 1 for n in self.pair_counts):
             raise ValueError("pair_counts must be nonempty with every entry >= 1")
+        if len(set(self.pair_counts)) < len(self.pair_counts):
+            raise ValueError(f"pair_counts repeats an entry: {self.pair_counts}")
         unknown = set(self.algorithms) - set(ALGORITHM_NAMES)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")

@@ -34,10 +34,15 @@ def _parse_pairs(text: str) -> tuple[int, ...]:
         if not part:
             continue
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split("-", 1))
+            if hi < lo:
+                raise ValueError(f"pair range {part!r} runs backwards")
+            counts = range(lo, hi + 1)
         else:
-            out.append(int(part))
+            counts = [int(part)]
+        if set(counts) & set(out):
+            raise ValueError(f"{part!r} repeats a pair count")
+        out.extend(counts)
     if not out or any(n < 1 for n in out):
         raise ValueError("pair counts must be integers >= 1")
     return tuple(out)

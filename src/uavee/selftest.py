@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .algorithms import ScaState, build_jhtpa_subproblem, jhtpa, oht, opa
+from .algorithms import build_jhtpa_subproblem, jhtpa, oht, opa
 from .engine import ConvexProgram, Functional, check_gradients, solve
 from .scenario import ScenarioConfig, make_scenario
 
@@ -53,7 +53,7 @@ def _jhtpa_gradients(_: np.random.Generator) -> bool:
     phi = float(np.sum(core.rates_from_inverse(theta, q, ch))) / core.total_power_from_inverse(
         theta, q, config
     )
-    prog = build_jhtpa_subproblem(ScaState(iterate=z, phi=phi), ch, config, r_bar)
+    prog = build_jhtpa_subproblem(z, phi, ch, config, r_bar)
     return check_gradients(prog, z) < 1e-5
 
 

@@ -1,0 +1,81 @@
+"""Bit-identity check of every solve on the benchmark's 440 quality trials.
+
+    python tests/signatures.py OUT.json           write the signatures
+    python tests/signatures.py OLD.json NEW.json  compare two signature files
+
+The trials are perfbench's paper_sweep seed 501 (360), dense_n30 seed 601
+(40) and feasibility_edge seed 701 (40), run through harness.run_paired_trial.
+A solve's signature is harness.solve_signature: status, EE, tau, powers,
+trace, iterations and subsolver calls, or the exception it raised. Write the
+file from each of two checkouts and compare them; the comparison prints, per
+workload and algorithm, how many solves are identical and the largest
+relative EE change.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+TRIAL_SETS = (("paper_sweep", 501, 360), ("dense_n30", 601, 40), ("feasibility_edge", 701, 40))
+
+
+def _jsonable(value):
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def write(out: Path) -> None:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import harness
+
+    data = {}
+    for name, seed, count in TRIAL_SETS:
+        trials = harness.plan(harness.WORKLOADS[name], seed, count)
+        data[name] = [
+            {alg: _jsonable(harness.solve_signature(res)) for alg, res in tr.solves.items()}
+            for tr in map(harness.run_paired_trial, trials)
+        ]
+    out.write_text(json.dumps(data))
+
+
+def _ee(signature) -> float | None:
+    return None if signature[0] == "raised" else float.fromhex(signature[1])
+
+
+def compare(old: Path, new: Path) -> bool:
+    before, after = json.loads(old.read_text()), json.loads(new.read_text())
+    same_everywhere = True
+    print(f"{'workload':<18}{'algorithm':<11}{'identical':>12}{'max rel EE drift':>18}")
+    for name, _, _ in TRIAL_SETS:
+        pairs = list(zip(before[name], after[name], strict=True))
+        for alg in pairs[0][0]:
+            identical, drift = 0, 0.0
+            for a, b in ((x[alg], y[alg]) for x, y in pairs):
+                identical += a == b
+                ee_a, ee_b = _ee(a), _ee(b)
+                if (ee_a is None) != (ee_b is None):
+                    drift = float("inf")
+                elif ee_a is not None and ee_a != ee_b:
+                    drift = max(drift, abs(ee_b - ee_a) / max(abs(ee_a), 1e-300))
+            same_everywhere &= identical == len(pairs)
+            print(f"{name:<18}{alg:<11}{f'{identical}/{len(pairs)}':>12}{drift:>18.3g}")
+    return same_everywhere
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 1:
+        write(Path(argv[0]))
+        return 0
+    if len(argv) == 2:
+        return 0 if compare(Path(argv[0]), Path(argv[1])) else 1
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,7 +12,6 @@ import pytest
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
-    ScaState,
     _jhtpa_objective,
     build_jhtpa_subproblem,
     build_opa_subproblem,
@@ -251,15 +250,14 @@ def test_criterion_7_gradient_checks():
     r_bar = core.qos_threshold(ch, config)
 
     for z in log_uniform_jhtpa_points(rng, ch, config, r_bar, 10):
-        state = ScaState(iterate=z, phi=_jhtpa_objective(z, ch, config))
-        prog = build_jhtpa_subproblem(state, ch, config, r_bar)
+        prog = build_jhtpa_subproblem(z, _jhtpa_objective(z, ch, config), ch, config, r_bar)
         worst = max(worst, check_gradients(prog, z))
 
     theta_fix = config.theta_fix
     for p in log_uniform_opa_points(rng, ch, config, r_bar, theta_fix, 10):
         q = 1.0 / p
         phi = _jhtpa_objective(np.append(theta_fix, q), ch, config)
-        prog = build_opa_subproblem(ScaState(iterate=q, phi=phi), ch, config, r_bar)
+        prog = build_opa_subproblem(np.append(theta_fix, q), phi, ch, config, r_bar)
         worst = max(worst, check_gradients(prog, q))
 
     ok = worst < 1e-5

@@ -14,7 +14,6 @@ import uavee.algorithms as algorithms
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
-    ScaState,
     _jhtpa_objective,
     build_jhtpa_subproblem,
     build_opa_subproblem,
@@ -203,8 +202,7 @@ def test_subproblem_oracles_match_the_surrogate_rate_bound(
     theta_bar, theta = 1.0 + (theta_fix - 1.0) * rng.uniform(0.2, 5.0, 2)
     z_bar = np.concatenate(([theta_bar], 1.0 / powers(theta_bar)))
     z = np.concatenate(([theta], 1.0 / powers(theta)))
-    state = ScaState(iterate=z_bar, phi=_jhtpa_objective(z_bar, ch, config))
-    prog = build_jhtpa_subproblem(state, ch, config, r_bar)
+    prog = build_jhtpa_subproblem(z_bar, _jhtpa_objective(z_bar, ch, config), ch, config, r_bar)
     q_bar = z_bar[1:]
     coeffs = core.log_bound_coeffs(q_bar / hd, off @ (1.0 / q_bar) + ch.sigma2_watt, theta_bar)
     rows = prog.constraint_values(z)[num_pairs + 1 :]
@@ -214,7 +212,7 @@ def test_subproblem_oracles_match_the_surrogate_rate_bound(
     # opa's subproblem is jhtpa's at theta = theta_fix, over q = 1/p
     q_bar, q = 1.0 / powers(theta_fix), 1.0 / powers(theta_fix)
     phi = _jhtpa_objective(np.append(theta_fix, q_bar), ch, config)
-    prog = build_opa_subproblem(ScaState(iterate=q_bar, phi=phi), ch, config, r_bar)
+    prog = build_opa_subproblem(np.append(theta_fix, q_bar), phi, ch, config, r_bar)
     coeffs = core.log_bound_coeffs(q_bar / hd, off @ (1.0 / q_bar) + ch.sigma2_watt, theta_fix)
     rows = prog.constraint_values(q)[num_pairs:]
     assert_qos_rows(rows, r_bar, coeffs, q / hd, off @ (1.0 / q) + ch.sigma2_watt, theta_fix)
@@ -285,8 +283,8 @@ def test_jhtpa_subproblem_objective_zero_at_expansion():
     cap = config.eta * config.p0_watt * ch.g
     q = 1.07 / ((theta - 1.0) * cap)
     z = np.concatenate(([theta], q))
-    state = ScaState(iterate=z, phi=_jhtpa_objective(z, ch, config))
-    prog = build_jhtpa_subproblem(state, ch, config, core.qos_threshold(ch, config))
+    phi = _jhtpa_objective(z, ch, config)
+    prog = build_jhtpa_subproblem(z, phi, ch, config, core.qos_threshold(ch, config))
     assert abs(prog.objective.value(z)) < 1e-9
 
 
@@ -299,8 +297,7 @@ def test_jhtpa_qos_constraint_tangent_at_expansion():
     cap = config.eta * config.p0_watt * ch.g
     q = 1.01 / ((theta - 1.0) * cap)
     z = np.concatenate(([theta], q))
-    state = ScaState(iterate=z, phi=_jhtpa_objective(z, ch, config))
-    prog = build_jhtpa_subproblem(state, ch, config, r_bar)
+    prog = build_jhtpa_subproblem(z, _jhtpa_objective(z, ch, config), ch, config, r_bar)
     qos_rows = prog.constraint_values(z)[-3:]
     true_deficit = (r_bar - core.rates_from_inverse(theta, q, ch)) / max(r_bar, 1e-300)
     np.testing.assert_allclose(qos_rows, true_deficit, atol=1e-10)
@@ -312,9 +309,43 @@ def test_opa_subproblem_objective_zero_at_expansion():
     q = 1.05 / ((theta_fix - 1.0) * config.eta * config.p0_watt * ch.g)
     phi = _jhtpa_objective(np.append(theta_fix, q), ch, config)
     prog = build_opa_subproblem(
-        ScaState(iterate=q, phi=phi), ch, config, core.qos_threshold(ch, config)
+        np.append(theta_fix, q), phi, ch, config, core.qos_threshold(ch, config)
     )
     assert abs(prog.objective.value(q)) < 1e-9
+
+
+def test_opa_program_is_jhtpa_with_theta_and_pinned_pairs_held():
+    # build_opa_subproblem folds theta's and the pinned pairs' columns into
+    # constants and drops their rows; at every q it reads what jhtpa's program
+    # reads at the same (z_bar, phi) with those entries held at z_bar's
+    rng = np.random.default_rng(1301)
+    worst = np.zeros(3)
+    for num_pairs in range(2, 11):
+        config, ch = scenario(num_pairs, 130 + num_pairs)
+        r_bar = core.qos_threshold(ch, config)
+        p_max = core.pinned_powers(config.theta_fix, ch, config)
+        random_mask = rng.random(num_pairs) < 0.5
+        random_mask[rng.integers(num_pairs)] = False
+        for pinned in (None, random_mask, np.arange(num_pairs) > 0):
+            held = np.zeros(num_pairs, dtype=bool) if pinned is None else pinned
+            free = np.append(False, ~held)
+            keep = np.concatenate(([False], ~held, ~held))
+            z_bar = np.append(config.theta_fix, 1.0 / (rng.uniform(0.05, 1.0, num_pairs) * p_max))
+            phi = _jhtpa_objective(z_bar, ch, config)
+            joint = build_jhtpa_subproblem(z_bar, phi, ch, config, r_bar)
+            fixed = build_opa_subproblem(z_bar, phi, ch, config, r_bar, pinned)
+            for _ in range(3):
+                z = z_bar.copy()
+                z[free] = 1.0 / (rng.uniform(0.05, 1.0, (~held).sum()) * p_max[~held])
+                c = joint.constraint_values(z)[keep]
+                f, g = joint.objective.value(z), joint.objective.grad(z)[free]
+                errors = (
+                    np.max(np.abs(fixed.constraint_values(z[free]) - c) / (1.0 + np.abs(c))),
+                    abs(fixed.objective.value(z[free]) - f) / max(1.0, abs(f)),
+                    np.max(np.abs(fixed.objective.grad(z[free]) - g) / np.abs(g)),
+                )
+                worst = np.maximum(worst, errors)
+    assert np.all(worst <= 1e-12), worst
 
 
 def test_report_serialization_roundtrip():
@@ -396,8 +427,8 @@ def test_subproblem_rejecting_the_start_stops_at_infeasible_start(monkeypatch):
     # the start and jhtpa answers with it, without iterating.
     build = algorithms.build_jhtpa_subproblem
 
-    def rejecting(state, ch, config, r_bar):
-        prog = build(state, ch, config, r_bar)
+    def rejecting(z_bar, phi, ch, config, r_bar):
+        prog = build(z_bar, phi, ch, config, r_bar)
         return dataclasses.replace(
             prog, constraint_values=lambda z: np.abs(prog.constraint_values(z))
         )

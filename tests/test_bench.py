@@ -35,6 +35,13 @@ def test_spec_validation():
         small_spec(output_format="xml")
 
 
+def test_spec_rejects_repeated_pair_counts():
+    # run_experiment would run each repeated (N, trial) twice on one child seed
+    for counts in ((2, 2), (2, 3, 2)):
+        with pytest.raises(ValueError, match="repeats"):
+            small_spec(pair_counts=counts)
+
+
 def test_child_seed_stable():
     # frozen values: the derivation must never change across releases
     assert derive_child_seed(7, 2, 0) == derive_child_seed(7, 2, 0)

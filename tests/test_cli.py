@@ -28,6 +28,17 @@ def test_run_rejects_zero_pairs(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("pairs", "part"), [("2,2", "'2'"), ("2-4,3", "'3'"), ("2-3,10-2", "'10-2'")]
+)
+def test_run_rejects_repeated_or_reversed_pairs(pairs, part, capsys):
+    # a repeated count would run each of its trials twice on the same seed,
+    # and a reversed range would add no count to the sweep
+    assert cli_main(["run", "--pairs", pairs, "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and part in err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert cli_main(["run", "--frobnicate"]) == 1
     err = capsys.readouterr().err

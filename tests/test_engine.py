@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
-    ScaState,
     _face_theta,
     _jhtpa_objective,
     _start,
@@ -87,8 +86,8 @@ def jhtpa_fixture_program(n=2, seed=7):
     theta, p, strict = _start(ch, config, r_bar, _face_theta(ch, config, r_bar))
     assert strict
     z = np.concatenate(([theta], 1.0 / p))
-    state = ScaState(iterate=z, phi=_jhtpa_objective(z, ch, config))
-    return build_jhtpa_subproblem(state, ch, config, r_bar), z, ch, config, r_bar
+    phi = _jhtpa_objective(z, ch, config)
+    return build_jhtpa_subproblem(z, phi, ch, config, r_bar), z, ch, config, r_bar
 
 
 def opa_fixture_program(n=3, seed=11):
@@ -99,8 +98,8 @@ def opa_fixture_program(n=3, seed=11):
     _, p, strict = _start(ch, config, r_bar, theta_fix)
     assert strict
     q = 1.0 / p
-    state = ScaState(iterate=q, phi=_jhtpa_objective(np.append(theta_fix, q), ch, config))
-    return build_opa_subproblem(state, ch, config, r_bar), q
+    z = np.append(theta_fix, q)
+    return build_opa_subproblem(z, _jhtpa_objective(z, ch, config), ch, config, r_bar), q
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e10])
@@ -688,8 +687,8 @@ def test_crawling_second_subproblem_ends_optimal(monkeypatch):
     config = ScenarioConfig(num_pairs=2, seed=13346151560455507422)
     _, ch = make_scenario(config)
     z0 = np.array([5266.229616174657, 101017.9200111014, 741884.9796771276])
-    state = ScaState(iterate=z0, phi=1.6250308719496592e-07)
-    prog = build_jhtpa_subproblem(state, ch, config, core.qos_threshold(ch, config))
+    phi = 1.6250308719496592e-07
+    prog = build_jhtpa_subproblem(z0, phi, ch, config, core.qos_threshold(ch, config))
     assert solve(prog, z0).status is SolveStatus.OPTIMAL
     monkeypatch.setattr(engine, "_FIRST_STAGE_SPAN", 40)
     crawled = solve(prog, z0)
