@@ -98,22 +98,34 @@ class ScaSettings:
 
 @dataclass
 class SolveReport:
-    """Outcome of one algorithm run on one channel realization."""
+    """Outcome of one algorithm run on one channel realization. status,
+    iterations and ee_bits_per_joule derive from stop_reason (_STOP_STATUS),
+    trace (the objective at the start and after each accepted step) and
+    ee_nats_per_joule."""
 
     algorithm: str
     allocation: Allocation
     ee_nats_per_joule: float
-    ee_bits_per_joule: float
-    iterations: int
     subsolver_calls: int
     wall_time_ms: float
     trace: list[float]
-    status: str
     r_bar: float
     stop_reason: str
     channels: ChannelRealization = field(repr=False, compare=False)
     config: ScenarioConfig = field(repr=False, compare=False)
     pinned: int = 0  # pairs opa's presolve fixed at full harvest
+
+    @property
+    def status(self) -> str:
+        return _STOP_STATUS.get(self.stop_reason, "converged")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace) - 1
+
+    @property
+    def ee_bits_per_joule(self) -> float:
+        return self.ee_nats_per_joule / core.LN2
 
     @property
     def feasibility(self) -> FeasibilityReport:
@@ -142,10 +154,6 @@ class SolveReport:
         if include_trace:
             data["trace"] = list(self.trace)
         return json.dumps(data)
-
-
-def _converged(phi_new: float, phi_old: float, epsilon: float) -> bool:
-    return abs(phi_new - phi_old) <= epsilon * max(abs(phi_new), PHI_FLOOR)
 
 
 # Monotone extrapolation along the SCA step: candidate amplifications tried in
@@ -186,21 +194,7 @@ def _violation(theta: float, p: np.ndarray, ch, config, r_bar: float, pinned=Non
     return np.maximum((1.0 + THETA_GAP) - theta, pairs.max())
 
 
-def _qos_system(ch, config, r_bar: float, theta: float):
-    """p_max (N,) and the system (I - G) (N, N), [b, 1] (N, 2) of _interior_powers."""
-    p_max = core.pinned_powers(theta, ch, config)
-    gamma = math.inf  # math.expm1: np.expm1 rounds differently
-    with contextlib.suppress(OverflowError):
-        gamma = math.expm1(theta * r_bar)
-    with np.errstate(all="ignore"):
-        scale = gamma / (np.diag(ch.h) * p_max)
-        system = -(scale[:, None] * ch.h * p_max)
-        system.flat[:: ch.num_pairs + 1] = 1.0
-        rhs = np.column_stack((scale * ch.sigma2_watt, np.ones_like(scale)))
-    return p_max, system, rhs
-
-
-def _interior_powers(ch, config, r_bar: float, theta: float, pinned=None, system=None):
+def _interior_powers(ch, config, r_bar: float, theta: float, pinned=None):
     """Transmit powers strictly inside the SINR polytope at harvesting time theta.
 
     At fixed theta the QoS rows ln(1 + SINR_n) >= theta r_bar are linear in
@@ -223,12 +217,18 @@ def _interior_powers(ch, config, r_bar: float, theta: float, pinned=None, system
     p is about delta eps*/2 (in units of x), and a thinner interior could
     not clear the margin the start is checked against, nor be resolved in
     floating point. Pinned pairs stay at x = 1:
-    (I - G)_FF [x_min, m1] = [b_F + G_FP 1, 1]. system, when given, is
-    _qos_system(ch, config, r_bar, theta).
+    (I - G)_FF [x_min, m1] = [b_F + G_FP 1, 1].
     """
-    p_max, system, rhs = system or _qos_system(ch, config, r_bar, theta)
+    p_max = core.pinned_powers(theta, ch, config)
+    gamma = math.inf  # math.expm1: np.expm1 rounds differently
+    with contextlib.suppress(OverflowError):
+        gamma = math.expm1(theta * r_bar)
     free = np.ones(ch.num_pairs, dtype=bool) if pinned is None else ~pinned
     with np.errstate(all="ignore"):
+        scale = gamma / (np.diag(ch.h) * p_max)
+        system = -(scale[:, None] * ch.h * p_max)
+        system.flat[:: ch.num_pairs + 1] = 1.0
+        rhs = np.column_stack((scale * ch.sigma2_watt, np.ones_like(scale)))
         if pinned is not None:  # x_P = 1 moves to the right-hand side
             rows = system[free]
             system, rhs = rows[:, free], rhs[free]
@@ -259,9 +259,7 @@ def _face_theta(ch, config, r_bar: float) -> float:
     return float(thetas[np.argmax(np.where(meets, ee, -math.inf))])
 
 
-def _start(
-    ch, config, r_bar: float, theta: float, pinned=None, system=None
-) -> tuple[float, np.ndarray, bool]:
+def _start(ch, config, r_bar: float, theta: float, pinned=None) -> tuple[float, np.ndarray, bool]:
     """The starting (theta, p) of jhtpa and opa and whether it is strictly feasible.
 
     theta is jhtpa's _face_theta or opa's theta_fix. The one candidate is
@@ -275,7 +273,7 @@ def _start(
     def violation(v):
         return _violation(v[0], v[1:], ch, config, r_bar, pinned)
 
-    p = _interior_powers(ch, config, r_bar, theta, pinned, system)[0]
+    p = _interior_powers(ch, config, r_bar, theta, pinned)[0]
     candidate = np.append(theta, p)
     try:
         v = find_feasible([violation], lambda rng, k: candidate, None, 1)
@@ -460,7 +458,6 @@ def jhtpa(
     Raises NoFeasiblePointFoundError when no feasible start exists for this
     realization's QoS floor.
     """
-    settings = settings or ScaSettings()
     started = time.perf_counter()
     if r_bar is None:
         r_bar = core.qos_threshold(ch, config)
@@ -473,7 +470,6 @@ def jhtpa(
         started,
         start=_start(ch, config, r_bar, _face_theta(ch, config, r_bar)),
         build=lambda z, phi: build_jhtpa_subproblem(z, phi, ch, config, r_bar),
-        extrapolate=lambda z_bar, z, phi: _jhtpa_extrapolate(z_bar, z, phi, ch, config, r_bar),
     )
 
 
@@ -537,27 +533,24 @@ def opa(
     Programming 71, 1995); its QoS row is implied, as SINR_k there is least
     at full harvest, which meets the floor (checked). SCA runs on the rest.
     """
-    settings = settings or ScaSettings()
     started = time.perf_counter()
     if r_bar is None:
         r_bar = core.qos_threshold(ch, config)
     theta_fix = config.theta_fix
-    system = _qos_system(ch, config, r_bar, theta_fix)  # the presolve's and the start's
-    pinned = 1.0 - _interior_powers(ch, config, r_bar, theta_fix, None, system)[1] <= _PIN_TOL
-    pinned &= _violation(theta_fix, system[0], ch, config, r_bar) < _BOUNDARY_TOL
-    report = _sca_loop(
+    p_max = core.pinned_powers(theta_fix, ch, config)
+    pinned = 1.0 - _interior_powers(ch, config, r_bar, theta_fix)[1] <= _PIN_TOL
+    pinned &= _violation(theta_fix, p_max, ch, config, r_bar) < _BOUNDARY_TOL
+    return _sca_loop(
         "opa",
         ch,
         config,
         r_bar,
         settings,
         started,
-        start=_start(ch, config, r_bar, theta_fix, pinned, system),
+        start=_start(ch, config, r_bar, theta_fix, pinned),
         build=lambda z, phi: build_opa_subproblem(z, phi, ch, config, r_bar, pinned),
         free=np.append(False, ~pinned),
     )
-    report.pinned = int(pinned.sum())
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +609,20 @@ def oht(
     if obj < obj_fix:
         theta, obj = theta_fix, obj_fix
 
-    alloc = core.pinned_allocation(theta, ch, config)
     ee = float(np.sum(core.pinned_rates(theta, ch, config))) / core.pinned_total_power(
         theta, ch, config
     )
-    return _finish_report(
-        "oht", alloc, ch, config, r_bar, [obj_fix, obj], "epsilon", 1, started, ee_override=ee
+    return SolveReport(
+        algorithm="oht",
+        allocation=core.pinned_allocation(theta, ch, config),
+        ee_nats_per_joule=ee,
+        subsolver_calls=1,
+        wall_time_ms=(time.perf_counter() - started) * 1e3,
+        trace=[obj_fix, obj],
+        r_bar=r_bar,
+        stop_reason="epsilon",
+        channels=ch,
+        config=config,
     )
 
 
@@ -635,13 +636,12 @@ def _sca_loop(
     ch: ChannelRealization,
     config: ScenarioConfig,
     r_bar: float,
-    settings: ScaSettings,
+    settings: ScaSettings | None,
     started: float,
     *,
     start,
     build,
     free: np.ndarray | None = None,
-    extrapolate=None,
 ) -> SolveReport:
     """The SCA loop jhtpa and opa share, on the iterate z = (theta, 1/p).
 
@@ -651,12 +651,13 @@ def _sca_loop(
     phi), phi being z's EE, solves it from z[free] (each solve picks its
     own first barrier stage) and writes the solution into a copy of z,
     which is scored by _jhtpa_objective, the next Dinkelbach multiplier;
-    extrapolate(z_bar, z, phi) may extend the step. A start that is only
-    weakly feasible (the full-harvest point) takes zero iterations, as
+    _jhtpa_extrapolate extends the step when theta is free. A start that is
+    only weakly feasible (the full-harvest point) takes zero iterations, as
     there is no strict interior to iterate in. The allocation is the final
-    z's, with the held pairs at the start's powers. The report's
+    z's, with the held pairs (the report's pinned) at the start's powers.
     stop_reason names the exit taken (see _STOP_STATUS).
     """
+    settings = settings or ScaSettings()
     theta, p_start, strict = start
     z = np.append(theta, 1.0 / p_start)
     free = np.ones(z.size, dtype=bool) if free is None else free
@@ -677,8 +678,8 @@ def _sca_loop(
         z_new = z.copy()
         z_new[free] = outcome.z_star
         ee_new = _jhtpa_objective(z_new, ch, config)
-        if extrapolate is not None:
-            z_new, ee_new = extrapolate(z, z_new, ee_new)
+        if free[0]:
+            z_new, ee_new = _jhtpa_extrapolate(z, z_new, ee_new, ch, config, r_bar)
         if ee_new < ee:
             # Ascent is guaranteed in exact arithmetic; a non-improving step
             # means the numerical floor is reached. Keep the better iterate.
@@ -686,47 +687,23 @@ def _sca_loop(
             break
         z = z_new
         trace.append(ee_new)
-        if _converged(ee_new, ee, settings.epsilon):
+        if abs(ee_new - ee) <= settings.epsilon * max(abs(ee_new), PHI_FLOOR):
             stop_reason = "epsilon"
             break
         ee = ee_new
     alloc = Allocation.from_theta(float(z[0]), np.where(free[1:], 1.0 / z[1:], p_start))
-    return _finish_report(
-        name, alloc, ch, config, r_bar, trace, stop_reason, subsolver_calls, started
-    )
-
-
-def _finish_report(
-    algorithm: str,
-    alloc: Allocation,
-    ch: ChannelRealization,
-    config: ScenarioConfig,
-    r_bar: float,
-    trace: list[float],
-    stop_reason: str,
-    subsolver_calls: int,
-    started: float,
-    ee_override: float | None = None,
-) -> SolveReport:
-    """The report of a finished run. trace holds the objective at the start
-    and after each accepted step, so iterations = len(trace) - 1; status
-    follows from stop_reason (_STOP_STATUS, "converged" for every other
-    reason)."""
-    ee = ee_override if ee_override is not None else core.energy_efficiency(alloc, ch, config)
     return SolveReport(
-        algorithm=algorithm,
+        algorithm=name,
         allocation=alloc,
-        ee_nats_per_joule=ee,
-        ee_bits_per_joule=ee / core.LN2,
-        iterations=len(trace) - 1,
+        ee_nats_per_joule=core.energy_efficiency(alloc, ch, config),
         subsolver_calls=subsolver_calls,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
         trace=trace,
-        status=_STOP_STATUS.get(stop_reason, "converged"),
         r_bar=r_bar,
         stop_reason=stop_reason,
         channels=ch,
         config=config,
+        pinned=int(np.count_nonzero(~free[1:])),
     )
 
 

@@ -47,8 +47,8 @@ class ExperimentSpec:
         if len(set(self.pair_counts)) < len(self.pair_counts):
             raise ValueError(f"pair_counts repeats an entry: {self.pair_counts}")
         unknown = set(self.algorithms) - set(ALGORITHM_NAMES)
-        if unknown:
-            raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        if unknown or not self.algorithms:
+            raise ValueError(f"algorithms must be nonempty and known, got {self.algorithms}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be csv or json, got {self.output_format}")
 

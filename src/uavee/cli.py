@@ -88,28 +88,23 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"uavee run: error: {exc}", file=sys.stderr)
         return 1
-    algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-    unknown = set(algorithms) - set(ALGORITHM_NAMES)
-    if unknown or not algorithms:
-        print(f"uavee run: error: unknown algorithms {sorted(unknown)}", file=sys.stderr)
-        return 1
-    if args.trials < 1:
-        print("uavee run: error: --trials must be >= 1", file=sys.stderr)
-        return 1
-
     if args.config:
         with open(args.config) as fh:
             base = ScenarioConfig.from_json(fh.read())
     else:
         base = ScenarioConfig(num_pairs=pairs[0], seed=args.seed)
-    spec = ExperimentSpec(
-        base_config=base,
-        pair_counts=pairs,
-        trials_per_point=args.trials,
-        algorithms=algorithms,
-        output_path=args.out,
-        output_format=args.format,
-    )
+    try:
+        spec = ExperimentSpec(
+            base_config=base,
+            pair_counts=pairs,
+            trials_per_point=args.trials,
+            algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
+            output_path=args.out,
+            output_format=args.format,
+        )
+    except ValueError as exc:
+        print(f"uavee run: error: {exc}", file=sys.stderr)
+        return 1
     rows, summary = run_experiment(spec, jobs=max(1, args.jobs))
     if args.out:
         logger.info("wrote %d rows to %s", len(rows), args.out)

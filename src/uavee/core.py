@@ -78,11 +78,6 @@ class FeasibilityReport:
         )
 
 
-def harvested_energy(tau: float, g_n: float, config: ScenarioConfig) -> float:
-    """Energy harvested by one Tx over the unit slot: tau * eta * P0 * g_n."""
-    return tau * config.eta * config.p0_watt * g_n
-
-
 def sinr(p: np.ndarray, ch: ChannelRealization) -> np.ndarray:
     """Per-pair SINR of powers p (or of each row of p): desired gain over interference plus noise."""
     p = np.asarray(p, dtype=float)

@@ -83,10 +83,11 @@ class ScenarioConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("scenario JSON must be an object")
-        if "seed" not in data:
-            raise ValueError("scenario JSON must carry a 'seed' field")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        fields = dataclasses.fields(cls)
+        missing = sorted({f.name for f in fields if f.default is dataclasses.MISSING} - set(data))
+        if missing:
+            raise ValueError(f"scenario JSON must carry the fields {missing}")
+        unknown = set(data) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**data)

@@ -367,7 +367,8 @@ def test_feasibility_is_checked_on_demand():
     # (captured at the commit that stored it; oht's answer is unchanged since)
     import json
 
-    assert "feasibility" not in {f.name for f in dataclasses.fields(algorithms.SolveReport)}
+    stored = {f.name for f in dataclasses.fields(algorithms.SolveReport)}
+    assert {"feasibility", "status", "iterations", "ee_bits_per_joule"}.isdisjoint(stored)
     config, ch = scenario(3, 7)
     for run in (jhtpa, opa, oht):
         report = run(ch, config)

@@ -32,6 +32,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(algorithms=("genie",))
     with pytest.raises(ValueError):
+        small_spec(algorithms=())
+    with pytest.raises(ValueError):
         small_spec(output_format="xml")
 
 

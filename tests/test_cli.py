@@ -84,6 +84,7 @@ def test_solve_missing_scenario_is_runtime_error(tmp_path, capsys):
         ('{"num_pairs": 2.5, "seed": 1}', "num_pairs must be an integer"),
         ("[1, 2]", "must be an object"),
         ('{"num_pairs": 3, "seed": -1}', "seed must be >= 0"),
+        ('{"seed": 1}', "num_pairs"),
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "run"])
@@ -102,6 +103,13 @@ def test_bad_scenario_json_is_an_input_error(tmp_path, capsys, text, message, co
 
 def test_run_invalid_algorithms(capsys):
     assert cli_main(["run", "--pairs", "2", "--algorithms", "genie"]) == 1
+
+
+@pytest.mark.parametrize("option", [["--algorithms", ","], ["--trials", "0"]])
+def test_run_rejects_an_empty_sweep(capsys, option):
+    # ExperimentSpec's checks are the CLI's: an input error exits 1, before any solve
+    assert cli_main(["run", "--pairs", "2", *option]) == 1
+    assert capsys.readouterr().err.startswith("uavee run: error:")
 
 
 def test_selftest_passes(capsys):

@@ -9,7 +9,6 @@ from uavee.core import (
     Allocation,
     check_feasible,
     energy_efficiency,
-    harvested_energy,
     log_bound_coeffs,
     pinned_allocation,
     pinned_rates,
@@ -37,13 +36,6 @@ def toy_channels(h, g, sigma2):
     return ChannelRealization(
         g=np.asarray(g, dtype=float), h=np.asarray(h, dtype=float), sigma2_watt=sigma2
     )
-
-
-def test_harvested_energy():
-    c = cfg()
-    assert harvested_energy(0.0, 8e-6, c) == 0.0
-    assert harvested_energy(1.0, 8e-6, c) == pytest.approx(2e-5, rel=1e-12)
-    assert harvested_energy(0.5, 8e-6, c) == pytest.approx(harvested_energy(1.0, 8e-6, c) / 2)
 
 
 def test_rate_edge_cases():

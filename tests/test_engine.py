@@ -325,20 +325,16 @@ def test_find_feasible_impossible_qos(channels3, config3):
 )
 def test_each_start_builds_and_proposes_one_candidate(monkeypatch, n, seed, theta_fix):
     # jhtpa starts from the one candidate at _face_theta and opa from the one
-    # at theta_fix, each built from one QoS system and proposed once. opa's
-    # presolve reads x_min from that same system before its start.
+    # at theta_fix, each proposed once. opa's presolve reads x_min from its
+    # own _interior_powers call at theta_fix before its start.
     import uavee.algorithms as alg
 
-    tried, tries, built = [], [], []
-    real_interior, real_find, real_system = alg._interior_powers, alg.find_feasible, alg._qos_system
+    tried, tries = [], []
+    real_interior, real_find = alg._interior_powers, alg.find_feasible
 
-    def recording_interior(ch, config, r_bar, theta, pinned=None, system=None):
+    def recording_interior(ch, config, r_bar, theta, pinned=None):
         tried.append(theta)
-        return real_interior(ch, config, r_bar, theta, pinned, system)
-
-    def recording_system(ch, config, r_bar, theta):
-        built.append(theta)
-        return real_system(ch, config, r_bar, theta)
+        return real_interior(ch, config, r_bar, theta, pinned)
 
     def recording_find(constraints, sampler, rng, max_tries):
         tries.append(max_tries)
@@ -346,28 +342,27 @@ def test_each_start_builds_and_proposes_one_candidate(monkeypatch, n, seed, thet
 
     monkeypatch.setattr(alg, "_interior_powers", recording_interior)
     monkeypatch.setattr(alg, "find_feasible", recording_find)
-    monkeypatch.setattr(alg, "_qos_system", recording_system)
     config = ScenarioConfig(num_pairs=n, seed=seed, theta_fix=theta_fix)
     _, ch = make_scenario(config)
     r_bar = core.qos_threshold(ch, config)
     face = _face_theta(ch, config, r_bar)
     theta, p, strict = _start(ch, config, r_bar, face)
-    assert tried == [face] and built == [face] and tries == [1]
+    assert tried == [face] and tries == [1]
     assert strict and theta == face and _violation(theta, p, ch, config, r_bar) < 0.0
     assert np.array_equal(p, real_interior(ch, config, r_bar, face)[0])
 
-    del tried[:], tries[:], built[:]
+    del tried[:], tries[:]
     jhtpa(ch, config)
-    assert tried == [face] and built == [face] and tries == [1]
+    assert tried == [face] and tries == [1]
 
     del tried[:], tries[:]
     with pytest.raises(NoFeasiblePointFoundError):
         _start(ch, config, 1e3, _face_theta(ch, config, 1e3))
     assert tried == [theta_fix] and tries == [1]
 
-    del tried[:], tries[:], built[:]
+    del tried[:], tries[:]
     opa(ch, config)
-    assert tried == [theta_fix, theta_fix] and tries == [1] and built == [theta_fix]
+    assert tried == [theta_fix, theta_fix] and tries == [1]
 
 
 def test_debug_dump_emits_json(caplog):

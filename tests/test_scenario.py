@@ -80,6 +80,15 @@ def test_config_json_requires_seed():
         ScenarioConfig.from_json(json.dumps({"num_pairs": 2}))
 
 
+def test_config_json_requires_num_pairs():
+    # every field without a default is required; a missing one is named
+    # instead of surfacing as the constructor's TypeError
+    with pytest.raises(ValueError, match="num_pairs"):
+        ScenarioConfig.from_json(json.dumps({"seed": 3}))
+    with pytest.raises(ValueError, match="'num_pairs', 'seed'"):
+        ScenarioConfig.from_json("{}")
+
+
 def test_noise_power_values():
     assert noise_power(ScenarioConfig(num_pairs=1, seed=0)) == pytest.approx(1e-10, rel=1e-12)
     cfg1 = ScenarioConfig(num_pairs=1, seed=0, bandwidth_hz=1.0)
