@@ -99,17 +99,15 @@ class ScaSettings:
 @dataclass
 class SolveReport:
     """Outcome of one algorithm run on one channel realization. status,
-    iterations and ee_bits_per_joule derive from stop_reason (_STOP_STATUS),
-    trace (the objective at the start and after each accepted step) and
-    ee_nats_per_joule."""
+    iterations, ee_nats_per_joule and r_bar derive from stop_reason
+    (_STOP_STATUS), trace (the objective at the start and after each
+    accepted step), the allocation and the instance."""
 
     algorithm: str
     allocation: Allocation
-    ee_nats_per_joule: float
     subsolver_calls: int
     wall_time_ms: float
     trace: list[float]
-    r_bar: float
     stop_reason: str
     channels: ChannelRealization = field(repr=False, compare=False)
     config: ScenarioConfig = field(repr=False, compare=False)
@@ -122,6 +120,14 @@ class SolveReport:
     @property
     def iterations(self) -> int:
         return len(self.trace) - 1
+
+    @property
+    def ee_nats_per_joule(self) -> float:
+        return core.energy_efficiency(self.allocation, self.channels, self.config)
+
+    @property
+    def r_bar(self) -> float:
+        return core.qos_threshold(self.channels, self.config)
 
     @property
     def ee_bits_per_joule(self) -> float:
@@ -403,14 +409,9 @@ def build_jhtpa_subproblem(
     return _subproblem(rows, Functional(obj_value, obj_grad, obj_hess), lo)
 
 
-def _jhtpa_objective(z: np.ndarray, ch, config) -> float:
-    return float(
-        np.sum(core.rates_from_inverse(z[0], z[1:], ch))
-    ) / core.total_power_from_inverse(z[0], z[1:], config)
-
-
-def _jhtpa_extrapolate(z_bar, z_new, phi_new, ch, config, r_bar):
-    """Geometrically extend the harvesting-time step while the true EE improves.
+def _jhtpa_extrapolate(z_bar, z_new, phi_new, score, ch, config, r_bar):
+    """Geometrically extend the harvesting-time step while the true EE, score(z),
+    improves.
 
     Candidates scale (theta - 1) by the accepted step's ratio raised to
     doubling powers while holding each pair's position relative to its
@@ -434,7 +435,7 @@ def _jhtpa_extrapolate(z_bar, z_new, phi_new, ch, config, r_bar):
         if not _violation(theta_e, 1.0 / q_e, ch, config, r_bar) < 0.0:
             break
         z_e = np.concatenate(([theta_e], q_e))
-        phi_e = _jhtpa_objective(z_e, ch, config)
+        phi_e = score(z_e)
         if phi_e <= best_phi:
             break
         best_z, best_phi = z_e, phi_e
@@ -442,10 +443,7 @@ def _jhtpa_extrapolate(z_bar, z_new, phi_new, ch, config, r_bar):
 
 
 def jhtpa(
-    ch: ChannelRealization,
-    config: ScenarioConfig,
-    settings: ScaSettings | None = None,
-    r_bar: float | None = None,
+    ch: ChannelRealization, config: ScenarioConfig, settings: ScaSettings | None = None
 ) -> SolveReport:
     """Joint harvesting-time and power allocation (Algorithm-1-style SCA loop).
 
@@ -459,8 +457,7 @@ def jhtpa(
     realization's QoS floor.
     """
     started = time.perf_counter()
-    if r_bar is None:
-        r_bar = core.qos_threshold(ch, config)
+    r_bar = core.qos_threshold(ch, config)
     return _sca_loop(
         "jhtpa",
         ch,
@@ -518,10 +515,7 @@ def build_opa_subproblem(
 
 
 def opa(
-    ch: ChannelRealization,
-    config: ScenarioConfig,
-    settings: ScaSettings | None = None,
-    r_bar: float | None = None,
+    ch: ChannelRealization, config: ScenarioConfig, settings: ScaSettings | None = None
 ) -> SolveReport:
     """Power-only SCA at the fixed harvesting time config.theta_fix: jhtpa's
     SCA on z = (theta, q) with theta and the pinned pairs held
@@ -531,15 +525,13 @@ def opa(
     barrier stalls, so a presolve fixes each pair with 1 - x_min_k <=
     _PIN_TOL at p_max_k and drops its rows (Andersen & Andersen, Math.
     Programming 71, 1995); its QoS row is implied, as SINR_k there is least
-    at full harvest, which meets the floor (checked). SCA runs on the rest.
+    at full harvest, which meets the floor by its definition. SCA runs on
+    the rest.
     """
     started = time.perf_counter()
-    if r_bar is None:
-        r_bar = core.qos_threshold(ch, config)
+    r_bar = core.qos_threshold(ch, config)
     theta_fix = config.theta_fix
-    p_max = core.pinned_powers(theta_fix, ch, config)
     pinned = 1.0 - _interior_powers(ch, config, r_bar, theta_fix)[1] <= _PIN_TOL
-    pinned &= _violation(theta_fix, p_max, ch, config, r_bar) < _BOUNDARY_TOL
     return _sca_loop(
         "opa",
         ch,
@@ -579,11 +571,7 @@ def _golden_max(fn, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def oht(
-    ch: ChannelRealization,
-    config: ScenarioConfig,
-    r_bar: float | None = None,
-) -> SolveReport:
+def oht(ch: ChannelRealization, config: ScenarioConfig) -> SolveReport:
     """Harvesting-time-only max-min rate with powers pinned to the harvest budget.
 
     Each full-harvest rate ln(1 + SINR_n(theta)) / theta is a concave
@@ -593,11 +581,9 @@ def oht(
     finds its maximizer. theta_fix is kept when the search ends lower, so
     the allocation never drops below the QoS floor derived there. The trace
     holds the max-min objective (nats per slot) at theta_fix and at the
-    answer; the reported EE uses the closed-form full-harvest power draw.
+    answer.
     """
     started = time.perf_counter()
-    if r_bar is None:
-        r_bar = core.qos_threshold(ch, config)
 
     def min_rate(t: float) -> float:
         return float(np.min(core.pinned_rates(t, ch, config)))
@@ -608,18 +594,12 @@ def oht(
     obj = min_rate(theta)
     if obj < obj_fix:
         theta, obj = theta_fix, obj_fix
-
-    ee = float(np.sum(core.pinned_rates(theta, ch, config))) / core.pinned_total_power(
-        theta, ch, config
-    )
     return SolveReport(
         algorithm="oht",
         allocation=core.pinned_allocation(theta, ch, config),
-        ee_nats_per_joule=ee,
         subsolver_calls=1,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
         trace=[obj_fix, obj],
-        r_bar=r_bar,
         stop_reason="epsilon",
         channels=ch,
         config=config,
@@ -647,21 +627,30 @@ def _sca_loop(
 
     z starts at start, _start's (theta, p, strict). free marks the entries
     of z the subproblems move (all by default); the others stay at the
-    start. Each iteration builds the surrogate program at z with build(z,
-    phi), phi being z's EE, solves it from z[free] (each solve picks its
-    own first barrier stage) and writes the solution into a copy of z,
-    which is scored by _jhtpa_objective, the next Dinkelbach multiplier;
-    _jhtpa_extrapolate extends the step when theta is free. A start that is
-    only weakly feasible (the full-harvest point) takes zero iterations, as
-    there is no strict interior to iterate in. The allocation is the final
-    z's, with the held pairs (the report's pinned) at the start's powers.
-    stop_reason names the exit taken (see _STOP_STATUS).
+    start. z's allocation has theta z[0] and powers 1/z[1:], with the held
+    pairs (the report's pinned) at the start's powers; its EE scores z.
+    Each iteration builds the surrogate program at z with build(z, phi),
+    phi being z's score, solves it from z[free] (each solve picks its own
+    first barrier stage) and writes the solution into a copy of z, whose
+    score is the next Dinkelbach multiplier; _jhtpa_extrapolate extends the
+    step when theta is free. A start that is only weakly feasible (the
+    full-harvest point) takes zero iterations, as there is no strict
+    interior to iterate in. The report carries the final z's allocation,
+    so trace[-1] is its EE. stop_reason names the exit taken (see
+    _STOP_STATUS).
     """
     settings = settings or ScaSettings()
     theta, p_start, strict = start
     z = np.append(theta, 1.0 / p_start)
     free = np.ones(z.size, dtype=bool) if free is None else free
-    ee = _jhtpa_objective(z, ch, config)
+
+    def allocation(z: np.ndarray) -> Allocation:
+        return Allocation.from_theta(float(z[0]), np.where(free[1:], 1.0 / z[1:], p_start))
+
+    def score(z: np.ndarray) -> float:
+        return core.energy_efficiency(allocation(z), ch, config)
+
+    ee = score(z)
     trace = [ee]
     stop_reason = "max_iterations" if strict else "boundary_fallback"
     subsolver_calls = 0
@@ -677,9 +666,9 @@ def _sca_loop(
             break
         z_new = z.copy()
         z_new[free] = outcome.z_star
-        ee_new = _jhtpa_objective(z_new, ch, config)
+        ee_new = score(z_new)
         if free[0]:
-            z_new, ee_new = _jhtpa_extrapolate(z, z_new, ee_new, ch, config, r_bar)
+            z_new, ee_new = _jhtpa_extrapolate(z, z_new, ee_new, score, ch, config, r_bar)
         if ee_new < ee:
             # Ascent is guaranteed in exact arithmetic; a non-improving step
             # means the numerical floor is reached. Keep the better iterate.
@@ -691,15 +680,12 @@ def _sca_loop(
             stop_reason = "epsilon"
             break
         ee = ee_new
-    alloc = Allocation.from_theta(float(z[0]), np.where(free[1:], 1.0 / z[1:], p_start))
     return SolveReport(
         algorithm=name,
-        allocation=alloc,
-        ee_nats_per_joule=core.energy_efficiency(alloc, ch, config),
+        allocation=allocation(z),
         subsolver_calls=subsolver_calls,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
         trace=trace,
-        r_bar=r_bar,
         stop_reason=stop_reason,
         channels=ch,
         config=config,

@@ -49,6 +49,8 @@ class ExperimentSpec:
         unknown = set(self.algorithms) - set(ALGORITHM_NAMES)
         if unknown or not self.algorithms:
             raise ValueError(f"algorithms must be nonempty and known, got {self.algorithms}")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"algorithms repeats an entry: {self.algorithms}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be csv or json, got {self.output_format}")
 

@@ -166,15 +166,6 @@ def rates_from_inverse(theta: float, q: np.ndarray, ch: ChannelRealization) -> n
     return np.log1p(hd / (q * cross + q * ch.sigma2_watt)) / theta
 
 
-def total_power_from_inverse(theta: float, q: np.ndarray, config: ScenarioConfig) -> float:
-    """Total power draw in the transformed variables."""
-    return float(
-        np.sum(1.0 / (theta * np.asarray(q)))
-        + (1.0 - 1.0 / theta) * config.eta * config.p0_watt
-        + config.p_cir_watt
-    )
-
-
 def pinned_rates(theta: float, ch: ChannelRealization, config: ScenarioConfig) -> np.ndarray:
     """Per-pair full-harvest rates, p = pinned_powers(theta); a (K, 1) theta column gives (K, N)."""
     hd = np.diag(ch.h)
@@ -200,11 +191,10 @@ def pinned_powers(theta: float, ch: ChannelRealization, config: ScenarioConfig) 
     return (theta - 1.0) * config.eta * config.p0_watt * ch.g
 
 
-def pinned_total_power(theta, ch: ChannelRealization, config: ScenarioConfig):
-    """Closed-form full-harvest power draw: a float for a scalar theta, else an array."""
-    share = (1.0 - 1.0 / np.asarray(theta)) * config.eta * config.p0_watt
-    power = share * (np.sum(ch.g) + 1.0) + config.p_cir_watt
-    return float(power) if power.ndim == 0 else power
+def pinned_total_power(theta, ch: ChannelRealization, config: ScenarioConfig) -> np.ndarray:
+    """Closed-form full-harvest power draw at each entry of theta."""
+    share = (1.0 - 1.0 / theta) * config.eta * config.p0_watt
+    return share * (np.sum(ch.g) + 1.0) + config.p_cir_watt
 
 
 def qos_threshold(ch: ChannelRealization, config: ScenarioConfig) -> float:

@@ -50,9 +50,7 @@ def _jhtpa_gradients(_: np.random.Generator) -> bool:
     theta = config.theta_fix
     q = 1.02 / ((theta - 1.0) * config.eta * config.p0_watt * ch.g)
     z = np.concatenate(([theta], q))
-    phi = float(np.sum(core.rates_from_inverse(theta, q, ch))) / core.total_power_from_inverse(
-        theta, q, config
-    )
+    phi = core.energy_efficiency(core.Allocation.from_theta(theta, 1.0 / q), ch, config)
     prog = build_jhtpa_subproblem(z, phi, ch, config, r_bar)
     return check_gradients(prog, z) < 1e-5
 

@@ -1,12 +1,21 @@
 """Independent brute-force oracles the tests check the algorithms against.
 
 Everything here recomputes the physics from first principles with plain
-numpy grids; none of it calls into the solver or the SCA loops.
+numpy grids; none of it calls into the solver or the SCA loops. iterate_ee
+alone reads core's EE formula: it is the multiplier the SCA scores an
+iterate by, which the subproblem tests pass to the builders.
 """
 
 import math
 
 import numpy as np
+
+from uavee import core
+
+
+def iterate_ee(z, ch, config):
+    """EE of the SCA iterate z = (theta, q = 1/p): its Dinkelbach multiplier."""
+    return core.energy_efficiency(core.Allocation.from_theta(z[0], 1.0 / z[1:]), ch, config)
 
 
 def grid_ee_n1(ch, config, r_bar, tau_points=500, p_points=500):

@@ -8,8 +8,11 @@ The trials are perfbench's paper_sweep seed 501 (360), dense_n30 seed 601
 A solve's signature is harness.solve_signature: status, EE, tau, powers,
 trace, iterations and subsolver calls, or the exception it raised. Write the
 file from each of two checkouts and compare them; the comparison prints, per
-workload and algorithm, how many solves are identical and the largest
-relative EE change.
+workload and algorithm, how many solves are identical, how many keep their
+status, iterations and subsolver calls ("same path"), how many keep a
+bit-identical allocation (tau, powers), and the largest relative EE change.
+A change that moves only the rounding of EE or trace shows every solve on
+the same path with the same allocation.
 """
 
 from __future__ import annotations
@@ -47,23 +50,39 @@ def _ee(signature) -> float | None:
     return None if signature[0] == "raised" else float.fromhex(signature[1])
 
 
+def _path(signature) -> list:
+    """Status, iterations and subsolver calls, or the raised exception."""
+    return signature if signature[0] == "raised" else [signature[0], *signature[5:]]
+
+
+def _allocation(signature) -> list:
+    """tau and the powers, or the raised exception."""
+    return signature if signature[0] == "raised" else signature[2:4]
+
+
 def compare(old: Path, new: Path) -> bool:
     before, after = json.loads(old.read_text()), json.loads(new.read_text())
     same_everywhere = True
-    print(f"{'workload':<18}{'algorithm':<11}{'identical':>12}{'max rel EE drift':>18}")
+    print(
+        f"{'workload':<18}{'algorithm':<11}{'identical':>12}{'same path':>12}"
+        f"{'same alloc':>12}{'max rel EE drift':>18}"
+    )
     for name, _, _ in TRIAL_SETS:
         pairs = list(zip(before[name], after[name], strict=True))
         for alg in pairs[0][0]:
-            identical, drift = 0, 0.0
+            identical, path, alloc, drift = 0, 0, 0, 0.0
             for a, b in ((x[alg], y[alg]) for x, y in pairs):
                 identical += a == b
+                path += _path(a) == _path(b)
+                alloc += _allocation(a) == _allocation(b)
                 ee_a, ee_b = _ee(a), _ee(b)
                 if (ee_a is None) != (ee_b is None):
                     drift = float("inf")
                 elif ee_a is not None and ee_a != ee_b:
                     drift = max(drift, abs(ee_b - ee_a) / max(abs(ee_a), 1e-300))
             same_everywhere &= identical == len(pairs)
-            print(f"{name:<18}{alg:<11}{f'{identical}/{len(pairs)}':>12}{drift:>18.3g}")
+            counts = "".join(f"{f'{k}/{len(pairs)}':>12}" for k in (identical, path, alloc))
+            print(f"{name:<18}{alg:<11}{counts}{drift:>18.3g}")
     return same_everywhere
 
 

@@ -12,7 +12,6 @@ import pytest
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
-    _jhtpa_objective,
     build_jhtpa_subproblem,
     build_opa_subproblem,
     jhtpa,
@@ -25,6 +24,7 @@ from uavee.engine import NoFeasiblePointFoundError, check_gradients
 from oracles import (
     grid_ee_n1,
     grid_oht_theta,
+    iterate_ee,
     log_uniform_jhtpa_points,
     log_uniform_opa_points,
 )
@@ -250,13 +250,13 @@ def test_criterion_7_gradient_checks():
     r_bar = core.qos_threshold(ch, config)
 
     for z in log_uniform_jhtpa_points(rng, ch, config, r_bar, 10):
-        prog = build_jhtpa_subproblem(z, _jhtpa_objective(z, ch, config), ch, config, r_bar)
+        prog = build_jhtpa_subproblem(z, iterate_ee(z, ch, config), ch, config, r_bar)
         worst = max(worst, check_gradients(prog, z))
 
     theta_fix = config.theta_fix
     for p in log_uniform_opa_points(rng, ch, config, r_bar, theta_fix, 10):
         q = 1.0 / p
-        phi = _jhtpa_objective(np.append(theta_fix, q), ch, config)
+        phi = iterate_ee(np.append(theta_fix, q), ch, config)
         prog = build_opa_subproblem(np.append(theta_fix, q), phi, ch, config, r_bar)
         worst = max(worst, check_gradients(prog, q))
 

@@ -38,10 +38,12 @@ def test_spec_validation():
 
 
 def test_spec_rejects_repeated_pair_counts():
-    # run_experiment would run each repeated (N, trial) twice on one child seed
-    for counts in ((2, 2), (2, 3, 2)):
+    # run_experiment would run each repeated (N, trial) or algorithm twice on
+    # one child seed
+    repeats = ({"pair_counts": (2, 2)}, {"pair_counts": (2, 3, 2)}, {"algorithms": ("jhtpa", "jhtpa")})
+    for repeated in repeats:
         with pytest.raises(ValueError, match="repeats"):
-            small_spec(pair_counts=counts)
+            small_spec(**repeated)
 
 
 def test_child_seed_stable():

@@ -105,9 +105,12 @@ def test_run_invalid_algorithms(capsys):
     assert cli_main(["run", "--pairs", "2", "--algorithms", "genie"]) == 1
 
 
-@pytest.mark.parametrize("option", [["--algorithms", ","], ["--trials", "0"]])
+@pytest.mark.parametrize(
+    "option", [["--algorithms", ","], ["--trials", "0"], ["--algorithms", "jhtpa,jhtpa"]]
+)
 def test_run_rejects_an_empty_sweep(capsys, option):
-    # ExperimentSpec's checks are the CLI's: an input error exits 1, before any solve
+    # ExperimentSpec's checks are the CLI's: an input error (here an empty or
+    # repeated sweep) exits 1, before any solve
     assert cli_main(["run", "--pairs", "2", *option]) == 1
     assert capsys.readouterr().err.startswith("uavee run: error:")
 

@@ -1,0 +1,64 @@
+"""Every algorithm across the physically valid ScenarioConfig space.
+
+The ranges are test_feasible_start's. Each drawn config runs jhtpa, opa and
+oht through run_algorithm, and each report must be a converged, feasible
+answer whose trace never falls and whose EE and QoS floor are the ones its
+allocation and instance give.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import uavee.core as core
+from uavee import ScenarioConfig, make_scenario
+from uavee.algorithms import ALGORITHM_NAMES, run_algorithm
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    num_pairs=st.integers(1, 30),
+    radius=st.floats(20.0, 5000.0),
+    eta=st.floats(0.01, 0.99),
+    theta_fix=st.floats(1.01, 50.0),
+    noise=st.floats(-170.0, -80.0),
+    p_cir=st.floats(1e-6, 10.0),
+    rate_cap=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_algorithm_reports_a_consistent_feasible_answer(
+    num_pairs, radius, eta, theta_fix, noise, p_cir, rate_cap, seed
+):
+    config = ScenarioConfig(
+        num_pairs=num_pairs,
+        seed=seed,
+        coverage_radius_m=radius,
+        eta=eta,
+        theta_fix=theta_fix,
+        noise_density_dbm_hz=noise,
+        p_cir_watt=p_cir,
+        rate_cap_bpshz=rate_cap,
+    )
+    _, ch = make_scenario(config)
+    r_bar = core.qos_threshold(ch, config)
+    for name in ALGORITHM_NAMES:
+        report = run_algorithm(name, ch, config)
+        assert report.stop_reason != "numerical_failure", name
+        assert report.status == "converged", name
+
+        alloc = report.allocation
+        feas = core.check_feasible(alloc, ch, config, r_bar)
+        budget = alloc.tau * config.eta * config.p0_watt * ch.g
+        assert feas.tau_in_range, name
+        assert np.all(feas.causality_violation <= 1e-8 * budget), name
+        assert np.all(feas.qos_violation <= 1e-8 * r_bar), name
+
+        assert np.all(np.diff(report.trace) >= 0.0), name
+        ee = report.ee_nats_per_joule
+        assert math.isfinite(ee) and ee >= 0.0, name
+        assert ee == core.energy_efficiency(alloc, ch, config), name
+        assert report.r_bar == r_bar, name
+        if name != "oht":  # oht's trace holds its max-min rate, not its EE
+            assert report.trace[-1] == ee, name

@@ -19,7 +19,6 @@ from uavee.core import (
     sinr,
     surrogate_psi,
     total_power,
-    total_power_from_inverse,
 )
 from uavee.scenario import ChannelRealization
 
@@ -150,16 +149,6 @@ def test_rate_transform_consistency(channels3):
         direct = rates(alloc, channels3)
         transformed = rates_from_inverse(1.0 / (1.0 - tau), 1.0 / p, channels3)
         np.testing.assert_allclose(direct, transformed, rtol=1e-12)
-
-
-def test_power_transform_consistency(config3):
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        tau = rng.uniform(0.05, 0.95)
-        p = np.exp(rng.uniform(np.log(1e-10), np.log(1e-4), size=3))
-        direct = total_power(Allocation(tau=tau, p=p), config3)
-        transformed = total_power_from_inverse(1.0 / (1.0 - tau), 1.0 / p, config3)
-        assert direct == pytest.approx(transformed, rel=1e-12)
 
 
 def test_causality_transform_equivalence(channels3, config3):

@@ -9,7 +9,6 @@ import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
     _face_theta,
-    _jhtpa_objective,
     _start,
     _violation,
     build_jhtpa_subproblem,
@@ -29,6 +28,8 @@ from uavee.engine import (
     check_gradients,
     solve,
 )
+
+from oracles import iterate_ee
 
 
 def affine(a, b, dim):
@@ -86,7 +87,7 @@ def jhtpa_fixture_program(n=2, seed=7):
     theta, p, strict = _start(ch, config, r_bar, _face_theta(ch, config, r_bar))
     assert strict
     z = np.concatenate(([theta], 1.0 / p))
-    phi = _jhtpa_objective(z, ch, config)
+    phi = iterate_ee(z, ch, config)
     return build_jhtpa_subproblem(z, phi, ch, config, r_bar), z, ch, config, r_bar
 
 
@@ -99,7 +100,7 @@ def opa_fixture_program(n=3, seed=11):
     assert strict
     q = 1.0 / p
     z = np.append(theta_fix, q)
-    return build_opa_subproblem(z, _jhtpa_objective(z, ch, config), ch, config, r_bar), q
+    return build_opa_subproblem(z, iterate_ee(z, ch, config), ch, config, r_bar), q
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e10])
@@ -157,7 +158,7 @@ def test_solved_jhtpa_subproblem_matches_grid():
     off = ch.h - np.diag(hd)
     ep = config.eta * config.p0_watt
     coeffs = core.log_bound_coeffs(q_bar / hd, off @ (1.0 / q_bar) + ch.sigma2_watt, theta_bar)
-    phi = _jhtpa_objective(z0, ch, config)
+    phi = iterate_ee(z0, ch, config)
     pw_const = (1.0 - 2.0 / theta_bar) * ep + config.p_cir_watt
     pw_lin = ep / theta_bar**2
 
