@@ -32,7 +32,6 @@ from .engine import (
     NoFeasiblePointFoundError,
     SolveOutcome,
     SolveStatus,
-    check_gradients,
     find_feasible,
     solve,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "SolveReport",
     "SolveStatus",
     "check_feasible",
-    "check_gradients",
     "derive_child_seed",
     "energy_efficiency",
     "find_feasible",

@@ -5,7 +5,9 @@ approximation: the nonconcave rate terms are replaced by the affine lower
 bound from `core.log_bound_coeffs` at the current iterate, and the resulting
 concave subproblem is handed to the log-barrier engine. oht needs no
 surrogate: its max-min rate is quasi-concave in the one harvesting-time
-variable, so one golden-section search on the exact objective finds it.
+variable, so one batched bracket search on the exact objective finds it
+(on most trials at the top of its range). jhtpa's start is one level of the
+same search on the full-harvest EE.
 
   jhtpa  joint harvesting-time and power allocation in (theta, 1/p) space
   opa    jhtpa's SCA with theta and the presolve's pinned pairs held
@@ -76,10 +78,12 @@ _PIN_TOL = 1e-5
 # its search's bracket tolerance.
 _STOP_STATUS = {"numerical_failure": "failed", "max_iterations": "max_iterations"}
 
-# oht searches the harvesting time on [1 + THETA_GAP, _OHT_THETA_MAX] until
-# the bracket is _GOLDEN_TOL wide relative to its upper end.
+# oht searches the harvesting time on [1 + THETA_GAP, _OHT_THETA_MAX] with
+# _log_bracket_max, _OHT_GRID points per level, until the bracket is
+# _THETA_TOL wide relative to its upper end's theta.
 _OHT_THETA_MAX = 1e3
-_GOLDEN_TOL = 1e-10
+_OHT_GRID = 33
+_THETA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,8 @@ class SolveReport:
 _EXTRAPOLATION_POWERS = tuple(float(2**j) for j in range(1, 11))
 
 # jhtpa's theta stays at or below _THETA_CAP: its start scans the full-harvest
-# face at theta_fix and _FACE_GRID times with theta - 1 log-spaced on [1e-3,
-# _THETA_CAP - 1] (_face_theta), and the extrapolation stops there.
+# face at theta_fix and at one _log_bracket_max level of _FACE_GRID times on
+# [1e-3, _THETA_CAP - 1] (_face_theta), and the extrapolation stops there.
 _THETA_CAP = 1e6
 _FACE_GRID = 128
 
@@ -253,16 +257,45 @@ def _interior_powers(ch, config, r_bar: float, theta: float, pinned=None):
     return (p if ok else np.full_like(p, np.nan)), x_min
 
 
+def _log_bracket_max(values, lo: float, hi: float, points: int, tol: float = _THETA_TOL):
+    """(theta, value) of the best theta a batched search finds for values.
+
+    values maps an array of theta to their objective values. Each level
+    evaluates it at points thetas with theta - 1 log-spaced over [lo, hi],
+    then shrinks [lo, hi] to the neighbours of the level's best point; the
+    search stops once that bracket is tol wide relative to its upper end's
+    theta (tol=inf: one level). This finds the maximizer of a quasi-concave
+    objective (Boyd & Vandenberghe, Convex Optimization, sec. 3.4): its
+    superlevel sets are intervals, so the maximizer lies between the best
+    grid point's neighbours. The first best point wins ties; theta is NaN
+    and value -inf when every point scores -inf.
+    """
+    best_theta, best = math.nan, -math.inf
+    while True:
+        tm1 = np.geomspace(lo, hi, points)
+        vals = values(1.0 + tm1)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best_theta, best = float(1.0 + tm1[i]), float(vals[i])
+        lo, hi = tm1[max(i - 1, 0)], tm1[min(i + 1, points - 1)]
+        if hi - lo <= tol * (1.0 + hi):
+            return best_theta, best
+
+
 def _face_theta(ch, config, r_bar: float) -> float:
     """jhtpa's start theta: of the scanned ones (see _THETA_CAP), the one whose
     full-harvest point has the highest EE while every pair's rate meets r_bar.
-    theta_fix, whose full-harvest rates define the floor, always qualifies."""
-    thetas = np.append(config.theta_fix, 1.0 + np.geomspace(1e-3, _THETA_CAP - 1.0, _FACE_GRID))
-    rates = core.pinned_rates(thetas[:, None], ch, config)
-    ee = rates.sum(axis=-1) / core.pinned_total_power(thetas, ch, config)
-    meets = (rates >= r_bar).all(axis=-1)
-    meets[0] = True
-    return float(thetas[np.argmax(np.where(meets, ee, -math.inf))])
+    theta_fix, whose full-harvest rates define the floor, always qualifies
+    and wins ties."""
+
+    def face_ee(thetas: np.ndarray, floor: float = r_bar) -> np.ndarray:
+        rates = core.pinned_rates(thetas[:, None], ch, config)
+        ee = rates.sum(axis=-1) / core.pinned_total_power(thetas, ch, config)
+        return np.where((rates >= floor).all(axis=-1), ee, -math.inf)
+
+    theta, ee = _log_bracket_max(face_ee, 1e-3, _THETA_CAP - 1.0, _FACE_GRID, tol=math.inf)
+    theta_fix = config.theta_fix
+    return theta if ee > face_ee(np.array([theta_fix]), -math.inf)[0] else theta_fix
 
 
 def _start(ch, config, r_bar: float, theta: float, pinned=None) -> tuple[float, np.ndarray, bool]:
@@ -550,48 +583,27 @@ def opa(
 # ---------------------------------------------------------------------------
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, lo: float, hi: float) -> float:
-    """Golden-section maximum of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > _GOLDEN_TOL * max(1.0, abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def oht(ch: ChannelRealization, config: ScenarioConfig) -> SolveReport:
     """Harvesting-time-only max-min rate with powers pinned to the harvest budget.
 
     Each full-harvest rate ln(1 + SINR_n(theta)) / theta is a concave
     function of theta - 1 over a positive affine one, hence quasi-concave,
     and so is their minimum (Boyd & Vandenberghe, Convex Optimization,
-    sec. 3.4); one golden-section search on the exact max-min rate therefore
-    finds its maximizer. theta_fix is kept when the search ends lower, so
-    the allocation never drops below the QoS floor derived there. The trace
-    holds the max-min objective (nats per slot) at theta_fix and at the
-    answer.
+    sec. 3.4); one batched bracket search (_log_bracket_max) on the exact
+    max-min rate therefore finds its maximizer on [1 + THETA_GAP,
+    _OHT_THETA_MAX], which on most trials is the cap itself. theta_fix is
+    kept when the search ends lower, so the allocation never drops below
+    the QoS floor derived there. The trace holds the max-min objective
+    (nats per slot) at theta_fix and at the answer.
     """
     started = time.perf_counter()
 
-    def min_rate(t: float) -> float:
-        return float(np.min(core.pinned_rates(t, ch, config)))
+    def min_rate(thetas: np.ndarray) -> np.ndarray:
+        return core.pinned_rates(thetas[:, None], ch, config).min(axis=-1)
 
     theta_fix = float(config.theta_fix)
-    obj_fix = min_rate(theta_fix)
-    theta = _golden_max(min_rate, 1.0 + THETA_GAP, _OHT_THETA_MAX)
-    obj = min_rate(theta)
+    obj_fix = float(min_rate(np.array([theta_fix]))[0])
+    theta, obj = _log_bracket_max(min_rate, THETA_GAP, _OHT_THETA_MAX - 1.0, _OHT_GRID)
     if obj < obj_fix:
         theta, obj = theta_fix, obj_fix
     return SolveReport(

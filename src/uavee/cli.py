@@ -8,9 +8,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
-from . import selftest
 from .algorithms import ALGORITHM_NAMES, run_algorithm
 from .bench import ExperimentSpec, run_experiment
 from .scenario import ScenarioConfig, make_scenario
@@ -77,8 +74,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--algorithm", required=True, choices=ALGORITHM_NAMES)
     solve.add_argument("--trace", action="store_true", help="include the objective trace")
     solve.add_argument("--verbose", **verbose)
-
-    sub.add_parser("selftest", help="run the quick invariant suite")
     return parser
 
 
@@ -151,8 +146,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             return _cmd_gen_scenario(args)
         if args.command == "solve":
             return _cmd_solve(args)
-        if args.command == "selftest":
-            return selftest.run(np.random.default_rng(0))
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"uavee: error: {exc}", file=sys.stderr)
         return 2

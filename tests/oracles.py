@@ -3,7 +3,8 @@
 Everything here recomputes the physics from first principles with plain
 numpy grids; none of it calls into the solver or the SCA loops. iterate_ee
 alone reads core's EE formula: it is the multiplier the SCA scores an
-iterate by, which the subproblem tests pass to the builders.
+iterate by, which the subproblem tests pass to the builders. check_gradients
+differences a ConvexProgram's value oracles to check its derivative oracles.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 
 from uavee import core
+from uavee.engine import Functional
 
 
 def iterate_ee(z, ch, config):
@@ -57,18 +59,23 @@ def grid_opa_ee_n1(ch, config, r_bar, points=10**5):
     return float(np.max(rates[feasible] / power[feasible]))
 
 
-def grid_oht_theta(ch, config, points=10**6, theta_max=1e3, chunks=20):
-    """Argmax of the full-harvest max-min rate over a linear theta grid."""
+def min_pinned_rate(thetas, ch, config):
+    """Full-harvest max-min objective min_n rate_n at each entry of thetas."""
     hd = np.diag(ch.h)
     off = ch.h - np.diag(hd)
     cross = off @ ch.g
     c_noise = ch.sigma2_watt / (config.eta * config.p0_watt)
     desired = hd * ch.g
+    tm1 = np.asarray(thetas)[:, None] - 1.0
+    rates = np.log1p(tm1 * desired[None, :] / (tm1 * cross[None, :] + c_noise))
+    return np.min(rates, axis=1) / thetas
+
+
+def grid_oht_theta(ch, config, points=10**6, theta_max=1e3, chunks=20):
+    """Argmax of the full-harvest max-min rate over a linear theta grid."""
     best_val, best_theta = -np.inf, None
     for chunk in np.array_split(np.linspace(1.0 + 1e-6, theta_max, points), chunks):
-        tm1 = chunk[:, None] - 1.0
-        rates = np.log1p(tm1 * desired[None, :] / (tm1 * cross[None, :] + c_noise))
-        vals = np.min(rates, axis=1) / chunk
+        vals = min_pinned_rate(chunk, ch, config)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_theta = float(vals[i]), float(chunk[i])
@@ -164,3 +171,72 @@ def log_uniform_opa_points(rng, ch, config, r_bar, theta_fix, count):
         return all(np.isfinite(v) and v < 0.0 for v in rows)
 
     return _rejection_sample(draw, feasible, count)
+
+
+# Finite-difference step of check_gradients, relative to |z_i| (1e-8 at 0).
+_FD_REL_STEP = 1e-6
+
+
+def _fd_step(z: np.ndarray) -> np.ndarray:
+    return _FD_REL_STEP * np.where(z == 0.0, 1e-8, np.abs(z))
+
+
+def _fd_jacobian(fn, z: np.ndarray) -> np.ndarray:
+    """Central differences of fn along each coordinate: the gradient of a
+    scalar fn, the (rows x dim) Jacobian of a vector fn."""
+    h = _fd_step(z)
+    cols = []
+    for i in range(z.size):
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h[i]
+        zm[i] -= h[i]
+        cols.append((np.asarray(fn(zp)) - np.asarray(fn(zm))) / (2.0 * h[i]))
+    return np.stack(cols, axis=-1)
+
+
+def _fd_error(analytic, numeric, column_noise: np.ndarray) -> float:
+    """Largest entry mismatch beyond the FD rounding allowance, relative."""
+    a = np.asarray(analytic, dtype=float)
+    b = np.asarray(numeric, dtype=float)
+    excess = np.maximum(np.abs(a - b) - column_noise, 0.0)
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(excess)) / scale
+
+
+def check_gradients(prog, z: np.ndarray) -> float:
+    """Max relative error of all gradient/Hessian oracles against central differences.
+
+    The objective's gradient is differenced from its value and its Hessian
+    from its gradient. Constraint j is checked the same way: row j of
+    constraint_jacobian against differences of constraint_values, and
+    constraint_hessian_weighted(z, e_j) against differences of that row.
+    Each difference carries a rounding allowance of ~1e3 * eps * scale / step
+    that is subtracted before the relative comparison: a central difference
+    cannot resolve derivatives below that floor, so near-flat directions are
+    not flagged for noise. The scale is max(1, |value|) for a differenced
+    value and |g_i| for a differenced gradient entry g_i, so Hessians of
+    badly scaled coordinates (q = 1/p ~ 1e8) are still resolved.
+    """
+    z = np.asarray(z, dtype=float)
+    h = _fd_step(z)
+    eps_safety = 1e3 * np.finfo(float).eps
+    rows = np.eye(prog.constraint_values(z).size)
+    constraints = [
+        Functional(
+            value=lambda x, j=j: prog.constraint_values(x)[j],
+            grad=lambda x, j=j: prog.constraint_jacobian(x)[j],
+            hess=lambda x, e=e: prog.constraint_hessian_weighted(x, e),
+        )
+        for j, e in enumerate(rows)
+    ]
+    worst = 0.0
+    for fn in (prog.objective, *constraints):
+        g_analytic = np.asarray(fn.grad(z), dtype=float)
+        value_scale = max(1.0, abs(float(fn.value(z))))
+        g_noise = eps_safety * value_scale / h
+        worst = max(worst, _fd_error(g_analytic, _fd_jacobian(fn.value, z), g_noise))
+        h_fd = _fd_jacobian(fn.grad, z)
+        h_noise = eps_safety * np.abs(g_analytic)[:, None] / h[None, :]
+        h_noise = 0.5 * (h_noise + h_noise.T)
+        worst = max(worst, _fd_error(fn.hess(z), 0.5 * (h_fd + h_fd.T), h_noise))
+    return worst

@@ -10,9 +10,10 @@ trace, iterations and subsolver calls, or the exception it raised. Write the
 file from each of two checkouts and compare them; the comparison prints, per
 workload and algorithm, how many solves are identical, how many keep their
 status, iterations and subsolver calls ("same path"), how many keep a
-bit-identical allocation (tau, powers), and the largest relative EE change.
-A change that moves only the rounding of EE or trace shows every solve on
-the same path with the same allocation.
+bit-identical allocation (tau, powers), how many end with a lower
+trace[-1] than in OLD (jhtpa's and opa's EE, oht's max-min rate), and the
+largest relative EE change. A change that moves only the rounding of EE or
+trace shows every solve on the same path with the same allocation.
 """
 
 from __future__ import annotations
@@ -60,21 +61,28 @@ def _allocation(signature) -> list:
     return signature if signature[0] == "raised" else signature[2:4]
 
 
+def _last(signature) -> float | None:
+    """The last trace entry, or None for a raised exception."""
+    return None if signature[0] == "raised" else float.fromhex(signature[4][-1])
+
+
 def compare(old: Path, new: Path) -> bool:
     before, after = json.loads(old.read_text()), json.loads(new.read_text())
     same_everywhere = True
     print(
         f"{'workload':<18}{'algorithm':<11}{'identical':>12}{'same path':>12}"
-        f"{'same alloc':>12}{'max rel EE drift':>18}"
+        f"{'same alloc':>12}{'lower trace[-1]':>17}{'max rel EE drift':>18}"
     )
     for name, _, _ in TRIAL_SETS:
         pairs = list(zip(before[name], after[name], strict=True))
         for alg in pairs[0][0]:
-            identical, path, alloc, drift = 0, 0, 0, 0.0
+            identical, path, alloc, lower, drift = 0, 0, 0, 0, 0.0
             for a, b in ((x[alg], y[alg]) for x, y in pairs):
                 identical += a == b
                 path += _path(a) == _path(b)
                 alloc += _allocation(a) == _allocation(b)
+                last_a, last_b = _last(a), _last(b)
+                lower += last_a is not None and (last_b is None or last_b < last_a)
                 ee_a, ee_b = _ee(a), _ee(b)
                 if (ee_a is None) != (ee_b is None):
                     drift = float("inf")
@@ -82,7 +90,7 @@ def compare(old: Path, new: Path) -> bool:
                     drift = max(drift, abs(ee_b - ee_a) / max(abs(ee_a), 1e-300))
             same_everywhere &= identical == len(pairs)
             counts = "".join(f"{f'{k}/{len(pairs)}':>12}" for k in (identical, path, alloc))
-            print(f"{name:<18}{alg:<11}{counts}{drift:>18.3g}")
+            print(f"{name:<18}{alg:<11}{counts}{f'{lower}/{len(pairs)}':>17}{drift:>18.3g}")
     return same_everywhere
 
 

@@ -19,9 +19,10 @@ from uavee.algorithms import (
     opa,
 )
 from uavee.bench import ExperimentSpec, run_experiment
-from uavee.engine import NoFeasiblePointFoundError, check_gradients
+from uavee.engine import NoFeasiblePointFoundError
 
 from oracles import (
+    check_gradients,
     grid_ee_n1,
     grid_oht_theta,
     iterate_ee,
@@ -170,15 +171,17 @@ def test_criterion_3_small_instance_oracles():
 
 
 def test_criterion_4_oht_closed_form(scenario_reports):
+    # oht's powers are the full-harvest closed form p_n = (theta - 1) eta P0 g_n
     worst = 0.0
     for entry in scenario_reports:
         report = entry["reports"]["oht"]
         if report is None:
             continue
-        generic = core.energy_efficiency(report.allocation, entry["ch"], entry["config"])
-        worst = max(worst, abs(report.ee_nats_per_joule - generic) / max(generic, 1e-300))
+        config, ch = entry["config"], entry["ch"]
+        closed_form = (report.allocation.theta - 1.0) * config.eta * config.p0_watt * ch.g
+        worst = max(worst, float(np.max(np.abs(report.allocation.p / closed_form - 1.0))))
     ok = worst <= 1e-10
-    _verdict(4, "closed-form power identity", ok, f"worst relative gap {worst:.2e} (<=1e-10)")
+    _verdict(4, "closed-form power identity", ok, f"worst |p/p_closed - 1| {worst:.2e} (<=1e-10)")
 
 
 def test_criterion_5_cross_algorithm_ordering(paired_experiment):

@@ -21,9 +21,17 @@ from uavee.algorithms import (
     opa,
     run_algorithm,
 )
-from uavee.engine import SolveStatus, check_gradients
+from uavee.engine import SolveStatus
 
-from oracles import grid_ee_n1, grid_oht_theta, grid_opa_ee_n1, iterate_ee, pinned_rates_direct
+from oracles import (
+    check_gradients,
+    grid_ee_n1,
+    grid_oht_theta,
+    grid_opa_ee_n1,
+    iterate_ee,
+    min_pinned_rate,
+    pinned_rates_direct,
+)
 
 
 def scenario(n, seed):
@@ -132,10 +140,32 @@ def test_oht_max_min_rate_beats_grid_and_theta_fix(
     report = oht(ch, config)
     assert report.status == "converged"
     assert_report_sane(report, ch, config)
-    value = float(np.min(pinned_rates_direct(report.allocation.theta, ch, config)))
+    theta = report.allocation.theta
+    assert 1.0 + core.THETA_GAP <= theta <= algorithms._OHT_THETA_MAX * (1.0 + 1e-12)
+    value = float(np.min(pinned_rates_direct(theta, ch, config)))
+    assert report.trace[-1] == pytest.approx(value, rel=1e-12)
     _, grid_best = grid_oht_theta(ch, config, points=10**4)
     assert value >= grid_best * (1.0 - 1e-9)
+    # the bracket search's first level is log-spaced: a log grid over its
+    # whole bracket resolves peaks near theta = 1 that the linear grid skips
+    log_grid = 1.0 + np.geomspace(core.THETA_GAP, algorithms._OHT_THETA_MAX - 1.0, 10**4)
+    assert value >= float(np.max(min_pinned_rate(log_grid, ch, config))) * (1.0 - 1e-9)
     assert value >= float(np.min(pinned_rates_direct(theta_fix, ch, config))) * (1.0 - 1e-12)
+
+
+# _golden_max's answer on scenario(2, 46), the golden-section search oht ran
+# before the batched bracket search replaced it; the peak is interior (~41.6).
+GOLDEN_THETA_N2_SEED46 = 41.647458432817906
+
+
+def test_bracket_search_scores_at_least_the_golden_section_answer():
+    config, ch = scenario(2, 46)
+    report = oht(ch, config)
+    theta = report.allocation.theta
+    assert 1.0 + core.THETA_GAP < theta < 0.1 * algorithms._OHT_THETA_MAX
+    golden = float(np.min(core.pinned_rates(GOLDEN_THETA_N2_SEED46, ch, config)))
+    assert float(np.min(core.pinned_rates(theta, ch, config))) >= golden
+    assert report.trace[-1] >= golden
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -207,11 +237,12 @@ def test_subproblem_oracles_match_the_surrogate_rate_bound(
 
 
 def test_oht_closed_form_power_identity():
+    # oht's powers are the full-harvest closed form at its reported theta
     for seed in (7, 11, 42):
         config, ch = scenario(4, seed)
         report = oht(ch, config)
-        generic = core.energy_efficiency(report.allocation, ch, config)
-        assert report.ee_nats_per_joule == pytest.approx(generic, rel=1e-10)
+        closed_form = (report.allocation.theta - 1.0) * config.eta * config.p0_watt * ch.g
+        np.testing.assert_allclose(report.allocation.p / closed_form, 1.0, rtol=1e-10, atol=0.0)
 
 
 def test_oht_power_pinning_exact():
@@ -348,10 +379,9 @@ def test_report_serialization_roundtrip():
 
 def test_feasibility_is_checked_on_demand():
     # the report keeps the allocation's inputs and checks it when asked; its
-    # JSON is byte for byte what the report that stored the check wrote
-    # (captured at the commit that stored it; oht's answer is unchanged since,
-    # and its EE moved in the last digits when the report began deriving it
-    # from the allocation instead of a closed form)
+    # JSON is byte for byte a stored one; oht's max-min rate peaks at the
+    # 1e3 cap here, and the bracket search returns its last grid point,
+    # tau = 1 - 1/1e3 = 0.999
     import json
 
     stored = {f.name for f in dataclasses.fields(algorithms.SolveReport)}
@@ -374,13 +404,13 @@ def test_feasibility_is_checked_on_demand():
         assert "channels" not in repr(report) and "config" not in repr(report)
     fixed = dataclasses.replace(oht(ch, config), wall_time_ms=0.0)
     assert fixed.to_json(include_trace=True) == (
-        '{"algorithm": "oht", "tau": 0.9989999999999535, "p_watt": [3.8396204359865727e-07, '
-        '1.3965495058652319e-06, 2.540911476848711e-07], "ee_nats_per_joule": '
-        '0.00010036979793156082, "ee_bits_per_joule": 0.00014480300973089013, "iterations": 1, '
+        '{"algorithm": "oht", "tau": 0.999, "p_watt": [3.8396204361653644e-07, '
+        '1.396549505930262e-06, 2.5409114769670276e-07], "ee_nats_per_joule": '
+        '0.00010036979793032353, "ee_bits_per_joule": 0.0001448030097291051, "iterations": 1, '
         '"subsolver_calls": 1, "wall_time_ms": 0.0, "status": "converged", "stop_reason": '
         '"epsilon", "pinned": 0, "r_bar": 4.577914214582907e-09, "causality_violation": [0.0, '
         '0.0, 0.0], "qos_violation": [0.0, 0.0, 0.0], "tau_in_range": true, "trace": '
-        '[4.577914214582907e-09, 9.146630726817275e-09]}'
+        '[4.577914214582907e-09, 9.146630726817699e-09]}'
     )
 
 

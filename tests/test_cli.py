@@ -115,13 +115,6 @@ def test_run_rejects_an_empty_sweep(capsys, option):
     assert capsys.readouterr().err.startswith("uavee run: error:")
 
 
-def test_selftest_passes(capsys):
-    assert cli_main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "FAIL" not in out
-
-
 @pytest.mark.parametrize("command", [["run"], ["solve", "--scenario", "s.json", "--algorithm", "oht"]])
 def test_verbose_before_or_after_subcommand(command):
     parser = _build_parser()

@@ -8,14 +8,16 @@ bit, jhtpa and opa to 1e-6 relative.
 A change that moves an EE beyond its gate either is wrong or changes the
 answer on purpose. In the second case regenerate the file with
 
-    PYTHONPATH=src python tests/test_ee_reference.py
+    PYTHONPATH=src python tests/test_ee_reference.py [ALG ...]
 
-which prints the per-trial drift table that CHANGES.md then carries: one
-row per trial with each algorithm's relative change from the old reference
-value to the new one.
+which rewrites the named algorithms' values (all three when none is named),
+leaves the others byte-identical, and prints the per-trial drift table that
+CHANGES.md then carries: one row per trial with each rewritten algorithm's
+relative change from the old reference value to the new one.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,8 +32,8 @@ TRIALS = [(n, k) for n in (*range(2, 11), 30) for k in range(4)]
 REL_TOL = {"jhtpa": 1e-6, "opa": 1e-6, "oht": 0.0}
 
 
-def trial_ee(n_pairs, trial):
-    rows = run_trial(BASE, n_pairs, trial, ALGORITHM_NAMES, None)
+def trial_ee(n_pairs, trial, names=ALGORITHM_NAMES):
+    rows = run_trial(BASE, n_pairs, trial, names, None)
     return {"n_pairs": n_pairs, "trial": trial, **{r.algorithm: r.ee_nats_per_joule for r in rows}}
 
 
@@ -51,12 +53,22 @@ def drift(old, new):
     return f"{(new - old) / abs(old):+.2e}"
 
 
-if __name__ == "__main__":
+def regenerate(names):
+    """Rewrite the names' values in the reference; print their drift table."""
+    unknown = set(names) - set(ALGORITHM_NAMES)
+    if unknown:
+        raise SystemExit(f"unknown algorithms {sorted(unknown)}; expected {ALGORITHM_NAMES}")
     before = {(r["n_pairs"], r["trial"]): r for r in json.loads(REFERENCE.read_text())}
-    rows = [trial_ee(n, k) for n, k in TRIALS]
-    print("n_pairs trial", *(f"{name:>10}" for name in ALGORITHM_NAMES))
-    for row in rows:
-        old = before.get((row["n_pairs"], row["trial"]), {})
-        cells = (drift(old.get(name), row[name]) for name in ALGORITHM_NAMES)
-        print(f"{row['n_pairs']:7d} {row['trial']:5d}", *(f"{cell:>10}" for cell in cells))
+    rows = []
+    print("n_pairs trial", *(f"{name:>10}" for name in names))
+    for n, k in TRIALS:
+        old = before.get((n, k), {"n_pairs": n, "trial": k})
+        row = {**old, **trial_ee(n, k, names)}
+        cells = (drift(old.get(name), row[name]) for name in names)
+        print(f"{n:7d} {k:5d}", *(f"{cell:>10}" for cell in cells))
+        rows.append(row)
     REFERENCE.write_text(json.dumps(rows, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate(tuple(sys.argv[1:]) or ALGORITHM_NAMES)

@@ -25,11 +25,10 @@ from uavee.engine import (
     InfeasibleStartError,
     NoFeasiblePointFoundError,
     SolveStatus,
-    check_gradients,
     solve,
 )
 
-from oracles import iterate_ee
+from oracles import check_gradients, iterate_ee
 
 
 def affine(a, b, dim):
