@@ -17,24 +17,12 @@ from .algorithms import (
 from .bench import ExperimentSpec, ResultRow, derive_child_seed, run_experiment
 from .core import (
     Allocation,
-    BoundCoeffs,
     FeasibilityReport,
     check_feasible,
     energy_efficiency,
-    log_bound_coeffs,
     qos_threshold,
-    surrogate_psi,
 )
-from .engine import (
-    ConvexProgram,
-    Functional,
-    InfeasibleStartError,
-    NoFeasiblePointFoundError,
-    SolveOutcome,
-    SolveStatus,
-    find_feasible,
-    solve,
-)
+from .engine import NoFeasiblePointFoundError
 from .scenario import (
     ChannelRealization,
     Placement,
@@ -49,28 +37,20 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHM_NAMES",
     "Allocation",
-    "BoundCoeffs",
     "ChannelRealization",
-    "ConvexProgram",
     "ExperimentSpec",
     "FeasibilityReport",
-    "Functional",
-    "InfeasibleStartError",
     "NoFeasiblePointFoundError",
     "Placement",
     "ResultRow",
     "ScaSettings",
     "ScenarioConfig",
-    "SolveOutcome",
     "SolveReport",
-    "SolveStatus",
     "check_feasible",
     "derive_child_seed",
     "energy_efficiency",
-    "find_feasible",
     "generate_placement",
     "jhtpa",
-    "log_bound_coeffs",
     "make_scenario",
     "oht",
     "opa",
@@ -78,6 +58,4 @@ __all__ = [
     "realize_channels",
     "run_algorithm",
     "run_experiment",
-    "solve",
-    "surrogate_psi",
 ]

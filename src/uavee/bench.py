@@ -128,10 +128,6 @@ def run_trial(
     return rows
 
 
-def _run_trial_star(args) -> list[ResultRow]:
-    return run_trial(*args)
-
-
 def summarize(rows: list[ResultRow]) -> list[dict]:
     """Per-(n_pairs, algorithm) aggregates; non-converged rows are counted, not averaged."""
     groups: dict[tuple[int, str], list[ResultRow]] = {}
@@ -172,9 +168,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[ResultRow]
     ]
     if jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(processes=jobs) as pool:
-            nested = pool.map(_run_trial_star, tasks)
+            nested = pool.starmap(run_trial, tasks)
     else:
-        nested = [_run_trial_star(t) for t in tasks]
+        nested = [run_trial(*task) for task in tasks]
     rows = [row for batch in nested for row in batch]
     rows.sort(key=lambda r: (r.n_pairs, r.trial, _ALG_ORDER[r.algorithm]))
     summary = summarize(rows)
@@ -197,21 +193,10 @@ def _cell(value) -> str:
 def write_csv(rows: list[ResultRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
+        names = CSV_HEADER.split(",")
+        writer.writerow(names)
         for row in rows:
-            writer.writerow(
-                [
-                    row.n_pairs,
-                    row.algorithm,
-                    row.trial,
-                    row.seed,
-                    _cell(row.ee_nats_per_joule),
-                    _cell(row.ee_bits_per_joule),
-                    _cell(row.wall_time_ms),
-                    _cell(row.iterations),
-                    row.status,
-                ]
-            )
+            writer.writerow([_cell(getattr(row, name)) for name in names])
 
 
 def write_json(rows: list[ResultRow], summary: list[dict], path: str) -> None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from .algorithms import ALGORITHM_NAMES, run_algorithm
@@ -136,7 +135,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.verbose or os.environ.get("UAVEE_VERBOSE") == "1":
+    if args.verbose:
         logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
 
     try:

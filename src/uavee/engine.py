@@ -140,8 +140,9 @@ class ConvexProgram:
     is all the barrier method needs: constraint_values(z) returns the vector
     c(z), constraint_jacobian(z) its m x dim Jacobian (row j is the gradient
     of c_j), and constraint_hessian_weighted(z, w) the dim x dim matrix
-    sum_j w_j * hess(c_j)(z). tests/oracles.check_gradients verifies all
-    three against finite differences of constraint_values.
+    sum_j w_j * hess(c_j)(z). tests/oracles.check_gradients verifies the
+    Jacobian against differences of constraint_values and the Hessians
+    against differences of its rows.
     """
 
     dim: int

@@ -125,24 +125,6 @@ class ChannelRealization:
     def num_pairs(self) -> int:
         return self.g.shape[0]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "g": self.g.tolist(),
-                "h": self.h.tolist(),
-                "sigma2_watt": self.sigma2_watt,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelRealization":
-        data = json.loads(text)
-        return cls(
-            g=np.asarray(data["g"], dtype=float),
-            h=np.asarray(data["h"], dtype=float),
-            sigma2_watt=float(data["sigma2_watt"]),
-        )
-
 
 def noise_power(config: ScenarioConfig) -> float:
     """Noise power in watts over the configured bandwidth."""

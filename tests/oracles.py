@@ -4,7 +4,7 @@ Everything here recomputes the physics from first principles with plain
 numpy grids; none of it calls into the solver or the SCA loops. iterate_ee
 alone reads core's EE formula: it is the multiplier the SCA scores an
 iterate by, which the subproblem tests pass to the builders. check_gradients
-differences a ConvexProgram's value oracles to check its derivative oracles.
+differences a ConvexProgram's oracles to check their derivatives.
 """
 
 import math
@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from uavee import core
-from uavee.engine import Functional
 
 
 def iterate_ee(z, ch, config):
@@ -173,70 +172,66 @@ def log_uniform_opa_points(rng, ch, config, r_bar, theta_fix, count):
     return _rejection_sample(draw, feasible, count)
 
 
-# Finite-difference step of check_gradients, relative to |z_i| (1e-8 at 0).
-_FD_REL_STEP = 1e-6
+# Half-width of check_gradients' segment along each coordinate, relative to
+# |z_i| (1 at 0). A wide segment keeps each difference far above the rounding
+# of the oracle values; Gauss-Legendre quadrature stays exact to rounding over
+# it, as the programs' poles (z_i = 0) sit ten half-widths away.
+_SEGMENT_REL = 0.1
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
+_EPS_SAFETY = 1e3 * np.finfo(float).eps
 
 
-def _fd_step(z: np.ndarray) -> np.ndarray:
-    return _FD_REL_STEP * np.where(z == 0.0, 1e-8, np.abs(z))
+def _segment_error(fn, deriv, z: np.ndarray, floor: float) -> float:
+    """Largest relative entry mismatch between fn's central difference across
+    each coordinate's segment z +- h_j e_j and the mean of deriv(x)[..., j]
+    over that segment, beyond a rounding allowance.
 
-
-def _fd_jacobian(fn, z: np.ndarray) -> np.ndarray:
-    """Central differences of fn along each coordinate: the gradient of a
-    scalar fn, the (rows x dim) Jacobian of a vector fn."""
-    h = _fd_step(z)
-    cols = []
-    for i in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h[i]
-        zm[i] -= h[i]
-        cols.append((np.asarray(fn(zp)) - np.asarray(fn(zm))) / (2.0 * h[i]))
-    return np.stack(cols, axis=-1)
-
-
-def _fd_error(analytic, numeric, column_noise: np.ndarray) -> float:
-    """Largest entry mismatch beyond the FD rounding allowance, relative."""
-    a = np.asarray(analytic, dtype=float)
-    b = np.asarray(numeric, dtype=float)
-    excess = np.maximum(np.abs(a - b) - column_noise, 0.0)
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
-    return float(np.max(excess)) / scale
+    By the fundamental theorem of calculus the two agree exactly for any h_j,
+    so no truncation error enters. The allowance is 1e3 * eps * max(|fn|,
+    floor) / h_j at the segment's ends.
+    """
+    h = _SEGMENT_REL * np.where(z == 0.0, 1.0, np.abs(z))
+    worst = 0.0
+    for j in range(z.size):
+        step = np.zeros_like(z)
+        step[j] = h[j]
+        hi = np.asarray(fn(z + step), dtype=float)
+        lo = np.asarray(fn(z - step), dtype=float)
+        numeric = (hi - lo) / (2.0 * h[j])
+        analytic = 0.5 * sum(
+            w * np.asarray(deriv(z + t * step), dtype=float)[..., j]
+            for t, w in zip(_NODES, _WEIGHTS)
+        )
+        noise = _EPS_SAFETY * np.maximum(np.maximum(np.abs(hi), np.abs(lo)), floor) / h[j]
+        excess = np.maximum(np.abs(analytic - numeric) - noise, 0.0)
+        scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-300)
+        worst = max(worst, float(np.max(excess / scale, initial=0.0)))
+    return worst
 
 
 def check_gradients(prog, z: np.ndarray) -> float:
-    """Max relative error of all gradient/Hessian oracles against central differences.
+    """Max relative error of all gradient/Hessian oracles against differences.
 
-    The objective's gradient is differenced from its value and its Hessian
-    from its gradient. Constraint j is checked the same way: row j of
-    constraint_jacobian against differences of constraint_values, and
-    constraint_hessian_weighted(z, e_j) against differences of that row.
-    Each difference carries a rounding allowance of ~1e3 * eps * scale / step
-    that is subtracted before the relative comparison: a central difference
-    cannot resolve derivatives below that floor, so near-flat directions are
-    not flagged for noise. The scale is max(1, |value|) for a differenced
-    value and |g_i| for a differenced gradient entry g_i, so Hessians of
-    badly scaled coordinates (q = 1/p ~ 1e8) are still resolved.
+    The objective's gradient is checked against differences of its value and
+    its Hessian against differences of its gradient; the constraint Jacobian
+    against differences of constraint_values, and each constraint's Hessian,
+    constraint_hessian_weighted(z, e_j), against differences of Jacobian row
+    j (see _segment_error). Every entry is measured relative to its own
+    magnitude, so a small entry (a theta-q cross term ~1e-17 next to q-q
+    curvature ~1e-10) is checked as closely as the largest. Differenced
+    values carry an allowance floor of 1: the programs' rows and normalized
+    objective are sums of O(1) terms.
     """
     z = np.asarray(z, dtype=float)
-    h = _fd_step(z)
-    eps_safety = 1e3 * np.finfo(float).eps
     rows = np.eye(prog.constraint_values(z).size)
-    constraints = [
-        Functional(
-            value=lambda x, j=j: prog.constraint_values(x)[j],
-            grad=lambda x, j=j: prog.constraint_jacobian(x)[j],
-            hess=lambda x, e=e: prog.constraint_hessian_weighted(x, e),
-        )
-        for j, e in enumerate(rows)
-    ]
-    worst = 0.0
-    for fn in (prog.objective, *constraints):
-        g_analytic = np.asarray(fn.grad(z), dtype=float)
-        value_scale = max(1.0, abs(float(fn.value(z))))
-        g_noise = eps_safety * value_scale / h
-        worst = max(worst, _fd_error(g_analytic, _fd_jacobian(fn.value, z), g_noise))
-        h_fd = _fd_jacobian(fn.grad, z)
-        h_noise = eps_safety * np.abs(g_analytic)[:, None] / h[None, :]
-        h_noise = 0.5 * (h_noise + h_noise.T)
-        worst = max(worst, _fd_error(fn.hess(z), 0.5 * (h_fd + h_fd.T), h_noise))
-    return worst
+
+    def constraint_hessians(x):
+        hessians = [prog.constraint_hessian_weighted(x, e) for e in rows]
+        return np.reshape(hessians, (len(rows), z.size, z.size))
+
+    return max(
+        _segment_error(prog.objective.value, prog.objective.grad, z, 1.0),
+        _segment_error(prog.objective.grad, prog.objective.hess, z, 0.0),
+        _segment_error(prog.constraint_values, prog.constraint_jacobian, z, 1.0),
+        _segment_error(prog.constraint_jacobian, constraint_hessians, z, 0.0),
+    )

@@ -1,9 +1,11 @@
 """Every algorithm across the physically valid ScenarioConfig space.
 
-The ranges are test_feasible_start's. Each drawn config runs jhtpa, opa and
-oht through run_algorithm, and each report must be a converged, feasible
-answer whose trace never falls and whose EE and QoS floor are the ones its
-allocation and instance give.
+The network and power ranges are test_feasible_start's. The channel physics
+(UAV height, pair distance, P0, path-loss exponents, beta0, NLOS excess loss
+and bandwidth) is drawn too, over wide ranges around each default. Each drawn
+config runs jhtpa, opa and oht through run_algorithm, and each report must be
+a converged, feasible answer whose trace never falls and whose EE and QoS
+floor are the ones its allocation and instance give.
 """
 
 import math
@@ -26,10 +28,33 @@ from uavee.algorithms import ALGORITHM_NAMES, run_algorithm
     noise=st.floats(-170.0, -80.0),
     p_cir=st.floats(1e-6, 10.0),
     rate_cap=st.floats(0.01, 5.0),
+    height=st.floats(5.0, 500.0),
+    pair_dist=st.floats(1.0, 200.0),
+    p0=st.floats(0.1, 50.0),
+    alpha_h=st.floats(2.0, 4.5),
+    alpha_g=st.floats(2.0, 4.5),
+    beta0=st.floats(-60.0, -20.0),
+    gamma=st.floats(0.0, 40.0),
+    bandwidth=st.floats(1e4, 1e8),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_every_algorithm_reports_a_consistent_feasible_answer(
-    num_pairs, radius, eta, theta_fix, noise, p_cir, rate_cap, seed
+    num_pairs,
+    radius,
+    eta,
+    theta_fix,
+    noise,
+    p_cir,
+    rate_cap,
+    height,
+    pair_dist,
+    p0,
+    alpha_h,
+    alpha_g,
+    beta0,
+    gamma,
+    bandwidth,
+    seed,
 ):
     config = ScenarioConfig(
         num_pairs=num_pairs,
@@ -40,6 +65,14 @@ def test_every_algorithm_reports_a_consistent_feasible_answer(
         noise_density_dbm_hz=noise,
         p_cir_watt=p_cir,
         rate_cap_bpshz=rate_cap,
+        uav_height_m=height,
+        max_pair_dist_m=pair_dist,
+        p0_watt=p0,
+        alpha_h=alpha_h,
+        alpha_g=alpha_g,
+        beta0_db=beta0,
+        gamma_db=gamma,
+        bandwidth_hz=bandwidth,
     )
     _, ch = make_scenario(config)
     r_bar = core.qos_threshold(ch, config)

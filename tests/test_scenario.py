@@ -7,7 +7,6 @@ import pytest
 
 from uavee import ScenarioConfig
 from uavee.scenario import (
-    ChannelRealization,
     atg_gain,
     d2d_gain,
     elevation_angle_deg,
@@ -213,9 +212,13 @@ def test_realize_channels_compositional():
 
 
 def test_fading_power_unit_mean():
-    rng = np.random.default_rng(2024)
-    draws = rng.exponential(1.0, size=100_000)
-    assert abs(draws.mean() - 1.0) < 0.01
+    # h over the unit-fading D2D gain is each link's fading power draw; over
+    # one N = 317 realization (100,489 links) its mean must be near 1
+    cfg = ScenarioConfig(num_pairs=317, seed=2024)
+    placement, ch = make_scenario(cfg)
+    dist = np.linalg.norm(placement.tx_pos[None, :, :] - placement.rx_pos[:, None, :], axis=2)
+    fading = ch.h / d2d_gain(dist, 1.0, cfg)
+    assert abs(fading.mean() - 1.0) < 0.01
 
 
 def test_channels_immutable():
@@ -227,20 +230,11 @@ def test_channels_immutable():
         ch.g[0] = 1.0
 
 
-def test_channel_json_roundtrip():
-    cfg = ScenarioConfig(num_pairs=3, seed=11)
-    _, ch = make_scenario(cfg)
-    again = ChannelRealization.from_json(ch.to_json())
-    assert np.array_equal(again.h, ch.h)
-    assert np.array_equal(again.g, ch.g)
-    assert again.sigma2_watt == ch.sigma2_watt
-
-
 def test_channel_golden_file():
     # frozen dump pins the generation pipeline across releases
     cfg = ScenarioConfig(num_pairs=3, seed=7)
     _, ch = make_scenario(cfg)
-    golden = ChannelRealization.from_json((DATA / "channels_n3_seed7.json").read_text())
-    np.testing.assert_allclose(ch.h, golden.h, rtol=1e-15)
-    np.testing.assert_allclose(ch.g, golden.g, rtol=1e-15)
-    assert ch.sigma2_watt == pytest.approx(golden.sigma2_watt, rel=1e-15)
+    golden = json.loads((DATA / "channels_n3_seed7.json").read_text())
+    np.testing.assert_allclose(ch.h, golden["h"], rtol=1e-15)
+    np.testing.assert_allclose(ch.g, golden["g"], rtol=1e-15)
+    assert ch.sigma2_watt == pytest.approx(golden["sigma2_watt"], rel=1e-15)
