@@ -267,8 +267,11 @@ def _log_bracket_max(values, lo: float, hi: float, points: int, tol: float = _TH
     theta (tol=inf: one level). This finds the maximizer of a quasi-concave
     objective (Boyd & Vandenberghe, Convex Optimization, sec. 3.4): its
     superlevel sets are intervals, so the maximizer lies between the best
-    grid point's neighbours. The first best point wins ties; theta is NaN
-    and value -inf when every point scores -inf.
+    grid point's neighbours. When a level's best point is its upper end hi
+    and tol is finite, one probe at theta - 1 = hi - tol * (1 + hi) scoring
+    below hi ends the search there: by the same argument, any point that
+    beats hi lies within tol of it. The first best point wins ties; theta
+    is NaN and value -inf when every point scores -inf.
     """
     best_theta, best = math.nan, -math.inf
     while True:
@@ -277,6 +280,9 @@ def _log_bracket_max(values, lo: float, hi: float, points: int, tol: float = _TH
         i = int(np.argmax(vals))
         if vals[i] > best:
             best_theta, best = float(1.0 + tm1[i]), float(vals[i])
+        if i == points - 1 and tol < math.inf:
+            if values(np.array([1.0 + hi - tol * (1.0 + hi)]))[0] < vals[i]:
+                return best_theta, best
         lo, hi = tm1[max(i - 1, 0)], tm1[min(i + 1, points - 1)]
         if hi - lo <= tol * (1.0 + hi):
             return best_theta, best
@@ -591,10 +597,11 @@ def oht(ch: ChannelRealization, config: ScenarioConfig) -> SolveReport:
     and so is their minimum (Boyd & Vandenberghe, Convex Optimization,
     sec. 3.4); one batched bracket search (_log_bracket_max) on the exact
     max-min rate therefore finds its maximizer on [1 + THETA_GAP,
-    _OHT_THETA_MAX], which on most trials is the cap itself. theta_fix is
-    kept when the search ends lower, so the allocation never drops below
-    the QoS floor derived there. The trace holds the max-min objective
-    (nats per slot) at theta_fix and at the answer.
+    _OHT_THETA_MAX]. On most trials that is the cap itself: the rate still
+    rises there, and the search stops after one level and one probe.
+    theta_fix is kept when the search ends lower, so the allocation never
+    drops below the QoS floor derived there. The trace holds the max-min
+    objective (nats per slot) at theta_fix and at the answer.
     """
     started = time.perf_counter()
 

@@ -168,6 +168,61 @@ def test_bracket_search_scores_at_least_the_golden_section_answer():
     assert report.trace[-1] >= golden
 
 
+def counted(function):
+    """function, and a list that gets the size of its first argument (the
+    thetas) on each call."""
+    calls = []
+
+    def wrapper(thetas, *args):
+        calls.append(np.size(thetas))
+        return function(thetas, *args)
+
+    return wrapper, calls
+
+
+def test_bracket_search_stops_at_a_rising_upper_end_after_one_probe():
+    values, calls = counted(lambda thetas: thetas)
+    theta, value = algorithms._log_bracket_max(values, 1e-3, 999.0, 33, tol=1e-10)
+    assert (theta, value) == (1000.0, 1000.0)
+    assert calls == [33, 1]
+
+
+def test_bracket_search_refines_a_peak_next_to_the_upper_end():
+    tm1 = np.geomspace(1e-3, 999.0, 33)
+    # between the last two grid points and nearer the end, which so wins the
+    # first level; 1e-6 below it, far more than tol, so the probe beats the end
+    peak = 1.0 + 999.0 - 1e-6 * 1000.0
+    assert 1.0 + (tm1[-2] + tm1[-1]) / 2 < peak
+    values, calls = counted(lambda thetas: -np.abs(thetas - peak))
+    theta, _ = algorithms._log_bracket_max(values, 1e-3, 999.0, 33, tol=1e-10)
+    assert abs(theta - peak) <= 1e-10 * peak
+    assert len(calls) > 2
+
+
+def test_bracket_search_with_infinite_tol_makes_one_level_and_no_probe():
+    values, calls = counted(lambda thetas: thetas)
+    theta, _ = algorithms._log_bracket_max(values, 1e-3, 999.0, 33, tol=np.inf)
+    assert theta == 1000.0
+    assert calls == [33]
+
+
+# oht's reported theta (from tau) on two scenarios: seed 3's max-min rate
+# still rises at the 1e3 cap, seed 46's peaks inside the range
+@pytest.mark.parametrize(
+    "num_pairs, seed, rate_calls, theta",
+    [(5, 3, 3, 999.9999999999991), (2, 46, 11, 41.64745935187803)],
+    ids=["rising-at-cap", "interior-peak"],
+)
+def test_oht_rate_evaluations(monkeypatch, num_pairs, seed, rate_calls, theta):
+    """One evaluation at theta_fix, then: a rate still rising at the cap
+    costs one search level and one probe; an interior peak every level."""
+    config, ch = scenario(num_pairs, seed)
+    counting, calls = counted(core.pinned_rates)
+    monkeypatch.setattr(core, "pinned_rates", counting)
+    assert oht(ch, config).allocation.theta == theta
+    assert len(calls) == rate_calls
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     num_pairs=st.integers(1, 30),
