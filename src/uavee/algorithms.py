@@ -390,8 +390,10 @@ def _jhtpa_coefficients(z_bar: np.ndarray, phi: float, ch, config, r_bar: float)
     return (c0, lin, rec), (f0, f_lin, f_rec, f_cpl)
 
 
-def _subproblem(rows, objective: Functional, lo: np.ndarray) -> ConvexProgram:
-    """The ConvexProgram of _jhtpa_coefficients' rows on the open domain z > lo.
+def _subproblem(rows, objective: Functional) -> ConvexProgram:
+    """The ConvexProgram of _jhtpa_coefficients' rows on the open domain z > 0
+    (theta > 1 + THETA_GAP is the theta guard row, and the engine evaluates
+    the objective only where every row is negative).
 
     Row j is c0_j + lin_j @ z + rec_j @ (1/z): its Jacobian is lin - rec /
     z^2 and sum_j w_j hess(c_j) is the diagonal 2 (rec^T w) / z^3.
@@ -405,9 +407,8 @@ def _subproblem(rows, objective: Functional, lo: np.ndarray) -> ConvexProgram:
         return out
 
     return ConvexProgram(
-        dim=dim,
         objective=objective,
-        domain_guard=lambda z: bool(((lo < z) & (z < math.inf)).all()),
+        domain_guard=lambda z: bool(((0.0 < z) & (z < math.inf)).all()),
         constraint_values=lambda z: c0 + lin @ z + rec @ (1.0 / z),
         constraint_jacobian=lambda z: lin - rec / (z * z),
         constraint_hessian_weighted=weighted_hessian,
@@ -444,8 +445,7 @@ def build_jhtpa_subproblem(
         out[0, 0] = 2.0 * r[0] ** 3 * float(f_cpl @ r)
         return out
 
-    lo = np.concatenate(([1.0], np.zeros(dim - 1)))
-    return _subproblem(rows, Functional(obj_value, obj_grad, obj_hess), lo)
+    return _subproblem(rows, Functional(obj_value, obj_grad, obj_hess))
 
 
 def _jhtpa_extrapolate(z_bar, z_new, phi_new, score, ch, config, r_bar):
@@ -550,7 +550,7 @@ def build_opa_subproblem(
     objective = Functional(
         lambda q: f0 + float(f_lin @ q + f_rec @ (1.0 / q)), lambda q: f_lin - f_rec / (q * q), obj_hess
     )
-    return _subproblem((c0, lin, rec), objective, np.zeros(dim))
+    return _subproblem((c0, lin, rec), objective)
 
 
 def opa(

@@ -36,8 +36,6 @@ class ExperimentSpec:
     pair_counts: tuple[int, ...] = tuple(range(2, 11))
     trials_per_point: int = 100
     algorithms: tuple[str, ...] = ALGORITHM_NAMES
-    output_path: str | None = None
-    output_format: str = "csv"
 
     def __post_init__(self):
         if self.trials_per_point < 1:
@@ -51,8 +49,6 @@ class ExperimentSpec:
             raise ValueError(f"algorithms must be nonempty and known, got {self.algorithms}")
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms repeats an entry: {self.algorithms}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"output_format must be csv or json, got {self.output_format}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ def summarize(rows: list[ResultRow]) -> list[dict]:
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[ResultRow], list[dict]]:
-    """Execute the sweep and return (rows, summary), optionally writing the rows.
+    """Execute the sweep and return (rows, summary); write_csv and write_json store them.
 
     Rows come back sorted by (n_pairs, trial, algorithm) regardless of worker
     scheduling. Per-trial algorithm failures become rows, never abort the sweep.
@@ -173,13 +169,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[ResultRow]
         nested = [run_trial(*task) for task in tasks]
     rows = [row for batch in nested for row in batch]
     rows.sort(key=lambda r: (r.n_pairs, r.trial, _ALG_ORDER[r.algorithm]))
-    summary = summarize(rows)
-    if spec.output_path:
-        if spec.output_format == "csv":
-            write_csv(rows, spec.output_path)
-        else:
-            write_json(rows, summary, spec.output_path)
-    return rows, summary
+    return rows, summarize(rows)
 
 
 def _cell(value) -> str:

@@ -8,7 +8,7 @@ import logging
 import sys
 
 from .algorithms import ALGORITHM_NAMES, run_algorithm
-from .bench import ExperimentSpec, run_experiment
+from .bench import ExperimentSpec, run_experiment, write_csv, write_json
 from .scenario import ScenarioConfig, make_scenario
 
 logger = logging.getLogger("uavee")
@@ -93,14 +93,16 @@ def _cmd_run(args) -> int:
             pair_counts=pairs,
             trials_per_point=args.trials,
             algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
-            output_path=args.out,
-            output_format=args.format,
         )
     except ValueError as exc:
         print(f"uavee run: error: {exc}", file=sys.stderr)
         return 1
     rows, summary = run_experiment(spec, jobs=max(1, args.jobs))
     if args.out:
+        if args.format == "csv":
+            write_csv(rows, args.out)
+        else:
+            write_json(rows, summary, args.out)
         logger.info("wrote %d rows to %s", len(rows), args.out)
     print(json.dumps({"summary": summary}, indent=2))
     return 0
@@ -145,7 +147,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             return _cmd_gen_scenario(args)
         if args.command == "solve":
             return _cmd_solve(args)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"uavee: error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -54,8 +54,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -145,7 +144,6 @@ class ConvexProgram:
     against differences of its rows.
     """
 
-    dim: int
     objective: Functional
     domain_guard: Callable[[np.ndarray], bool]
     constraint_values: Callable[[np.ndarray], np.ndarray]
@@ -156,13 +154,11 @@ class ConvexProgram:
 @dataclass
 class SolveOutcome:
     z_star: np.ndarray
-    objective_value: float
     status: SolveStatus
     newton_step_count: int
-    wall_time: float
-    barrier_t_start: float = 1.0
-    barrier_t_final: float = 1.0
-    outer_objective_trace: list[float] = field(default_factory=list)
+    barrier_t_start: float
+    barrier_t_final: float
+    outer_objective_trace: list[float]
 
 
 class _Point:
@@ -365,7 +361,6 @@ def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
     breakdown is reported via status rather than raised so callers can keep
     partial traces.
     """
-    started = time.perf_counter()
     point = _point_at(prog, np.array(z0, dtype=float))
     if point is None:
         raise InfeasibleStartError("starting point is outside the domain or not strictly feasible")
@@ -399,7 +394,7 @@ def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
             "%s",
             json.dumps(
                 {
-                    "dim": prog.dim,
+                    "dim": point.z.size,
                     "status": status.value,
                     "newton_steps": total_steps,
                     "barrier_t_start": t_start,
@@ -411,10 +406,8 @@ def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
         )
     return SolveOutcome(
         z_star=point.z,
-        objective_value=point.f,
         status=status,
         newton_step_count=total_steps,
-        wall_time=time.perf_counter() - started,
         barrier_t_start=t_start,
         barrier_t_final=t,
         outer_objective_trace=trace,
@@ -423,21 +416,18 @@ def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
 
 def find_feasible(
     constraints: Sequence[Callable[[np.ndarray], float]],
-    sampler: Callable[[np.random.Generator | None, int], np.ndarray | None],
+    sampler: Callable[[np.random.Generator | None, int], np.ndarray],
     rng: np.random.Generator | None,
     max_tries: int,
 ) -> np.ndarray:
     """The first of max_tries candidates that is strictly feasible (all constraints < 0).
 
-    sampler(rng, k) proposes the k-th candidate and may return None to skip;
-    rng is handed through and may be None for a deterministic candidate
-    list. Raises NoFeasiblePointFoundError when none of the max_tries
-    proposals passes.
+    sampler(rng, k) proposes the k-th candidate; rng is handed through and
+    may be None for a deterministic candidate list. Raises
+    NoFeasiblePointFoundError when none of the max_tries proposals passes.
     """
     for k in range(max_tries):
         z = sampler(rng, k)
-        if z is None:
-            continue
         feasible = True
         for con in constraints:
             v = con(z)

@@ -72,8 +72,11 @@ class ScenarioConfig:
         ):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.rate_cap_bpshz < 0.0:
-            raise ValueError(f"rate_cap_bpshz must be nonnegative, got {self.rate_cap_bpshz}")
+        # atg_a >= 0 keeps the LOS probability in (0, 1] (Al-Hourani et al.,
+        # IEEE WCL 2014), gamma_db >= 0 keeps the NLOS factor <= 1
+        for name in ("atg_a", "gamma_db", "rate_cap_bpshz"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2)

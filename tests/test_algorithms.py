@@ -153,6 +153,17 @@ def test_oht_max_min_rate_beats_grid_and_theta_fix(
     assert value >= float(np.min(pinned_rates_direct(theta_fix, ch, config))) * (1.0 - 1e-12)
 
 
+def test_oht_keeps_theta_fix_above_its_search_range():
+    # theta_fix = 2000 lies past _OHT_THETA_MAX, and its max-min rate beats
+    # every searched theta, so oht falls back to it
+    config = ScenarioConfig(num_pairs=4, seed=3, theta_fix=2000.0)
+    _, ch = make_scenario(config)
+    report = oht(ch, config)
+    assert report.allocation.theta == pytest.approx(2000.0, rel=1e-12)
+    assert report.trace[0] == report.trace[1]
+    assert_report_sane(report, ch, config)
+
+
 # _golden_max's answer on scenario(2, 46), the golden-section search oht ran
 # before the batched bracket search replaced it; the peak is interior (~41.6).
 GOLDEN_THETA_N2_SEED46 = 41.647458432817906

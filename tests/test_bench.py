@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from uavee import ScenarioConfig
+from uavee import NoFeasiblePointFoundError, ScenarioConfig
 from uavee.bench import (
     CSV_HEADER,
     ExperimentSpec,
@@ -12,6 +12,8 @@ from uavee.bench import (
     run_experiment,
     run_trial,
     summarize,
+    write_csv,
+    write_json,
 )
 
 
@@ -33,8 +35,6 @@ def test_spec_validation():
         small_spec(algorithms=("genie",))
     with pytest.raises(ValueError):
         small_spec(algorithms=())
-    with pytest.raises(ValueError):
-        small_spec(output_format="xml")
 
 
 def test_spec_rejects_repeated_pair_counts():
@@ -103,8 +103,8 @@ def test_experiment_parallel_matches_serial():
 
 def test_csv_output(tmp_path):
     path = tmp_path / "rows.csv"
-    spec = small_spec(output_path=str(path), output_format="csv")
-    rows, _ = run_experiment(spec)
+    rows, _ = run_experiment(small_spec())
+    write_csv(rows, str(path))
     text = path.read_text().splitlines()
     assert text[0] == CSV_HEADER
     assert len(text) == 1 + len(rows) == 4
@@ -114,8 +114,8 @@ def test_csv_output(tmp_path):
 
 def test_json_output(tmp_path):
     path = tmp_path / "rows.json"
-    spec = small_spec(output_path=str(path), output_format="json")
-    rows, summary = run_experiment(spec)
+    rows, summary = run_experiment(small_spec())
+    write_json(rows, summary, str(path))
     payload = json.loads(path.read_text())
     assert len(payload["rows"]) == len(rows)
     assert payload["summary"] == summary
@@ -127,7 +127,8 @@ def test_json_rows_carry_stop_reason(tmp_path):
     import uavee.bench as bench
 
     path = tmp_path / "rows.json"
-    rows, _ = run_experiment(small_spec(output_path=str(path), output_format="json"))
+    rows, summary = run_experiment(small_spec())
+    write_json(rows, summary, str(path))
     payload = json.loads(path.read_text())
     assert [r["stop_reason"] for r in payload["rows"]] == ["epsilon"] * 3
     assert [r.stop_reason for r in rows] == ["epsilon"] * 3
@@ -169,7 +170,15 @@ def test_rows_sorted_and_paired():
             assert len(seeds) == 1
 
 
-def test_failed_row_records_exception(monkeypatch, tmp_path):
+@pytest.mark.parametrize(
+    ("exc", "status", "error"),
+    [
+        (ValueError("boom"), "failed", "ValueError: boom"),
+        (NoFeasiblePointFoundError("no start"), "infeasible", None),
+    ],
+    ids=["failed", "infeasible"],
+)
+def test_failed_row_records_exception(monkeypatch, tmp_path, exc, status, error):
     import dataclasses
 
     import uavee.bench as bench
@@ -178,17 +187,20 @@ def test_failed_row_records_exception(monkeypatch, tmp_path):
 
     def raising(name, *args, **kwargs):
         if name == "opa":
-            raise ValueError("boom")
+            raise exc
         return real(name, *args, **kwargs)
 
     monkeypatch.setattr(bench, "run_algorithm", raising)
-    rows, _ = run_experiment(small_spec(output_path=str(tmp_path / "rows.json"), output_format="json"))
+    rows, summary = run_experiment(small_spec())
+    write_json(rows, summary, str(tmp_path / "rows.json"))
     by_alg = {r.algorithm: r for r in rows}
-    assert by_alg["opa"].status == "failed"
-    assert by_alg["opa"].error == "ValueError: boom"
+    assert by_alg["opa"].status == status
+    assert by_alg["opa"].error == error and by_alg["opa"].stop_reason is None
     assert by_alg["jhtpa"].status == "converged" and by_alg["jhtpa"].error is None
     payload = json.loads((tmp_path / "rows.json").read_text())
-    assert [r["error"] for r in payload["rows"]] == [None, "ValueError: boom", None]
+    assert [r["error"] for r in payload["rows"]] == [None, error, None]
+    (opa_summary,) = (s for s in summary if s["algorithm"] == "opa")
+    assert opa_summary[f"n_{status}"] == 1 and opa_summary["n_converged"] == 0
 
     # the CSV carries no error column: same bytes as the rows without it
     bench.write_csv(rows, str(tmp_path / "with.csv"))
@@ -196,3 +208,7 @@ def test_failed_row_records_exception(monkeypatch, tmp_path):
     text = (tmp_path / "with.csv").read_bytes()
     assert text == (tmp_path / "without.csv").read_bytes()
     assert text.splitlines()[0].decode() == CSV_HEADER
+    # a row with no result leaves its result cells empty
+    opa_row = list(csv.DictReader(text.decode().splitlines()))[1]
+    assert opa_row["algorithm"] == "opa" and opa_row["status"] == status
+    assert [opa_row[k] for k in ("ee_nats_per_joule", "ee_bits_per_joule", "wall_time_ms", "iterations")] == [""] * 4

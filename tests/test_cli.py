@@ -23,6 +23,15 @@ def test_run_writes_csv(tmp_path, capsys):
     assert summary["summary"]
 
 
+def test_run_writes_json(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["run", "--pairs", "2", "--trials", "2", "--seed", "1", "--format", "json", "--out", str(out)]
+    assert cli_main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert len(payload["rows"]) == 6  # 2 trials x 3 algorithms
+    assert payload["summary"] == json.loads(capsys.readouterr().out)["summary"]
+
+
 def test_run_rejects_zero_pairs(capsys):
     assert cli_main(["run", "--pairs", "0"]) == 1
     assert "error" in capsys.readouterr().err
@@ -85,6 +94,13 @@ def test_solve_missing_scenario_is_runtime_error(tmp_path, capsys):
         ("[1, 2]", "must be an object"),
         ('{"num_pairs": 3, "seed": -1}', "seed must be >= 0"),
         ('{"seed": 1}', "num_pairs"),
+        ('{"num_pairs": 3, "seed": 1, "atg_a": -11.95, "atg_b": 0.0}', "atg_a must be nonnegative"),
+        ('{"num_pairs": 3, "seed": 1, "bogus": 1}', "unknown scenario fields: ['bogus']"),
+        # fields whose channel gains overflow a float
+        ('{"num_pairs": 3, "seed": 1, "atg_a": 100, "atg_b": 50}', "range"),
+        ('{"num_pairs": 3, "seed": 1, "beta0_db": 5000}', "range"),
+        ('{"num_pairs": 3, "seed": 1, "alpha_g": -1000}', "range"),
+        ('{"num_pairs": 3, "seed": 1, "noise_density_dbm_hz": 4000}', "range"),
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "run"])
@@ -103,6 +119,13 @@ def test_bad_scenario_json_is_an_input_error(tmp_path, capsys, text, message, co
 
 def test_run_invalid_algorithms(capsys):
     assert cli_main(["run", "--pairs", "2", "--algorithms", "genie"]) == 1
+
+
+def test_run_rejects_unknown_format(tmp_path, capsys):
+    out = tmp_path / "r.xml"
+    assert cli_main(["run", "--pairs", "2", "--trials", "1", "--format", "xml", "--out", str(out)]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

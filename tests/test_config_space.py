@@ -1,8 +1,9 @@
 """Every algorithm across the physically valid ScenarioConfig space.
 
-The network and power ranges are test_feasible_start's. The channel physics
-(UAV height, pair distance, P0, path-loss exponents, beta0, NLOS excess loss
-and bandwidth) is drawn too, over wide ranges around each default. Each drawn
+The network and power ranges are test_feasible_start's, with theta_fix also
+drawn past oht's search range. The channel physics (UAV height, pair
+distance, P0, path-loss exponents, beta0, LOS curve, NLOS excess loss and
+bandwidth) is drawn too, over wide ranges around each default. Each drawn
 config runs jhtpa, opa and oht through run_algorithm, and each report must be
 a converged, feasible answer whose trace never falls and whose EE and QoS
 floor are the ones its allocation and instance give.
@@ -24,7 +25,7 @@ from uavee.algorithms import ALGORITHM_NAMES, run_algorithm
     num_pairs=st.integers(1, 30),
     radius=st.floats(20.0, 5000.0),
     eta=st.floats(0.01, 0.99),
-    theta_fix=st.floats(1.01, 50.0),
+    theta_fix=st.one_of(st.floats(1.01, 50.0), st.floats(50.0, 1e5)),
     noise=st.floats(-170.0, -80.0),
     p_cir=st.floats(1e-6, 10.0),
     rate_cap=st.floats(0.01, 5.0),
@@ -35,6 +36,8 @@ from uavee.algorithms import ALGORITHM_NAMES, run_algorithm
     alpha_g=st.floats(2.0, 4.5),
     beta0=st.floats(-60.0, -20.0),
     gamma=st.floats(0.0, 40.0),
+    atg_a=st.floats(0.0, 30.0),
+    atg_b=st.floats(0.01, 1.0),
     bandwidth=st.floats(1e4, 1e8),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -53,6 +56,8 @@ def test_every_algorithm_reports_a_consistent_feasible_answer(
     alpha_g,
     beta0,
     gamma,
+    atg_a,
+    atg_b,
     bandwidth,
     seed,
 ):
@@ -72,6 +77,8 @@ def test_every_algorithm_reports_a_consistent_feasible_answer(
         alpha_g=alpha_g,
         beta0_db=beta0,
         gamma_db=gamma,
+        atg_a=atg_a,
+        atg_b=atg_b,
         bandwidth_hz=bandwidth,
     )
     _, ch = make_scenario(config)

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -54,7 +55,6 @@ def affine_constraints(a, b):
 def box_program(scale=1.0):
     # minimize (z / scale - 3)^2 on [0, 10 scale]
     return ConvexProgram(
-        dim=1,
         objective=Functional(
             value=lambda z: float((z[0] / scale - 3.0) ** 2),
             grad=lambda z: np.array([2.0 * (z[0] / scale - 3.0) / scale]),
@@ -68,7 +68,6 @@ def box_program(scale=1.0):
 def reciprocal_program():
     # minimize 1/z1 + 1/z2 s.t. z1 + z2 <= 4, z > 0  ->  (2, 2), value 1
     return ConvexProgram(
-        dim=2,
         objective=Functional(
             value=lambda z: float(1.0 / z[0] + 1.0 / z[1]),
             grad=lambda z: np.array([-1.0 / z[0] ** 2, -1.0 / z[1] ** 2]),
@@ -116,7 +115,7 @@ def test_solve_symmetric_reciprocal():
     out = solve(reciprocal_program(), np.array([0.5, 3.0]))
     assert out.status is SolveStatus.OPTIMAL
     np.testing.assert_allclose(out.z_star, [2.0, 2.0], atol=1e-5)
-    assert out.objective_value == pytest.approx(1.0, abs=1e-6)
+    assert reciprocal_program().objective.value(out.z_star) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_solve_rejects_infeasible_start():
@@ -130,7 +129,7 @@ def test_solve_deterministic():
     a = solve(reciprocal_program(), np.array([0.5, 3.0]))
     b = solve(reciprocal_program(), np.array([0.5, 3.0]))
     assert np.array_equal(a.z_star, b.z_star)
-    assert a.objective_value == b.objective_value
+    assert a.outer_objective_trace == b.outer_objective_trace
     assert a.newton_step_count == b.newton_step_count
 
 
@@ -213,7 +212,6 @@ def test_solved_jhtpa_subproblem_matches_grid():
 
 def test_check_gradients_affine_exact():
     prog = ConvexProgram(
-        dim=3,
         objective=affine([1.0, -2.0, 0.5], 3.0, 3),
         domain_guard=lambda z: True,
         **affine_constraints([[0.0, 1.0, 1.0]], [-5.0]),
@@ -223,7 +221,6 @@ def test_check_gradients_affine_exact():
 
 def test_check_gradients_reciprocal_product():
     prog = ConvexProgram(
-        dim=2,
         objective=Functional(
             value=lambda z: float(1.0 / (z[0] * z[1])),
             grad=lambda z: np.array(
@@ -392,8 +389,9 @@ def test_subproblem_latency_soft(monkeypatch):
     real_solve = solve
 
     def recording_solve(prog, z0):
+        started = time.perf_counter()
         out = real_solve(prog, z0)
-        times_ms.append(out.wall_time * 1e3)
+        times_ms.append((time.perf_counter() - started) * 1e3)
         return out
 
     monkeypatch.setattr(alg, "solve", recording_solve)
@@ -587,7 +585,6 @@ def unit_interval_program():
     # minimize z on 0 < z < 1: the center of t z - log z - log(1 - z) solves
     # t z^2 - (t + 2) z + 1 = 0, z*(t) = 2 / (t + 2 + sqrt(t^2 + 4))
     return ConvexProgram(
-        dim=1,
         objective=affine([1.0], 0.0, 1),
         domain_guard=lambda z: True,
         **affine_constraints([[-1.0], [1.0]], [0.0, -1.0]),

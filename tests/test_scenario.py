@@ -54,6 +54,8 @@ def test_config_defaults():
         {"p0_watt": "5"},
         {"eta": None},
         {"seed": -1},
+        {"atg_a": -1.0},
+        {"gamma_db": -1.0},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
