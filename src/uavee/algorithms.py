@@ -103,13 +103,13 @@ class ScaSettings:
 @dataclass
 class SolveReport:
     """Outcome of one algorithm run on one channel realization. status,
-    iterations, ee_nats_per_joule and r_bar derive from stop_reason
-    (_STOP_STATUS), trace (the objective at the start and after each
-    accepted step), the allocation and the instance."""
+    iterations, subsolver_calls, ee_nats_per_joule and r_bar derive from
+    stop_reason (_STOP_STATUS), trace (the objective at the start and after
+    each accepted step; two exits reject one more solved step), the
+    allocation and the instance."""
 
     algorithm: str
     allocation: Allocation
-    subsolver_calls: int
     wall_time_ms: float
     trace: list[float]
     stop_reason: str
@@ -124,6 +124,10 @@ class SolveReport:
     @property
     def iterations(self) -> int:
         return len(self.trace) - 1
+
+    @property
+    def subsolver_calls(self) -> int:
+        return self.iterations + (self.stop_reason in ("non_improving", "numerical_failure"))
 
     @property
     def ee_nats_per_joule(self) -> float:
@@ -193,12 +197,13 @@ def _violation(theta: float, p: np.ndarray, ch, config, r_bar: float, pinned=Non
     p_n / p_max_n - 1 and QoS (theta r_bar - ln(1 + SINR_n)) / (theta r_bar)
     plus _QOS_FEAS_MARGIN; a pinned pair (see opa) passes only at p_max.
     Negative iff (theta, p) is strictly feasible with that margin; NaN
-    propagates.
+    propagates, and a zero p_max (an underflowed UAV gain) gives a NaN row.
     """
     p_max = core.pinned_powers(theta, ch, config)
     qos_rhs = theta * r_bar
     qos = (qos_rhs - np.log1p(core.sinr(p, ch))) / np.maximum(qos_rhs, _QOS_SCALE_FLOOR)
-    pairs = np.maximum(p / p_max - 1.0, qos + _QOS_FEAS_MARGIN)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pairs = np.maximum(p / p_max - 1.0, qos + _QOS_FEAS_MARGIN)
     if pinned is not None:
         pairs[pinned] = np.where(p[pinned] == p_max[pinned], -math.inf, math.inf)
     return np.maximum((1.0 + THETA_GAP) - theta, pairs.max())
@@ -466,11 +471,9 @@ def _jhtpa_extrapolate(z_bar, z_new, phi_new, score, ch, config, r_bar):
     best_z, best_phi = z_new, phi_new
     for s in _EXTRAPOLATION_POWERS:
         theta_e = 1.0 + (theta_bar - 1.0) * ratio_t**s
-        if not np.isfinite(theta_e) or not 1.0 + THETA_GAP < theta_e <= _THETA_CAP:
+        if not 1.0 + THETA_GAP < theta_e <= _THETA_CAP:  # NaN and inf fail too
             break
-        q_e = slack_u / ((theta_e - 1.0) * cap)
-        if not np.all(np.isfinite(q_e)) or np.any(q_e <= 0.0):
-            break
+        q_e = slack_u / ((theta_e - 1.0) * cap)  # _violation rejects a non-finite or zero q_e
         if not _violation(theta_e, 1.0 / q_e, ch, config, r_bar) < 0.0:
             break
         z_e = np.concatenate(([theta_e], q_e))
@@ -601,7 +604,8 @@ def oht(ch: ChannelRealization, config: ScenarioConfig) -> SolveReport:
     rises there, and the search stops after one level and one probe.
     theta_fix is kept when the search ends lower, so the allocation never
     drops below the QoS floor derived there. The trace holds the max-min
-    objective (nats per slot) at theta_fix and at the answer.
+    objective (nats per slot) at theta_fix and at the answer. Raises
+    NoFeasiblePointFoundError when the answer's max-min rate is not positive.
     """
     started = time.perf_counter()
 
@@ -613,10 +617,11 @@ def oht(ch: ChannelRealization, config: ScenarioConfig) -> SolveReport:
     theta, obj = _log_bracket_max(min_rate, THETA_GAP, _OHT_THETA_MAX - 1.0, _OHT_GRID)
     if obj < obj_fix:
         theta, obj = theta_fix, obj_fix
+    if not obj > 0.0:
+        raise NoFeasiblePointFoundError(f"oht's best max-min rate is {obj}, not positive")
     return SolveReport(
         algorithm="oht",
         allocation=core.pinned_allocation(theta, ch, config),
-        subsolver_calls=1,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
         trace=[obj_fix, obj],
         stop_reason="epsilon",
@@ -669,17 +674,14 @@ def _sca_loop(
     def score(z: np.ndarray) -> float:
         return core.energy_efficiency(allocation(z), ch, config)
 
-    ee = score(z)
-    trace = [ee]
+    trace = [score(z)]
     stop_reason = "max_iterations" if strict else "boundary_fallback"
-    subsolver_calls = 0
     for _ in range(settings.max_iterations if strict else 0):
         try:
-            outcome = solve(build(z, ee), z[free])
+            outcome = solve(build(z, trace[-1]), z[free])
         except InfeasibleStartError:
             stop_reason = "infeasible_start"
             break
-        subsolver_calls += 1
         if outcome.status is SolveStatus.NUMERICAL_FAILURE:
             stop_reason = "numerical_failure"
             break
@@ -688,21 +690,19 @@ def _sca_loop(
         ee_new = score(z_new)
         if free[0]:
             z_new, ee_new = _jhtpa_extrapolate(z, z_new, ee_new, score, ch, config, r_bar)
-        if ee_new < ee:
+        if ee_new < trace[-1]:
             # Ascent is guaranteed in exact arithmetic; a non-improving step
             # means the numerical floor is reached. Keep the better iterate.
             stop_reason = "non_improving"
             break
         z = z_new
         trace.append(ee_new)
-        if abs(ee_new - ee) <= settings.epsilon * max(abs(ee_new), PHI_FLOOR):
+        if abs(ee_new - trace[-2]) <= settings.epsilon * max(abs(ee_new), PHI_FLOOR):
             stop_reason = "epsilon"
             break
-        ee = ee_new
     return SolveReport(
         algorithm=name,
         allocation=allocation(z),
-        subsolver_calls=subsolver_calls,
         wall_time_ms=(time.perf_counter() - started) * 1e3,
         trace=trace,
         stop_reason=stop_reason,

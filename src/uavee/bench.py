@@ -42,13 +42,13 @@ class ExperimentSpec:
             raise ValueError("trials_per_point must be >= 1")
         if not self.pair_counts or any(n < 1 for n in self.pair_counts):
             raise ValueError("pair_counts must be nonempty with every entry >= 1")
-        if len(set(self.pair_counts)) < len(self.pair_counts):
-            raise ValueError(f"pair_counts repeats an entry: {self.pair_counts}")
         unknown = set(self.algorithms) - set(ALGORITHM_NAMES)
         if unknown or not self.algorithms:
             raise ValueError(f"algorithms must be nonempty and known, got {self.algorithms}")
-        if len(set(self.algorithms)) < len(self.algorithms):
-            raise ValueError(f"algorithms repeats an entry: {self.algorithms}")
+        for name, entries in (("pair_counts", self.pair_counts), ("algorithms", self.algorithms)):
+            repeated = sorted({e for e in entries if entries.count(e) > 1})
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated}")
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,9 @@ def _parse_pairs(text: str) -> tuple[int, ...]:
             lo, hi = (int(end) for end in part.split("-", 1))
             if hi < lo:
                 raise ValueError(f"pair range {part!r} runs backwards")
-            counts = range(lo, hi + 1)
+            out.extend(range(lo, hi + 1))
         else:
-            counts = [int(part)]
-        if set(counts) & set(out):
-            raise ValueError(f"{part!r} repeats a pair count")
-        out.extend(counts)
-    if not out or any(n < 1 for n in out):
-        raise ValueError("pair counts must be integers >= 1")
+            out.append(int(part))
     return tuple(out)
 
 
@@ -53,9 +48,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="Monte Carlo sweep over numbers of D2D pairs")
-    run.add_argument("--pairs", default="2,3,4,5,6,7,8,9,10", help="comma list or a-b ranges")
-    run.add_argument("--trials", type=int, default=100)
-    run.add_argument("--algorithms", default=",".join(ALGORITHM_NAMES))
+    pairs = ",".join(map(str, ExperimentSpec.pair_counts))
+    run.add_argument("--pairs", default=pairs, help="comma list or a-b ranges")
+    run.add_argument("--trials", type=int, default=ExperimentSpec.trials_per_point)
+    run.add_argument("--algorithms", default=",".join(ExperimentSpec.algorithms))
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--config", help="base scenario JSON (overrides --seed)")
     run.add_argument("--out", help="output file path")
@@ -77,27 +73,22 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        pairs = _parse_pairs(args.pairs)
-    except ValueError as exc:
-        print(f"uavee run: error: {exc}", file=sys.stderr)
-        return 1
     if args.config:
         with open(args.config) as fh:
             base = ScenarioConfig.from_json(fh.read())
     else:
-        base = ScenarioConfig(num_pairs=pairs[0], seed=args.seed)
+        base = ScenarioConfig(num_pairs=1, seed=args.seed)  # run_trial sets num_pairs
     try:
         spec = ExperimentSpec(
             base_config=base,
-            pair_counts=pairs,
+            pair_counts=_parse_pairs(args.pairs),
             trials_per_point=args.trials,
             algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
         )
     except ValueError as exc:
         print(f"uavee run: error: {exc}", file=sys.stderr)
         return 1
-    rows, summary = run_experiment(spec, jobs=max(1, args.jobs))
+    rows, summary = run_experiment(spec, jobs=args.jobs)
     if args.out:
         if args.format == "csv":
             write_csv(rows, args.out)

@@ -63,15 +63,13 @@ import numpy as np
 logger = logging.getLogger("uavee.engine")
 
 # Barrier method: t grows by BARRIER_MU per stage until the duality gap bound
-# m/t is below _DUALITY_GAP_TOL, at most _MAX_OUTER_ITERS stages of at most
-# _MAX_NEWTON_ITERS Newton steps each. The final stage stops once half the
-# squared Newton decrement is below _NEWTON_TOL, earlier stages at
-# _STAGE_DECREMENT_TOL.
+# m/t is below _DUALITY_GAP_TOL, each stage taking at most _MAX_NEWTON_ITERS
+# Newton steps. The final stage stops once half the squared Newton decrement
+# is below _NEWTON_TOL, earlier stages at _STAGE_DECREMENT_TOL.
 BARRIER_MU = 10.0
 _DUALITY_GAP_TOL = 1e-7
 _NEWTON_TOL = 1e-13
 _MAX_NEWTON_ITERS = 50
-_MAX_OUTER_ITERS = 40
 
 # Backtracking line search: step shrink factor and Armijo slope fraction.
 _BACKTRACK = 0.5
@@ -368,7 +366,8 @@ def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
     total_steps = 0
     trace: list[float] = []
     status = SolveStatus.MAX_ITERATIONS
-    for _ in range(_MAX_OUTER_ITERS):
+    # t_start >= 1, so this ends within ceil(log(m / _DUALITY_GAP_TOL) / log(BARRIER_MU)) + 1 stages
+    while True:
         final = point.c.size / t < _DUALITY_GAP_TOL
         stage, steps, centered, ok = _center(
             prog, point, 1.0 / t, _NEWTON_TOL if final else _STAGE_DECREMENT_TOL

@@ -131,7 +131,10 @@ class ChannelRealization:
 
 def noise_power(config: ScenarioConfig) -> float:
     """Noise power in watts over the configured bandwidth."""
-    return 10.0 ** ((config.noise_density_dbm_hz - 30.0) / 10.0) * config.bandwidth_hz
+    try:
+        return 10.0 ** ((config.noise_density_dbm_hz - 30.0) / 10.0) * config.bandwidth_hz
+    except ArithmeticError:
+        raise ValueError("noise power out of range: noise_density_dbm_hz, bandwidth_hz")
 
 
 def elevation_angle_deg(pos, height: float) -> float:
@@ -141,7 +144,7 @@ def elevation_angle_deg(pos, height: float) -> float:
     return math.degrees(math.asin(height / d))
 
 
-def los_probability(phi_deg: float, a: float = 11.95, b: float = 0.136) -> float:
+def los_probability(phi_deg: float, a: float, b: float) -> float:
     """Line-of-sight probability 1 / (1 + a*exp(-b*(phi - a))) for elevation phi in degrees."""
     return 1.0 / (1.0 + a * math.exp(-b * (phi_deg - a)))
 
@@ -155,15 +158,21 @@ def atg_gain(pos, config: ScenarioConfig) -> float:
     x, y = float(pos[0]), float(pos[1])
     h = config.uav_height_m
     d = math.sqrt(x * x + y * y + h * h)
-    p_los = los_probability(elevation_angle_deg(pos, h), config.atg_a, config.atg_b)
-    gamma_lin = 10.0 ** (-config.gamma_db / 10.0)
-    return (p_los + (1.0 - p_los) * gamma_lin) * d ** (-config.alpha_g)
+    try:
+        p_los = los_probability(elevation_angle_deg(pos, h), config.atg_a, config.atg_b)
+        gamma_lin = 10.0 ** (-config.gamma_db / 10.0)
+        return (p_los + (1.0 - p_los) * gamma_lin) * d ** (-config.alpha_g)
+    except ArithmeticError:
+        raise ValueError("UAV gain out of range: uav_height_m, alpha_g, atg_a, atg_b, gamma_db")
 
 
 def d2d_gain(distance_m: float, rho: float, config: ScenarioConfig) -> float:
     """D2D power gain beta0 * rho^2 * D^(-alpha_h); rho is the fading amplitude."""
-    beta0 = 10.0 ** (config.beta0_db / 10.0)
-    return beta0 * rho * rho * distance_m ** (-config.alpha_h)
+    try:
+        beta0 = 10.0 ** (config.beta0_db / 10.0)
+        return beta0 * rho * rho * distance_m ** (-config.alpha_h)
+    except ArithmeticError:
+        raise ValueError("D2D gain out of range: beta0_db, alpha_h")
 
 
 def _disk_point(rng: np.random.Generator, radius: float) -> np.ndarray:

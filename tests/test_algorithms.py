@@ -533,6 +533,33 @@ def test_subproblem_rejecting_the_start_stops_at_infeasible_start(monkeypatch):
     assert report.ee_nats_per_joule == core.energy_efficiency(start, ch, config)
 
 
+@pytest.mark.parametrize(
+    ("stop_reason", "status"), [("non_improving", "converged"), ("numerical_failure", "failed")]
+)
+def test_rejected_second_step_counts_its_subproblem_solve(monkeypatch, stop_reason, status):
+    # The second subproblem solve returns the first solve's start, which
+    # scores below the accepted first step, or reports a numerical failure:
+    # the loop rejects that step and keeps the first, after two solves.
+    real, starts = algorithms.solve, []
+
+    def second_rejected(prog, z0):
+        starts.append(z0)
+        outcome = real(prog, z0)
+        if len(starts) == 1:
+            return outcome
+        if stop_reason == "non_improving":
+            return dataclasses.replace(outcome, z_star=starts[0])
+        return dataclasses.replace(outcome, status=SolveStatus.NUMERICAL_FAILURE)
+
+    monkeypatch.setattr(algorithms, "solve", second_rejected)
+    config, ch = scenario(3, 7)
+    report = jhtpa(ch, config, algorithms.ScaSettings(epsilon=1e-12))
+    assert (report.stop_reason, report.status) == (stop_reason, status)
+    assert (report.iterations, report.subsolver_calls, len(starts)) == (1, 2, 2)
+    assert report.trace[1] > report.trace[0]
+    assert report.ee_nats_per_joule == report.trace[-1]
+
+
 def test_run_algorithm_rejects_unknown():
     config, ch = scenario(2, 7)
     with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from uavee import NoFeasiblePointFoundError, ScenarioConfig
+from uavee import NoFeasiblePointFoundError, ScenarioConfig, make_scenario, run_algorithm
 from uavee.bench import (
     CSV_HEADER,
     ExperimentSpec,
@@ -82,6 +82,19 @@ def test_single_trial_shape():
         assert r.status == "converged"
         assert r.wall_time_ms > 0.0
         assert r.ee_nats_per_joule > 0.0
+
+
+def test_underflowing_uav_gains_are_infeasible_for_every_algorithm():
+    # at a 1e200 m UAV height every UAV gain underflows to 0, so no pair can
+    # harvest: each algorithm raises, without a RuntimeWarning on the way
+    config = ScenarioConfig(num_pairs=3, seed=1, uav_height_m=1e200)
+    ch = make_scenario(config)[1]
+    assert not ch.g.any()
+    for name in ("jhtpa", "opa", "oht"):
+        with pytest.raises(NoFeasiblePointFoundError):
+            run_algorithm(name, ch, config)
+    rows = run_trial(config, 3, 0, ("jhtpa", "opa", "oht"), None)
+    assert [r.status for r in rows] == ["infeasible"] * 3
 
 
 def test_experiment_deterministic_math():

@@ -38,7 +38,7 @@ def test_run_rejects_zero_pairs(capsys):
 
 
 @pytest.mark.parametrize(
-    ("pairs", "part"), [("2,2", "'2'"), ("2-4,3", "'3'"), ("2-3,10-2", "'10-2'")]
+    ("pairs", "part"), [("2,2", "repeats [2]"), ("2-4,3", "repeats [3]"), ("2-3,10-2", "'10-2'")]
 )
 def test_run_rejects_repeated_or_reversed_pairs(pairs, part, capsys):
     # a repeated count would run each of its trials twice on the same seed,
@@ -97,10 +97,10 @@ def test_solve_missing_scenario_is_runtime_error(tmp_path, capsys):
         ('{"num_pairs": 3, "seed": 1, "atg_a": -11.95, "atg_b": 0.0}', "atg_a must be nonnegative"),
         ('{"num_pairs": 3, "seed": 1, "bogus": 1}', "unknown scenario fields: ['bogus']"),
         # fields whose channel gains overflow a float
-        ('{"num_pairs": 3, "seed": 1, "atg_a": 100, "atg_b": 50}', "range"),
-        ('{"num_pairs": 3, "seed": 1, "beta0_db": 5000}', "range"),
-        ('{"num_pairs": 3, "seed": 1, "alpha_g": -1000}', "range"),
-        ('{"num_pairs": 3, "seed": 1, "noise_density_dbm_hz": 4000}', "range"),
+        ('{"num_pairs": 3, "seed": 1, "atg_a": 100, "atg_b": 50}', "atg_a, atg_b"),
+        ('{"num_pairs": 3, "seed": 1, "beta0_db": 5000}', "beta0_db"),
+        ('{"num_pairs": 3, "seed": 1, "alpha_g": -1000}', "alpha_g"),
+        ('{"num_pairs": 3, "seed": 1, "noise_density_dbm_hz": 4000}', "noise_density_dbm_hz"),
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "run"])
@@ -129,13 +129,35 @@ def test_run_rejects_unknown_format(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "option", [["--algorithms", ","], ["--trials", "0"], ["--algorithms", "jhtpa,jhtpa"]]
+    "option",
+    [["--algorithms", ","], ["--trials", "0"], ["--algorithms", "jhtpa,jhtpa"], ["--pairs", ","]],
 )
 def test_run_rejects_an_empty_sweep(capsys, option):
     # ExperimentSpec's checks are the CLI's: an input error (here an empty or
     # repeated sweep) exits 1, before any solve
     assert cli_main(["run", "--pairs", "2", *option]) == 1
     assert capsys.readouterr().err.startswith("uavee run: error:")
+
+
+def test_verbose_logs_one_engine_line_per_subproblem_solve(tmp_path, capsys):
+    import logging
+
+    scenario = tmp_path / "s.json"
+    assert cli_main(["gen-scenario", "--pairs", "3", "--seed", "7", "--out", str(scenario)]) == 0
+    # logging.basicConfig configures only a root logger without handlers
+    level, handlers = logging.root.level, logging.root.handlers[:]
+    logging.root.handlers.clear()
+    try:
+        argv = ["--verbose", "solve", "--scenario", str(scenario), "--algorithm", "jhtpa"]
+        assert cli_main(argv) == 0
+    finally:
+        logging.root.handlers[:] = handlers
+        logging.root.setLevel(level)  # also clears the loggers' level caches
+    out, err = capsys.readouterr()
+    prefix = "DEBUG:uavee.engine:"
+    dumps = [json.loads(line[len(prefix) :]) for line in err.splitlines() if line.startswith(prefix)]
+    assert len(dumps) == json.loads(out)["subsolver_calls"] >= 1
+    assert {d["status"] for d in dumps} <= {"optimal", "max_iterations"}
 
 
 @pytest.mark.parametrize("command", [["run"], ["solve", "--scenario", "s.json", "--algorithm", "oht"]])

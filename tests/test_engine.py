@@ -125,6 +125,17 @@ def test_solve_rejects_infeasible_start():
         solve(reciprocal_program(), np.array([-1.0, 1.0]))
 
 
+def test_nan_hessian_ends_numerical_failure():
+    # no regularization repairs a NaN Newton system: solve reports the
+    # breakdown at the start instead of raising
+    prog = reciprocal_program()
+    objective = dataclasses.replace(prog.objective, hess=lambda z: np.full((2, 2), np.nan))
+    out = solve(dataclasses.replace(prog, objective=objective), np.array([0.5, 3.0]))
+    assert out.status is SolveStatus.NUMERICAL_FAILURE
+    assert (out.newton_step_count, out.outer_objective_trace) == (0, [])
+    np.testing.assert_array_equal(out.z_star, [0.5, 3.0])
+
+
 def test_solve_deterministic():
     a = solve(reciprocal_program(), np.array([0.5, 3.0]))
     b = solve(reciprocal_program(), np.array([0.5, 3.0]))

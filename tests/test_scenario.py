@@ -108,16 +108,16 @@ def test_elevation_angle():
 
 
 def test_los_probability_values():
-    assert los_probability(11.95) == pytest.approx(1.0 / 12.95, rel=1e-12)
-    assert los_probability(90.0) == pytest.approx(0.99971, abs=5e-6)
+    assert los_probability(11.95, 11.95, 0.136) == pytest.approx(1.0 / 12.95, rel=1e-12)
+    assert los_probability(90.0, 11.95, 0.136) == pytest.approx(0.99971, abs=5e-6)
     # the phi -> 0 limit of the formula
     limit = 1.0 / (1.0 + 11.95 * math.exp(11.95 * 0.136))
-    assert los_probability(1e-9) == pytest.approx(limit, rel=1e-9)
+    assert los_probability(1e-9, 11.95, 0.136) == pytest.approx(limit, rel=1e-9)
 
 
 def test_los_probability_monotone():
     phis = np.linspace(0.5, 90.0, 400)
-    vals = np.array([los_probability(p) for p in phis])
+    vals = np.array([los_probability(p, 11.95, 0.136) for p in phis])
     assert np.all(np.diff(vals) >= 0.0)
     assert np.all((vals > 0.0) & (vals < 1.0))
 
