@@ -93,34 +93,24 @@ def run_trial(
 
     rows = []
     for name in sorted(algorithms, key=_ALG_ORDER.__getitem__):
+        # ResultRow's fields after seed; read in one expression, so a report
+        # property that raises leaves none of them set
         try:
             report = run_algorithm(name, ch, config, settings)
-            status = "converged" if report.status == "converged" else "failed"
-            rows.append(
-                ResultRow(
-                    n_pairs=n_pairs,
-                    algorithm=name,
-                    trial=trial,
-                    seed=seed,
-                    ee_nats_per_joule=report.ee_nats_per_joule,
-                    ee_bits_per_joule=report.ee_bits_per_joule,
-                    wall_time_ms=report.wall_time_ms,
-                    iterations=report.iterations,
-                    status=status,
-                    stop_reason=report.stop_reason,
-                )
+            fields = (
+                report.ee_nats_per_joule,
+                report.ee_bits_per_joule,
+                report.wall_time_ms,
+                report.iterations,
+                "converged" if report.status == "converged" else "failed",
+                None,
+                report.stop_reason,
             )
         except NoFeasiblePointFoundError:
-            rows.append(
-                ResultRow(n_pairs, name, trial, seed, None, None, None, None, "infeasible")
-            )
+            fields = (None,) * 4 + ("infeasible", None, None)
         except Exception as exc:
-            rows.append(
-                ResultRow(
-                    n_pairs, name, trial, seed, None, None, None, None, "failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            fields = (None,) * 4 + ("failed", f"{type(exc).__name__}: {exc}", None)
+        rows.append(ResultRow(n_pairs, name, trial, seed, *fields))
     return rows
 
 

@@ -119,6 +119,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "gen-scenario": _cmd_gen_scenario, "solve": _cmd_solve}
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     """Entry point; returns 0 on success, 1 on invalid arguments, 2 on runtime failure."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -132,16 +135,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)
 
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "gen-scenario":
-            return _cmd_gen_scenario(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
+        return _COMMANDS[args.command](args)
     except (OSError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"uavee: error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main() -> None:

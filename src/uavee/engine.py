@@ -155,7 +155,6 @@ class SolveOutcome:
     status: SolveStatus
     newton_step_count: int
     barrier_t_start: float
-    barrier_t_final: float
     outer_objective_trace: list[float]
 
 
@@ -282,25 +281,25 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
     ratios this direction already gives), else at the first rung below 0.99
     times the bound (see the module docstring).
 
-    Returns (point, steps_taken, converged, numerically_ok). A stage that
-    runs out of Newton steps, or whose line search shrinks below _MIN_STEP,
-    ends with converged=False; only an unrepairable Newton system reports
-    numerically_ok=False.
+    Returns (point, steps_taken, status): OPTIMAL when centered,
+    NUMERICAL_FAILURE when the Newton system cannot be repaired, and
+    MAX_ITERATIONS when the stage runs out of Newton steps or its line search
+    shrinks below _MIN_STEP.
     """
     steps = 0
     base = point.f - inv_t * point.log_slack
     for _ in range(_MAX_NEWTON_ITERS):
         grad, hess, jac = point.derivatives(prog, inv_t)
         if not grad.any():
-            return point, steps, True, True
+            return point, steps, SolveStatus.OPTIMAL
         direction, ok = _newton_direction(hess, grad)
         if not ok:
-            return point, steps, False, False
+            return point, steps, SolveStatus.NUMERICAL_FAILURE
         # The decrement approximates the remaining value gap; iterate error
         # scales like its square root.
         gd = float(grad @ direction)
         if -0.5 * gd <= decrement_tol:
-            return point, steps, True, True
+            return point, steps, SolveStatus.OPTIMAL
 
         slope = _ARMIJO_SLOPE * gd
         jd = jac @ direction
@@ -318,7 +317,7 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
                 step *= _BACKTRACK
         while True:
             if step < _MIN_STEP:
-                return point, steps, False, True
+                return point, steps, SolveStatus.MAX_ITERATIONS
             trial = _point_at(prog, point.z + step * direction)
             trial_val = math.inf if trial is None else trial.f - inv_t * trial.log_slack
             if trial_val <= base + step * slope:
@@ -326,7 +325,7 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
             step *= _BACKTRACK
         point, base = trial, trial_val
         steps += 1
-    return point, steps, False, True
+    return point, steps, SolveStatus.MAX_ITERATIONS
 
 
 def _first_stage(prog: ConvexProgram, point: _Point) -> float:
@@ -369,12 +368,12 @@ def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
     # t_start >= 1, so this ends within ceil(log(m / _DUALITY_GAP_TOL) / log(BARRIER_MU)) + 1 stages
     while True:
         final = point.c.size / t < _DUALITY_GAP_TOL
-        stage, steps, centered, ok = _center(
+        stage, steps, stage_status = _center(
             prog, point, 1.0 / t, _NEWTON_TOL if final else _STAGE_DECREMENT_TOL
         )
         total_steps += steps
-        if not ok:
-            point, status = stage, SolveStatus.NUMERICAL_FAILURE
+        if stage_status is SolveStatus.NUMERICAL_FAILURE:
+            point, status = stage, stage_status
             break
         # Exact centering walks the central path, along which the true
         # objective never increases; allow slack for inexact Newton stops.
@@ -385,7 +384,7 @@ def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
         point = stage
         trace.append(stage.f)
         if final:
-            status = SolveStatus.OPTIMAL if centered else SolveStatus.MAX_ITERATIONS
+            status = stage_status
             break
         t *= BARRIER_MU
     if logger.isEnabledFor(logging.DEBUG):
@@ -408,7 +407,6 @@ def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
         status=status,
         newton_step_count=total_steps,
         barrier_t_start=t_start,
-        barrier_t_final=t,
         outer_objective_trace=trace,
     )
 
@@ -419,7 +417,7 @@ def find_feasible(
     rng: np.random.Generator | None,
     max_tries: int,
 ) -> np.ndarray:
-    """The first of max_tries candidates that is strictly feasible (all constraints < 0).
+    """The first of max_tries candidates that is strictly feasible (every constraint in (-inf, 0)).
 
     sampler(rng, k) proposes the k-th candidate; rng is handed through and
     may be None for a deterministic candidate list. Raises
@@ -427,12 +425,6 @@ def find_feasible(
     """
     for k in range(max_tries):
         z = sampler(rng, k)
-        feasible = True
-        for con in constraints:
-            v = con(z)
-            if not np.isfinite(v) or v >= 0.0:
-                feasible = False
-                break
-        if feasible:
+        if all(-math.inf < con(z) < 0.0 for con in constraints):
             return np.asarray(z, dtype=float)
     raise NoFeasiblePointFoundError(f"no strictly feasible point in {max_tries} tries")

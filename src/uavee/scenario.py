@@ -130,11 +130,14 @@ class ChannelRealization:
 
 
 def noise_power(config: ScenarioConfig) -> float:
-    """Noise power in watts over the configured bandwidth."""
+    """Noise power in watts over the configured bandwidth; positive and finite."""
     try:
-        return 10.0 ** ((config.noise_density_dbm_hz - 30.0) / 10.0) * config.bandwidth_hz
+        sigma2 = 10.0 ** ((config.noise_density_dbm_hz - 30.0) / 10.0) * config.bandwidth_hz
+        if 0.0 < sigma2 < math.inf:
+            return sigma2
     except ArithmeticError:
-        raise ValueError("noise power out of range: noise_density_dbm_hz, bandwidth_hz")
+        pass
+    raise ValueError("noise power out of range: noise_density_dbm_hz, bandwidth_hz")
 
 
 def elevation_angle_deg(pos, height: float) -> float:
@@ -167,12 +170,16 @@ def atg_gain(pos, config: ScenarioConfig) -> float:
 
 
 def d2d_gain(distance_m: float, rho: float, config: ScenarioConfig) -> float:
-    """D2D power gain beta0 * rho^2 * D^(-alpha_h); rho is the fading amplitude."""
+    """D2D power gain beta0 * rho^2 * D^(-alpha_h), finite; rho is the fading amplitude."""
     try:
         beta0 = 10.0 ** (config.beta0_db / 10.0)
-        return beta0 * rho * rho * distance_m ** (-config.alpha_h)
+        gain = beta0 * rho * rho * distance_m ** (-config.alpha_h)
+        # distance_m may be an array; a float takes the cheaper scalar test
+        if np.isfinite(gain).all() if isinstance(gain, np.ndarray) else math.isfinite(gain):
+            return gain
     except ArithmeticError:
-        raise ValueError("D2D gain out of range: beta0_db, alpha_h")
+        pass
+    raise ValueError("D2D gain out of range: beta0_db, alpha_h")
 
 
 def _disk_point(rng: np.random.Generator, radius: float) -> np.ndarray:

@@ -560,6 +560,26 @@ def test_rejected_second_step_counts_its_subproblem_solve(monkeypatch, stop_reas
     assert report.ee_nats_per_joule == report.trace[-1]
 
 
+def test_extrapolation_stops_at_the_theta_cap(monkeypatch):
+    # theta goes 1e5 -> 5e5, so the first candidate, near 2.5e6, lies past
+    # _THETA_CAP: the ladder stops before checking or scoring it
+    calls = []
+
+    def recorded(name, value):
+        return lambda *args: calls.append(name) or value
+
+    monkeypatch.setattr(algorithms, "_violation", recorded("_violation", -1.0))
+    config, ch = scenario(3, 7)
+    q = np.full(3, 1e3)
+    z_new = np.concatenate(([5e5], q))
+    z, phi = algorithms._jhtpa_extrapolate(
+        np.concatenate(([1e5], q)), z_new, 0.5, recorded("score", 1.0), ch, config,
+        core.qos_threshold(ch, config),
+    )
+    assert 1.0 + (1e5 - 1.0) * ((5e5 - 1.0) / (1e5 - 1.0)) ** 2 > algorithms._THETA_CAP
+    assert z is z_new and phi == 0.5 and calls == []
+
+
 def test_run_algorithm_rejects_unknown():
     config, ch = scenario(2, 7)
     with pytest.raises(ValueError):

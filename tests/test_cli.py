@@ -66,6 +66,11 @@ def test_gen_scenario_roundtrip(tmp_path):
     assert config.seed == 11
 
 
+def test_gen_scenario_prints_without_out(capsys):
+    assert cli_main(["gen-scenario", "--pairs", "3", "--seed", "11"]) == 0
+    assert ScenarioConfig.from_json(capsys.readouterr().out) == ScenarioConfig(3, 11)
+
+
 def test_gen_scenario_requires_seed(capsys):
     assert cli_main(["gen-scenario", "--pairs", "3"]) == 1
 
@@ -101,6 +106,14 @@ def test_solve_missing_scenario_is_runtime_error(tmp_path, capsys):
         ('{"num_pairs": 3, "seed": 1, "beta0_db": 5000}', "beta0_db"),
         ('{"num_pairs": 3, "seed": 1, "alpha_g": -1000}', "alpha_g"),
         ('{"num_pairs": 3, "seed": 1, "noise_density_dbm_hz": 4000}', "noise_density_dbm_hz"),
+        # a noise power that overflows in the product or underflows to zero,
+        # and a D2D gain that overflows in the product
+        (
+            '{"num_pairs": 3, "seed": 1, "noise_density_dbm_hz": 300, "bandwidth_hz": 1e300}',
+            "noise_density_dbm_hz",
+        ),
+        ('{"num_pairs": 1, "seed": 1, "noise_density_dbm_hz": -5000}', "noise_density_dbm_hz"),
+        ('{"num_pairs": 3, "seed": 1, "beta0_db": 3000, "alpha_h": -100}', "beta0_db"),
     ],
 )
 @pytest.mark.parametrize("command", ["solve", "run"])

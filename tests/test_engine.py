@@ -641,6 +641,28 @@ def test_first_stage_stays_within_the_span(monkeypatch):
     assert solve(prog, z0).barrier_t_start == 1e7
 
 
+def test_rising_stage_keeps_the_previous_stage(monkeypatch):
+    # a second stage whose objective rises past the 1e-7 slack has lost the
+    # central path: solve keeps the first stage's point and reports
+    # MAX_ITERATIONS, though that stage itself ended centered
+    import uavee.engine as engine
+
+    prog, stages = unit_interval_program(), []
+    real = engine._center
+
+    def center(prog, point, inv_t, decrement_tol):
+        if stages:
+            return engine._point_at(prog, stages[0].z + 0.1), 0, SolveStatus.OPTIMAL
+        stages.append(real(prog, point, inv_t, decrement_tol)[0])
+        return stages[0], 0, SolveStatus.OPTIMAL
+
+    monkeypatch.setattr(engine, "_center", center)
+    out = solve(prog, np.array([0.5]))
+    assert out.status is SolveStatus.MAX_ITERATIONS
+    assert out.z_star is stages[0].z
+    assert out.outer_objective_trace == [stages[0].f]
+
+
 def test_stage_reuse_matches_a_fresh_evaluation():
     # the derivatives at a point are combined from weight-free parts, with
     # one call of each oracle however many weights ask; at each weight they
