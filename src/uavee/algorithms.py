@@ -5,9 +5,9 @@ approximation: the nonconcave rate terms are replaced by the affine lower
 bound from `core.log_bound_coeffs` at the current iterate, and the resulting
 concave subproblem is handed to the log-barrier engine. oht needs no
 surrogate: its max-min rate is quasi-concave in the one harvesting-time
-variable, so one batched bracket search on the exact objective finds it
-(on most trials at the top of its range). jhtpa's start is one level of the
-same search on the full-harvest EE.
+variable: a point just below the top of its range scoring lower proves the
+top optimal (most trials), and otherwise one batched bracket search finds the
+maximizer. jhtpa's start scores the full-harvest EE on a fixed grid at once.
 
   jhtpa  joint harvesting-time and power allocation in (theta, 1/p) space
   opa    jhtpa's SCA with theta and the presolve's pinned pairs held
@@ -78,9 +78,9 @@ _PIN_TOL = 1e-5
 # its search's bracket tolerance.
 _STOP_STATUS = {"numerical_failure": "failed", "max_iterations": "max_iterations"}
 
-# oht searches the harvesting time on [1 + THETA_GAP, _OHT_THETA_MAX] with
-# _log_bracket_max, _OHT_GRID points per level, until the bracket is
-# _THETA_TOL wide relative to its upper end's theta.
+# Unless its top check ends it (see oht), oht searches the harvesting time on
+# [1 + THETA_GAP, _OHT_THETA_MAX] with _log_bracket_max, _OHT_GRID points per
+# level, until the bracket is _THETA_TOL wide relative to its upper end's theta.
 _OHT_THETA_MAX = 1e3
 _OHT_GRID = 33
 _THETA_TOL = 1e-10
@@ -100,7 +100,7 @@ class ScaSettings:
     max_iterations: int = 100
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     """Outcome of one algorithm run on one channel realization. status,
     iterations, subsolver_calls, ee_nats_per_joule and r_bar derive from
@@ -179,10 +179,12 @@ class SolveReport:
 _EXTRAPOLATION_POWERS = tuple(float(2**j) for j in range(1, 11))
 
 # jhtpa's theta stays at or below _THETA_CAP: its start scans the full-harvest
-# face at theta_fix and at one _log_bracket_max level of _FACE_GRID times on
-# [1e-3, _THETA_CAP - 1] (_face_theta), and the extrapolation stops there.
+# face at theta_fix and at the _FACE_GRID thetas of _FACE_THETAS, whose
+# theta - 1 is log-spaced over [1e-3, _THETA_CAP - 1] (_face_theta), and the
+# extrapolation stops there.
 _THETA_CAP = 1e6
 _FACE_GRID = 128
+_FACE_THETAS = 1.0 + np.geomspace(1e-3, _THETA_CAP - 1.0, _FACE_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +271,14 @@ def _log_bracket_max(values, lo: float, hi: float, points: int, tol: float = _TH
     evaluates it at points thetas with theta - 1 log-spaced over [lo, hi],
     then shrinks [lo, hi] to the neighbours of the level's best point; the
     search stops once that bracket is tol wide relative to its upper end's
-    theta (tol=inf: one level). This finds the maximizer of a quasi-concave
-    objective (Boyd & Vandenberghe, Convex Optimization, sec. 3.4): its
-    superlevel sets are intervals, so the maximizer lies between the best
-    grid point's neighbours. When a level's best point is its upper end hi
-    and tol is finite, one probe at theta - 1 = hi - tol * (1 + hi) scoring
-    below hi ends the search there: by the same argument, any point that
-    beats hi lies within tol of it. The first best point wins ties; theta
-    is NaN and value -inf when every point scores -inf.
+    theta. This finds the maximizer of a quasi-concave objective (Boyd &
+    Vandenberghe, Convex Optimization, sec. 3.4): its superlevel sets are
+    intervals, so the maximizer lies between the best grid point's
+    neighbours. When a level's best point is its upper end hi, one probe at
+    theta - 1 = hi - tol * (1 + hi) scoring below hi ends the search there:
+    by the same argument, any point that beats hi lies within tol of it. The
+    first best point wins ties; theta is NaN and value -inf when every point
+    scores -inf.
     """
     best_theta, best = math.nan, -math.inf
     while True:
@@ -285,7 +287,7 @@ def _log_bracket_max(values, lo: float, hi: float, points: int, tol: float = _TH
         i = int(np.argmax(vals))
         if vals[i] > best:
             best_theta, best = float(1.0 + tm1[i]), float(vals[i])
-        if i == points - 1 and tol < math.inf:
+        if i == points - 1:
             if values(np.array([1.0 + hi - tol * (1.0 + hi)]))[0] < vals[i]:
                 return best_theta, best
         lo, hi = tm1[max(i - 1, 0)], tm1[min(i + 1, points - 1)]
@@ -294,19 +296,16 @@ def _log_bracket_max(values, lo: float, hi: float, points: int, tol: float = _TH
 
 
 def _face_theta(ch, config, r_bar: float) -> float:
-    """jhtpa's start theta: of the scanned ones (see _THETA_CAP), the one whose
-    full-harvest point has the highest EE while every pair's rate meets r_bar.
-    theta_fix, whose full-harvest rates define the floor, always qualifies
-    and wins ties."""
-
-    def face_ee(thetas: np.ndarray, floor: float = r_bar) -> np.ndarray:
-        rates = core.pinned_rates(thetas[:, None], ch, config)
-        ee = rates.sum(axis=-1) / core.pinned_total_power(thetas, ch, config)
-        return np.where((rates >= floor).all(axis=-1), ee, -math.inf)
-
-    theta, ee = _log_bracket_max(face_ee, 1e-3, _THETA_CAP - 1.0, _FACE_GRID, tol=math.inf)
-    theta_fix = config.theta_fix
-    return theta if ee > face_ee(np.array([theta_fix]), -math.inf)[0] else theta_fix
+    """jhtpa's start theta: of _FACE_THETAS and theta_fix, scored in one rate
+    call, the one whose full-harvest point has the highest EE while every
+    pair's rate meets r_bar. theta_fix, whose full-harvest rates define the
+    floor, is not masked, so it always qualifies, and it wins ties."""
+    thetas = np.append(_FACE_THETAS, config.theta_fix)
+    rates = core.pinned_rates(thetas[:, None], ch, config)
+    ee = rates.sum(axis=-1) / core.pinned_total_power(thetas, ch, config)
+    ee[:-1] = np.where((rates[:-1] >= r_bar).all(axis=-1), ee[:-1], -math.inf)
+    i = int(np.argmax(ee))
+    return float(thetas[i]) if ee[i] > ee[-1] else config.theta_fix
 
 
 def _start(ch, config, r_bar: float, theta: float, pinned=None) -> tuple[float, np.ndarray, bool]:
@@ -598,11 +597,11 @@ def oht(ch: ChannelRealization, config: ScenarioConfig) -> SolveReport:
     Each full-harvest rate ln(1 + SINR_n(theta)) / theta is a concave
     function of theta - 1 over a positive affine one, hence quasi-concave,
     and so is their minimum (Boyd & Vandenberghe, Convex Optimization,
-    sec. 3.4); one batched bracket search (_log_bracket_max) on the exact
-    max-min rate therefore finds its maximizer on [1 + THETA_GAP,
-    _OHT_THETA_MAX]. On most trials that is the cap itself: the rate still
-    rises there, and the search stops after one level and one probe.
-    theta_fix is kept when the search ends lower, so the allocation never
+    sec. 3.4). One rate call scores theta_fix, the top of the range
+    [1 + THETA_GAP, _OHT_THETA_MAX] and a probe _THETA_TOL below it. A probe
+    below the top (most trials: the rate still rises there) proves the top
+    optimal; otherwise (NaN too) _log_bracket_max searches the range.
+    theta_fix is kept when the answer scores lower, so the allocation never
     drops below the QoS floor derived there. The trace holds the max-min
     objective (nats per slot) at theta_fix and at the answer. Raises
     NoFeasiblePointFoundError when the answer's max-min rate is not positive.
@@ -612,9 +611,12 @@ def oht(ch: ChannelRealization, config: ScenarioConfig) -> SolveReport:
     def min_rate(thetas: np.ndarray) -> np.ndarray:
         return core.pinned_rates(thetas[:, None], ch, config).min(axis=-1)
 
-    theta_fix = float(config.theta_fix)
-    obj_fix = float(min_rate(np.array([theta_fix]))[0])
-    theta, obj = _log_bracket_max(min_rate, THETA_GAP, _OHT_THETA_MAX - 1.0, _OHT_GRID)
+    theta_fix, hi = float(config.theta_fix), _OHT_THETA_MAX - 1.0
+    theta = 1.0 + hi
+    thetas = np.array([theta_fix, theta - _THETA_TOL * theta, theta])
+    obj_fix, obj_probe, obj = map(float, min_rate(thetas))
+    if not obj_probe < obj:  # NaN too: only a rate rising at the top skips the search
+        theta, obj = _log_bracket_max(min_rate, THETA_GAP, hi, _OHT_GRID)
     if obj < obj_fix:
         theta, obj = theta_fix, obj_fix
     if not obj > 0.0:

@@ -23,7 +23,7 @@ LN2 = math.log(2.0)
 THETA_GAP = 1e-9
 
 
-@dataclass
+@dataclass(slots=True)
 class Allocation:
     """Decision variables: harvesting-time fraction tau and per-pair transmit powers (W)."""
 

@@ -20,7 +20,7 @@ import numpy as np
 MAX_RESAMPLES = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """Physical and network parameters. Defaults follow the standard benchmark setup."""
 
@@ -112,7 +112,7 @@ class Placement:
         return self.tx_pos.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelRealization:
     """Realized power gains: g[n] is UAV->Tx_n, h[n][i] is Tx_i->Rx_n (diagonal = desired link)."""
 

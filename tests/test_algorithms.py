@@ -210,28 +210,44 @@ def test_bracket_search_refines_a_peak_next_to_the_upper_end():
     assert len(calls) > 2
 
 
-def test_bracket_search_with_infinite_tol_makes_one_level_and_no_probe():
-    values, calls = counted(lambda thetas: thetas)
-    theta, _ = algorithms._log_bracket_max(values, 1e-3, 999.0, 33, tol=np.inf)
-    assert theta == 1000.0
-    assert calls == [33]
-
-
 # oht's reported theta (from tau) on two scenarios: seed 3's max-min rate
 # still rises at the 1e3 cap, seed 46's peaks inside the range
 @pytest.mark.parametrize(
     "num_pairs, seed, rate_calls, theta",
-    [(5, 3, 3, 999.9999999999991), (2, 46, 11, 41.64745935187803)],
+    [(5, 3, 1, 999.9999999999991), (2, 46, 11, 41.64745935187803)],
     ids=["rising-at-cap", "interior-peak"],
 )
 def test_oht_rate_evaluations(monkeypatch, num_pairs, seed, rate_calls, theta):
-    """One evaluation at theta_fix, then: a rate still rising at the cap
-    costs one search level and one probe; an interior peak every level."""
+    """One evaluation of theta_fix, the cap and a probe below it: a rate
+    still rising at the cap needs no more; an interior peak every level."""
     config, ch = scenario(num_pairs, seed)
     counting, calls = counted(core.pinned_rates)
     monkeypatch.setattr(core, "pinned_rates", counting)
     assert oht(ch, config).allocation.theta == theta
     assert len(calls) == rate_calls
+
+
+def test_face_scan_is_one_rate_call_that_masks_the_floor_and_keeps_theta_fix_on_ties(
+    monkeypatch,
+):
+    config, ch = scenario(3, 7)
+    thetas = algorithms._FACE_THETAS
+    rates = core.pinned_rates(thetas[:, None], ch, config)
+    ee = rates.sum(axis=-1) / core.pinned_total_power(thetas, ch, config)
+    best = int(np.argmax(ee))  # the face's best grid point, which beats theta_fix
+    assert algorithms._face_theta(ch, config, core.qos_threshold(ch, config)) == thetas[best]
+    # a floor just above its min rate masks it: the best qualifying point wins
+    floor = np.nextafter(rates[best].min(), np.inf)
+    qualifying = np.where((rates >= floor).all(axis=-1), ee, -np.inf)
+    assert np.argmax(qualifying) != best
+    counting, calls = counted(core.pinned_rates)
+    monkeypatch.setattr(core, "pinned_rates", counting)
+    assert algorithms._face_theta(ch, config, floor) == thetas[np.argmax(qualifying)]
+    assert calls == [algorithms._FACE_GRID + 1]
+    # every point meets the floor and scores the same EE: theta_fix wins the tie
+    monkeypatch.setattr(core, "pinned_rates", lambda t, ch, config: np.ones((np.size(t), 3)))
+    monkeypatch.setattr(core, "pinned_total_power", lambda t, ch, config: np.ones(np.size(t)))
+    assert algorithms._face_theta(ch, config, 0.5) == config.theta_fix
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

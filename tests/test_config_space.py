@@ -6,18 +6,22 @@ distance, P0, path-loss exponents, beta0, LOS curve, NLOS excess loss and
 bandwidth) is drawn too, over wide ranges around each default. Each drawn
 config runs jhtpa, opa and oht through run_algorithm, and each report must be
 a converged, feasible answer whose trace never falls and whose EE and QoS
-floor are the ones its allocation and instance give.
+floor are the ones its allocation and instance give. oht's answer must also
+equal, bit for bit, a from-scratch bracket search over its whole range.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uavee.algorithms as algorithms
 import uavee.core as core
 from uavee import ScenarioConfig, make_scenario
-from uavee.algorithms import ALGORITHM_NAMES, run_algorithm
+from uavee.algorithms import ALGORITHM_NAMES, oht, run_algorithm
+from uavee.engine import NoFeasiblePointFoundError
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -102,3 +106,60 @@ def test_every_algorithm_reports_a_consistent_feasible_answer(
         assert report.r_bar == r_bar, name
         if name != "oht":  # oht's trace holds its max-min rate, not its EE
             assert report.trace[-1] == ee, name
+
+
+def searched_oht(ch, config):
+    """(theta, trace) of oht's search run from scratch: _log_bracket_max over
+    oht's whole range, then theta_fix when it scores higher."""
+
+    def min_rate(thetas):
+        return core.pinned_rates(thetas[:, None], ch, config).min(axis=-1)
+
+    obj_fix = float(min_rate(np.array([float(config.theta_fix)]))[0])
+    theta, obj = algorithms._log_bracket_max(
+        min_rate, core.THETA_GAP, algorithms._OHT_THETA_MAX - 1.0, algorithms._OHT_GRID
+    )
+    if obj < obj_fix:
+        theta, obj = float(config.theta_fix), obj_fix
+    return theta, [obj_fix, obj]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    num_pairs=st.integers(1, 30),
+    radius=st.floats(20.0, 5000.0),
+    theta_fix=st.one_of(st.floats(1.01, 50.0), st.floats(50.0, 1e5)),
+    noise=st.floats(-170.0, -80.0),
+    p_cir=st.floats(1e-6, 10.0),
+    rate_cap=st.floats(0.01, 5.0),
+    alpha_h=st.floats(2.0, 4.5),
+    alpha_g=st.floats(2.0, 4.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oht_equals_a_bracket_search_over_its_whole_range(
+    num_pairs, radius, theta_fix, noise, p_cir, rate_cap, alpha_h, alpha_g, seed
+):
+    # oht skips the search when the max-min rate still rises at the top of
+    # its range; wherever it does, the search would have ended there too
+    config = ScenarioConfig(
+        num_pairs=num_pairs,
+        seed=seed,
+        coverage_radius_m=radius,
+        theta_fix=theta_fix,
+        noise_density_dbm_hz=noise,
+        p_cir_watt=p_cir,
+        rate_cap_bpshz=rate_cap,
+        alpha_h=alpha_h,
+        alpha_g=alpha_g,
+    )
+    _, ch = make_scenario(config)
+    theta, trace = searched_oht(ch, config)
+    if not trace[-1] > 0.0:
+        with pytest.raises(NoFeasiblePointFoundError):
+            oht(ch, config)
+        return
+    report = oht(ch, config)
+    assert report.trace == trace
+    expected = core.pinned_allocation(theta, ch, config)
+    assert report.allocation.tau == expected.tau
+    assert np.array_equal(report.allocation.p, expected.p)

@@ -1,7 +1,10 @@
-"""signatures.compare on hand-built signature files."""
+"""signatures.compare on hand-built signature files, and the tool end to end
+on one trial per set."""
 
 import copy
 import json
+import os
+import sys
 
 import pytest
 
@@ -52,3 +55,27 @@ def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
     assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf"]
+
+
+def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkeypatch):
+    one_each = tuple((name, seed, 1) for name, seed, _ in signatures.TRIAL_SETS)
+    monkeypatch.setattr(signatures, "TRIAL_SETS", one_each)
+    first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+    # write imports perfbench's harness, which pins BLAS threads through
+    # os.environ and prepends src/ and perfbench/ to sys.path; keep both out
+    # of the rest of the test run
+    saved_env, saved_path = dict(os.environ), list(sys.path)
+    try:
+        assert signatures.main([first]) == 0
+        assert signatures.main([second]) == 0
+    finally:
+        os.environ.clear()
+        os.environ.update(saved_env)
+        sys.path[:] = saved_path
+    data = json.loads((tmp_path / "first.json").read_text())
+    assert [len(data[name]) for name, _, _ in one_each] == [1, 1, 1]
+    assert all(set(trials[0]) == {"jhtpa", "opa", "oht"} for trials in data.values())
+    assert signatures.main([first, second]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3 * len(one_each)
+    assert all(row.split()[2] == "1/1" for row in rows)
