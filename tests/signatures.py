@@ -11,9 +11,12 @@ file from each of two checkouts and compare them; the comparison prints, per
 workload and algorithm, how many solves are identical, how many keep their
 status, iterations and subsolver calls ("same path"), how many keep a
 bit-identical allocation (tau, powers), how many end with a lower
-trace[-1] than in OLD (jhtpa's and opa's EE, oht's max-min rate), and the
-largest relative EE change. A change that moves only the rounding of EE or
-trace shows every solve on the same path with the same allocation.
+trace[-1] than in OLD (jhtpa's and opa's EE, oht's max-min rate), the
+largest relative EE change, and the total Newton steps of the barrier solves
+in OLD and NEW ("n/a" when a file holds no step counts). A change that moves
+only the rounding of EE or trace shows every solve on the same path with the
+same allocation; step counts are deterministic, so a change to the barrier's
+route shows in the last column even where every answer stays the same.
 """
 
 from __future__ import annotations
@@ -34,17 +37,39 @@ def _jsonable(value):
 
 
 def write(out: Path) -> None:
+    """Write each solve's signature, and under "newton_steps" each run's
+    Newton steps, counted by wrapping bench.run_algorithm and
+    algorithms.solve while the trials run."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
+    from uavee import algorithms, bench
 
-    data = {}
-    for name, seed, count in TRIAL_SETS:
-        trials = harness.plan(harness.WORKLOADS[name], seed, count)
-        data[name] = [
-            {alg: _jsonable(harness.solve_signature(res)) for alg, res in tr.solves.items()}
-            for tr in map(harness.run_paired_trial, trials)
-        ]
-    out.write_text(json.dumps(data))
+    real_run, real_solve = bench.run_algorithm, algorithms.solve
+    runs = []  # [algorithm, Newton steps] of each run in the current trial
+
+    def run_algorithm(name, *args):
+        runs.append([name, 0])
+        return real_run(name, *args)
+
+    def solve(prog, z0):
+        outcome = real_solve(prog, z0)
+        runs[-1][1] += outcome.newton_step_count
+        return outcome
+
+    data, steps = {}, {}
+    bench.run_algorithm, algorithms.solve = run_algorithm, solve
+    try:
+        for name, seed, count in TRIAL_SETS:
+            data[name], steps[name] = [], []
+            for trial in harness.plan(harness.WORKLOADS[name], seed, count):
+                runs.clear()
+                tr = harness.run_paired_trial(trial)
+                signatures = {alg: harness.solve_signature(res) for alg, res in tr.solves.items()}
+                data[name].append({alg: _jsonable(sig) for alg, sig in signatures.items()})
+                steps[name].append(dict(runs))
+    finally:
+        bench.run_algorithm, algorithms.solve = real_run, real_solve
+    out.write_text(json.dumps({**data, "newton_steps": steps}))
 
 
 def _ee(signature) -> float | None:
@@ -66,12 +91,18 @@ def _last(signature) -> float | None:
     return None if signature[0] == "raised" else float.fromhex(signature[4][-1])
 
 
+def _steps(data: dict, name: str, alg: str) -> int | None:
+    """Total Newton steps of alg's solves on workload name; None when the file has none."""
+    runs = data.get("newton_steps", {}).get(name)
+    return None if runs is None else sum(run.get(alg, 0) for run in runs)
+
+
 def compare(old: Path, new: Path) -> bool:
     before, after = json.loads(old.read_text()), json.loads(new.read_text())
     same_everywhere = True
     print(
         f"{'workload':<18}{'algorithm':<11}{'identical':>12}{'same path':>12}"
-        f"{'same alloc':>12}{'lower trace[-1]':>17}{'max rel EE drift':>18}"
+        f"{'same alloc':>12}{'lower trace[-1]':>17}{'max rel EE drift':>18}  Newton steps"
     )
     for name, _, _ in TRIAL_SETS:
         pairs = list(zip(before[name], after[name], strict=True))
@@ -90,7 +121,9 @@ def compare(old: Path, new: Path) -> bool:
                     drift = max(drift, abs(ee_b - ee_a) / max(abs(ee_a), 1e-300))
             same_everywhere &= identical == len(pairs)
             counts = "".join(f"{f'{k}/{len(pairs)}':>12}" for k in (identical, path, alloc))
-            print(f"{name:<18}{alg:<11}{counts}{f'{lower}/{len(pairs)}':>17}{drift:>18.3g}")
+            steps_a, steps_b = _steps(before, name, alg), _steps(after, name, alg)
+            steps = "n/a" if steps_a is None or steps_b is None else f"{steps_a} → {steps_b}"
+            print(f"{name:<18}{alg:<11}{counts}{f'{lower}/{len(pairs)}':>17}{drift:>18.3g}  {steps}")
     return same_everywhere
 
 

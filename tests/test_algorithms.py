@@ -193,7 +193,7 @@ def counted(function):
 
 def test_bracket_search_stops_at_a_rising_upper_end_after_one_probe():
     values, calls = counted(lambda thetas: thetas)
-    theta, value = algorithms._log_bracket_max(values, 1e-3, 999.0, 33, tol=1e-10)
+    theta, value = algorithms._log_bracket_max(values, 1e-3, 999.0, 33)
     assert (theta, value) == (1000.0, 1000.0)
     assert calls == [33, 1]
 
@@ -201,11 +201,11 @@ def test_bracket_search_stops_at_a_rising_upper_end_after_one_probe():
 def test_bracket_search_refines_a_peak_next_to_the_upper_end():
     tm1 = np.geomspace(1e-3, 999.0, 33)
     # between the last two grid points and nearer the end, which so wins the
-    # first level; 1e-6 below it, far more than tol, so the probe beats the end
+    # first level; 1e-6 below it, far more than _THETA_TOL, so the probe beats the end
     peak = 1.0 + 999.0 - 1e-6 * 1000.0
     assert 1.0 + (tm1[-2] + tm1[-1]) / 2 < peak
     values, calls = counted(lambda thetas: -np.abs(thetas - peak))
-    theta, _ = algorithms._log_bracket_max(values, 1e-3, 999.0, 33, tol=1e-10)
+    theta, _ = algorithms._log_bracket_max(values, 1e-3, 999.0, 33)
     assert abs(theta - peak) <= 1e-10 * peak
     assert len(calls) > 2
 
@@ -547,6 +547,91 @@ def test_subproblem_rejecting_the_start_stops_at_infeasible_start(monkeypatch):
     assert (report.iterations, report.subsolver_calls, len(report.trace)) == (0, 0, 1)
     start = core.Allocation.from_theta(theta, 1.0 / (1.0 / p))
     assert report.ee_nats_per_joule == core.energy_efficiency(start, ch, config)
+
+
+def first_solve(monkeypatch, name, ch, config):
+    """(program, warm start, iterate) of name's first subproblem solve."""
+    calls, real = [], algorithms._solve_from
+
+    def recording(prog, warm, z0):
+        calls.append((prog, warm, z0))
+        return real(prog, warm, z0)
+
+    monkeypatch.setattr(algorithms, "_solve_from", recording)
+    run_algorithm(name, ch, config)
+    monkeypatch.setattr(algorithms, "_solve_from", real)
+    return calls[0]
+
+
+@pytest.mark.parametrize("name", ["jhtpa", "opa"])
+@pytest.mark.parametrize("num_pairs, seed", [(3, 11), (10, 5), (10, 23), (10, 87)])
+def test_warm_start_reaches_the_same_subproblem_solution_in_fewer_steps(
+    monkeypatch, name, num_pairs, seed
+):
+    # The first solve starts one BARRIER_MU closer to the full-harvest face
+    # than the iterate, on the segment between them, with the surrogate
+    # still expanded at the iterate: the program and its central path's end
+    # point are the same, so only the route there changes. (The end points
+    # agree to the final stage's duality gap, 1e-7 in the objective; along
+    # a flat direction that can leave z further apart than 1e-9, as on
+    # ScenarioConfig(3, 7)'s jhtpa solve, 6.6e-8.) The N = 3 case is
+    # test_engine's captured_subproblems scenario, the N = 10 ones
+    # test_subproblem_step_counts' seeds.
+    config, ch = scenario(num_pairs, seed)
+    prog, warm, z0 = first_solve(monkeypatch, name, ch, config)
+    r_bar = core.qos_threshold(ch, config)
+    if name == "jhtpa":
+        assert warm[0] == z0[0]
+        theta, free = z0[0], np.ones(num_pairs, dtype=bool)
+        q_warm, q_start = warm[1:], z0[1:]
+    else:
+        theta = config.theta_fix
+        free = 1.0 - algorithms._interior_powers(ch, config, r_bar, theta)[1] > algorithms._PIN_TOL
+        q_warm, q_start = warm, z0
+    p_max = core.pinned_powers(theta, ch, config)[free]
+    depth_warm, depth_start = 1.0 - 1.0 / (q_warm * p_max), 1.0 - 1.0 / (q_start * p_max)
+    np.testing.assert_allclose(depth_warm, depth_start / algorithms.BARRIER_MU, rtol=1e-6)
+    from_warm, from_iterate = algorithms.solve(prog, warm), algorithms.solve(prog, z0)
+    assert from_warm.status is from_iterate.status is SolveStatus.OPTIMAL
+    np.testing.assert_allclose(from_warm.z_star, from_iterate.z_star, rtol=1e-9, atol=0.0)
+    assert from_warm.newton_step_count < from_iterate.newton_step_count
+
+
+@pytest.mark.parametrize("name", ["jhtpa", "opa"])
+@pytest.mark.parametrize("radius", [800.0, 20.0])
+def test_a_surrogate_rejecting_the_warm_start_solves_from_the_iterate(monkeypatch, name, radius):
+    # A program whose domain excludes exactly the warm point: the first solve
+    # falls back to the iterate, and the run reports what it would have
+    # reported starting there. Radius 20 m takes several SCA steps.
+    config = ScenarioConfig(num_pairs=5, seed=7, coverage_radius_m=radius)
+    _, ch = make_scenario(config)
+    _, warm, z0 = first_solve(monkeypatch, name, ch, config)
+    # every solve from the iterate, as before the warm start
+    monkeypatch.setattr(algorithms, "_solve_from", lambda prog, warm, z0: algorithms.solve(prog, z0))
+    expected = run_algorithm(name, ch, config)
+    monkeypatch.undo()
+
+    builder = f"build_{name}_subproblem"
+    build, solve, starts = getattr(algorithms, builder), algorithms.solve, []
+
+    def rejecting(*args, **kwargs):
+        prog = build(*args, **kwargs)
+        guard = prog.domain_guard
+        return dataclasses.replace(prog, domain_guard=lambda z: guard(z) and not np.array_equal(z, warm))
+
+    def recording(prog, z0):
+        starts.append(z0)
+        return solve(prog, z0)
+
+    monkeypatch.setattr(algorithms, builder, rejecting)
+    monkeypatch.setattr(algorithms, "solve", recording)
+    report = run_algorithm(name, ch, config)
+    assert np.array_equal(starts[0], warm) and np.array_equal(starts[1], z0)
+    assert len(starts) == report.subsolver_calls + 1
+    assert report.stop_reason == expected.stop_reason != "infeasible_start"
+    assert report.trace == expected.trace and report.iterations >= (1 if radius == 800.0 else 2)
+    assert report.allocation.tau == expected.allocation.tau
+    assert np.array_equal(report.allocation.p, expected.allocation.p)
 
 
 @pytest.mark.parametrize(

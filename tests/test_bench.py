@@ -15,6 +15,7 @@ from uavee.bench import (
     write_csv,
     write_json,
 )
+from uavee.cli import cli_main
 
 
 def small_spec(**kw):
@@ -95,6 +96,22 @@ def test_underflowing_uav_gains_are_infeasible_for_every_algorithm():
             run_algorithm(name, ch, config)
     rows = run_trial(config, 3, 0, ("jhtpa", "opa", "oht"), None)
     assert [r.status for r in rows] == ["infeasible"] * 3
+
+
+def test_zero_d2d_gains_are_infeasible_for_every_algorithm(tmp_path, capsys):
+    # beta0 -4000 dB underflows every D2D gain to 0, so every rate is 0 for
+    # any allocation: each algorithm raises on the zero EE (or max-min rate)
+    # rather than reporting it, and uavee solve exits 2 for each
+    text = '{"num_pairs": 3, "seed": 1, "beta0_db": -4000}'
+    config = ScenarioConfig.from_json(text)
+    assert not make_scenario(config)[1].h.any()
+    rows = run_trial(config, 3, 0, ("jhtpa", "opa", "oht"), None)
+    assert [r.status for r in rows] == ["infeasible"] * 3
+    scenario = tmp_path / "zero_gains.json"
+    scenario.write_text(text)
+    for name in ("jhtpa", "opa", "oht"):
+        assert cli_main(["solve", "--scenario", str(scenario), "--algorithm", name]) == 2
+        assert "not positive" in capsys.readouterr().err
 
 
 def test_experiment_deterministic_math():

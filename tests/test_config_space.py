@@ -7,10 +7,13 @@ bandwidth) is drawn too, over wide ranges around each default. Each drawn
 config runs jhtpa, opa and oht through run_algorithm, and each report must be
 a converged, feasible answer whose trace never falls and whose EE and QoS
 floor are the ones its allocation and instance give. oht's answer must also
-equal, bit for bit, a from-scratch bracket search over its whole range.
+equal, bit for bit, a from-scratch bracket search over its whole range, and
+jhtpa's and opa's warm-started first solve must never turn a run into an
+infeasible_start that a start from the iterate would not give.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,3 +166,33 @@ def test_oht_equals_a_bracket_search_over_its_whole_range(
     expected = core.pinned_allocation(theta, ch, config)
     assert report.allocation.tau == expected.tau
     assert np.array_equal(report.allocation.p, expected.p)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        ScenarioConfig,
+        num_pairs=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        coverage_radius_m=st.floats(20.0, 5000.0),
+        eta=st.floats(0.01, 0.99),
+        theta_fix=st.one_of(st.floats(1.01, 50.0), st.floats(50.0, 1e5)),
+        noise_density_dbm_hz=st.floats(-170.0, -80.0),
+        p_cir_watt=st.floats(1e-6, 10.0),
+        rate_cap_bpshz=st.floats(0.01, 5.0),
+        alpha_h=st.floats(2.0, 4.5),
+        alpha_g=st.floats(2.0, 4.5),
+    )
+)
+def test_the_warm_start_adds_no_infeasible_start(config):
+    # The first subproblem solve starts one BARRIER_MU closer to the face
+    # than the iterate and falls back to the iterate when its surrogate
+    # rejects that point, so a run ends at infeasible_start only where the
+    # iterate start (the solve before the warm start) ends there too.
+    _, ch = make_scenario(config)
+    for name in ("jhtpa", "opa"):
+        if run_algorithm(name, ch, config).stop_reason != "infeasible_start":
+            continue
+        # every solve from the iterate, as before the warm start
+        with mock.patch.object(algorithms, "_solve_from", lambda prog, warm, z0: algorithms.solve(prog, z0)):
+            assert run_algorithm(name, ch, config).stop_reason == "infeasible_start", name
