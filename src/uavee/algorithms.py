@@ -421,7 +421,7 @@ def _subproblem(rows, objective: Functional) -> ConvexProgram:
 
     return ConvexProgram(
         objective=objective,
-        domain_guard=lambda z: bool(((0.0 < z) & (z < math.inf)).all()),
+        domain_guard=lambda z: bool(0.0 < z.min() and z.max() < math.inf),
         constraint_values=lambda z: c0 + lin @ z + rec @ (1.0 / z),
         constraint_jacobian=lambda z: lin - rec / (z * z),
         constraint_hessian_weighted=weighted_hessian,
@@ -442,20 +442,22 @@ def build_jhtpa_subproblem(
 
     def obj_value(z: np.ndarray) -> float:
         r = 1.0 / z
-        return f0 + float(f_lin @ z + (f_rec + f_cpl * r[0]) @ r)
+        return f0 + float(f_lin @ z + (f_rec + f_cpl * float(r[0])) @ r)
 
     def obj_grad(z: np.ndarray) -> np.ndarray:
         r = 1.0 / z
-        out = f_lin - (f_rec + f_cpl * r[0]) * (r * r)
-        out[0] -= r[0] * r[0] * float(f_cpl @ r)
+        r0 = float(r[0])
+        out = f_lin - (f_rec + f_cpl * r0) * (r * r)
+        out[0] -= r0 * r0 * float(f_cpl @ r)
         return out
 
     def obj_hess(z: np.ndarray) -> np.ndarray:
         r = 1.0 / z
+        r0 = float(r[0])
         out = np.zeros((dim, dim))
-        out[0] = out[:, 0] = f_cpl * (r[0] * r) ** 2
-        out.flat[:: dim + 1] = 2.0 * (f_rec + f_cpl * r[0]) * r**3
-        out[0, 0] = 2.0 * r[0] ** 3 * float(f_cpl @ r)
+        out[0] = out[:, 0] = f_cpl * (r0 * r) ** 2
+        out.flat[:: dim + 1] = 2.0 * (f_rec + f_cpl * r0) * r**3
+        out[0, 0] = 2.0 * r0**3 * float(f_cpl @ r)
         return out
 
     return _subproblem(rows, Functional(obj_value, obj_grad, obj_hess))

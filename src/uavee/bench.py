@@ -7,10 +7,8 @@ emits per-run rows plus per-(N, algorithm) aggregates as CSV or JSON.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
-import multiprocessing
 import statistics
 from dataclasses import dataclass
 
@@ -153,6 +151,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[ResultRow]
         for trial in range(spec.trials_per_point)
     ]
     if jobs > 1 and len(tasks) > 1:
+        import multiprocessing  # its only user; kept off the import path of serial runs
+
         with multiprocessing.Pool(processes=jobs) as pool:
             nested = pool.starmap(run_trial, tasks)
     else:
@@ -171,6 +171,8 @@ def _cell(value) -> str:
 
 
 def write_csv(rows: list[ResultRow], path: str) -> None:
+    import csv  # its only user
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         names = CSV_HEADER.split(",")

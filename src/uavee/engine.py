@@ -15,13 +15,18 @@ Optimization, 9.3, 9.5, 11.3.1 and 11.3.3):
   j <= _FIRST_STAGE_SPAN, the t whose scale-free Newton decrement at the
   start is least, so a start near a stage's center skips the stages before
   it. The span is bounded: final stages entered from far up the path crawl.
+  The scan runs from the top of the span down and stops at the first rise
+  of the decrement, and the picked stage starts from the Newton system the
+  scan solved there.
 - The line search stays below the linearization bound. Every constraint
   row is convex, so it lies above its linearization at the current point,
   and no step beyond min over (J d)_j > 0 of -c_j / (J d)_j is feasible.
   The bound uses the Jacobian the Newton step already computed; it is exact
   for affine rows and sound for the others. Each trial evaluates the
   constraints once, and each accepted point's derivative oracles run once
-  (_Point): the barrier is linear in 1/t, so later stages reuse them.
+  (_Point): the barrier is linear in 1/t, so later stages reuse them. Each
+  point keeps its slack -c and its last Newton system, so no system is
+  solved twice for one point and weight.
 - The first trial step comes from a model of the barrier along the Newton
   direction d (_model_step). The quadratic model behind the Newton step
   treats each -log slack as a parabola, so from a point whose slacks are
@@ -159,44 +164,57 @@ class SolveOutcome:
 
 
 class _Point:
-    """A strictly feasible z with c(z), f(z) and log_slack = sum_j log(-c_j(z)),
-    so the barrier value at weight 1/t is f - (1/t) * log_slack. With u = 1/-c
-    the derivatives at any weight combine g_f, H_f, J^T u and J^T diag(u^2) J
-    + sum_j u_j hess(c_j) (constraint_hessian_weighted is linear in its
-    weights), which the first call to derivatives evaluates once."""
+    """A strictly feasible z with c(z), its slack -c, f(z) and log_slack =
+    sum_j log(-c_j(z)), so the barrier value at weight 1/t is f - (1/t) *
+    log_slack. With u = 1/-c the derivatives at any weight combine g_f, H_f,
+    J^T u and J^T diag(u^2) J + sum_j u_j hess(c_j) (constraint_hessian_weighted
+    is linear in its weights), which the first call to derivatives evaluates
+    once. The last Newton system solved at the point is kept with its weight,
+    so the stage _first_stage picks starts from the direction its scan solved."""
 
     def __init__(self, z: np.ndarray, c: np.ndarray, f: float):
-        self.z, self.c, self.f, self.parts = z, c, f, None
-        self.log_slack = float(np.log(-c).sum())
+        self.z, self.c, self.f, self.parts, self.system = z, c, f, None, None
+        self.slack = -c
+        self.log_slack = float(np.log(self.slack).sum())
 
     def derivatives(self, prog: ConvexProgram, inv_t: float):
         """Gradient and Hessian of f + (1/t) * barrier, and the constraint Jacobian."""
         if self.parts is None:
-            z, jac, u = self.z, prog.constraint_jacobian(self.z), 1.0 / -self.c
+            z, jac, u = self.z, prog.constraint_jacobian(self.z), 1.0 / self.slack
             hess_b = (jac * (u * u)[:, None]).T @ jac + prog.constraint_hessian_weighted(z, u)
             self.parts = (prog.objective.grad(z), prog.objective.hess(z), jac, jac.T @ u, hess_b)
         grad_f, hess_f, jac, grad_b, hess_b = self.parts
         return grad_f + inv_t * grad_b, hess_f + inv_t * hess_b, jac
 
+    def newton_system(self, prog: ConvexProgram, inv_t: float):
+        """(grad, hess, jac, direction, ok) at weight 1/t: derivatives and the
+        Newton direction of _newton_direction, (None, False) on an exactly
+        zero gradient. The last weight's system is cached."""
+        if self.system is None or self.system[0] != inv_t:
+            grad, hess, jac = self.derivatives(prog, inv_t)
+            direction, ok = _newton_direction(hess, grad) if grad.any() else (None, False)
+            self.system = (inv_t, grad, hess, jac, direction, ok)
+        return self.system[1:]
+
 
 def _point_at(prog: ConvexProgram, z: np.ndarray) -> _Point | None:
     """The _Point at z; None outside the strictly feasible set or the barrier's domain."""
     c = prog.constraint_values(z) if prog.domain_guard(z) else None
-    if c is None or not (c < 0.0).all():
+    if c is None or not c.max(initial=-math.inf) < 0.0:
         return None
     point = _Point(z, c, float(prog.objective.value(z)))
     return point if math.isfinite(point.f - point.log_slack) else None
 
 
-def _linearized_step_bound(c: np.ndarray, jd: np.ndarray) -> float:
+def _linearized_step_bound(r: np.ndarray) -> float:
     """Smallest s > 0 at which some linearized row c_j + s * (J d)_j reaches 0.
 
-    c holds the (negative) constraint values at z and jd = J(z) d the rows'
-    directional derivatives along d; inf when no row grows along d. Convex
-    rows lie above their linearizations, so no step at or beyond this bound
-    is strictly feasible; for affine rows the bound is exact.
+    r_j = (J(z) d)_j / -c_j are the rows' directional derivatives along d over
+    their (positive) slacks at z; inf when no row grows along d. Convex rows
+    lie above their linearizations, so no step at or beyond this bound is
+    strictly feasible; for affine rows the bound is exact.
     """
-    growth = float((jd / -c).max()) if c.size else 0.0
+    growth = float(r.max()) if r.size else 0.0
     return 1.0 / growth if growth > 0.0 else math.inf
 
 
@@ -211,7 +229,7 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     diag = hess.diagonal()
     top = float(diag.max()) if diag.size else 1.0
     scale = 1.0 / np.sqrt(np.maximum(diag, max(top, 1.0) * 1e-300))
-    hs = hess * scale[:, None] * scale[None, :]
+    hs = hess * scale[:, None] * scale
     gs = grad * scale
     reg = 0.0
     while True:
@@ -276,10 +294,13 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
     """Damped Newton from point until half the squared Newton decrement drops
     to decrement_tol (or the gradient is exactly zero).
 
-    When 0.99 times the linearization bound exceeds 1, backtracking starts at
-    the model step (_model_step on the slope, curvature and linearized slack
-    ratios this direction already gives), else at the first rung below 0.99
-    times the bound (see the module docstring).
+    Each point's Newton system comes from _Point.newton_system, so the first
+    one is the system _first_stage already solved when it picked this
+    stage. The linearized slack ratios r = (J d) / -c are formed once per
+    step, for the linearization bound and the model step: when 0.99 times the
+    bound exceeds 1, backtracking starts at the model step (_model_step on
+    the slope, curvature and r this direction gives), else at the first rung
+    below 0.99 times the bound (see the module docstring).
 
     Returns (point, steps_taken, status): OPTIMAL when centered,
     NUMERICAL_FAILURE when the Newton system cannot be repaired, and
@@ -289,10 +310,9 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
     steps = 0
     base = point.f - inv_t * point.log_slack
     for _ in range(_MAX_NEWTON_ITERS):
-        grad, hess, jac = point.derivatives(prog, inv_t)
+        grad, hess, jac, direction, ok = point.newton_system(prog, inv_t)
         if not grad.any():
             return point, steps, SolveStatus.OPTIMAL
-        direction, ok = _newton_direction(hess, grad)
         if not ok:
             return point, steps, SolveStatus.NUMERICAL_FAILURE
         # The decrement approximates the remaining value gap; iterate error
@@ -302,12 +322,11 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
             return point, steps, SolveStatus.OPTIMAL
 
         slope = _ARMIJO_SLOPE * gd
-        jd = jac @ direction
-        limit = 0.99 * _linearized_step_bound(point.c, jd)
+        r = (jac @ direction) / point.slack
+        limit = 0.99 * _linearized_step_bound(r)
         if 1.0 < limit < math.inf:
             # along d: objective slope a = g.d - (1/t) sum r_j, non-barrier
             # curvature lambda^2 - (1/t) sum r_j^2, with lambda^2 = -g.d
-            r = jd / -point.c
             step = _model_step(
                 gd - inv_t * float(r.sum()), max(-gd - inv_t * float(r @ r), 0.0), r, inv_t, limit
             )
@@ -332,17 +351,20 @@ def _first_stage(prog: ConvexProgram, point: _Point) -> float:
     """The t the first stage centers at (B&V 11.3.1): of BARRIER_MU**j,
     j <= _FIRST_STAGE_SPAN, short of the final stage (m/t < _DUALITY_GAP_TOL),
     the one whose scale-free Newton decrement t * (-g(t) . d(t)) at point is
-    least, the smaller t on a tie; 1 when there is none."""
-    best_t, best, t = 1.0, math.inf, 1.0
-    for _ in range(_FIRST_STAGE_SPAN + 1):
-        if point.c.size / t < _DUALITY_GAP_TOL:
-            break
-        grad, hess, _ = point.derivatives(prog, 1.0 / t)
-        direction, ok = _newton_direction(hess, grad)  # fails on a zero gradient: central
+    least, the smaller t on a tie; 1 when there is none. The scan runs from
+    the largest such t downward and stops at the first decrement above the
+    least so far, and point keeps the picked t's Newton system for _center."""
+    ts = [1.0]
+    while len(ts) <= _FIRST_STAGE_SPAN:
+        ts.append(ts[-1] * BARRIER_MU)
+    best_t, best, kept = 1.0, math.inf, None
+    for t in reversed([t for t in ts if not point.c.size / t < _DUALITY_GAP_TOL]):
+        grad, _, _, direction, ok = point.newton_system(prog, 1.0 / t)
         decrement = -t * float(grad @ direction) if ok else (math.inf if grad.any() else 0.0)
-        if decrement < best:
-            best_t, best = t, decrement
-        t *= BARRIER_MU
+        if decrement > best:
+            break
+        best_t, best, kept = t, decrement, point.system
+    point.system = kept
     return best_t
 
 

@@ -1,10 +1,13 @@
 """Independent brute-force oracles the tests check the algorithms against.
 
 Everything here recomputes the physics from first principles with plain
-numpy grids; none of it calls into the solver or the SCA loops. iterate_ee
-alone reads core's EE formula: it is the multiplier the SCA scores an
-iterate by, which the subproblem tests pass to the builders. check_gradients
-differences a ConvexProgram's oracles to check their derivatives.
+numpy grids; none of it calls into the SCA loops. iterate_ee alone reads
+core's EE formula: it is the multiplier the SCA scores an iterate by, which
+the subproblem tests pass to the builders. check_gradients differences a
+ConvexProgram's oracles to check their derivatives. exhaustive_first_stage
+alone calls into the solver: it is the barrier's first-stage scan over every
+allowed t, built from the engine's own Newton systems, and the reference for
+the engine's early-stopping scan.
 """
 
 import math
@@ -235,3 +238,24 @@ def check_gradients(prog, z: np.ndarray) -> float:
         _segment_error(prog.constraint_values, prog.constraint_jacobian, z, 1.0),
         _segment_error(prog.constraint_jacobian, constraint_hessians, z, 0.0),
     )
+
+
+def exhaustive_first_stage(prog, point) -> float:
+    """engine._first_stage's rule by an exhaustive scan: of BARRIER_MU**j,
+    j = 0.._FIRST_STAGE_SPAN in turn, short of the final stage (m/t <
+    _DUALITY_GAP_TOL), the t whose scale-free Newton decrement t * (-g(t) .
+    d(t)) at point is least, the smaller t on a tie; 1 when there is none.
+    Each t's Newton system is solved afresh from point.derivatives."""
+    from uavee import engine
+
+    best_t, best, t = 1.0, math.inf, 1.0
+    for _ in range(engine._FIRST_STAGE_SPAN + 1):
+        if point.c.size / t < engine._DUALITY_GAP_TOL:
+            break
+        grad, hess, _ = point.derivatives(prog, 1.0 / t)
+        direction, ok = engine._newton_direction(hess, grad)  # fails on a zero gradient: central
+        decrement = -t * float(grad @ direction) if ok else (math.inf if grad.any() else 0.0)
+        if decrement < best:
+            best_t, best = t, decrement
+        t *= engine.BARRIER_MU
+    return best_t

@@ -13,10 +13,12 @@ status, iterations and subsolver calls ("same path"), how many keep a
 bit-identical allocation (tau, powers), how many end with a lower
 trace[-1] than in OLD (jhtpa's and opa's EE, oht's max-min rate), the
 largest relative EE change, and the total Newton steps of the barrier solves
-in OLD and NEW ("n/a" when a file holds no step counts). A change that moves
-only the rounding of EE or trace shows every solve on the same path with the
-same allocation; step counts are deterministic, so a change to the barrier's
-route shows in the last column even where every answer stays the same.
+and the Newton systems they solved (engine._newton_direction calls, the
+first stage's scan included) in OLD and NEW ("n/a" when a file holds no such
+counts). A change that moves only the rounding of EE or trace shows every
+solve on the same path with the same allocation; step and system counts are
+deterministic, so a change to the barrier's route or work shows in the last
+two columns even where every answer stays the same.
 """
 
 from __future__ import annotations
@@ -37,18 +39,19 @@ def _jsonable(value):
 
 
 def write(out: Path) -> None:
-    """Write each solve's signature, and under "newton_steps" each run's
-    Newton steps, counted by wrapping bench.run_algorithm and
-    algorithms.solve while the trials run."""
+    """Write each solve's signature, and under "newton_steps" and
+    "newton_systems" each run's Newton steps and Newton systems, counted by
+    wrapping bench.run_algorithm, algorithms.solve and engine._newton_direction
+    while the trials run."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
-    from uavee import algorithms, bench
+    from uavee import algorithms, bench, engine
 
-    real_run, real_solve = bench.run_algorithm, algorithms.solve
-    runs = []  # [algorithm, Newton steps] of each run in the current trial
+    real_run, real_solve, real_direction = bench.run_algorithm, algorithms.solve, engine._newton_direction
+    runs = []  # [algorithm, Newton steps, Newton systems] of each run in the current trial
 
     def run_algorithm(name, *args):
-        runs.append([name, 0])
+        runs.append([name, 0, 0])
         return real_run(name, *args)
 
     def solve(prog, z0):
@@ -56,20 +59,25 @@ def write(out: Path) -> None:
         runs[-1][1] += outcome.newton_step_count
         return outcome
 
-    data, steps = {}, {}
-    bench.run_algorithm, algorithms.solve = run_algorithm, solve
+    def newton_direction(hess, grad):
+        runs[-1][2] += 1
+        return real_direction(hess, grad)
+
+    data, steps, systems = {}, {}, {}
+    bench.run_algorithm, algorithms.solve, engine._newton_direction = run_algorithm, solve, newton_direction
     try:
         for name, seed, count in TRIAL_SETS:
-            data[name], steps[name] = [], []
+            data[name], steps[name], systems[name] = [], [], []
             for trial in harness.plan(harness.WORKLOADS[name], seed, count):
                 runs.clear()
                 tr = harness.run_paired_trial(trial)
                 signatures = {alg: harness.solve_signature(res) for alg, res in tr.solves.items()}
                 data[name].append({alg: _jsonable(sig) for alg, sig in signatures.items()})
-                steps[name].append(dict(runs))
+                steps[name].append({alg: k for alg, k, _ in runs})
+                systems[name].append({alg: k for alg, _, k in runs})
     finally:
-        bench.run_algorithm, algorithms.solve = real_run, real_solve
-    out.write_text(json.dumps({**data, "newton_steps": steps}))
+        bench.run_algorithm, algorithms.solve, engine._newton_direction = real_run, real_solve, real_direction
+    out.write_text(json.dumps({**data, "newton_steps": steps, "newton_systems": systems}))
 
 
 def _ee(signature) -> float | None:
@@ -91,10 +99,17 @@ def _last(signature) -> float | None:
     return None if signature[0] == "raised" else float.fromhex(signature[4][-1])
 
 
-def _steps(data: dict, name: str, alg: str) -> int | None:
-    """Total Newton steps of alg's solves on workload name; None when the file has none."""
-    runs = data.get("newton_steps", {}).get(name)
-    return None if runs is None else sum(run.get(alg, 0) for run in runs)
+def _old_new(before: dict, after: dict, key: str, name: str, alg: str) -> str:
+    """"old → new" of the total count under key ("newton_steps" or
+    "newton_systems") of alg's runs on workload name; "n/a" when either file
+    has none."""
+    totals = []
+    for data in (before, after):
+        runs = data.get(key, {}).get(name)
+        if runs is None:
+            return "n/a"
+        totals.append(sum(run.get(alg, 0) for run in runs))
+    return " → ".join(map(str, totals))
 
 
 def compare(old: Path, new: Path) -> bool:
@@ -102,7 +117,7 @@ def compare(old: Path, new: Path) -> bool:
     same_everywhere = True
     print(
         f"{'workload':<18}{'algorithm':<11}{'identical':>12}{'same path':>12}"
-        f"{'same alloc':>12}{'lower trace[-1]':>17}{'max rel EE drift':>18}  Newton steps"
+        f"{'same alloc':>12}{'lower trace[-1]':>17}{'max rel EE drift':>18}  {'Newton steps':<16}  Newton systems"
     )
     for name, _, _ in TRIAL_SETS:
         pairs = list(zip(before[name], after[name], strict=True))
@@ -121,9 +136,9 @@ def compare(old: Path, new: Path) -> bool:
                     drift = max(drift, abs(ee_b - ee_a) / max(abs(ee_a), 1e-300))
             same_everywhere &= identical == len(pairs)
             counts = "".join(f"{f'{k}/{len(pairs)}':>12}" for k in (identical, path, alloc))
-            steps_a, steps_b = _steps(before, name, alg), _steps(after, name, alg)
-            steps = "n/a" if steps_a is None or steps_b is None else f"{steps_a} → {steps_b}"
-            print(f"{name:<18}{alg:<11}{counts}{f'{lower}/{len(pairs)}':>17}{drift:>18.3g}  {steps}")
+            steps = _old_new(before, after, "newton_steps", name, alg)
+            systems = _old_new(before, after, "newton_systems", name, alg)
+            print(f"{name:<18}{alg:<11}{counts}{f'{lower}/{len(pairs)}':>17}{drift:>18.3g}  {steps:<16}  {systems}")
     return same_everywhere
 
 

@@ -9,7 +9,9 @@ a converged, feasible answer whose trace never falls and whose EE and QoS
 floor are the ones its allocation and instance give. oht's answer must also
 equal, bit for bit, a from-scratch bracket search over its whole range, and
 jhtpa's and opa's warm-started first solve must never turn a run into an
-infeasible_start that a start from the iterate would not give.
+infeasible_start that a start from the iterate would not give, and the
+barrier's early-stopping first-stage scan must pick the t an exhaustive scan
+picks.
 """
 
 import math
@@ -22,9 +24,12 @@ from hypothesis import strategies as st
 
 import uavee.algorithms as algorithms
 import uavee.core as core
+import uavee.engine as engine
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import ALGORITHM_NAMES, oht, run_algorithm
 from uavee.engine import NoFeasiblePointFoundError
+
+from oracles import exhaustive_first_stage
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -196,3 +201,40 @@ def test_the_warm_start_adds_no_infeasible_start(config):
         # every solve from the iterate, as before the warm start
         with mock.patch.object(algorithms, "_solve_from", lambda prog, warm, z0: algorithms.solve(prog, z0)):
             assert run_algorithm(name, ch, config).stop_reason == "infeasible_start", name
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        ScenarioConfig,
+        num_pairs=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        coverage_radius_m=st.one_of(st.just(20.0), st.floats(20.0, 5000.0)),
+        eta=st.floats(0.01, 0.99),
+        theta_fix=st.one_of(st.floats(1.01, 50.0), st.floats(50.0, 1e5)),
+        noise_density_dbm_hz=st.floats(-170.0, -80.0),
+        p_cir_watt=st.one_of(st.just(1e-6), st.floats(1e-6, 10.0)),
+        rate_cap_bpshz=st.floats(0.01, 5.0),
+        alpha_h=st.floats(2.0, 4.5),
+        alpha_g=st.floats(2.0, 4.5),
+    )
+)
+def test_the_first_stage_scan_stops_where_an_exhaustive_scan_picks(config):
+    # _first_stage scans t downward from the top of its span and stops at the
+    # first rise of the decrement; on every solve of jhtpa's and opa's runs
+    # it picks the t the exhaustive scan picks, first solves included
+    _, ch = make_scenario(config)
+    real, picks = engine._first_stage, []
+
+    def first_stage(prog, point):
+        expected = exhaustive_first_stage(prog, engine._Point(point.z, point.c, point.f))
+        picks.append((real(prog, point), expected))
+        return picks[-1][0]
+
+    with mock.patch.object(engine, "_first_stage", first_stage):
+        for name in ("jhtpa", "opa"):
+            try:
+                run_algorithm(name, ch, config)
+            except NoFeasiblePointFoundError:
+                pass
+    assert all(got == expected for got, expected in picks)

@@ -506,7 +506,7 @@ def test_linearized_step_bound_cuts_no_feasible_step(captured_subproblems, pick,
     prog, z = captured_subproblems[pick % len(captured_subproblems)]
     direction = np.asarray(unit[: z.size]) * np.abs(z)
     c = prog.constraint_values(z)
-    bound = _linearized_step_bound(c, prog.constraint_jacobian(z) @ direction)
+    bound = _linearized_step_bound(prog.constraint_jacobian(z) @ direction / -c)
     if not np.isfinite(bound):
         return
     trial = z + bound * (1.0 + beyond) * direction
@@ -628,6 +628,62 @@ def test_first_stage_is_the_most_central_one(monkeypatch):
     assert stages[0] == (target, 0)
     assert out.status is SolveStatus.OPTIMAL
     assert out.z_star[0] == pytest.approx(0.0, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [lambda: (unit_interval_program(), np.array([0.5])), lambda: jhtpa_fixture_program()[:2]],
+    ids=["unit-interval", "jhtpa-fixture"],
+)
+def test_no_newton_system_is_solved_twice(monkeypatch, start):
+    # each (point, weight) pair's Newton system is solved once: the stage the
+    # first-stage scan picks starts from the direction the scan solved there
+    import uavee.engine as engine
+
+    last, solved = [], []
+    real_derivatives, real_direction = engine._Point.derivatives, engine._newton_direction
+
+    def derivatives(point, prog, inv_t):
+        last[:] = [(point.z.tobytes(), inv_t)]
+        return real_derivatives(point, prog, inv_t)
+
+    def newton_direction(hess, grad):
+        solved.append(last[0])
+        return real_direction(hess, grad)
+
+    monkeypatch.setattr(engine._Point, "derivatives", derivatives)
+    monkeypatch.setattr(engine, "_newton_direction", newton_direction)
+    prog, z0 = start()
+    out = solve(prog, z0)
+    assert out.status is SolveStatus.OPTIMAL
+    assert len(solved) > out.newton_step_count > 0
+    assert len(set(solved)) == len(solved)
+
+
+def test_first_stage_scan_runs_down_and_stops_at_the_first_rise(monkeypatch):
+    # started on the central path at mu^3, one below the top of the span:
+    # the scan solves the top's, mu^3's and mu^2's Newton systems, stops at
+    # mu^2's rise and leaves mu^3's system on the point for its stage
+    import uavee.engine as engine
+
+    calls = []
+    real = engine._newton_direction
+    monkeypatch.setattr(engine, "_newton_direction", lambda h, g: calls.append(1) or real(h, g))
+    prog, mu = unit_interval_program(), engine.BARRIER_MU
+    point = engine._point_at(prog, central_point(mu**3))
+    assert engine._FIRST_STAGE_SPAN == 4
+    assert engine._first_stage(prog, point) == mu**3
+    assert len(calls) == 3
+    assert point.system[0] == 1.0 / mu**3
+
+
+def test_first_stage_ties_go_to_the_smaller_t():
+    # no objective, and the barrier of 0 < z < 1 is flat at 0.5: the gradient
+    # is exactly zero at every weight, each decrement 0, and t = 1 wins
+    import uavee.engine as engine
+
+    prog = dataclasses.replace(unit_interval_program(), objective=affine([0.0], 0.0, 1))
+    assert engine._first_stage(prog, engine._point_at(prog, np.array([0.5]))) == 1.0
 
 
 def test_first_stage_stays_within_the_span(monkeypatch):

@@ -28,16 +28,25 @@ def _compare(tmp_path, capsys, before, after):
     same = signatures.compare(old, new)
     lines = capsys.readouterr().out.splitlines()
     # workload, algorithm, identical, same path, same alloc, lower trace[-1],
-    # drift, then Newton steps as "old → new" or "n/a"
-    rows = [line.split() for line in lines[1:]]
-    return same, {tuple(row[:2]): row[2:7] + [" ".join(row[7:])] for row in rows}
+    # drift, then Newton steps and Newton systems, each "old → new" or "n/a"
+    table = {}
+    for row in (line.split() for line in lines[1:]):
+        steps, systems = _old_new_cells(row[7:])
+        table[tuple(row[:2])] = row[2:7] + [steps, systems]
+    return same, table
+
+
+def _old_new_cells(tokens):
+    """The two "old → new" or "n/a" cells that end a comparison row."""
+    width = 1 if tokens[0] == "n/a" else 3
+    return " ".join(tokens[:width]), " ".join(tokens[width:])
 
 
 def test_identical_files_compare_equal(tmp_path, capsys):
     same, table = _compare(tmp_path, capsys, _trials(), _trials())
     assert same
     assert len(table) == 3 * len(signatures.TRIAL_SETS)
-    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", "n/a"] for row in table.values())
+    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", "n/a", "n/a"] for row in table.values())
 
 
 def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
@@ -45,10 +54,10 @@ def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
     after["dense_n30"][0]["jhtpa"] = _signature(3.0 * (1.0 - 1e-3))
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
-    identical, path, alloc, lower, drift, _ = table[("dense_n30", "jhtpa")]
+    identical, path, alloc, lower, drift, _, _ = table[("dense_n30", "jhtpa")]
     assert (identical, path, alloc, lower) == ("0/1", "1/1", "1/1", "1/1")
     assert float(drift) == pytest.approx(1e-3, rel=1e-2)
-    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", "n/a"]
+    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", "n/a", "n/a"]
 
 
 def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
@@ -56,12 +65,15 @@ def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
     after["paper_sweep"][0]["opa"] = ["raised", "NoFeasiblePointFoundError", "no start"]
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
-    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", "n/a"]
+    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", "n/a", "n/a"]
 
 
-def _with_steps(trials, jhtpa_steps):
+def _with_steps(trials, jhtpa_steps, jhtpa_systems=None):
     steps = {name: [{"jhtpa": jhtpa_steps, "opa": 10, "oht": 0}] for name in trials}
-    return {**trials, "newton_steps": steps}
+    if jhtpa_systems is None:
+        return {**trials, "newton_steps": steps}
+    systems = {name: [{"jhtpa": jhtpa_systems, "opa": 14, "oht": 0}] for name in trials}
+    return {**trials, "newton_steps": steps, "newton_systems": systems}
 
 
 def test_newton_step_totals_print_old_to_new(tmp_path, capsys):
@@ -69,13 +81,25 @@ def test_newton_step_totals_print_old_to_new(tmp_path, capsys):
     # the steps moved but every answer is the same: still identical
     same, table = _compare(tmp_path, capsys, before, after)
     assert same
-    assert {row[-1] for key, row in table.items() if key[1] == "jhtpa"} == {"40 → 30"}
-    assert {row[-1] for key, row in table.items() if key[1] == "opa"} == {"10 → 10"}
-    assert {row[-1] for key, row in table.items() if key[1] == "oht"} == {"0 → 0"}
+    assert {row[-2] for key, row in table.items() if key[1] == "jhtpa"} == {"40 → 30"}
+    assert {row[-2] for key, row in table.items() if key[1] == "opa"} == {"10 → 10"}
+    assert {row[-2] for key, row in table.items() if key[1] == "oht"} == {"0 → 0"}
     # a file written before steps were recorded reads n/a on either side
     for old, new in ((_trials(), after), (before, _trials())):
         _, table = _compare(tmp_path, capsys, old, new)
-        assert {row[-1] for row in table.values()} == {"n/a"}
+        assert {row[-2] for row in table.values()} == {"n/a"}
+
+
+def test_newton_system_totals_print_old_to_new_beside_the_steps(tmp_path, capsys):
+    before, after = _with_steps(_trials(), 40, 55), _with_steps(_trials(), 40, 48)
+    same, table = _compare(tmp_path, capsys, before, after)
+    assert same
+    assert {tuple(row[-2:]) for key, row in table.items() if key[1] == "jhtpa"} == {("40 → 40", "55 → 48")}
+    assert {tuple(row[-2:]) for key, row in table.items() if key[1] == "opa"} == {("10 → 10", "14 → 14")}
+    assert {tuple(row[-2:]) for key, row in table.items() if key[1] == "oht"} == {("0 → 0", "0 → 0")}
+    # a file with steps but no systems reads n/a in the systems column only
+    _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40), after)
+    assert {tuple(row[-2:]) for key, row in table.items() if key[1] == "jhtpa"} == {("40 → 40", "n/a")}
 
 
 def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkeypatch):
@@ -94,21 +118,26 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
         os.environ.update(saved_env)
         sys.path[:] = saved_path
     data = json.loads((tmp_path / "first.json").read_text())
-    steps = data.pop("newton_steps")
+    steps, systems = data.pop("newton_steps"), data.pop("newton_systems")
     assert [len(data[name]) for name, _, _ in one_each] == [1, 1, 1]
     assert all(set(trials[0]) == {"jhtpa", "opa", "oht"} for trials in data.values())
     # one count per run; only jhtpa and opa call the barrier solver, and
     # a run that raised (feasibility_edge can) counts the solves it made
     assert [len(steps[name]) for name, _, _ in one_each] == [1, 1, 1]
     for name, _, _ in one_each:
-        runs, signature = steps[name][0], data[name][0]
-        assert set(runs) == {"jhtpa", "opa", "oht"} and runs["oht"] == 0
+        runs, solved, signature = steps[name][0], systems[name][0], data[name][0]
+        assert set(runs) == set(solved) == {"jhtpa", "opa", "oht"} and runs["oht"] == solved["oht"] == 0
         for alg in ("jhtpa", "opa"):
             assert runs[alg] > 0 or signature[alg][0] == "raised" or signature[alg][-1] == 0
+            # every Newton step solves one system, and each solve's first
+            # stage scan at least one more
+            assert solved[alg] > runs[alg] or solved[alg] == runs[alg] == 0
     assert signatures.main([first, second]) == 0
     rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 3 * len(one_each)
     assert all(row[2] == "1/1" for row in rows)
-    # the same checkout repeats its step counts: "k → k"
+    # the same checkout repeats its step and system counts: "k → k"
     assert all(row[7] == row[9] and row[8] == "→" for row in rows)
+    assert all(row[10] == row[12] and row[11] == "→" for row in rows)
     assert sum(int(row[7]) for row in rows) == sum(sum(runs[0].values()) for runs in steps.values())
+    assert sum(int(row[10]) for row in rows) == sum(sum(runs[0].values()) for runs in systems.values())
