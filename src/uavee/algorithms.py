@@ -43,10 +43,6 @@ from .scenario import ChannelRealization, ScenarioConfig
 
 ALGORITHM_NAMES = ("jhtpa", "opa", "oht")
 
-# Relative-change floor: treats |phi| below this as zero when testing
-# convergence, so degenerate near-zero-EE scenarios still terminate.
-PHI_FLOOR = 1e-12
-
 # Constraint scale floor used when the QoS threshold is essentially zero.
 _QOS_SCALE_FLOOR = 1e-12
 
@@ -79,7 +75,7 @@ _PIN_TOL = 1e-5
 # 0 iterations), infeasible_start (the subsolver rejected the iterate, and on
 # the first step also the warm start, as a start of its own surrogate),
 # numerical_failure, non_improving (a step lowered the EE; the better iterate
-# is kept), epsilon (the relative EE change met ScaSettings.epsilon) or
+# is kept), epsilon (ee_new - ee <= ScaSettings.epsilon * ee_new) or
 # max_iterations. oht always stops at epsilon, its search's bracket
 # tolerance.
 _STOP_STATUS = {"numerical_failure": "failed", "max_iterations": "max_iterations"}
@@ -97,7 +93,9 @@ class ScaSettings:
     """The SCA stopping rule jhtpa and opa share (oht does not iterate).
 
     epsilon is applied as a relative change test on successive objective
-    values, |phi_new - phi| <= epsilon * max(|phi_new|, PHI_FLOOR). Trace
+    values, ee_new - ee <= epsilon * ee_new. The start's EE is positive and
+    an accepted step never lowers it, so the test is scale-free: the same
+    run stops at the same step whatever unit the powers are given in. Trace
     monotonicity does not rest on subsolver accuracy: steps that fail to
     improve the true objective are rejected outright.
     """
@@ -280,11 +278,10 @@ def _log_bracket_max(values, lo: float, hi: float, points: int):
     end's theta. This finds the maximizer of a quasi-concave objective (Boyd
     & Vandenberghe, Convex Optimization, sec. 3.4): its superlevel sets are
     intervals, so the maximizer lies between the best grid point's
-    neighbours. When a level's best point is its upper end hi, one probe at
-    theta - 1 = hi - _THETA_TOL * (1 + hi) scoring below hi ends the search
-    there: by the same argument, any point that beats hi lies within
-    _THETA_TOL of it. The first best point wins ties; theta is NaN and value
-    -inf when every point scores -inf.
+    neighbours (a best end keeps its one neighbour). oht tests the top of
+    its range before it searches, so the search has no top test of its own.
+    The first best point wins ties; theta is NaN and value -inf when every
+    point scores -inf.
     """
     best_theta, best = math.nan, -math.inf
     while True:
@@ -293,9 +290,6 @@ def _log_bracket_max(values, lo: float, hi: float, points: int):
         i = int(np.argmax(vals))
         if vals[i] > best:
             best_theta, best = float(1.0 + tm1[i]), float(vals[i])
-        if i == points - 1:
-            if values(np.array([1.0 + hi - _THETA_TOL * (1.0 + hi)]))[0] < vals[i]:
-                return best_theta, best
         lo, hi = tm1[max(i - 1, 0)], tm1[min(i + 1, points - 1)]
         if hi - lo <= _THETA_TOL * (1.0 + hi):
             return best_theta, best
@@ -727,7 +721,7 @@ def _sca_loop(
             break
         z = z_new
         trace.append(ee_new)
-        if abs(ee_new - trace[-2]) <= settings.epsilon * max(abs(ee_new), PHI_FLOOR):
+        if ee_new - trace[-2] <= settings.epsilon * ee_new:
             stop_reason = "epsilon"
             break
     return SolveReport(

@@ -39,6 +39,13 @@ def _parse_pairs(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1, else the parser exits 1."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uavee", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="debug logging to stderr")
@@ -56,7 +63,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--config", help="base scenario JSON (overrides --seed)")
     run.add_argument("--out", help="output file path")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--jobs", type=int, default=1, help="worker processes")
+    run.add_argument("--jobs", type=positive_int, default=1, help="worker processes")
     run.add_argument("--verbose", **verbose)
 
     gen = sub.add_parser("gen-scenario", help="emit a scenario config as JSON")

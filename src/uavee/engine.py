@@ -188,11 +188,12 @@ class _Point:
 
     def newton_system(self, prog: ConvexProgram, inv_t: float):
         """(grad, hess, jac, direction, ok) at weight 1/t: derivatives and the
-        Newton direction of _newton_direction, (None, False) on an exactly
-        zero gradient. The last weight's system is cached."""
+        Newton direction of _newton_direction, a zero step on an exactly zero
+        gradient, whose decrement 0 reads as centered. The last weight's
+        system is cached."""
         if self.system is None or self.system[0] != inv_t:
             grad, hess, jac = self.derivatives(prog, inv_t)
-            direction, ok = _newton_direction(hess, grad) if grad.any() else (None, False)
+            direction, ok = _newton_direction(hess, grad) if grad.any() else (np.zeros_like(grad), True)
             self.system = (inv_t, grad, hess, jac, direction, ok)
         return self.system[1:]
 
@@ -292,7 +293,7 @@ def _model_step(a: float, kappa: float, r: np.ndarray, inv_t: float, hi: float) 
 
 def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: float):
     """Damped Newton from point until half the squared Newton decrement drops
-    to decrement_tol (or the gradient is exactly zero).
+    to decrement_tol (at once on an exactly zero gradient, whose step is zero).
 
     Each point's Newton system comes from _Point.newton_system, so the first
     one is the system _first_stage already solved when it picked this
@@ -311,8 +312,6 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
     base = point.f - inv_t * point.log_slack
     for _ in range(_MAX_NEWTON_ITERS):
         grad, hess, jac, direction, ok = point.newton_system(prog, inv_t)
-        if not grad.any():
-            return point, steps, SolveStatus.OPTIMAL
         if not ok:
             return point, steps, SolveStatus.NUMERICAL_FAILURE
         # The decrement approximates the remaining value gap; iterate error
@@ -360,7 +359,7 @@ def _first_stage(prog: ConvexProgram, point: _Point) -> float:
     best_t, best, kept = 1.0, math.inf, None
     for t in reversed([t for t in ts if not point.c.size / t < _DUALITY_GAP_TOL]):
         grad, _, _, direction, ok = point.newton_system(prog, 1.0 / t)
-        decrement = -t * float(grad @ direction) if ok else (math.inf if grad.any() else 0.0)
+        decrement = -t * float(grad @ direction) if ok else math.inf
         if decrement > best:
             break
         best_t, best, kept = t, decrement, point.system

@@ -12,13 +12,15 @@ workload and algorithm, how many solves are identical, how many keep their
 status, iterations and subsolver calls ("same path"), how many keep a
 bit-identical allocation (tau, powers), how many end with a lower
 trace[-1] than in OLD (jhtpa's and opa's EE, oht's max-min rate), the
-largest relative EE change, and the total Newton steps of the barrier solves
-and the Newton systems they solved (engine._newton_direction calls, the
-first stage's scan included) in OLD and NEW ("n/a" when a file holds no such
-counts). A change that moves only the rounding of EE or trace shows every
-solve on the same path with the same allocation; step and system counts are
-deterministic, so a change to the barrier's route or work shows in the last
-two columns even where every answer stays the same.
+largest relative EE change, and the total Newton steps of the barrier solves,
+the Newton systems they solved (engine._newton_direction calls, the first
+stage's scan included) and the full-harvest rate calls (core.pinned_rates,
+which oht's search, jhtpa's face scan and the QoS floor call) in OLD and NEW
+("n/a" when a file holds no such counts). A change that moves only the
+rounding of EE or trace shows every solve on the same path with the same
+allocation; step, system and rate-call counts are deterministic, so a change
+to the barrier's route or work, or to oht's search, shows in the last three
+columns even where every answer stays the same.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ import sys
 from pathlib import Path
 
 TRIAL_SETS = (("paper_sweep", 501, 360), ("dense_n30", 601, 40), ("feasibility_edge", 701, 40))
+
+# The per-run counts a signature file holds, by key, with their column heads.
+COUNTS = {"newton_steps": "Newton steps", "newton_systems": "Newton systems", "rate_calls": "rate calls"}
 
 
 def _jsonable(value):
@@ -39,19 +44,21 @@ def _jsonable(value):
 
 
 def write(out: Path) -> None:
-    """Write each solve's signature, and under "newton_steps" and
-    "newton_systems" each run's Newton steps and Newton systems, counted by
-    wrapping bench.run_algorithm, algorithms.solve and engine._newton_direction
-    while the trials run."""
+    """Write each solve's signature, and under "newton_steps",
+    "newton_systems" and "rate_calls" each run's Newton steps, Newton systems
+    and core.pinned_rates calls, counted by wrapping bench.run_algorithm,
+    algorithms.solve, engine._newton_direction and core.pinned_rates while the
+    trials run."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
-    from uavee import algorithms, bench, engine
+    from uavee import algorithms, bench, core, engine
 
     real_run, real_solve, real_direction = bench.run_algorithm, algorithms.solve, engine._newton_direction
-    runs = []  # [algorithm, Newton steps, Newton systems] of each run in the current trial
+    real_rates = core.pinned_rates
+    runs = []  # [algorithm, Newton steps, Newton systems, rate calls] of each run in the current trial
 
     def run_algorithm(name, *args):
-        runs.append([name, 0, 0])
+        runs.append([name, 0, 0, 0])
         return real_run(name, *args)
 
     def solve(prog, z0):
@@ -63,21 +70,28 @@ def write(out: Path) -> None:
         runs[-1][2] += 1
         return real_direction(hess, grad)
 
-    data, steps, systems = {}, {}, {}
+    def pinned_rates(*args):
+        runs[-1][3] += 1
+        return real_rates(*args)
+
+    # counts[key][workload] holds, per trial, {algorithm: count} of each run
+    data, counts = {}, {key: {name: [] for name, _, _ in TRIAL_SETS} for key in COUNTS}
     bench.run_algorithm, algorithms.solve, engine._newton_direction = run_algorithm, solve, newton_direction
+    core.pinned_rates = pinned_rates
     try:
         for name, seed, count in TRIAL_SETS:
-            data[name], steps[name], systems[name] = [], [], []
+            data[name] = []
             for trial in harness.plan(harness.WORKLOADS[name], seed, count):
                 runs.clear()
                 tr = harness.run_paired_trial(trial)
                 signatures = {alg: harness.solve_signature(res) for alg, res in tr.solves.items()}
                 data[name].append({alg: _jsonable(sig) for alg, sig in signatures.items()})
-                steps[name].append({alg: k for alg, k, _ in runs})
-                systems[name].append({alg: k for alg, _, k in runs})
+                for column, by_workload in enumerate(counts.values(), start=1):
+                    by_workload[name].append({run[0]: run[column] for run in runs})
     finally:
         bench.run_algorithm, algorithms.solve, engine._newton_direction = real_run, real_solve, real_direction
-    out.write_text(json.dumps({**data, "newton_steps": steps, "newton_systems": systems}))
+        core.pinned_rates = real_rates
+    out.write_text(json.dumps({**data, **counts}))
 
 
 def _ee(signature) -> float | None:
@@ -100,9 +114,8 @@ def _last(signature) -> float | None:
 
 
 def _old_new(before: dict, after: dict, key: str, name: str, alg: str) -> str:
-    """"old → new" of the total count under key ("newton_steps" or
-    "newton_systems") of alg's runs on workload name; "n/a" when either file
-    has none."""
+    """"old → new" of the total count under key (one of COUNTS) of alg's
+    runs on workload name; "n/a" when either file has none."""
     totals = []
     for data in (before, after):
         runs = data.get(key, {}).get(name)
@@ -117,7 +130,8 @@ def compare(old: Path, new: Path) -> bool:
     same_everywhere = True
     print(
         f"{'workload':<18}{'algorithm':<11}{'identical':>12}{'same path':>12}"
-        f"{'same alloc':>12}{'lower trace[-1]':>17}{'max rel EE drift':>18}  {'Newton steps':<16}  Newton systems"
+        f"{'same alloc':>12}{'lower trace[-1]':>17}{'max rel EE drift':>18}"
+        + "".join(f"  {head:<16}" for head in COUNTS.values()).rstrip()
     )
     for name, _, _ in TRIAL_SETS:
         pairs = list(zip(before[name], after[name], strict=True))
@@ -136,9 +150,8 @@ def compare(old: Path, new: Path) -> bool:
                     drift = max(drift, abs(ee_b - ee_a) / max(abs(ee_a), 1e-300))
             same_everywhere &= identical == len(pairs)
             counts = "".join(f"{f'{k}/{len(pairs)}':>12}" for k in (identical, path, alloc))
-            steps = _old_new(before, after, "newton_steps", name, alg)
-            systems = _old_new(before, after, "newton_systems", name, alg)
-            print(f"{name:<18}{alg:<11}{counts}{f'{lower}/{len(pairs)}':>17}{drift:>18.3g}  {steps:<16}  {systems}")
+            totals = "".join(f"  {_old_new(before, after, key, name, alg):<16}" for key in COUNTS).rstrip()
+            print(f"{name:<18}{alg:<11}{counts}{f'{lower}/{len(pairs)}':>17}{drift:>18.3g}{totals}")
     return same_everywhere
 
 

@@ -191,17 +191,11 @@ def counted(function):
     return wrapper, calls
 
 
-def test_bracket_search_stops_at_a_rising_upper_end_after_one_probe():
-    values, calls = counted(lambda thetas: thetas)
-    theta, value = algorithms._log_bracket_max(values, 1e-3, 999.0, 33)
-    assert (theta, value) == (1000.0, 1000.0)
-    assert calls == [33, 1]
-
-
 def test_bracket_search_refines_a_peak_next_to_the_upper_end():
     tm1 = np.geomspace(1e-3, 999.0, 33)
     # between the last two grid points and nearer the end, which so wins the
-    # first level; 1e-6 below it, far more than _THETA_TOL, so the probe beats the end
+    # first level; 1e-6 below it, far more than _THETA_TOL, so the search
+    # shrinks to the end's one neighbour and refines the peak there
     peak = 1.0 + 999.0 - 1e-6 * 1000.0
     assert 1.0 + (tm1[-2] + tm1[-1]) / 2 < peak
     values, calls = counted(lambda thetas: -np.abs(thetas - peak))

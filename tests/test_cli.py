@@ -48,6 +48,14 @@ def test_run_rejects_repeated_or_reversed_pairs(pairs, part, capsys):
     assert "error" in err and part in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_fewer_than_one_job(jobs, capsys):
+    # --jobs K runs a pool of K workers, so a count below 1 is an argument error
+    assert cli_main(["run", "--pairs", "2", "--trials", "1", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and f"argument --jobs: must be at least 1, got {jobs}" in err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert cli_main(["run", "--frobnicate"]) == 1
     err = capsys.readouterr().err

@@ -11,9 +11,11 @@ equal, bit for bit, a from-scratch bracket search over its whole range, and
 jhtpa's and opa's warm-started first solve must never turn a run into an
 infeasible_start that a start from the iterate would not give, and the
 barrier's early-stopping first-stage scan must pick the t an exhaustive scan
-picks.
+picks. Scaling every power (P0, p_cir and the noise power) by a power of two
+must leave every algorithm's path and answer unchanged but for that unit.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 import uavee.algorithms as algorithms
 import uavee.core as core
 import uavee.engine as engine
-from uavee import ScenarioConfig, make_scenario
+from uavee import ScenarioConfig, derive_child_seed, make_scenario
 from uavee.algorithms import ALGORITHM_NAMES, oht, run_algorithm
 from uavee.engine import NoFeasiblePointFoundError
 
@@ -118,7 +120,8 @@ def test_every_algorithm_reports_a_consistent_feasible_answer(
 
 def searched_oht(ch, config):
     """(theta, trace) of oht's search run from scratch: _log_bracket_max over
-    oht's whole range, then theta_fix when it scores higher."""
+    oht's whole range, with no test of the top before it, then theta_fix
+    when it scores higher."""
 
     def min_rate(thetas):
         return core.pinned_rates(thetas[:, None], ch, config).min(axis=-1)
@@ -238,3 +241,63 @@ def test_the_first_stage_scan_stops_where_an_exhaustive_scan_picks(config):
             except NoFeasiblePointFoundError:
                 pass
     assert all(got == expected for got, expected in picks)
+
+
+def assert_power_unit_invariant(ch, config, k):
+    """jhtpa, opa and oht on the instance with P0, p_cir and the noise power
+    scaled by 2**k: the same iterations and stop_reason, the same tau, every
+    power scaled by 2**k and jhtpa's and opa's EE trace by 2**-k (oht's
+    max-min rate trace unchanged), bit for bit; or the same exception."""
+    scaled_config = dataclasses.replace(
+        config, p0_watt=math.ldexp(config.p0_watt, k), p_cir_watt=math.ldexp(config.p_cir_watt, k)
+    )
+    scaled_ch = dataclasses.replace(ch, sigma2_watt=math.ldexp(ch.sigma2_watt, k))
+    for name in ALGORITHM_NAMES:
+        try:
+            report = run_algorithm(name, ch, config)
+        except NoFeasiblePointFoundError:
+            with pytest.raises(NoFeasiblePointFoundError):
+                run_algorithm(name, scaled_ch, scaled_config)
+            continue
+        scaled = run_algorithm(name, scaled_ch, scaled_config)
+        assert (scaled.iterations, scaled.stop_reason) == (report.iterations, report.stop_reason), name
+        assert scaled.allocation.tau == report.allocation.tau, name
+        assert np.array_equal(scaled.allocation.p, np.ldexp(report.allocation.p, k)), name
+        trace_unit = 0 if name == "oht" else -k
+        assert scaled.trace == [math.ldexp(v, trace_unit) for v in report.trace], name
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    config=st.builds(
+        ScenarioConfig,
+        num_pairs=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        coverage_radius_m=st.one_of(st.just(20.0), st.floats(20.0, 5000.0)),
+        eta=st.floats(0.01, 0.99),
+        theta_fix=st.one_of(st.floats(1.01, 50.0), st.floats(50.0, 1e5)),
+        noise_density_dbm_hz=st.floats(-170.0, -80.0),
+        p_cir_watt=st.one_of(st.just(1e-6), st.floats(1e-6, 10.0)),
+        p0_watt=st.floats(0.1, 50.0),
+        rate_cap_bpshz=st.floats(0.01, 5.0),
+        alpha_h=st.floats(2.0, 4.5),
+        alpha_g=st.floats(2.0, 4.5),
+    ),
+    k=st.sampled_from((40, -40)),
+)
+def test_every_algorithm_is_invariant_to_the_unit_of_power(config, k):
+    # EE is rate over power, so the SCA's stop test compares EEs by their
+    # ratio only; no decision on the solve path may read a power or an EE
+    # against an absolute number
+    _, ch = make_scenario(config)
+    assert_power_unit_invariant(ch, config, k)
+
+
+def test_a_run_keeps_its_last_sca_step_when_powers_are_scaled_by_2_to_the_40():
+    # an absolute floor on the EE in the stop test ended this radius-20 m
+    # jhtpa run one step early at 2**40 times its powers: 1 SCA step, not 2,
+    # and 0.4% less EE
+    config = ScenarioConfig(num_pairs=2, seed=derive_child_seed(5, 2, 2), coverage_radius_m=20.0)
+    _, ch = make_scenario(config)
+    assert run_algorithm("jhtpa", ch, config).iterations == 2
+    assert_power_unit_invariant(ch, config, 40)
