@@ -30,6 +30,7 @@ import numpy as np
 from . import core
 from .core import THETA_GAP, Allocation, FeasibilityReport
 from .engine import (
+    _FIRST_STAGE_SPAN,
     BARRIER_MU,
     ConvexProgram,
     Functional,
@@ -57,11 +58,18 @@ _QOS_FEAS_MARGIN = 1e-13
 # paper_sweep trials (seed 501): at 0.2 jhtpa and opa both take 2.0
 # subproblem solves per run instead of 1.0, and from the center jhtpa takes
 # 2.02 and loses 0.13% mean EE. The first subproblem is expanded at this
-# start but its barrier starts at depth _INTERIOR_DEPTH / BARRIER_MU (see
-# _sca_loop). A shallower start itself (1e-4) cut Newton steps by 25% but
-# moved jhtpa's EE by up to 1.4e-4 and cost opa up to 2.8% on radius-20 m
-# trials.
+# start but its barrier starts nearer the face: each free pair at its
+# estimated central slack for weight _CENTRAL_T0, never deeper than
+# _INTERIOR_DEPTH / BARRIER_MU (see _warm_starts). A shallower start itself
+# (1e-4) cut Newton steps by 25% but moved jhtpa's EE by up to 1.4e-4 and
+# cost opa up to 2.8% on radius-20 m trials.
 _INTERIOR_DEPTH = 0.01
+
+# The barrier weight whose central path the first solve's warm start aims
+# at (_warm_starts): one BARRIER_MU above the top of _first_stage's span. A
+# point central there is nearly central at the span's top, 1e4, which the
+# scan then picks on nearly every paper-regime solve.
+_CENTRAL_T0 = BARRIER_MU ** (_FIRST_STAGE_SPAN + 1)
 
 # A full-harvest point whose scaled QoS deficit stays below this is accepted
 # as weakly feasible when no strict interior point passes the check.
@@ -73,7 +81,7 @@ _PIN_TOL = 1e-5
 # SolveReport.status of the stop reasons that are not "converged". jhtpa and
 # opa stop for one of: boundary_fallback (the start is the full-harvest point,
 # 0 iterations), infeasible_start (the subsolver rejected the iterate, and on
-# the first step also the warm start, as a start of its own surrogate),
+# the first step also both warm starts, as starts of its own surrogate),
 # numerical_failure, non_improving (a step lowered the EE; the better iterate
 # is kept), epsilon (ee_new - ee <= ScaSettings.epsilon * ee_new) or
 # max_iterations. oht always stops at epsilon, its search's bracket
@@ -315,7 +323,7 @@ def _start(ch, config, r_bar: float, theta: float, pinned=None) -> tuple[float, 
     _interior_powers there, proposed once to find_feasible, which accepts it
     when _violation is negative (NaN is not). It is the first SCA iterate,
     where the first surrogate is expanded; that surrogate's barrier solve
-    starts closer to the full-harvest face on the same segment (_sca_loop).
+    starts closer to the full-harvest face (_warm_starts).
     When it fails, the QoS floor can pin the feasible set to (a
     neighborhood of) the full-harvest point at theta; that point is
     returned, flagged not strict, when it is weakly feasible, and
@@ -667,15 +675,18 @@ def _sca_loop(
     solution into a copy of z, whose score is the next Dinkelbach
     multiplier; _jhtpa_extrapolate extends the step when theta is free.
 
-    Later solves start from z[free]. The first starts one BARRIER_MU closer
-    to the full-harvest face on the segment the start lies on: p_w = p_max -
-    (p_max - p) / BARRIER_MU, depth _INTERIOR_DEPTH / BARRIER_MU, with held
-    pairs at p_max. The program and the end of its central path are the
-    same, so only the route changes: that point is central a stage further
-    up (Boyd & Vandenberghe 11.3.1), which cut the first solves' Newton
-    steps by 12-17% on paper-regime and N = 30 trials. When the surrogate
-    does not hold it strictly feasible the solve starts from z[free]
-    (_solve_from).
+    Later solves start from z[free]. The first tries the warm starts of
+    _warm_starts in turn, then z[free] (_solve_from): each free pair at its
+    estimated central slack for weight _CENTRAL_T0, read off the surrogate's
+    objective gradient at the full-harvest point, then the uniform start one
+    BARRIER_MU closer to the face than z on the segment the start lies on.
+    The program and the end of its central path are the same, so only the
+    route changes: from the central start _first_stage picks t = 1e4 on
+    nearly every paper-regime solve, which cut the Newton steps of the
+    benchmark's quality trials by 19-32% against the uniform start. A
+    solve from the central start that ends short of OPTIMAL gives way to the
+    uniform start, as does a central start the surrogate does not hold
+    strictly feasible.
 
     A start that is only weakly feasible (the full-harvest point) takes zero
     iterations, as there is no strict interior to iterate in. The report
@@ -696,16 +707,16 @@ def _sca_loop(
     trace = [score(z)]
     if not trace[0] > 0.0:
         raise NoFeasiblePointFoundError(f"{name}'s start EE is {trace[0]}, not positive")
-    p_max = core.pinned_powers(theta, ch, config)
-    warm = np.append(theta, 1.0 / (p_max - (p_max - p_start) / BARRIER_MU))[free]
     stop_reason = "max_iterations" if strict else "boundary_fallback"
     for _ in range(settings.max_iterations if strict else 0):
+        prog = build(z, trace[-1])
+        # every pass that does not break appends to trace: one entry means the first solve
+        warm = _warm_starts(prog, theta, p_start, free, ch, config) if len(trace) == 1 else ()
         try:
-            outcome = _solve_from(build(z, trace[-1]), warm, z[free])
+            outcome = _solve_from(prog, warm, z[free])
         except InfeasibleStartError:
             stop_reason = "infeasible_start"
             break
-        warm = None
         if outcome.status is SolveStatus.NUMERICAL_FAILURE:
             stop_reason = "numerical_failure"
             break
@@ -736,12 +747,45 @@ def _sca_loop(
     )
 
 
-def _solve_from(prog: ConvexProgram, warm: np.ndarray | None, z0: np.ndarray):
-    """engine.solve on prog from warm, or from z0 when warm is None or prog
-    does not hold warm strictly feasible."""
-    if warm is not None:
+def _warm_starts(prog: ConvexProgram, theta: float, p_start: np.ndarray, free: np.ndarray, ch, config):
+    """The first solve's warm starts over z[free], in the order tried: the
+    central start, then the uniform one. Both hold theta and move each free
+    pair from the start's p_start toward its full-harvest power p_max(theta).
+
+    The uniform start is p_max - (p_max - p_start) / BARRIER_MU, one
+    BARRIER_MU closer to the face on the segment the start lies on. The
+    central one puts each pair where the central path at weight t0 =
+    _CENTRAL_T0 would hold it if only its causality row were active: at
+    the full-harvest point, stationarity on the causality rows alone,
+    whose q-derivative is -1 / (cap q^2), gives each free pair's multiplier
+    lam = g cap / p_max^2 from prog's objective gradient g there, and a
+    row with multiplier lam is central at slack 1 / (t0 lam), that is at
+    p = p_max - cap / (t0 lam) (Boyd & Vandenberghe 11.3.1; Yildirim &
+    Wright, SIAM J. Optim. 12(3), 2002). No pair goes deeper than the
+    uniform start, nor moves off it where lam is not positive and finite.
+    """
+    cap = config.eta * config.p0_watt * ch.g
+    p_max = core.pinned_powers(theta, ch, config)
+    p_uniform = p_max - (p_max - p_start) / BARRIER_MU
+    grad = np.zeros(free.size)
+    grad[free] = prog.objective.grad(np.append(theta, 1.0 / p_max)[free])
+    with np.errstate(all="ignore"):
+        lam = grad[1:] * cap / p_max**2
+        p_central = p_max - cap / (_CENTRAL_T0 * lam)
+    usable = (lam > 0.0) & np.isfinite(lam)
+    p_central = np.where(usable, np.maximum(p_central, p_uniform), p_uniform)
+    return tuple(np.append(theta, 1.0 / p)[free] for p in (p_central, p_uniform))
+
+
+def _solve_from(prog: ConvexProgram, warm, z0: np.ndarray):
+    """engine.solve on prog from the first of the points warm that prog
+    holds strictly feasible, else from z0. A solve from any warm point but
+    the last that ends short of OPTIMAL gives way to the next point too."""
+    for start in warm:
         with contextlib.suppress(InfeasibleStartError):
-            return solve(prog, warm)
+            outcome = solve(prog, start)
+            if outcome.status is SolveStatus.OPTIMAL or start is warm[-1]:
+                return outcome
     return solve(prog, z0)
 
 

@@ -144,7 +144,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> tuple[list[ResultRow]
 
     Rows come back sorted by (n_pairs, trial, algorithm) regardless of worker
     scheduling. Per-trial algorithm failures become rows, never abort the sweep.
+    Raises ValueError when jobs, the worker process count, is below 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [
         (spec.base_config, n, trial, tuple(spec.algorithms), ScaSettings())
         for n in spec.pair_counts

@@ -1,26 +1,33 @@
-"""Bit-identity check of every solve on the benchmark's 440 quality trials.
+"""Bit-identity check of every solve on the benchmark's 440 quality trials
+and on the five Baseline sets of ROADMAP.md.
 
     python tests/signatures.py OUT.json           write the signatures
     python tests/signatures.py OLD.json NEW.json  compare two signature files
 
-The trials are perfbench's paper_sweep seed 501 (360), dense_n30 seed 601
-(40) and feasibility_edge seed 701 (40), run through harness.run_paired_trial.
-A solve's signature is harness.solve_signature: status, EE, tau, powers,
-trace, iterations and subsolver calls, or the exception it raised. Write the
-file from each of two checkouts and compare them; the comparison prints, per
-workload and algorithm, how many solves are identical, how many keep their
-status, iterations and subsolver calls ("same path"), how many keep a
-bit-identical allocation (tau, powers), how many end with a lower
-trace[-1] than in OLD (jhtpa's and opa's EE, oht's max-min rate), the
-largest relative EE change, and the total Newton steps of the barrier solves,
-the Newton systems they solved (engine._newton_direction calls, the first
-stage's scan included) and the full-harvest rate calls (core.pinned_rates,
-which oht's search, jhtpa's face scan and the QoS floor call) in OLD and NEW
-("n/a" when a file holds no such counts). A change that moves only the
-rounding of EE or trace shows every solve on the same path with the same
-allocation; step, system and rate-call counts are deterministic, so a change
-to the barrier's route or work, or to oht's search, shows in the last three
-columns even where every answer stays the same.
+The benchmark's trials are perfbench's paper_sweep seed 501 (360), dense_n30
+seed 601 (40) and feasibility_edge seed 701 (40). The Baseline sets are
+BASELINE_SETS: trial k at N pairs draws bench.derive_child_seed(seed, N, k)
+(Sample: seed 101, N = 2-10, 12 trials each; dense: seed 601, N = 30, 30
+trials, dense_n30's first 30; r20 and r100: coverage radius 20 m or 100 m,
+seed 5, N = 2/5/10, 30 trials each; extreme: r20 with p_cir 1e-6 W and
+noise -170 dBm/Hz, 10 trials each). Every trial runs through
+harness.run_paired_trial. A solve's signature is harness.solve_signature:
+status, EE, tau, powers, trace, iterations and subsolver calls, or the
+exception it raised. Write the file from each of two checkouts and compare
+them; the comparison prints, per set and algorithm, how many solves are
+identical, how many keep their status, iterations and subsolver calls ("same
+path"), how many keep a bit-identical allocation (tau, powers), how many end
+with a lower trace[-1] than in OLD (jhtpa's and opa's EE, oht's max-min
+rate), the largest relative EE change, and the totals in OLD and NEW of each
+count in COUNTS: the Newton steps of the barrier solves, the Newton systems
+they solved (engine._newton_direction calls, the first stage's scan
+included), the full-harvest rate calls (core.pinned_rates, which oht's
+search, jhtpa's face scan and the QoS floor call) and the barrier solves
+that ended short of OPTIMAL ("n/a" when a file holds no such counts). A
+change that moves only the rounding of EE or trace shows every solve on the
+same path with the same allocation; the counts are deterministic, so a
+change to the barrier's route or work, or to oht's search, shows in the last
+four columns even where every answer stays the same.
 """
 
 from __future__ import annotations
@@ -29,10 +36,37 @@ import json
 import sys
 from pathlib import Path
 
-TRIAL_SETS = (("paper_sweep", 501, 360), ("dense_n30", 601, 40), ("feasibility_edge", 701, 40))
+# (name, seed, count): a perfbench workload's first count trials, or a
+# BASELINE_SETS set's count trials at each of its pair counts
+TRIAL_SETS = (
+    ("paper_sweep", 501, 360),
+    ("dense_n30", 601, 40),
+    ("feasibility_edge", 701, 40),
+    ("Sample", 101, 12),
+    ("dense", 601, 30),
+    ("r20", 5, 30),
+    ("r100", 5, 30),
+    ("extreme", 5, 10),
+)
+
+# ROADMAP's Baseline sets by name: pair counts and ScenarioConfig fields
+# other than the defaults
+_R20 = {"coverage_radius_m": 20.0}
+BASELINE_SETS = {
+    "Sample": (tuple(range(2, 11)), {}),
+    "dense": ((30,), {}),
+    "r20": ((2, 5, 10), _R20),
+    "r100": ((2, 5, 10), {"coverage_radius_m": 100.0}),
+    "extreme": ((2, 5, 10), {**_R20, "p_cir_watt": 1e-6, "noise_density_dbm_hz": -170.0}),
+}
 
 # The per-run counts a signature file holds, by key, with their column heads.
-COUNTS = {"newton_steps": "Newton steps", "newton_systems": "Newton systems", "rate_calls": "rate calls"}
+COUNTS = {
+    "newton_steps": "Newton steps",
+    "newton_systems": "Newton systems",
+    "rate_calls": "rate calls",
+    "non_optimal": "non-OPTIMAL",
+}
 
 
 def _jsonable(value):
@@ -43,27 +77,42 @@ def _jsonable(value):
     return value
 
 
+def _trials(harness, name: str, seed: int, count: int) -> list:
+    """The harness.Trials of one TRIAL_SETS entry."""
+    from uavee import ScenarioConfig, bench
+
+    if name in harness.WORKLOADS:
+        return harness.plan(harness.WORKLOADS[name], seed, count)
+    pair_counts, fields = BASELINE_SETS[name]
+    return [
+        harness.Trial(k, f"n{n}", ScenarioConfig(num_pairs=n, seed=bench.derive_child_seed(seed, n, k), **fields))
+        for n in pair_counts
+        for k in range(count)
+    ]
+
+
 def write(out: Path) -> None:
-    """Write each solve's signature, and under "newton_steps",
-    "newton_systems" and "rate_calls" each run's Newton steps, Newton systems
-    and core.pinned_rates calls, counted by wrapping bench.run_algorithm,
-    algorithms.solve, engine._newton_direction and core.pinned_rates while the
-    trials run."""
+    """Write each solve's signature, and under each COUNTS key each run's
+    count: Newton steps, Newton systems, core.pinned_rates calls and barrier
+    solves whose status is not OPTIMAL, counted by wrapping
+    bench.run_algorithm, algorithms.solve, engine._newton_direction and
+    core.pinned_rates while the trials run."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
     from uavee import algorithms, bench, core, engine
 
     real_run, real_solve, real_direction = bench.run_algorithm, algorithms.solve, engine._newton_direction
     real_rates = core.pinned_rates
-    runs = []  # [algorithm, Newton steps, Newton systems, rate calls] of each run in the current trial
+    runs = []  # [algorithm, *counts in COUNTS order] of each run in the current trial
 
     def run_algorithm(name, *args):
-        runs.append([name, 0, 0, 0])
+        runs.append([name, 0, 0, 0, 0])
         return real_run(name, *args)
 
     def solve(prog, z0):
         outcome = real_solve(prog, z0)
         runs[-1][1] += outcome.newton_step_count
+        runs[-1][4] += outcome.status is not engine.SolveStatus.OPTIMAL
         return outcome
 
     def newton_direction(hess, grad):
@@ -74,20 +123,20 @@ def write(out: Path) -> None:
         runs[-1][3] += 1
         return real_rates(*args)
 
-    # counts[key][workload] holds, per trial, {algorithm: count} of each run
+    # counts[key][set] holds, per trial, {algorithm: count} of each run
     data, counts = {}, {key: {name: [] for name, _, _ in TRIAL_SETS} for key in COUNTS}
     bench.run_algorithm, algorithms.solve, engine._newton_direction = run_algorithm, solve, newton_direction
     core.pinned_rates = pinned_rates
     try:
         for name, seed, count in TRIAL_SETS:
             data[name] = []
-            for trial in harness.plan(harness.WORKLOADS[name], seed, count):
+            for trial in _trials(harness, name, seed, count):
                 runs.clear()
                 tr = harness.run_paired_trial(trial)
                 signatures = {alg: harness.solve_signature(res) for alg, res in tr.solves.items()}
                 data[name].append({alg: _jsonable(sig) for alg, sig in signatures.items()})
-                for column, by_workload in enumerate(counts.values(), start=1):
-                    by_workload[name].append({run[0]: run[column] for run in runs})
+                for column, by_set in enumerate(counts.values(), start=1):
+                    by_set[name].append({run[0]: run[column] for run in runs})
     finally:
         bench.run_algorithm, algorithms.solve, engine._newton_direction = real_run, real_solve, real_direction
         core.pinned_rates = real_rates
@@ -115,7 +164,7 @@ def _last(signature) -> float | None:
 
 def _old_new(before: dict, after: dict, key: str, name: str, alg: str) -> str:
     """"old → new" of the total count under key (one of COUNTS) of alg's
-    runs on workload name; "n/a" when either file has none."""
+    runs on set name; "n/a" when either file has none."""
     totals = []
     for data in (before, after):
         runs = data.get(key, {}).get(name)
@@ -129,11 +178,15 @@ def compare(old: Path, new: Path) -> bool:
     before, after = json.loads(old.read_text()), json.loads(new.read_text())
     same_everywhere = True
     print(
-        f"{'workload':<18}{'algorithm':<11}{'identical':>12}{'same path':>12}"
+        f"{'set':<18}{'algorithm':<11}{'identical':>12}{'same path':>12}"
         f"{'same alloc':>12}{'lower trace[-1]':>17}{'max rel EE drift':>18}"
         + "".join(f"  {head:<16}" for head in COUNTS.values()).rstrip()
     )
     for name, _, _ in TRIAL_SETS:
+        if name not in before or name not in after:  # a file written before the set was added
+            print(f"{name:<18}not in both files")
+            same_everywhere = False
+            continue
         pairs = list(zip(before[name], after[name], strict=True))
         for alg in pairs[0][0]:
             identical, path, alloc, lower, drift = 0, 0, 0, 0, 0.0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import uavee
 import uavee.algorithms as algorithms
 import uavee.core as core
+import uavee.engine as engine
 from uavee import ScenarioConfig, make_scenario
 from uavee.algorithms import (
     build_jhtpa_subproblem,
@@ -544,7 +545,7 @@ def test_subproblem_rejecting_the_start_stops_at_infeasible_start(monkeypatch):
 
 
 def first_solve(monkeypatch, name, ch, config):
-    """(program, warm start, iterate) of name's first subproblem solve."""
+    """(program, warm starts, iterate) of name's first subproblem solve."""
     calls, real = [], algorithms._solve_from
 
     def recording(prog, warm, z0):
@@ -562,45 +563,55 @@ def first_solve(monkeypatch, name, ch, config):
 def test_warm_start_reaches_the_same_subproblem_solution_in_fewer_steps(
     monkeypatch, name, num_pairs, seed
 ):
-    # The first solve starts one BARRIER_MU closer to the full-harvest face
-    # than the iterate, on the segment between them, with the surrogate
-    # still expanded at the iterate: the program and its central path's end
-    # point are the same, so only the route there changes. (The end points
+    # The first solve tries two warm starts, each nearer the full-harvest
+    # face than the iterate, with the surrogate still expanded at the
+    # iterate: the program and its central path's end point are the same,
+    # so only the route there changes. The uniform start, tried second, lies
+    # one BARRIER_MU closer to the face on the segment between them; the
+    # central start, tried first, puts each free pair at its estimated
+    # central slack, never deeper than the uniform start. (The end points
     # agree to the final stage's duality gap, 1e-7 in the objective; along
     # a flat direction that can leave z further apart than 1e-9, as on
-    # ScenarioConfig(3, 7)'s jhtpa solve, 6.6e-8.) The N = 3 case is
-    # test_engine's captured_subproblems scenario, the N = 10 ones
-    # test_subproblem_step_counts' seeds.
+    # ScenarioConfig(3, 7)'s jhtpa solve, 6.6e-8. From the central start z*
+    # is within 5.4e-9 relative of the iterate's solve here, worst on
+    # (10, 87) jhtpa, so that start is held to the objective the duality gap
+    # bounds.) The N = 3 case is test_engine's captured_subproblems
+    # scenario, the N = 10 ones test_subproblem_step_counts' seeds.
     config, ch = scenario(num_pairs, seed)
-    prog, warm, z0 = first_solve(monkeypatch, name, ch, config)
+    prog, (central, uniform), z0 = first_solve(monkeypatch, name, ch, config)
     r_bar = core.qos_threshold(ch, config)
     if name == "jhtpa":
-        assert warm[0] == z0[0]
+        assert central[0] == uniform[0] == z0[0]
         theta, free = z0[0], np.ones(num_pairs, dtype=bool)
-        q_warm, q_start = warm[1:], z0[1:]
+        q_central, q_uniform, q_start = central[1:], uniform[1:], z0[1:]
     else:
         theta = config.theta_fix
         free = 1.0 - algorithms._interior_powers(ch, config, r_bar, theta)[1] > algorithms._PIN_TOL
-        q_warm, q_start = warm, z0
+        q_central, q_uniform, q_start = central, uniform, z0
     p_max = core.pinned_powers(theta, ch, config)[free]
-    depth_warm, depth_start = 1.0 - 1.0 / (q_warm * p_max), 1.0 - 1.0 / (q_start * p_max)
-    np.testing.assert_allclose(depth_warm, depth_start / algorithms.BARRIER_MU, rtol=1e-6)
-    from_warm, from_iterate = algorithms.solve(prog, warm), algorithms.solve(prog, z0)
-    assert from_warm.status is from_iterate.status is SolveStatus.OPTIMAL
-    np.testing.assert_allclose(from_warm.z_star, from_iterate.z_star, rtol=1e-9, atol=0.0)
-    assert from_warm.newton_step_count < from_iterate.newton_step_count
+    depth_central, depth_uniform, depth_start = (1.0 - 1.0 / (q * p_max) for q in (q_central, q_uniform, q_start))
+    np.testing.assert_allclose(depth_uniform, depth_start / algorithms.BARRIER_MU, rtol=1e-6)
+    assert np.all(depth_central > 0.0) and np.all(depth_central <= depth_uniform)
+    from_central, from_uniform, from_iterate = (algorithms.solve(prog, z) for z in (central, uniform, z0))
+    assert from_central.status is from_uniform.status is from_iterate.status is SolveStatus.OPTIMAL
+    np.testing.assert_allclose(from_uniform.z_star, from_iterate.z_star, rtol=1e-9, atol=0.0)
+    gap = prog.objective.value(from_central.z_star) - prog.objective.value(from_iterate.z_star)
+    assert abs(gap) < engine._DUALITY_GAP_TOL
+    assert from_uniform.newton_step_count < from_iterate.newton_step_count
+    assert from_central.newton_step_count < from_uniform.newton_step_count
 
 
 @pytest.mark.parametrize("name", ["jhtpa", "opa"])
 @pytest.mark.parametrize("radius", [800.0, 20.0])
 def test_a_surrogate_rejecting_the_warm_start_solves_from_the_iterate(monkeypatch, name, radius):
-    # A program whose domain excludes exactly the warm point: the first solve
-    # falls back to the iterate, and the run reports what it would have
-    # reported starting there. Radius 20 m takes several SCA steps.
+    # A program whose domain excludes exactly the two warm points: the first
+    # solve tries the central start, then the uniform one, then falls back
+    # to the iterate, and the run reports what it would have reported
+    # starting there. Radius 20 m takes several SCA steps.
     config = ScenarioConfig(num_pairs=5, seed=7, coverage_radius_m=radius)
     _, ch = make_scenario(config)
     _, warm, z0 = first_solve(monkeypatch, name, ch, config)
-    # every solve from the iterate, as before the warm start
+    # every solve from the iterate, as before the warm starts
     monkeypatch.setattr(algorithms, "_solve_from", lambda prog, warm, z0: algorithms.solve(prog, z0))
     expected = run_algorithm(name, ch, config)
     monkeypatch.undo()
@@ -611,7 +622,9 @@ def test_a_surrogate_rejecting_the_warm_start_solves_from_the_iterate(monkeypatc
     def rejecting(*args, **kwargs):
         prog = build(*args, **kwargs)
         guard = prog.domain_guard
-        return dataclasses.replace(prog, domain_guard=lambda z: guard(z) and not np.array_equal(z, warm))
+        return dataclasses.replace(
+            prog, domain_guard=lambda z: guard(z) and not any(np.array_equal(z, w) for w in warm)
+        )
 
     def recording(prog, z0):
         starts.append(z0)
@@ -620,8 +633,9 @@ def test_a_surrogate_rejecting_the_warm_start_solves_from_the_iterate(monkeypatc
     monkeypatch.setattr(algorithms, builder, rejecting)
     monkeypatch.setattr(algorithms, "solve", recording)
     report = run_algorithm(name, ch, config)
-    assert np.array_equal(starts[0], warm) and np.array_equal(starts[1], z0)
-    assert len(starts) == report.subsolver_calls + 1
+    assert len(warm) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(starts, [*warm, z0]))
+    assert len(starts) == report.subsolver_calls + 2
     assert report.stop_reason == expected.stop_reason != "infeasible_start"
     assert report.trace == expected.trace and report.iterations >= (1 if radius == 800.0 else 2)
     assert report.allocation.tau == expected.allocation.tau
@@ -632,10 +646,15 @@ def test_a_surrogate_rejecting_the_warm_start_solves_from_the_iterate(monkeypatc
     ("stop_reason", "status"), [("non_improving", "converged"), ("numerical_failure", "failed")]
 )
 def test_rejected_second_step_counts_its_subproblem_solve(monkeypatch, stop_reason, status):
-    # The second subproblem solve returns the first solve's start, which
-    # scores below the accepted first step, or reports a numerical failure:
-    # the loop rejects that step and keeps the first, after two solves.
+    # The second subproblem solve returns the first solve's iterate (the
+    # run's start), which scores below the accepted first step, or reports
+    # a numerical failure: the loop rejects that step and keeps the first,
+    # after two solves.
     real, starts = algorithms.solve, []
+    config, ch = scenario(3, 7)
+    r_bar = core.qos_threshold(ch, config)
+    theta, p, _ = algorithms._start(ch, config, r_bar, algorithms._face_theta(ch, config, r_bar))
+    iterate = np.append(theta, 1.0 / p)
 
     def second_rejected(prog, z0):
         starts.append(z0)
@@ -643,11 +662,10 @@ def test_rejected_second_step_counts_its_subproblem_solve(monkeypatch, stop_reas
         if len(starts) == 1:
             return outcome
         if stop_reason == "non_improving":
-            return dataclasses.replace(outcome, z_star=starts[0])
+            return dataclasses.replace(outcome, z_star=iterate)
         return dataclasses.replace(outcome, status=SolveStatus.NUMERICAL_FAILURE)
 
     monkeypatch.setattr(algorithms, "solve", second_rejected)
-    config, ch = scenario(3, 7)
     report = jhtpa(ch, config, algorithms.ScaSettings(epsilon=1e-12))
     assert (report.stop_reason, report.status) == (stop_reason, status)
     assert (report.iterations, report.subsolver_calls, len(starts)) == (1, 2, 2)

@@ -131,6 +131,13 @@ def test_experiment_parallel_matches_serial():
     ]
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_experiment_rejects_fewer_than_one_job(jobs):
+    # a worker count below 1 used to run the sweep serially without a word
+    with pytest.raises(ValueError, match="at least 1"):
+        run_experiment(small_spec(), jobs=jobs)
+
+
 def test_csv_output(tmp_path):
     path = tmp_path / "rows.csv"
     rows, _ = run_experiment(small_spec())

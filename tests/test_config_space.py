@@ -9,9 +9,10 @@ a converged, feasible answer whose trace never falls and whose EE and QoS
 floor are the ones its allocation and instance give. oht's answer must also
 equal, bit for bit, a from-scratch bracket search over its whole range, and
 jhtpa's and opa's warm-started first solve must never turn a run into an
-infeasible_start that a start from the iterate would not give, and the
-barrier's early-stopping first-stage scan must pick the t an exhaustive scan
-picks. Scaling every power (P0, p_cir and the noise power) by a power of two
+infeasible_start that a start from the iterate would not give, nor end short
+of OPTIMAL where a solve from the uniform warm start alone would not, and
+the barrier's early-stopping first-stage scan must pick the t an exhaustive
+scan picks. Scaling every power (P0, p_cir and the noise power) by a power of two
 must leave every algorithm's path and answer unchanged but for that unit.
 """
 
@@ -193,10 +194,10 @@ def test_oht_equals_a_bracket_search_over_its_whole_range(
     )
 )
 def test_the_warm_start_adds_no_infeasible_start(config):
-    # The first subproblem solve starts one BARRIER_MU closer to the face
-    # than the iterate and falls back to the iterate when its surrogate
-    # rejects that point, so a run ends at infeasible_start only where the
-    # iterate start (the solve before the warm start) ends there too.
+    # The first subproblem solve starts nearer the face than the iterate and
+    # falls back to the iterate when its surrogate rejects both warm points,
+    # so a run ends at infeasible_start only where the iterate start (the
+    # solve before the warm starts) ends there too.
     _, ch = make_scenario(config)
     for name in ("jhtpa", "opa"):
         if run_algorithm(name, ch, config).stop_reason != "infeasible_start":
@@ -204,6 +205,24 @@ def test_the_warm_start_adds_no_infeasible_start(config):
         # every solve from the iterate, as before the warm start
         with mock.patch.object(algorithms, "_solve_from", lambda prog, warm, z0: algorithms.solve(prog, z0)):
             assert run_algorithm(name, ch, config).stop_reason == "infeasible_start", name
+
+
+def first_solve_status(name, ch, config, warm_from):
+    """Status of name's first subproblem solve when _solve_from is handed its
+    warm starts from index warm_from on; None when the run makes no solve or
+    its surrogate rejects every start."""
+    real, outcomes = algorithms._solve_from, []
+
+    def solve_from(prog, warm, z0):
+        outcomes.append(real(prog, warm[warm_from:], z0))
+        return outcomes[-1]
+
+    with mock.patch.object(algorithms, "_solve_from", solve_from):
+        try:
+            run_algorithm(name, ch, config)
+        except NoFeasiblePointFoundError:
+            pass
+    return outcomes[0].status if outcomes else None
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -241,6 +260,95 @@ def test_the_first_stage_scan_stops_where_an_exhaustive_scan_picks(config):
             except NoFeasiblePointFoundError:
                 pass
     assert all(got == expected for got, expected in picks)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        ScenarioConfig,
+        num_pairs=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        coverage_radius_m=st.one_of(st.just(20.0), st.floats(20.0, 5000.0)),
+        eta=st.floats(0.01, 0.99),
+        theta_fix=st.one_of(st.floats(1.01, 50.0), st.floats(50.0, 1e5)),
+        noise_density_dbm_hz=st.floats(-170.0, -80.0),
+        p_cir_watt=st.one_of(st.just(1e-6), st.floats(1e-6, 10.0)),
+        rate_cap_bpshz=st.floats(0.01, 5.0),
+        alpha_h=st.floats(2.0, 4.5),
+        alpha_g=st.floats(2.0, 4.5),
+    )
+)
+def test_the_central_start_loses_no_optimal_first_solve(config):
+    # The first solve tries the central start before the uniform one. With
+    # the uniform start first, as before the central start (warm starts
+    # from index 1 on), as the reference: wherever that solve ends OPTIMAL,
+    # the first solve ends OPTIMAL as the run makes it.
+    _, ch = make_scenario(config)
+    for name in ("jhtpa", "opa"):
+        if first_solve_status(name, ch, config, 1) is engine.SolveStatus.OPTIMAL:
+            assert first_solve_status(name, ch, config, 0) is engine.SolveStatus.OPTIMAL, name
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        (
+            "opa",
+            ScenarioConfig(
+                num_pairs=19,
+                seed=12152,
+                coverage_radius_m=20.0,
+                eta=0.01,
+                p_cir_watt=1e-6,
+                alpha_h=2.0,
+                alpha_g=2.0,
+                noise_density_dbm_hz=-170.0,
+                rate_cap_bpshz=0.01,
+                theta_fix=1.01,
+            ),
+        ),
+        (
+            "jhtpa",
+            ScenarioConfig(
+                num_pairs=26,
+                seed=26,
+                coverage_radius_m=20.0,
+                eta=0.36589262330781047,
+                p_cir_watt=1e-6,
+                alpha_h=3.1250257782382223,
+                alpha_g=2.00001,
+                noise_density_dbm_hz=-85.73354294146993,
+                rate_cap_bpshz=3.6731383680281833,
+                theta_fix=22.74897463351838,
+            ),
+        ),
+    ],
+    ids=["opa-n19", "jhtpa-n26"],
+)
+def test_a_first_solve_short_of_optimal_from_the_central_start_gives_way(monkeypatch, name, config):
+    # A wider search of test_the_central_start_loses_no_optimal_first_solve's
+    # space found these runs: from the central start alone the first solve
+    # ends at MAX_ITERATIONS (opa's after 61 Newton steps from t = 1, which
+    # then stopped at non_improving with a third of the EE), where from the
+    # uniform start it ends OPTIMAL. That solve gives way to the uniform
+    # start, so the run is the uniform-first run bit for bit.
+    _, ch = make_scenario(config)
+    assert first_solve_status(name, ch, config, 0) is engine.SolveStatus.OPTIMAL
+    real, statuses = algorithms._solve_from, []
+
+    def recording(prog, warm, z0):
+        if warm:  # the first solve: its status from the central start alone
+            statuses.append(algorithms.solve(prog, warm[0]).status)
+        return real(prog, warm, z0)
+
+    monkeypatch.setattr(algorithms, "_solve_from", recording)
+    report = run_algorithm(name, ch, config)
+    assert statuses[0] is engine.SolveStatus.MAX_ITERATIONS
+    monkeypatch.setattr(algorithms, "_solve_from", lambda prog, warm, z0: real(prog, warm[1:], z0))
+    expected = run_algorithm(name, ch, config)
+    assert (report.stop_reason, report.trace) == (expected.stop_reason, expected.trace)
+    assert report.allocation.tau == expected.allocation.tau
+    assert np.array_equal(report.allocation.p, expected.allocation.p)
 
 
 def assert_power_unit_invariant(ch, config, k):

@@ -421,10 +421,13 @@ def test_subproblem_latency_soft(monkeypatch):
 
 @pytest.mark.parametrize(
     "algorithm, max_steps, max_values_per_step",
-    # ~10% above the measured 73 steps at 1.041 values per step, for jhtpa
+    # ~10% above the measured 56 steps at 1.054 values per step, for jhtpa
     # and for opa alike; the values bounds are 1.13 and 1.14. Before each
-    # SCA run's first solve started one BARRIER_MU closer to the face than
-    # its iterate, they took 83 at 1.036 (bounds 91, 1.13 and 1.16). While a
+    # SCA run's first solve started at its pairs' estimated central slacks
+    # (never deeper than one BARRIER_MU closer to the face than its
+    # iterate), they took 73 at 1.041 (bounds 80, 1.13 and 1.14). Before it
+    # started one BARRIER_MU closer to the face than its iterate, they took
+    # 83 at 1.036 (bounds 91, 1.13 and 1.16). While a
     # solve after an SCA step started its scan at a warm t_final / mu^2, its
     # stages also stopped on the gradient norm or a stall, and opa's
     # subproblem lived in power space, opa took 89 at 1.056 (jhtpa 83 at
@@ -438,7 +441,7 @@ def test_subproblem_latency_soft(monkeypatch):
     # rung below the linearization bound took 396 and 139; the
     # full-step-first line search with exact centering at every stage took
     # 522 at 2.77 and 300 at 6.21
-    [(jhtpa, 80, 1.13), (opa, 80, 1.14)],
+    [(jhtpa, 62, 1.13), (opa, 62, 1.14)],
     ids=["jhtpa", "opa"],
 )
 def test_subproblem_step_counts(monkeypatch, algorithm, max_steps, max_values_per_step):

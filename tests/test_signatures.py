@@ -1,14 +1,17 @@
 """signatures.compare on hand-built signature files, and the tool end to end
-on one trial per set."""
+on one trial per set and pair count."""
 
 import copy
+import dataclasses
 import json
 import os
 import sys
 
 import pytest
 
+import uavee.algorithms as algorithms
 import uavee.core as core
+from uavee.engine import SolveStatus
 
 import signatures
 
@@ -29,9 +32,9 @@ def _compare(tmp_path, capsys, before, after):
     new.write_text(json.dumps(after))
     same = signatures.compare(old, new)
     lines = capsys.readouterr().out.splitlines()
-    # workload, algorithm, identical, same path, same alloc, lower trace[-1],
-    # drift, then Newton steps, Newton systems and rate calls, each
-    # "old → new" or "n/a"
+    # set, algorithm, identical, same path, same alloc, lower trace[-1],
+    # drift, then Newton steps, Newton systems, rate calls and non-OPTIMAL
+    # solves, each "old → new" or "n/a"
     table = {}
     for row in (line.split() for line in lines[1:]):
         table[tuple(row[:2])] = row[2:7] + _old_new_cells(row[7:])
@@ -52,7 +55,7 @@ def test_identical_files_compare_equal(tmp_path, capsys):
     same, table = _compare(tmp_path, capsys, _trials(), _trials())
     assert same
     assert len(table) == 3 * len(signatures.TRIAL_SETS)
-    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", "n/a", "n/a", "n/a"] for row in table.values())
+    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", "n/a", "n/a", "n/a", "n/a"] for row in table.values())
 
 
 def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
@@ -60,10 +63,10 @@ def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
     after["dense_n30"][0]["jhtpa"] = _signature(3.0 * (1.0 - 1e-3))
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
-    identical, path, alloc, lower, drift, _, _, _ = table[("dense_n30", "jhtpa")]
+    identical, path, alloc, lower, drift, _, _, _, _ = table[("dense_n30", "jhtpa")]
     assert (identical, path, alloc, lower) == ("0/1", "1/1", "1/1", "1/1")
     assert float(drift) == pytest.approx(1e-3, rel=1e-2)
-    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", "n/a", "n/a", "n/a"]
+    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", "n/a", "n/a", "n/a", "n/a"]
 
 
 def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
@@ -71,10 +74,10 @@ def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
     after["paper_sweep"][0]["opa"] = ["raised", "NoFeasiblePointFoundError", "no start"]
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
-    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", "n/a", "n/a", "n/a"]
+    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", "n/a", "n/a", "n/a", "n/a"]
 
 
-def _with_steps(trials, jhtpa_steps, jhtpa_systems=None, oht_rate_calls=None):
+def _with_steps(trials, jhtpa_steps, jhtpa_systems=None, oht_rate_calls=None, opa_non_optimal=None):
     steps = {name: [{"jhtpa": jhtpa_steps, "opa": 10, "oht": 0}] for name in trials}
     if jhtpa_systems is None:
         return {**trials, "newton_steps": steps}
@@ -82,7 +85,16 @@ def _with_steps(trials, jhtpa_steps, jhtpa_systems=None, oht_rate_calls=None):
     if oht_rate_calls is None:
         return {**trials, "newton_steps": steps, "newton_systems": systems}
     rates = {name: [{"jhtpa": 2, "opa": 1, "oht": oht_rate_calls}] for name in trials}
-    return {**trials, "newton_steps": steps, "newton_systems": systems, "rate_calls": rates}
+    if opa_non_optimal is None:
+        return {**trials, "newton_steps": steps, "newton_systems": systems, "rate_calls": rates}
+    non_optimal = {name: [{"jhtpa": 0, "opa": opa_non_optimal, "oht": 0}] for name in trials}
+    return {
+        **trials,
+        "newton_steps": steps,
+        "newton_systems": systems,
+        "rate_calls": rates,
+        "non_optimal": non_optimal,
+    }
 
 
 def test_newton_step_totals_print_old_to_new(tmp_path, capsys):
@@ -116,58 +128,120 @@ def test_rate_call_totals_print_old_to_new_after_the_systems(tmp_path, capsys):
     # oht's search made fewer rate calls but every answer is the same
     same, table = _compare(tmp_path, capsys, before, after)
     assert same
-    assert {tuple(row[5:]) for key, row in table.items() if key[1] == "oht"} == {("0 → 0", "0 → 0", "5 → 1")}
+    assert {tuple(row[5:8]) for key, row in table.items() if key[1] == "oht"} == {("0 → 0", "0 → 0", "5 → 1")}
     assert {row[7] for key, row in table.items() if key[1] == "jhtpa"} == {"2 → 2"}
     assert {row[7] for key, row in table.items() if key[1] == "opa"} == {"1 → 1"}
     # a file written before rate calls were recorded reads n/a in that column only
     for old, new in ((_with_steps(_trials(), 40, 48), after), (before, _with_steps(_trials(), 40, 48))):
         _, table = _compare(tmp_path, capsys, old, new)
-        assert {tuple(row[5:]) for key, row in table.items() if key[1] == "oht"} == {("0 → 0", "0 → 0", "n/a")}
+        assert {tuple(row[5:8]) for key, row in table.items() if key[1] == "oht"} == {("0 → 0", "0 → 0", "n/a")}
 
 
-def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkeypatch):
-    one_each = tuple((name, seed, 1) for name, seed, _ in signatures.TRIAL_SETS)
-    monkeypatch.setattr(signatures, "TRIAL_SETS", one_each)
-    first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
-    # write imports perfbench's harness, which pins BLAS threads through
-    # os.environ and prepends src/ and perfbench/ to sys.path; keep both out
-    # of the rest of the test run
+def test_non_optimal_solve_totals_print_old_to_new_after_the_rate_calls(tmp_path, capsys):
+    before, after = _with_steps(_trials(), 40, 48, 5, 0), _with_steps(_trials(), 40, 48, 5, 2)
+    # two of opa's solves stopped short of OPTIMAL but every answer is the same
+    same, table = _compare(tmp_path, capsys, before, after)
+    assert same
+    assert {tuple(row[5:]) for key, row in table.items() if key[1] == "opa"} == {
+        ("10 → 10", "14 → 14", "1 → 1", "0 → 2")
+    }
+    assert {row[8] for key, row in table.items() if key[1] != "opa"} == {"0 → 0"}
+    # a file written before the count was recorded reads n/a in that column only
+    _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40, 48, 5), after)
+    assert {tuple(row[5:]) for key, row in table.items() if key[1] == "opa"} == {
+        ("10 → 10", "14 → 14", "1 → 1", "n/a")
+    }
+
+
+def test_a_set_missing_from_one_file_is_not_the_same(tmp_path, capsys):
+    before = _trials()
+    del before["extreme"]
+    same, table = _compare(tmp_path, capsys, before, _trials())
+    assert not same
+    assert table[("extreme", "not")] == ["in", "both", "files"]
+    assert table[("paper_sweep", "jhtpa")][:3] == ["1/1", "1/1", "1/1"]
+
+
+def _write_isolated(argv):
+    """signatures.main(argv) for a write. write imports perfbench's harness,
+    which pins BLAS threads through os.environ and prepends src/ and
+    perfbench/ to sys.path; keep both out of the rest of the test run."""
     saved_env, saved_path = dict(os.environ), list(sys.path)
-    real_rates = core.pinned_rates
     try:
-        assert signatures.main([first]) == 0
-        assert signatures.main([second]) == 0
+        return signatures.main(argv)
     finally:
         os.environ.clear()
         os.environ.update(saved_env)
         sys.path[:] = saved_path
+
+
+def _one_each(monkeypatch):
+    """TRIAL_SETS cut to one trial per set and pair count; returns the
+    number of trials each set then holds."""
+    one_each = tuple((name, seed, 1) for name, seed, _ in signatures.TRIAL_SETS)
+    monkeypatch.setattr(signatures, "TRIAL_SETS", one_each)
+    baseline = signatures.BASELINE_SETS
+    return {name: len(baseline[name][0]) if name in baseline else 1 for name, _, _ in one_each}
+
+
+def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkeypatch):
+    sizes = _one_each(monkeypatch)
+    # the Baseline sets hold one trial per pair count: Sample's 9, dense's 1
+    # and r20's, r100's and extreme's 3
+    assert [sizes[name] for name in signatures.BASELINE_SETS] == [9, 1, 3, 3, 3]
+    first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+    real_rates = core.pinned_rates
+    assert _write_isolated([first]) == 0
+    assert _write_isolated([second]) == 0
     assert core.pinned_rates is real_rates  # write restores what it wraps
     data = json.loads((tmp_path / "first.json").read_text())
     steps, systems, rates = data.pop("newton_steps"), data.pop("newton_systems"), data.pop("rate_calls")
-    assert [len(data[name]) for name, _, _ in one_each] == [1, 1, 1]
-    assert all(set(trials[0]) == {"jhtpa", "opa", "oht"} for trials in data.values())
+    non_optimal = data.pop("non_optimal")
+    assert {name: len(trials) for name, trials in data.items()} == sizes
+    assert all(set(trial) == {"jhtpa", "opa", "oht"} for trials in data.values() for trial in trials)
     # one count per run; only jhtpa and opa call the barrier solver, and
     # a run that raised (feasibility_edge can) counts the solves it made
-    assert [len(steps[name]) for name, _, _ in one_each] == [1, 1, 1]
-    for name, _, _ in one_each:
-        runs, solved, signature = steps[name][0], systems[name][0], data[name][0]
-        assert set(runs) == set(solved) == set(rates[name][0]) == {"jhtpa", "opa", "oht"}
-        assert runs["oht"] == solved["oht"] == 0
-        # every run reads the QoS floor or scores theta_fix before it can raise
-        assert all(k >= 1 for k in rates[name][0].values())
-        for alg in ("jhtpa", "opa"):
-            assert runs[alg] > 0 or signature[alg][0] == "raised" or signature[alg][-1] == 0
-            # every Newton step solves one system, and each solve's first
-            # stage scan at least one more
-            assert solved[alg] > runs[alg] or solved[alg] == runs[alg] == 0
+    assert {name: len(runs) for name, runs in steps.items()} == sizes
+    for name in sizes:
+        for k, signature in enumerate(data[name]):
+            runs, solved, short = steps[name][k], systems[name][k], non_optimal[name][k]
+            assert set(runs) == set(solved) == set(rates[name][k]) == set(short) == {"jhtpa", "opa", "oht"}
+            assert runs["oht"] == solved["oht"] == short["oht"] == 0
+            # every run reads the QoS floor or scores theta_fix before it can raise
+            assert all(n >= 1 for n in rates[name][k].values())
+            for alg in ("jhtpa", "opa"):
+                assert runs[alg] > 0 or signature[alg][0] == "raised" or signature[alg][-1] == 0
+                # every Newton step solves one system, and each solve's first
+                # stage scan at least one more
+                assert solved[alg] > runs[alg] or solved[alg] == runs[alg] == 0
+                assert short[alg] >= 0
     assert signatures.main([first, second]) == 0
     rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
-    assert len(rows) == 3 * len(one_each)
-    assert all(row[2] == "1/1" for row in rows)
-    # the same checkout repeats its step, system and rate-call counts: "k → k"
-    assert all(row[7] == row[9] and row[8] == "→" for row in rows)
-    assert all(row[10] == row[12] and row[11] == "→" for row in rows)
-    assert all(row[13] == row[15] and row[14] == "→" for row in rows)
-    assert sum(int(row[7]) for row in rows) == sum(sum(runs[0].values()) for runs in steps.values())
-    assert sum(int(row[10]) for row in rows) == sum(sum(runs[0].values()) for runs in systems.values())
-    assert sum(int(row[13]) for row in rows) == sum(sum(runs[0].values()) for runs in rates.values())
+    assert len(rows) == 3 * len(sizes)
+    assert all(row[2] == "1/1" or row[2] == f"{sizes[row[0]]}/{sizes[row[0]]}" for row in rows)
+    # the same checkout repeats its counts: "k → k" in each of the four columns
+    for column, counts in zip((7, 10, 13, 16), (steps, systems, rates, non_optimal)):
+        assert all(row[column] == row[column + 2] and row[column + 1] == "→" for row in rows)
+        assert sum(int(row[column]) for row in rows) == sum(
+            sum(run.values()) for runs in counts.values() for run in runs
+        )
+
+
+def test_non_optimal_counts_every_barrier_solve_short_of_optimal(tmp_path, monkeypatch):
+    # every barrier solve reports MAX_ITERATIONS: each one counts, as many
+    # as the solver was called, and no answer moves off the signature's path
+    monkeypatch.setattr(signatures, "TRIAL_SETS", (("paper_sweep", 501, 1),))
+    calls = {"solves": 0}
+    real = algorithms.solve
+
+    def short_of_optimal(prog, z0):
+        calls["solves"] += 1
+        return dataclasses.replace(real(prog, z0), status=SolveStatus.MAX_ITERATIONS)
+
+    monkeypatch.setattr(algorithms, "solve", short_of_optimal)
+    out = str(tmp_path / "short.json")
+    assert _write_isolated([out]) == 0
+    assert algorithms.solve is short_of_optimal  # write restores what it wraps
+    counts = json.loads((tmp_path / "short.json").read_text())["non_optimal"]["paper_sweep"][0]
+    assert calls["solves"] > 0
+    assert counts["jhtpa"] + counts["opa"] == calls["solves"] and counts["oht"] == 0
