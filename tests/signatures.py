@@ -22,12 +22,14 @@ rate), the largest relative EE change, and the totals in OLD and NEW of each
 count in COUNTS: the Newton steps of the barrier solves, the Newton systems
 they solved (engine._newton_direction calls, the first stage's scan
 included), the full-harvest rate calls (core.pinned_rates, which oht's
-search, jhtpa's face scan and the QoS floor call) and the barrier solves
-that ended short of OPTIMAL ("n/a" when a file holds no such counts). A
-change that moves only the rounding of EE or trace shows every solve on the
-same path with the same allocation; the counts are deterministic, so a
-change to the barrier's route or work, or to oht's search, shows in the last
-four columns even where every answer stays the same.
+search, jhtpa's face scan and the QoS floor call), the barrier solves that
+ended short of OPTIMAL and the Newton steps of each run's first SCA solve,
+the solves from its warm starts included ("n/a" when a file holds no such
+counts). A change that moves only the rounding of EE or trace shows every
+solve on the same path with the same allocation; the counts are
+deterministic, so a change to the barrier's route or work, or to oht's
+search, shows in the last five columns even where every answer stays the
+same.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ COUNTS = {
     "newton_systems": "Newton systems",
     "rate_calls": "rate calls",
     "non_optimal": "non-OPTIMAL",
+    "first_solve_steps": "first-solve steps",
 }
 
 
@@ -93,27 +96,37 @@ def _trials(harness, name: str, seed: int, count: int) -> list:
 
 def write(out: Path) -> None:
     """Write each solve's signature, and under each COUNTS key each run's
-    count: Newton steps, Newton systems, core.pinned_rates calls and barrier
-    solves whose status is not OPTIMAL, counted by wrapping
-    bench.run_algorithm, algorithms.solve, engine._newton_direction and
-    core.pinned_rates while the trials run."""
+    count: Newton steps, Newton systems, core.pinned_rates calls, barrier
+    solves whose status is not OPTIMAL and the Newton steps of the first SCA
+    solve (the one algorithms._solve_from is handed warm starts for),
+    counted by wrapping bench.run_algorithm, algorithms.solve,
+    algorithms._solve_from, engine._newton_direction and core.pinned_rates
+    while the trials run."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
     from uavee import algorithms, bench, core, engine
 
     real_run, real_solve, real_direction = bench.run_algorithm, algorithms.solve, engine._newton_direction
-    real_rates = core.pinned_rates
+    real_rates, real_solve_from = core.pinned_rates, algorithms._solve_from
     runs = []  # [algorithm, *counts in COUNTS order] of each run in the current trial
 
     def run_algorithm(name, *args):
-        runs.append([name, 0, 0, 0, 0])
+        runs.append([name, 0, 0, 0, 0, 0])
         return real_run(name, *args)
 
-    def solve(prog, z0):
-        outcome = real_solve(prog, z0)
+    def solve(prog, z0, *args):
+        outcome = real_solve(prog, z0, *args)
         runs[-1][1] += outcome.newton_step_count
         runs[-1][4] += outcome.status is not engine.SolveStatus.OPTIMAL
         return outcome
+
+    def solve_from(prog, warm, z0):
+        steps = runs[-1][1]
+        try:
+            return real_solve_from(prog, warm, z0)
+        finally:
+            if warm:  # the first solve: its warm starts' solves count too
+                runs[-1][5] += runs[-1][1] - steps
 
     def newton_direction(hess, grad):
         runs[-1][2] += 1
@@ -126,7 +139,7 @@ def write(out: Path) -> None:
     # counts[key][set] holds, per trial, {algorithm: count} of each run
     data, counts = {}, {key: {name: [] for name, _, _ in TRIAL_SETS} for key in COUNTS}
     bench.run_algorithm, algorithms.solve, engine._newton_direction = run_algorithm, solve, newton_direction
-    core.pinned_rates = pinned_rates
+    core.pinned_rates, algorithms._solve_from = pinned_rates, solve_from
     try:
         for name, seed, count in TRIAL_SETS:
             data[name] = []
@@ -139,7 +152,7 @@ def write(out: Path) -> None:
                     by_set[name].append({run[0]: run[column] for run in runs})
     finally:
         bench.run_algorithm, algorithms.solve, engine._newton_direction = real_run, real_solve, real_direction
-        core.pinned_rates = real_rates
+        core.pinned_rates, algorithms._solve_from = real_rates, real_solve_from
     out.write_text(json.dumps({**data, **counts}))
 
 

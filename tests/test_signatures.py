@@ -33,8 +33,8 @@ def _compare(tmp_path, capsys, before, after):
     same = signatures.compare(old, new)
     lines = capsys.readouterr().out.splitlines()
     # set, algorithm, identical, same path, same alloc, lower trace[-1],
-    # drift, then Newton steps, Newton systems, rate calls and non-OPTIMAL
-    # solves, each "old → new" or "n/a"
+    # drift, then Newton steps, Newton systems, rate calls, non-OPTIMAL
+    # solves and first-solve steps, each "old → new" or "n/a"
     table = {}
     for row in (line.split() for line in lines[1:]):
         table[tuple(row[:2])] = row[2:7] + _old_new_cells(row[7:])
@@ -55,7 +55,7 @@ def test_identical_files_compare_equal(tmp_path, capsys):
     same, table = _compare(tmp_path, capsys, _trials(), _trials())
     assert same
     assert len(table) == 3 * len(signatures.TRIAL_SETS)
-    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", "n/a", "n/a", "n/a", "n/a"] for row in table.values())
+    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 5] for row in table.values())
 
 
 def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
@@ -63,10 +63,10 @@ def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
     after["dense_n30"][0]["jhtpa"] = _signature(3.0 * (1.0 - 1e-3))
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
-    identical, path, alloc, lower, drift, _, _, _, _ = table[("dense_n30", "jhtpa")]
+    identical, path, alloc, lower, drift, *_ = table[("dense_n30", "jhtpa")]
     assert (identical, path, alloc, lower) == ("0/1", "1/1", "1/1", "1/1")
     assert float(drift) == pytest.approx(1e-3, rel=1e-2)
-    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", "n/a", "n/a", "n/a", "n/a"]
+    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 5]
 
 
 def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
@@ -74,10 +74,12 @@ def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
     after["paper_sweep"][0]["opa"] = ["raised", "NoFeasiblePointFoundError", "no start"]
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
-    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", "n/a", "n/a", "n/a", "n/a"]
+    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", *["n/a"] * 5]
 
 
-def _with_steps(trials, jhtpa_steps, jhtpa_systems=None, oht_rate_calls=None, opa_non_optimal=None):
+def _with_steps(
+    trials, jhtpa_steps, jhtpa_systems=None, oht_rate_calls=None, opa_non_optimal=None, opa_first_steps=None
+):
     steps = {name: [{"jhtpa": jhtpa_steps, "opa": 10, "oht": 0}] for name in trials}
     if jhtpa_systems is None:
         return {**trials, "newton_steps": steps}
@@ -88,13 +90,11 @@ def _with_steps(trials, jhtpa_steps, jhtpa_systems=None, oht_rate_calls=None, op
     if opa_non_optimal is None:
         return {**trials, "newton_steps": steps, "newton_systems": systems, "rate_calls": rates}
     non_optimal = {name: [{"jhtpa": 0, "opa": opa_non_optimal, "oht": 0}] for name in trials}
-    return {
-        **trials,
-        "newton_steps": steps,
-        "newton_systems": systems,
-        "rate_calls": rates,
-        "non_optimal": non_optimal,
-    }
+    counts = {"newton_steps": steps, "newton_systems": systems, "rate_calls": rates, "non_optimal": non_optimal}
+    if opa_first_steps is None:
+        return {**trials, **counts}
+    first = {name: [{"jhtpa": jhtpa_steps, "opa": opa_first_steps, "oht": 0}] for name in trials}
+    return {**trials, **counts, "first_solve_steps": first}
 
 
 def test_newton_step_totals_print_old_to_new(tmp_path, capsys):
@@ -142,14 +142,31 @@ def test_non_optimal_solve_totals_print_old_to_new_after_the_rate_calls(tmp_path
     # two of opa's solves stopped short of OPTIMAL but every answer is the same
     same, table = _compare(tmp_path, capsys, before, after)
     assert same
-    assert {tuple(row[5:]) for key, row in table.items() if key[1] == "opa"} == {
+    assert {tuple(row[5:9]) for key, row in table.items() if key[1] == "opa"} == {
         ("10 → 10", "14 → 14", "1 → 1", "0 → 2")
     }
     assert {row[8] for key, row in table.items() if key[1] != "opa"} == {"0 → 0"}
     # a file written before the count was recorded reads n/a in that column only
     _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40, 48, 5), after)
-    assert {tuple(row[5:]) for key, row in table.items() if key[1] == "opa"} == {
+    assert {tuple(row[5:9]) for key, row in table.items() if key[1] == "opa"} == {
         ("10 → 10", "14 → 14", "1 → 1", "n/a")
+    }
+
+
+def test_first_solve_step_totals_print_old_to_new_last(tmp_path, capsys):
+    before, after = _with_steps(_trials(), 40, 48, 5, 0, 9), _with_steps(_trials(), 40, 48, 5, 0, 2)
+    # opa's first solves took fewer steps but every answer is the same
+    same, table = _compare(tmp_path, capsys, before, after)
+    assert same
+    assert {tuple(row[5:]) for key, row in table.items() if key[1] == "opa"} == {
+        ("10 → 10", "14 → 14", "1 → 1", "0 → 0", "9 → 2")
+    }
+    assert {row[9] for key, row in table.items() if key[1] == "jhtpa"} == {"40 → 40"}
+    assert {row[9] for key, row in table.items() if key[1] == "oht"} == {"0 → 0"}
+    # a file written before the count was recorded reads n/a in that column only
+    _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40, 48, 5, 0), after)
+    assert {tuple(row[5:]) for key, row in table.items() if key[1] == "opa"} == {
+        ("10 → 10", "14 → 14", "1 → 1", "0 → 0", "n/a")
     }
 
 
@@ -196,7 +213,7 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     assert core.pinned_rates is real_rates  # write restores what it wraps
     data = json.loads((tmp_path / "first.json").read_text())
     steps, systems, rates = data.pop("newton_steps"), data.pop("newton_systems"), data.pop("rate_calls")
-    non_optimal = data.pop("non_optimal")
+    non_optimal, first_steps = data.pop("non_optimal"), data.pop("first_solve_steps")
     assert {name: len(trials) for name, trials in data.items()} == sizes
     assert all(set(trial) == {"jhtpa", "opa", "oht"} for trials in data.values() for trial in trials)
     # one count per run; only jhtpa and opa call the barrier solver, and
@@ -205,22 +222,32 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     for name in sizes:
         for k, signature in enumerate(data[name]):
             runs, solved, short = steps[name][k], systems[name][k], non_optimal[name][k]
+            first_solve = first_steps[name][k]
             assert set(runs) == set(solved) == set(rates[name][k]) == set(short) == {"jhtpa", "opa", "oht"}
-            assert runs["oht"] == solved["oht"] == short["oht"] == 0
+            assert set(first_solve) == set(runs)
+            assert runs["oht"] == solved["oht"] == short["oht"] == first_solve["oht"] == 0
             # every run reads the QoS floor or scores theta_fix before it can raise
             assert all(n >= 1 for n in rates[name][k].values())
             for alg in ("jhtpa", "opa"):
-                assert runs[alg] > 0 or signature[alg][0] == "raised" or signature[alg][-1] == 0
+                # a run's barrier solve scans for its first stage, but takes
+                # no Newton step from a start central at its final stage
+                # (opa's on feasibility_edge)
+                assert solved[alg] > 0 or signature[alg][0] == "raised" or signature[alg][-1] == 0
                 # every Newton step solves one system, and each solve's first
                 # stage scan at least one more
                 assert solved[alg] > runs[alg] or solved[alg] == runs[alg] == 0
                 assert short[alg] >= 0
+                # the first solve's steps are some of the run's, all of
+                # them when the run made one SCA step and kept it
+                assert 0 <= first_solve[alg] <= runs[alg]
+                if signature[alg][0] != "raised" and signature[alg][-1] == 1:
+                    assert first_solve[alg] == runs[alg]
     assert signatures.main([first, second]) == 0
     rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 3 * len(sizes)
     assert all(row[2] == "1/1" or row[2] == f"{sizes[row[0]]}/{sizes[row[0]]}" for row in rows)
-    # the same checkout repeats its counts: "k → k" in each of the four columns
-    for column, counts in zip((7, 10, 13, 16), (steps, systems, rates, non_optimal)):
+    # the same checkout repeats its counts: "k → k" in each of the five columns
+    for column, counts in zip((7, 10, 13, 16, 19), (steps, systems, rates, non_optimal, first_steps)):
         assert all(row[column] == row[column + 2] and row[column + 1] == "→" for row in rows)
         assert sum(int(row[column]) for row in rows) == sum(
             sum(run.values()) for runs in counts.values() for run in runs
@@ -229,19 +256,38 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
 
 def test_non_optimal_counts_every_barrier_solve_short_of_optimal(tmp_path, monkeypatch):
     # every barrier solve reports MAX_ITERATIONS: each one counts, as many
-    # as the solver was called, and no answer moves off the signature's path
+    # as the solver was called, and no answer moves off the signature's path.
+    # The first solve from the central start then gives way to the uniform
+    # start, and the first-solve steps count both of those solves' steps.
     monkeypatch.setattr(signatures, "TRIAL_SETS", (("paper_sweep", 501, 1),))
-    calls = {"solves": 0}
-    real = algorithms.solve
+    calls = {"solves": 0, "first_solves": 0, "first_steps": 0}
+    real, real_from, in_first = algorithms.solve, algorithms._solve_from, []
 
-    def short_of_optimal(prog, z0):
+    def short_of_optimal(prog, z0, *args):
+        outcome = real(prog, z0, *args)
         calls["solves"] += 1
-        return dataclasses.replace(real(prog, z0), status=SolveStatus.MAX_ITERATIONS)
+        if in_first:
+            calls["first_solves"] += 1
+            calls["first_steps"] += outcome.newton_step_count
+        return dataclasses.replace(outcome, status=SolveStatus.MAX_ITERATIONS)
+
+    def solve_from(prog, warm, z0):
+        in_first[:] = [True] if warm else []
+        try:
+            return real_from(prog, warm, z0)
+        finally:
+            in_first.clear()
 
     monkeypatch.setattr(algorithms, "solve", short_of_optimal)
+    monkeypatch.setattr(algorithms, "_solve_from", solve_from)
     out = str(tmp_path / "short.json")
     assert _write_isolated([out]) == 0
     assert algorithms.solve is short_of_optimal  # write restores what it wraps
-    counts = json.loads((tmp_path / "short.json").read_text())["non_optimal"]["paper_sweep"][0]
+    assert algorithms._solve_from is solve_from
+    data = json.loads((tmp_path / "short.json").read_text())
+    counts, first = data["non_optimal"]["paper_sweep"][0], data["first_solve_steps"]["paper_sweep"][0]
     assert calls["solves"] > 0
     assert counts["jhtpa"] + counts["opa"] == calls["solves"] and counts["oht"] == 0
+    # jhtpa's and opa's first solves each tried the central, then the uniform start
+    assert calls["first_solves"] == 4
+    assert first["jhtpa"] + first["opa"] == calls["first_steps"] > 0 and first["oht"] == 0
