@@ -10,7 +10,8 @@ top optimal (most trials), and otherwise one batched bracket search finds the
 maximizer. jhtpa's start scores the full-harvest EE on a fixed grid at once.
 
   jhtpa  joint harvesting-time and power allocation in (theta, 1/p) space
-  opa    jhtpa's SCA with theta and the presolve's pinned pairs held
+  opa    the full-harvest point at theta_fix when a KKT test certifies it,
+         else jhtpa's SCA with theta and the presolve's pinned pairs held
   oht    harvesting-time-only max-min rate with full-harvest powers
 
 Both SCA algorithms iterate the one point z = (theta, q_1..q_N), q_n = 1/p_n;
@@ -88,8 +89,10 @@ _BOUNDARY_TOL = 1e-9
 # opa pins pair k at full harvest when 1 - x_min_k <= _PIN_TOL (see opa).
 _PIN_TOL = 1e-5
 
-# SolveReport.status of the stop reasons that are not "converged". jhtpa and
-# opa stop for one of: boundary_fallback (the start is the full-harvest point,
+# SolveReport.status of the stop reasons that are not "converged". opa stops
+# at kkt_certified when its full-harvest vertex passes the KKT test before
+# any SCA solve (0 iterations, trace [EE]; see opa). jhtpa and opa's SCA stop
+# for one of: boundary_fallback (the start is the full-harvest point,
 # 0 iterations), infeasible_start (the subsolver rejected the iterate, and on
 # the first step also both warm starts, as starts of its own surrogate),
 # numerical_failure, non_improving (a step lowered the EE; the better iterate
@@ -128,7 +131,8 @@ class SolveReport:
     iterations, subsolver_calls, ee_nats_per_joule and r_bar derive from
     stop_reason (_STOP_STATUS), trace (the objective at the start and after
     each accepted step; two exits reject one more solved step), the
-    allocation and the instance."""
+    allocation and the instance. A kkt_certified opa run made no SCA step:
+    its trace is [EE], with 0 iterations and 0 subsolver calls."""
 
     algorithm: str
     allocation: Allocation
@@ -137,7 +141,7 @@ class SolveReport:
     stop_reason: str
     channels: ChannelRealization = field(repr=False, compare=False)
     config: ScenarioConfig = field(repr=False, compare=False)
-    pinned: int = 0  # pairs opa's presolve fixed at full harvest
+    pinned: int = 0  # pairs opa's presolve fixed at full harvest; 0 when no presolve ran
 
     @property
     def status(self) -> str:
@@ -578,23 +582,53 @@ def build_opa_subproblem(
     return _subproblem((c0, lin, rec), objective)
 
 
+def _kkt_certified(alloc: Allocation, ee: float, ch: ChannelRealization) -> bool:
+    """Whether alloc, whose EE is ee, raises its EE with every pair's power:
+    ee > 0 and dR/dp_k > ee for every k (core.sum_rate_gradient), as
+    dEE/dp_k = (dR/dp_k - EE) / (theta P) with R the sum of ln(1 + SINR)
+    and P the total power. NaN fails."""
+    return ee > 0.0 and bool((core.sum_rate_gradient(alloc.p, ch) > ee).all())
+
+
 def opa(
     ch: ChannelRealization, config: ScenarioConfig, settings: ScaSettings | None = None
 ) -> SolveReport:
-    """Power-only SCA at the fixed harvesting time config.theta_fix: jhtpa's
-    SCA on z = (theta, q) with theta and the pinned pairs held
-    (build_opa_subproblem).
+    """Power-only allocation at the fixed harvesting time config.theta_fix.
 
-    The QoS floor leaves its worst pair a ~1e-10-wide power interval where a
-    barrier stalls, so a presolve fixes each pair with 1 - x_min_k <=
-    _PIN_TOL at p_max_k and drops its rows (Andersen & Andersen, Math.
-    Programming 71, 1995); its QoS row is implied, as SINR_k there is least
-    at full harvest, which meets the floor by its definition. SCA runs on
-    the rest. Raises NoFeasiblePointFoundError as jhtpa does.
+    It first tests the full-harvest vertex p = p_max(theta_fix). There
+    every causality row p_k <= p_max_k is active, those rows are linearly
+    independent, and every QoS row holds by the floor's definition. So if
+    every dEE/dp_k is positive (_kkt_certified), the causality multipliers
+    are those derivatives, all strictly positive, and the QoS multipliers
+    are zero: a KKT point whose critical cone is {0}, hence a strict local
+    maximizer (Nocedal & Wright, Numerical Optimization, Thm 12.6). opa
+    reports it with stop_reason kkt_certified and no presolve, SCA step or
+    pinned pair.
+
+    Otherwise opa runs jhtpa's SCA on z = (theta, q) with theta and the
+    pinned pairs held (build_opa_subproblem). The QoS floor leaves its worst
+    pair a ~1e-10-wide power interval where a barrier stalls, so a presolve
+    fixes each pair with 1 - x_min_k <= _PIN_TOL at p_max_k and drops its
+    rows (Andersen & Andersen, Math. Programming 71, 1995); its QoS row is
+    implied, as SINR_k there is least at full harvest, which meets the floor
+    by its definition. SCA runs on the rest. Raises
+    NoFeasiblePointFoundError as jhtpa does.
     """
     started = time.perf_counter()
-    r_bar = core.qos_threshold(ch, config)
     theta_fix = config.theta_fix
+    vertex = core.pinned_allocation(theta_fix, ch, config)
+    ee = core.energy_efficiency(vertex, ch, config)
+    if _kkt_certified(vertex, ee, ch):
+        return SolveReport(
+            algorithm="opa",
+            allocation=vertex,
+            wall_time_ms=(time.perf_counter() - started) * 1e3,
+            trace=[ee],
+            stop_reason="kkt_certified",
+            channels=ch,
+            config=config,
+        )
+    r_bar = core.qos_threshold(ch, config)
     pinned = 1.0 - _interior_powers(ch, config, r_bar, theta_fix)[1] <= _PIN_TOL
     return _sca_loop(
         "opa",

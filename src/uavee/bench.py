@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +114,12 @@ def run_trial(
 
 
 def summarize(rows: list[ResultRow]) -> list[dict]:
-    """Per-(n_pairs, algorithm) aggregates; non-converged rows are counted, not averaged."""
+    """Per-(n_pairs, algorithm) aggregates; non-converged rows are counted, not averaged.
+
+    stop_reasons counts each SolveReport.stop_reason among the group's rows
+    that carry one, failed ones included (a run that raised carries none),
+    keyed in name order.
+    """
     groups: dict[tuple[int, str], list[ResultRow]] = {}
     for row in rows:
         groups.setdefault((row.n_pairs, row.algorithm), []).append(row)
@@ -134,6 +140,7 @@ def summarize(rows: list[ResultRow]) -> list[dict]:
                 "std_ee_nats_per_joule": statistics.pstdev(ee) if len(ee) > 1 else 0.0 if ee else None,
                 "mean_wall_time_ms": statistics.fmean(wall) if wall else None,
                 "median_wall_time_ms": statistics.median(wall) if wall else None,
+                "stop_reasons": dict(sorted(Counter(r.stop_reason for r in members if r.stop_reason).items())),
             }
         )
     return out

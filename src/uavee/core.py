@@ -86,6 +86,21 @@ def sinr(p: np.ndarray, ch: ChannelRealization) -> np.ndarray:
     return hd * p / (interference + ch.sigma2_watt)
 
 
+def sum_rate_gradient(p: np.ndarray, ch: ChannelRealization) -> np.ndarray:
+    """Gradient in p of the sum rate R = sum_n ln(1 + SINR_n(p)).
+
+    With T = h p + sigma2 and I_n = T_n - h_nn p_n, dR/dp_k = h_kk/T_k +
+    sum_{n!=k} h_nk (1/T_n - 1/I_n); each difference is evaluated as
+    -SINR_n/T_n, its exact value, which cancels nothing.
+    """
+    p = np.asarray(p, dtype=float)
+    hd = np.diag(ch.h)
+    signal = hd * p
+    interference = ch.h @ p - signal + ch.sigma2_watt
+    total = interference + signal
+    return hd / total - (ch.h - np.diag(hd)).T @ (signal / interference / total)
+
+
 def rates(alloc: Allocation, ch: ChannelRealization) -> np.ndarray:
     """Per-pair throughput (nats per slot): (1 - tau) * ln(1 + SINR)."""
     return (1.0 - alloc.tau) * np.log1p(sinr(alloc.p, ch))

@@ -3,7 +3,8 @@
 Everything here recomputes the physics from first principles with plain
 numpy grids; none of it calls into the SCA loops. iterate_ee alone reads
 core's EE formula: it is the multiplier the SCA scores an iterate by, which
-the subproblem tests pass to the builders. check_gradients differences a
+the subproblem tests pass to the builders. ee_power_slopes differences its
+own EE formula, not core's gradient, to check opa's vertex certificate. check_gradients differences a
 ConvexProgram's oracles to check their derivatives. exhaustive_first_stage
 alone calls into the solver: it is the barrier's first-stage scan over every
 allowed t, built from the engine's own Newton systems, and the reference for
@@ -101,6 +102,31 @@ def pinned_rates_direct(theta, ch, config):
 
 # Scaled QoS margin a sampled point must clear, as for the algorithms' starts.
 _QOS_MARGIN = 1e-13
+
+
+def ee_direct(tau, p, ch, config):
+    """EE (nats/J) of (tau, p) from the system model: the pairs' summed
+    (1 - tau) ln(1 + SINR_n) over (1 - tau) sum(p) + tau eta P0 + p_cir."""
+    p = np.asarray(p, dtype=float)
+    desired = np.diag(ch.h) * p
+    sinr = desired / (ch.h @ p - desired + ch.sigma2_watt)
+    power = (1.0 - tau) * float(np.sum(p)) + tau * config.eta * config.p0_watt + config.p_cir_watt
+    return (1.0 - tau) * float(np.sum(np.log1p(sinr))) / power
+
+
+def ee_power_slopes(tau, p, ch, config, step=1e-6):
+    """Backward differences of ee_direct at (tau, p), one per power, each
+    over a cut of step * p_n in that power alone: dEE/dp_n to first order,
+    positive where lowering p_n lowers the EE. A backward step stays inside
+    the causality bound p_n <= p_max_n."""
+    p = np.asarray(p, dtype=float)
+    ee = ee_direct(tau, p, ch, config)
+    slopes = np.empty(p.size)
+    for n in range(p.size):
+        lower = p.copy()
+        lower[n] -= step * p[n]
+        slopes[n] = (ee - ee_direct(tau, lower, ch, config)) / (p[n] - lower[n])
+    return slopes
 
 
 def _rejection_sample(draw, feasible, count, max_attempts=100_000):

@@ -25,17 +25,20 @@ included), the full-harvest rate calls (core.pinned_rates, which oht's
 search, jhtpa's face scan and the QoS floor call), the barrier solves that
 ended short of OPTIMAL and the Newton steps of each run's first SCA solve,
 the solves from its warm starts included ("n/a" when a file holds no such
-counts). A change that moves only the rounding of EE or trace shows every
-solve on the same path with the same allocation; the counts are
-deterministic, so a change to the barrier's route or work, or to oht's
-search, shows in the last five columns even where every answer stays the
-same.
+counts), and last the tally in OLD and NEW of the runs' stop reasons
+(SolveReport.stop_reason, "raised" for a run that raised), such as
+"epsilon:360 → kkt_certified:360". A change that moves only the rounding of
+EE or trace shows every solve on the same path with the same allocation;
+the counts are deterministic, so a change to the barrier's route or work,
+or to oht's search, shows in the five count columns even where every
+answer stays the same.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 # (name, seed, count): a perfbench workload's first count trials, or a
@@ -95,24 +98,27 @@ def _trials(harness, name: str, seed: int, count: int) -> list:
 
 
 def write(out: Path) -> None:
-    """Write each solve's signature, and under each COUNTS key each run's
+    """Write each solve's signature, under each COUNTS key each run's
     count: Newton steps, Newton systems, core.pinned_rates calls, barrier
     solves whose status is not OPTIMAL and the Newton steps of the first SCA
-    solve (the one algorithms._solve_from is handed warm starts for),
-    counted by wrapping bench.run_algorithm, algorithms.solve,
-    algorithms._solve_from, engine._newton_direction and core.pinned_rates
-    while the trials run."""
+    solve (the one algorithms._solve_from is handed warm starts for), and
+    under "stop_reasons" each run's stop reason, all read by wrapping
+    bench.run_algorithm, algorithms.solve, algorithms._solve_from,
+    engine._newton_direction and core.pinned_rates while the trials run."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
     from uavee import algorithms, bench, core, engine
 
     real_run, real_solve, real_direction = bench.run_algorithm, algorithms.solve, engine._newton_direction
     real_rates, real_solve_from = core.pinned_rates, algorithms._solve_from
-    runs = []  # [algorithm, *counts in COUNTS order] of each run in the current trial
+    # [algorithm, *counts in COUNTS order, stop reason] of each run in the current trial
+    runs = []
 
     def run_algorithm(name, *args):
-        runs.append([name, 0, 0, 0, 0, 0])
-        return real_run(name, *args)
+        runs.append([name, 0, 0, 0, 0, 0, "raised"])
+        report = real_run(name, *args)
+        runs[-1][-1] = report.stop_reason
+        return report
 
     def solve(prog, z0, *args):
         outcome = real_solve(prog, z0, *args)
@@ -138,6 +144,7 @@ def write(out: Path) -> None:
 
     # counts[key][set] holds, per trial, {algorithm: count} of each run
     data, counts = {}, {key: {name: [] for name, _, _ in TRIAL_SETS} for key in COUNTS}
+    reasons = {name: [] for name, _, _ in TRIAL_SETS}
     bench.run_algorithm, algorithms.solve, engine._newton_direction = run_algorithm, solve, newton_direction
     core.pinned_rates, algorithms._solve_from = pinned_rates, solve_from
     try:
@@ -150,10 +157,11 @@ def write(out: Path) -> None:
                 data[name].append({alg: _jsonable(sig) for alg, sig in signatures.items()})
                 for column, by_set in enumerate(counts.values(), start=1):
                     by_set[name].append({run[0]: run[column] for run in runs})
+                reasons[name].append({run[0]: run[-1] for run in runs})
     finally:
         bench.run_algorithm, algorithms.solve, engine._newton_direction = real_run, real_solve, real_direction
         core.pinned_rates, algorithms._solve_from = real_rates, real_solve_from
-    out.write_text(json.dumps({**data, **counts}))
+    out.write_text(json.dumps({**data, **counts, "stop_reasons": reasons}))
 
 
 def _ee(signature) -> float | None:
@@ -187,13 +195,28 @@ def _old_new(before: dict, after: dict, key: str, name: str, alg: str) -> str:
     return " → ".join(map(str, totals))
 
 
+def _tallies(before: dict, after: dict, name: str, alg: str) -> str:
+    """"old → new" of the stop-reason tallies of alg's runs on set name, each
+    "reason:count" joined by commas in reason order; "n/a" when either file
+    has none."""
+    tallies = []
+    for data in (before, after):
+        runs = data.get("stop_reasons", {}).get(name)
+        if runs is None:
+            return "n/a"
+        tally = Counter(run[alg] for run in runs if alg in run)
+        tallies.append(",".join(f"{reason}:{k}" for reason, k in sorted(tally.items())))
+    return " → ".join(tallies)
+
+
 def compare(old: Path, new: Path) -> bool:
     before, after = json.loads(old.read_text()), json.loads(new.read_text())
     same_everywhere = True
     print(
         f"{'set':<18}{'algorithm':<11}{'identical':>12}{'same path':>12}"
         f"{'same alloc':>12}{'lower trace[-1]':>17}{'max rel EE drift':>18}"
-        + "".join(f"  {head:<16}" for head in COUNTS.values()).rstrip()
+        + "".join(f"  {head:<16}" for head in COUNTS.values())
+        + "  stop reasons"
     )
     for name, _, _ in TRIAL_SETS:
         if name not in before or name not in after:  # a file written before the set was added
@@ -216,8 +239,9 @@ def compare(old: Path, new: Path) -> bool:
                     drift = max(drift, abs(ee_b - ee_a) / max(abs(ee_a), 1e-300))
             same_everywhere &= identical == len(pairs)
             counts = "".join(f"{f'{k}/{len(pairs)}':>12}" for k in (identical, path, alloc))
-            totals = "".join(f"  {_old_new(before, after, key, name, alg):<16}" for key in COUNTS).rstrip()
-            print(f"{name:<18}{alg:<11}{counts}{f'{lower}/{len(pairs)}':>17}{drift:>18.3g}{totals}")
+            totals = "".join(f"  {_old_new(before, after, key, name, alg):<16}" for key in COUNTS)
+            reasons = _tallies(before, after, name, alg)
+            print(f"{name:<18}{alg:<11}{counts}{f'{lower}/{len(pairs)}':>17}{drift:>18.3g}{totals}  {reasons}")
     return same_everywhere
 
 

@@ -13,7 +13,7 @@ import uavee
 import uavee.algorithms as algorithms
 import uavee.core as core
 import uavee.engine as engine
-from uavee import ScenarioConfig, make_scenario
+from uavee import ChannelRealization, ScenarioConfig, make_scenario
 from uavee.algorithms import (
     build_jhtpa_subproblem,
     build_opa_subproblem,
@@ -496,17 +496,35 @@ def test_stop_reason_names_the_exit():
 
     from uavee.algorithms import ScaSettings
 
-    # one pair: opa's presolve pins it at full harvest, which leaves nothing
-    # to iterate over, so opa returns that point without iterating
+    # one pair: its full-harvest vertex raises the EE with its power, so opa
+    # certifies it before any presolve, SCA step or pinned pair
     config, ch = scenario(1, 0)
+    report = opa(ch, config)
+    assert (report.stop_reason, report.iterations, report.status, report.pinned) == (
+        "kkt_certified",
+        0,
+        "converged",
+        0,
+    )
+    assert report.subsolver_calls == 0 and report.trace == [report.ee_nats_per_joule]
+    # an interference-limited two-pair channel, symmetric, so the floor holds
+    # both pairs at full harvest: lowering a power raises the EE there, so
+    # the certificate rejects the vertex, and opa's presolve pins both pairs,
+    # which leaves nothing to iterate over: opa returns the vertex anyway
+    config = ScenarioConfig(num_pairs=2, seed=0, coverage_radius_m=20.0, p_cir_watt=1e-6)
+    ch = ChannelRealization(
+        g=np.full(2, 7.5e-6), h=np.array([[7e-9, 1.5e-7], [1.5e-7, 7e-9]]), sigma2_watt=1e-17
+    )
     report = opa(ch, config)
     assert (report.stop_reason, report.iterations, report.status, report.pinned) == (
         "boundary_fallback",
         0,
         "converged",
-        1,
+        2,
     )
-    assert json.loads(report.to_json())["pinned"] == 1
+    assert json.loads(report.to_json())["pinned"] == 2
+    vertex = core.pinned_allocation(config.theta_fix, ch, config)
+    assert report.allocation.tau == vertex.tau and np.array_equal(report.allocation.p, vertex.p)
     # radius 20 m: interference moves jhtpa's answer away from its start, so
     # it takes four SCA steps and a one-step cap stops it at max_iterations
     config = ScenarioConfig(num_pairs=5, seed=7, coverage_radius_m=20.0)
@@ -542,6 +560,12 @@ def test_subproblem_rejecting_the_start_stops_at_infeasible_start(monkeypatch):
     assert (report.iterations, report.subsolver_calls, len(report.trace)) == (0, 0, 1)
     start = core.Allocation.from_theta(theta, 1.0 / (1.0 / p))
     assert report.ee_nats_per_joule == core.energy_efficiency(start, ch, config)
+
+
+def sca_only(monkeypatch):
+    """Switch off opa's vertex certificate: opa then runs its presolve and SCA
+    on the paper-regime instances the certificate answers without a solve."""
+    monkeypatch.setattr(algorithms, "_kkt_certified", lambda *args: False)
 
 
 def first_solve(monkeypatch, name, ch, config):
@@ -580,8 +604,10 @@ def test_warm_start_reaches_the_same_subproblem_solution_in_fewer_steps(
     # is free, 1e7 for opa, which holds theta; the uniform start keeps the
     # engine's default span. The N = 3 case is test_engine's
     # captured_subproblems scenario, the N = 10 ones
-    # test_subproblem_step_counts' seeds.
+    # test_subproblem_step_counts' seeds. opa certifies its vertex on all
+    # four without a solve, so its SCA runs with the certificate off.
     config, ch = scenario(num_pairs, seed)
+    sca_only(monkeypatch)
     prog, ((central, top), (uniform, uniform_top)), z0 = first_solve(monkeypatch, name, ch, config)
     assert (top, uniform_top) == ({"jhtpa": 1e4, "opa": 1e7}[name], None)
     r_bar = core.qos_threshold(ch, config)
@@ -613,15 +639,24 @@ def test_a_surrogate_rejecting_the_warm_start_solves_from_the_iterate(monkeypatc
     # A program whose domain excludes exactly the two warm points: the first
     # solve tries the central start, then the uniform one, then falls back
     # to the iterate, and the run reports what it would have reported
-    # starting there. Radius 20 m takes several SCA steps.
+    # starting there. Radius 20 m takes several SCA steps. At 800 m opa
+    # certifies its vertex without a solve, so its SCA runs with the
+    # certificate off; at 20 m the certificate rejects the vertex.
     config = ScenarioConfig(num_pairs=5, seed=7, coverage_radius_m=radius)
     _, ch = make_scenario(config)
+    certified = name == "opa" and radius == 800.0
+    if name == "opa":
+        assert (opa(ch, config).stop_reason == "kkt_certified") == certified
+    if certified:
+        sca_only(monkeypatch)
     _, warm, z0 = first_solve(monkeypatch, name, ch, config)
     points = [point for point, _ in warm]
     # every solve from the iterate, as before the warm starts
     monkeypatch.setattr(algorithms, "_solve_from", lambda prog, warm, z0: algorithms.solve(prog, z0))
     expected = run_algorithm(name, ch, config)
     monkeypatch.undo()
+    if certified:
+        sca_only(monkeypatch)
 
     builder = f"build_{name}_subproblem"
     build, solve, starts = getattr(algorithms, builder), algorithms.solve, []

@@ -163,12 +163,18 @@ def test_json_rows_carry_stop_reason(tmp_path):
 
     import uavee.bench as bench
 
-    path = tmp_path / "rows.json"
-    rows, summary = run_experiment(small_spec())
-    write_json(rows, summary, str(path))
-    payload = json.loads(path.read_text())
-    assert [r["stop_reason"] for r in payload["rows"]] == ["epsilon"] * 3
-    assert [r.stop_reason for r in rows] == ["epsilon"] * 3
+    # opa certifies its full-harvest vertex on the default instance; at a
+    # 20 m radius the certificate rejects it and opa's SCA stops at epsilon
+    for base, expected in (
+        (ScenarioConfig(num_pairs=2, seed=7), ["epsilon", "kkt_certified", "epsilon"]),
+        (ScenarioConfig(num_pairs=2, seed=8, coverage_radius_m=20.0), ["epsilon"] * 3),
+    ):
+        path = tmp_path / "rows.json"
+        rows, summary = run_experiment(small_spec(base_config=base))
+        write_json(rows, summary, str(path))
+        payload = json.loads(path.read_text())
+        assert [r["stop_reason"] for r in payload["rows"]] == expected
+        assert [r.stop_reason for r in rows] == expected
 
     # the CSV carries no stop_reason column
     bench.write_csv(rows, str(tmp_path / "with.csv"))
@@ -192,6 +198,29 @@ def test_summarize_counts_statuses():
     assert summary["n_failed"] == 1
     assert summary["mean_ee_nats_per_joule"] == pytest.approx(0.6)
     assert summary["median_wall_time_ms"] == pytest.approx(11.0)
+
+
+def test_summarize_counts_each_stop_reason():
+    # a failed run that returned a report carries its stop reason; an
+    # infeasible run and one that raised carry none
+    rows = [
+        ResultRow(2, "opa", 0, 1, 0.5, 0.7, 0.1, 0, "converged", None, "kkt_certified"),
+        ResultRow(2, "opa", 1, 2, 0.6, 0.9, 0.2, 0, "converged", None, "kkt_certified"),
+        ResultRow(2, "opa", 2, 3, 0.4, 0.6, 5.0, 2, "converged", None, "epsilon"),
+        ResultRow(2, "opa", 3, 4, 0.4, 0.6, 9.0, 1, "failed", None, "numerical_failure"),
+        ResultRow(2, "opa", 4, 5, None, None, None, None, "failed", "ValueError: boom", None),
+        ResultRow(2, "opa", 5, 6, None, None, None, None, "infeasible"),
+        ResultRow(3, "opa", 0, 7, 0.3, 0.4, 6.0, 1, "converged", None, "epsilon"),
+        ResultRow(3, "oht", 0, 7, None, None, None, None, "infeasible"),
+    ]
+    two, three, oht_three = summarize(rows)
+    assert two["stop_reasons"] == {"epsilon": 1, "kkt_certified": 2, "numerical_failure": 1}
+    assert list(two["stop_reasons"]) == ["epsilon", "kkt_certified", "numerical_failure"]
+    assert (two["n_converged"], two["n_failed"], two["n_infeasible"]) == (3, 2, 1)
+    assert three["stop_reasons"] == {"epsilon": 1}
+    assert oht_three["stop_reasons"] == {}
+    # the JSON summary carries the tallies; the CSV rows stay as they were
+    assert json.loads(json.dumps(two))["stop_reasons"] == two["stop_reasons"]
 
 
 def test_rows_sorted_and_paired():
@@ -238,6 +267,7 @@ def test_failed_row_records_exception(monkeypatch, tmp_path, exc, status, error)
     assert [r["error"] for r in payload["rows"]] == [None, error, None]
     (opa_summary,) = (s for s in summary if s["algorithm"] == "opa")
     assert opa_summary[f"n_{status}"] == 1 and opa_summary["n_converged"] == 0
+    assert opa_summary["stop_reasons"] == {}
 
     # the CSV carries no error column: same bytes as the rows without it
     bench.write_csv(rows, str(tmp_path / "with.csv"))

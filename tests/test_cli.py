@@ -21,6 +21,10 @@ def test_run_writes_csv(tmp_path, capsys):
     assert {r["algorithm"] for r in rows} == {"jhtpa", "opa", "oht"}
     summary = json.loads(capsys.readouterr().out)
     assert summary["summary"]
+    # stdout tallies each algorithm's stop reasons: opa certifies its
+    # full-harvest vertex on every one of these paper-regime trials
+    reasons = {s["algorithm"]: s["stop_reasons"] for s in summary["summary"]}
+    assert reasons == {"jhtpa": {"epsilon": 10}, "opa": {"kkt_certified": 10}, "oht": {"epsilon": 10}}
 
 
 def test_run_writes_json(tmp_path, capsys):

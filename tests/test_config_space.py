@@ -13,9 +13,13 @@ infeasible_start that a start from the iterate would not give, nor end short
 of OPTIMAL where a solve from the uniform warm start alone would not, and
 the barrier's early-stopping first-stage scan must pick the t an exhaustive
 scan picks, also up to a raised top, and opa's central start aimed at 1e8
-must keep the run it makes when aimed at 1e5. Scaling every power (P0, p_cir
-and the noise power) by a power of two must leave every algorithm's path and
-answer unchanged but for that unit.
+must keep the run it makes when aimed at 1e5. Where opa certifies its
+full-harvest vertex, an oracle that differences the EE formula must find the
+EE rising in every power there, and the vertex must be feasible and score at
+least opa's SCA run with the certificate off; where it does not, the oracle
+must find a power whose cut does not lower the EE. Scaling every power (P0,
+p_cir and the noise power) by a power of two must leave every algorithm's
+path and answer unchanged but for that unit.
 """
 
 import dataclasses
@@ -24,7 +28,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uavee.algorithms as algorithms
@@ -34,7 +38,7 @@ from uavee import ScenarioConfig, derive_child_seed, make_scenario
 from uavee.algorithms import ALGORITHM_NAMES, oht, run_algorithm
 from uavee.engine import NoFeasiblePointFoundError
 
-from oracles import exhaustive_first_stage
+from oracles import ee_power_slopes, exhaustive_first_stage
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -307,12 +311,15 @@ def test_the_central_start_loses_no_optimal_first_solve(config):
         alpha_g=st.floats(2.0, 4.5),
     )
 )
+@example(config=ScenarioConfig(num_pairs=10, seed=23, coverage_radius_m=20.0))
 def test_opa_aimed_higher_up_the_central_path_keeps_its_run(config):
     # opa's central start aims at t = 1e8 and its solve scans up to 1e7.
     # With jhtpa's target, 1e5 (scan top 1e4, the default span), as the
     # reference, opa keeps its stop reason and SCA steps, and its EE to
     # 1e-8 relative: only the barrier's route to the same subproblem
-    # optimum changed.
+    # optimum changed. Where opa certifies its vertex both runs are that
+    # vertex; the explicit example is a radius-20 m instance whose vertex
+    # the certificate rejects, so its presolve and SCA run (one step).
     _, ch = make_scenario(config)
 
     def opa_run():
@@ -329,6 +336,66 @@ def test_opa_aimed_higher_up_the_central_path_keeps_its_run(config):
         return
     assert (report.stop_reason, report.iterations) == (reference.stop_reason, reference.iterations)
     assert report.ee_nats_per_joule == pytest.approx(reference.ee_nats_per_joule, rel=1e-8, abs=0.0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        ScenarioConfig,
+        num_pairs=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        coverage_radius_m=st.one_of(st.just(20.0), st.floats(20.0, 5000.0)),
+        eta=st.floats(0.01, 0.99),
+        theta_fix=st.one_of(st.floats(1.01, 50.0), st.floats(50.0, 1e5)),
+        noise_density_dbm_hz=st.floats(-170.0, -80.0),
+        p_cir_watt=st.one_of(st.just(1e-6), st.floats(1e-6, 10.0)),
+        rate_cap_bpshz=st.floats(0.01, 5.0),
+        alpha_h=st.floats(2.0, 4.5),
+        alpha_g=st.floats(2.0, 4.5),
+    )
+)
+@example(config=ScenarioConfig(num_pairs=5, seed=derive_child_seed(5, 5, 0), coverage_radius_m=20.0))
+@example(
+    config=ScenarioConfig(
+        num_pairs=2,
+        seed=derive_child_seed(5, 2, 0),
+        coverage_radius_m=20.0,
+        p_cir_watt=1e-6,
+        noise_density_dbm_hz=-170.0,
+    )
+)
+def test_a_certified_opa_answer_is_a_kkt_point_no_worse_than_its_sca(config):
+    # Whenever opa certifies its full-harvest vertex, it reports that vertex
+    # with no SCA step, an oracle that differences the EE formula finds the
+    # EE rising in every power there, the vertex is feasible, and it scores
+    # at least what opa's presolve and SCA (the certificate off) reach on
+    # the same instance. Where opa does not certify a vertex of positive EE,
+    # the oracle finds a power whose cut does not lower the EE. The two
+    # explicit examples (r20 N = 5 and extreme N = 2 trials of ROADMAP's
+    # Baseline) each have exactly one such power.
+    _, ch = make_scenario(config)
+    vertex = core.pinned_allocation(config.theta_fix, ch, config)
+    try:
+        report = run_algorithm("opa", ch, config)
+    except NoFeasiblePointFoundError:
+        report = None
+    if report is None or report.stop_reason != "kkt_certified":
+        if core.energy_efficiency(vertex, ch, config) > 0.0:
+            assert not np.all(ee_power_slopes(vertex.tau, vertex.p, ch, config) > 0.0)
+        return
+    alloc = report.allocation
+    assert alloc.tau == vertex.tau and np.array_equal(alloc.p, vertex.p)
+    assert (report.status, report.iterations, report.subsolver_calls, report.pinned) == ("converged", 0, 0, 0)
+    assert report.trace == [report.ee_nats_per_joule]
+    assert np.all(ee_power_slopes(alloc.tau, alloc.p, ch, config) > 0.0)
+    feas = core.check_feasible(alloc, ch, config, report.r_bar)
+    budget = alloc.tau * config.eta * config.p0_watt * ch.g
+    assert feas.tau_in_range
+    assert np.all(feas.causality_violation <= 1e-8 * budget)
+    assert np.all(feas.qos_violation <= 1e-8 * report.r_bar)
+    with mock.patch.object(algorithms, "_kkt_certified", lambda *args: False):
+        sca = run_algorithm("opa", ch, config)
+    assert report.ee_nats_per_joule >= sca.ee_nats_per_joule * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize(

@@ -368,7 +368,12 @@ def test_each_start_builds_and_proposes_one_candidate(monkeypatch, n, seed, thet
         _start(ch, config, 1e3, _face_theta(ch, config, 1e3))
     assert tried == [theta_fix] and tries == [1]
 
+    # opa certifies its full-harvest vertex here before any presolve or
+    # start; with the certificate off it builds and proposes its one start
     del tried[:], tries[:]
+    assert opa(ch, config).stop_reason == "kkt_certified"
+    assert tried == [] and tries == []
+    monkeypatch.setattr(alg, "_kkt_certified", lambda *args: False)
     opa(ch, config)
     assert tried == [theta_fix, theta_fix] and tries == [1]
 
@@ -420,7 +425,7 @@ def test_subproblem_latency_soft(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "algorithm, max_steps, max_trials_per_step",
+    "algorithm, radius, seeds, max_steps, max_trials_per_step",
     # ~10% above the measured 56 steps (jhtpa) and 9 (opa), each step one
     # line-search trial (1.000 trials per step, bound 1.05). Each solve also
     # evaluates its start once, which is not a trial: with opa's first solve
@@ -446,12 +451,20 @@ def test_subproblem_latency_soft(monkeypatch):
     # they took 291 at 1.031 and 122 at 1.918. Backtracking from the first
     # rung below the linearization bound took 396 and 139; the
     # full-step-first line search with exact centering at every stage took
-    # 522 at 2.77 and 300 at 6.21
-    [(jhtpa, 62, 1.05), (opa, 10, 1.05)],
-    ids=["jhtpa", "opa"],
+    # 522 at 2.77 and 300 at 6.21. Since opa certifies its full-harvest
+    # vertex before any solve, it makes no solve on these seeds (bound 0);
+    # at a 20 m coverage radius the certificate rejects seeds 4, 23 and 87,
+    # where opa took 368 steps at 1.022 trials per step (11 solves).
+    [
+        (jhtpa, 800.0, (5, 23, 87), 62, 1.05),
+        (opa, 800.0, (5, 23, 87), 0, 1.05),
+        (opa, 20.0, (4, 23, 87), 405, 1.05),
+    ],
+    ids=["jhtpa", "opa", "opa-r20"],
 )
-def test_subproblem_step_counts(monkeypatch, algorithm, max_steps, max_trials_per_step):
+def test_subproblem_step_counts(monkeypatch, algorithm, radius, seeds, max_steps, max_trials_per_step):
     # deterministic companion of test_subproblem_latency_soft, on its seeds
+    # (and on three interference-limited ones for opa's SCA)
     import uavee.algorithms as alg
 
     counts = {"steps": 0, "values": 0, "solves": 0}
@@ -467,10 +480,14 @@ def test_subproblem_step_counts(monkeypatch, algorithm, max_steps, max_trials_pe
         return out
 
     monkeypatch.setattr(alg, "solve", counting_solve)
-    for seed in (5, 23, 87):
-        config = ScenarioConfig(num_pairs=10, seed=seed)
+    for seed in seeds:
+        config = ScenarioConfig(num_pairs=10, seed=seed, coverage_radius_m=radius)
         _, ch = make_scenario(config)
-        assert algorithm(ch, config).subsolver_calls >= 1
+        report = algorithm(ch, config)
+        if max_steps:
+            assert report.subsolver_calls >= 1 and report.stop_reason != "kkt_certified"
+        else:
+            assert (report.stop_reason, report.subsolver_calls) == ("kkt_certified", 0)
     print(f"{algorithm.__name__}: {counts['steps']} Newton steps, {counts['values']} constraint evaluations")
     assert counts["steps"] <= max_steps
     # every solve's start passes the domain guard and is evaluated once; the

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +116,8 @@ def test_opa_presolve_pins_the_pairs_the_floor_holds_at_full_harvest(
     # minimal-power point of (I - G) x >= b (computed here on its own). The
     # answer stays feasible, the pinned pairs sit exactly at full harvest,
     # and opa falls back to the full-harvest point only when all are pinned.
+    # Where opa certifies that point before any presolve, the presolve is
+    # checked with the certificate off.
     config = ScenarioConfig(
         num_pairs=num_pairs,
         seed=seed,
@@ -136,6 +139,11 @@ def test_opa_presolve_pins_the_pairs_the_floor_holds_at_full_harvest(
     pinned = 1.0 - x_min <= algorithms._PIN_TOL
 
     report = opa(ch, config)
+    if report.stop_reason == "kkt_certified":
+        vertex = core.pinned_allocation(theta_fix, ch, config)
+        assert report.pinned == 0 and np.array_equal(report.allocation.p, vertex.p)
+        with mock.patch.object(algorithms, "_kkt_certified", lambda *args: False):
+            report = opa(ch, config)
     assert report.pinned == pinned.sum()
     assert np.array_equal(report.allocation.p[pinned], p_max[pinned])
     feas = core.check_feasible(report.allocation, ch, config, r_bar)

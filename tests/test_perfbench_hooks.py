@@ -16,6 +16,7 @@ import pytest
 
 import uavee.algorithms as algorithms
 import uavee.engine as engine
+from uavee import ScenarioConfig
 from uavee.algorithms import ScaSettings
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,23 +39,30 @@ def perfbench():
 
 
 def test_tracer_hooks_count_and_keep_results(perfbench):
+    # opa certifies its full-harvest vertex on the paper_sweep trial and
+    # calls no engine function there; at a 20 m radius the certificate
+    # rejects the vertex and opa's SCA runs through every hook
     harness, tracer = perfbench
-    trial = harness.WORKLOADS["paper_sweep"].trial(101, 0)
-    plain = harness.run_paired_trial(trial)
-    tr = tracer.Tracer()
-    tr.install()
-    try:
-        traced = harness.run_paired_trial(trial)
-    finally:
-        tr.uninstall()
-    assert algorithms.solve is engine.solve
-    assert algorithms.find_feasible is engine.find_feasible
-    assert harness.trial_signature(traced) == harness.trial_signature(plain)
-    assert tr.counts["algorithms.build.calls"] > 0
-    for alg in tracer.SUBSOLVED:
-        assert tr.counts[f"engine.solve.calls.{alg}"] > 0
-        assert tr.counts[f"oracle.values.calls.{alg}"] > 0
-        assert tr.counts[f"engine.find_feasible.calls.{alg}"] > 0
+    paper = harness.WORKLOADS["paper_sweep"].trial(101, 0)
+    r20 = dataclasses.replace(paper, config=ScenarioConfig(num_pairs=5, seed=7, coverage_radius_m=20.0))
+    for trial, certified in ((paper, True), (r20, False)):
+        plain = harness.run_paired_trial(trial)
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            traced = harness.run_paired_trial(trial)
+        finally:
+            tr.uninstall()
+        assert algorithms.solve is engine.solve
+        assert algorithms.find_feasible is engine.find_feasible
+        assert harness.trial_signature(traced) == harness.trial_signature(plain)
+        assert tr.counts["algorithms.build.calls"] > 0
+        assert (traced.solves["opa"].report.stop_reason == "kkt_certified") == certified
+        for alg in tracer.SUBSOLVED:
+            solved = alg != "opa" or not certified
+            assert (tr.counts[f"engine.solve.calls.{alg}"] > 0) == solved
+            assert (tr.counts[f"oracle.values.calls.{alg}"] > 0) == solved
+            assert (tr.counts[f"engine.find_feasible.calls.{alg}"] > 0) == solved
 
 
 def test_run_trial_takes_sca_settings_as_the_benchmark_passes_them(perfbench):

@@ -34,7 +34,8 @@ def _compare(tmp_path, capsys, before, after):
     lines = capsys.readouterr().out.splitlines()
     # set, algorithm, identical, same path, same alloc, lower trace[-1],
     # drift, then Newton steps, Newton systems, rate calls, non-OPTIMAL
-    # solves and first-solve steps, each "old → new" or "n/a"
+    # solves, first-solve steps and the stop-reason tallies, each
+    # "old → new" or "n/a"
     table = {}
     for row in (line.split() for line in lines[1:]):
         table[tuple(row[:2])] = row[2:7] + _old_new_cells(row[7:])
@@ -55,7 +56,7 @@ def test_identical_files_compare_equal(tmp_path, capsys):
     same, table = _compare(tmp_path, capsys, _trials(), _trials())
     assert same
     assert len(table) == 3 * len(signatures.TRIAL_SETS)
-    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 5] for row in table.values())
+    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 6] for row in table.values())
 
 
 def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
@@ -66,7 +67,7 @@ def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
     identical, path, alloc, lower, drift, *_ = table[("dense_n30", "jhtpa")]
     assert (identical, path, alloc, lower) == ("0/1", "1/1", "1/1", "1/1")
     assert float(drift) == pytest.approx(1e-3, rel=1e-2)
-    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 5]
+    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 6]
 
 
 def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
@@ -74,7 +75,7 @@ def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
     after["paper_sweep"][0]["opa"] = ["raised", "NoFeasiblePointFoundError", "no start"]
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
-    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", *["n/a"] * 5]
+    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", *["n/a"] * 6]
 
 
 def _with_steps(
@@ -155,19 +156,43 @@ def test_non_optimal_solve_totals_print_old_to_new_after_the_rate_calls(tmp_path
 
 def test_first_solve_step_totals_print_old_to_new_last(tmp_path, capsys):
     before, after = _with_steps(_trials(), 40, 48, 5, 0, 9), _with_steps(_trials(), 40, 48, 5, 0, 2)
-    # opa's first solves took fewer steps but every answer is the same
+    # opa's first solves took fewer steps but every answer is the same; the
+    # last count column, before the stop-reason tallies
     same, table = _compare(tmp_path, capsys, before, after)
     assert same
-    assert {tuple(row[5:]) for key, row in table.items() if key[1] == "opa"} == {
+    assert {tuple(row[5:10]) for key, row in table.items() if key[1] == "opa"} == {
         ("10 → 10", "14 → 14", "1 → 1", "0 → 0", "9 → 2")
     }
     assert {row[9] for key, row in table.items() if key[1] == "jhtpa"} == {"40 → 40"}
     assert {row[9] for key, row in table.items() if key[1] == "oht"} == {"0 → 0"}
     # a file written before the count was recorded reads n/a in that column only
     _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40, 48, 5, 0), after)
-    assert {tuple(row[5:]) for key, row in table.items() if key[1] == "opa"} == {
+    assert {tuple(row[5:10]) for key, row in table.items() if key[1] == "opa"} == {
         ("10 → 10", "14 → 14", "1 → 1", "0 → 0", "n/a")
     }
+
+
+def test_stop_reason_tallies_print_old_to_new_last(tmp_path, capsys):
+    # three trials per set, with the same signatures; two of opa's runs
+    # stop at kkt_certified instead
+    before, after = ({name: trials * 3 for name, trials in _trials().items()} for _ in range(2))
+
+    def reasons(opa):
+        return {name: [{"jhtpa": "epsilon", "opa": r, "oht": "epsilon"} for r in opa] for name in before}
+
+    before["stop_reasons"] = reasons(["epsilon", "boundary_fallback", "epsilon"])
+    after["stop_reasons"] = reasons(["kkt_certified", "epsilon", "kkt_certified"])
+    same, table = _compare(tmp_path, capsys, before, after)
+    assert same
+    assert {tuple(row[:5]) for row in table.values()} == {("3/3", "3/3", "3/3", "0/3", "0")}
+    assert {row[10] for key, row in table.items() if key[1] == "opa"} == {
+        "boundary_fallback:1,epsilon:2 → epsilon:1,kkt_certified:2"
+    }
+    assert {row[10] for key, row in table.items() if key[1] != "opa"} == {"epsilon:3 → epsilon:3"}
+    # a file written before stop reasons were recorded reads n/a in that column
+    del before["stop_reasons"]
+    _, table = _compare(tmp_path, capsys, before, after)
+    assert {tuple(row[5:]) for row in table.values()} == {("n/a",) * 6}
 
 
 def test_a_set_missing_from_one_file_is_not_the_same(tmp_path, capsys):
@@ -214,6 +239,7 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     data = json.loads((tmp_path / "first.json").read_text())
     steps, systems, rates = data.pop("newton_steps"), data.pop("newton_systems"), data.pop("rate_calls")
     non_optimal, first_steps = data.pop("non_optimal"), data.pop("first_solve_steps")
+    reasons = data.pop("stop_reasons")
     assert {name: len(trials) for name, trials in data.items()} == sizes
     assert all(set(trial) == {"jhtpa", "opa", "oht"} for trials in data.values() for trial in trials)
     # one count per run; only jhtpa and opa call the barrier solver, and
@@ -222,12 +248,20 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     for name in sizes:
         for k, signature in enumerate(data[name]):
             runs, solved, short = steps[name][k], systems[name][k], non_optimal[name][k]
-            first_solve = first_steps[name][k]
+            first_solve, reason = first_steps[name][k], reasons[name][k]
             assert set(runs) == set(solved) == set(rates[name][k]) == set(short) == {"jhtpa", "opa", "oht"}
-            assert set(first_solve) == set(runs)
+            assert set(first_solve) == set(reason) == set(runs)
+            # a run that returned has its report's stop reason; oht always
+            # stops at epsilon, and a certified opa run solved nothing
+            for alg, stop in reason.items():
+                assert (stop == "raised") == (signature[alg][0] == "raised")
+            assert reason["oht"] == "epsilon"
+            certified = reason["opa"] == "kkt_certified"
+            if certified:  # nor read the QoS floor, which the vertex meets by its definition
+                assert runs["opa"] == solved["opa"] == rates[name][k]["opa"] == signature["opa"][-1] == 0
             assert runs["oht"] == solved["oht"] == short["oht"] == first_solve["oht"] == 0
-            # every run reads the QoS floor or scores theta_fix before it can raise
-            assert all(n >= 1 for n in rates[name][k].values())
+            # every other run reads the QoS floor or scores theta_fix before it can raise
+            assert all(n >= 1 for alg, n in rates[name][k].items() if not (alg == "opa" and certified))
             for alg in ("jhtpa", "opa"):
                 # a run's barrier solve scans for its first stage, but takes
                 # no Newton step from a start central at its final stage
@@ -252,6 +286,14 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
         assert sum(int(row[column]) for row in rows) == sum(
             sum(run.values()) for runs in counts.values() for run in runs
         )
+    # and its stop reasons: one tally per row, "t → t", counting each run once
+    assert all(row[22] == row[24] and row[23] == "→" and len(row) == 25 for row in rows)
+    for row in rows:
+        tally = dict(cell.split(":") for cell in row[22].split(","))
+        assert tally == {
+            stop: str(sum(run[row[1]] == stop for run in reasons[row[0]])) for stop in tally
+        }
+        assert sum(map(int, tally.values())) == sizes[row[0]]
 
 
 def test_non_optimal_counts_every_barrier_solve_short_of_optimal(tmp_path, monkeypatch):
@@ -259,7 +301,10 @@ def test_non_optimal_counts_every_barrier_solve_short_of_optimal(tmp_path, monke
     # as the solver was called, and no answer moves off the signature's path.
     # The first solve from the central start then gives way to the uniform
     # start, and the first-solve steps count both of those solves' steps.
+    # opa certifies its vertex on this trial without a solve, so the
+    # certificate is off and opa's SCA solves as jhtpa's does.
     monkeypatch.setattr(signatures, "TRIAL_SETS", (("paper_sweep", 501, 1),))
+    monkeypatch.setattr(algorithms, "_kkt_certified", lambda *args: False)
     calls = {"solves": 0, "first_solves": 0, "first_steps": 0}
     real, real_from, in_first = algorithms.solve, algorithms._solve_from, []
 
