@@ -60,27 +60,19 @@ _QOS_FEAS_MARGIN = 1e-13
 # subproblem solves per run instead of 1.0, and from the center jhtpa takes
 # 2.02 and loses 0.13% mean EE. The first subproblem is expanded at this
 # start but its barrier starts nearer the face: each free pair at its
-# estimated central slack for the weight it aims at, never deeper than
+# estimated central slack for weight _CENTRAL_T0, never deeper than
 # _INTERIOR_DEPTH / BARRIER_MU (see _warm_starts). A shallower start itself
 # (1e-4) cut Newton steps by 25% but moved jhtpa's EE by up to 1.4e-4 and
 # cost opa up to 2.8% on radius-20 m trials.
 _INTERIOR_DEPTH = 0.01
 
-# The barrier weights whose central path the first solve's central start
-# aims at (_warm_starts), by whether theta is free; that solve's first-stage
-# scan goes up to one BARRIER_MU below its aim (_solve_from). jhtpa's aim is
-# one BARRIER_MU above the top of _first_stage's default span: its start
-# holds theta at the iterate, which is not central in theta, and a point
-# central at 1e5 is nearly central at 1e4, which the scan then picks on
-# nearly every paper-regime solve (aiming at 1e7 made 18 of 40 dense_n30
-# first solves end short of OPTIMAL). opa holds theta and its objective is
-# separable, and in the paper regime only the causality rows are near
-# active, so its multiplier estimate is first-order exact and the start is
-# central far higher up: aimed at 1e8 instead of 1e5, its scan picks 1e7,
-# and opa's Newton steps on the benchmark's 360 paper_sweep quality trials
-# went 5,252 -> 660, every run on the same path.
+# The barrier weight whose central path the first solve's central start
+# aims at (_warm_starts), for jhtpa and opa alike: one BARRIER_MU above the
+# top of _first_stage's span. A point central there is nearly central at
+# the span's top, 1e4, which the scan then picks on nearly every
+# paper-regime solve (aiming jhtpa at 1e7 made 18 of 40 dense_n30 first
+# solves end short of OPTIMAL).
 _CENTRAL_T0 = BARRIER_MU ** (_FIRST_STAGE_SPAN + 1)
-_CENTRAL_T0_THETA_HELD = BARRIER_MU**8
 
 # A full-harvest point whose scaled QoS deficit stays below this is accepted
 # as weakly feasible when no strict interior point passes the check.
@@ -721,18 +713,14 @@ def _sca_loop(
 
     Later solves start from z[free]. The first tries the warm starts of
     _warm_starts in turn, then z[free] (_solve_from): each free pair at its
-    estimated central slack for weight t0, read off the surrogate's
+    estimated central slack for weight _CENTRAL_T0, read off the surrogate's
     objective gradient at the full-harvest point, then the uniform start one
     BARRIER_MU closer to the face than z on the segment the start lies on.
-    t0 is _CENTRAL_T0 (1e5) when theta is free and _CENTRAL_T0_THETA_HELD
-    (1e8) when it is held, and the solve from the central start scans for
-    its first stage up to t0 / BARRIER_MU; the other starts keep the
-    engine's default span (1e4). The program and the end of its central
-    path are the same, so only the route changes: from the central start
-    _first_stage picks t = 1e4 (jhtpa) or 1e7 (opa) on nearly every
-    paper-regime solve. A solve from the central start that ends short of
-    OPTIMAL gives way to the uniform start, as does a central start the
-    surrogate does not hold strictly feasible.
+    The program and the end of its central path are the same, so only the
+    route changes: from the central start _first_stage picks t = 1e4 on
+    nearly every paper-regime solve. A solve from the central start that
+    ends short of OPTIMAL gives way to the uniform start, as does a central
+    start the surrogate does not hold strictly feasible.
 
     A start that is only weakly feasible (the full-harvest point) takes zero
     iterations, as there is no strict interior to iterate in. The report
@@ -743,7 +731,6 @@ def _sca_loop(
     theta, p_start, strict = start
     z = np.append(theta, 1.0 / p_start)
     free = np.ones(z.size, dtype=bool) if free is None else free
-    t0 = _CENTRAL_T0 if free[0] else _CENTRAL_T0_THETA_HELD
 
     def allocation(z: np.ndarray) -> Allocation:
         return Allocation.from_theta(float(z[0]), np.where(free[1:], 1.0 / z[1:], p_start))
@@ -758,7 +745,7 @@ def _sca_loop(
     for _ in range(settings.max_iterations if strict else 0):
         prog = build(z, trace[-1])
         # every pass that does not break appends to trace: one entry means the first solve
-        warm = _warm_starts(prog, t0, theta, p_start, free, ch, config) if len(trace) == 1 else ()
+        warm = _warm_starts(prog, theta, p_start, free, ch, config) if len(trace) == 1 else ()
         try:
             outcome = _solve_from(prog, warm, z[free])
         except InfeasibleStartError:
@@ -794,22 +781,17 @@ def _sca_loop(
     )
 
 
-def _warm_starts(
-    prog: ConvexProgram, t0: float, theta: float, p_start: np.ndarray, free: np.ndarray, ch, config
-):
-    """The first solve's warm starts over z[free], in the order tried, each
-    as (point, the top of its solve's first-stage scan): the central start
-    aimed at weight t0, scanned up to t0 / BARRIER_MU, then the uniform one,
-    scanned over the engine's default span (None). Both hold theta and move
-    each free pair from the start's p_start toward its full-harvest power
-    p_max(theta).
+def _warm_starts(prog: ConvexProgram, theta: float, p_start: np.ndarray, free: np.ndarray, ch, config):
+    """The first solve's warm starts over z[free], in the order tried: the
+    central start, then the uniform one. Both hold theta and move each free
+    pair from the start's p_start toward its full-harvest power p_max(theta).
 
     The uniform start is p_max - (p_max - p_start) / BARRIER_MU, one
     BARRIER_MU closer to the face on the segment the start lies on. The
-    central one puts each pair where the central path at weight t0 would
-    hold it if only its causality row were active: at the full-harvest
-    point, stationarity on the causality rows alone, whose q-derivative is
-    -1 / (cap q^2), gives each free pair's multiplier
+    central one puts each pair where the central path at weight t0 =
+    _CENTRAL_T0 would hold it if only its causality row were active: at
+    the full-harvest point, stationarity on the causality rows alone,
+    whose q-derivative is -1 / (cap q^2), gives each free pair's multiplier
     lam = g cap / p_max^2 from prog's objective gradient g there, and a
     row with multiplier lam is central at slack 1 / (t0 lam), that is at
     p = p_max - cap / (t0 lam) (Boyd & Vandenberghe 11.3.1; Yildirim &
@@ -823,22 +805,20 @@ def _warm_starts(
     grad[free] = prog.objective.grad(np.append(theta, 1.0 / p_max)[free])
     with np.errstate(all="ignore"):
         lam = grad[1:] * cap / p_max**2
-        p_central = p_max - cap / (t0 * lam)
+        p_central = p_max - cap / (_CENTRAL_T0 * lam)
     usable = (lam > 0.0) & np.isfinite(lam)
     p_central = np.where(usable, np.maximum(p_central, p_uniform), p_uniform)
-    central, uniform = (np.append(theta, 1.0 / p)[free] for p in (p_central, p_uniform))
-    return (central, t0 / BARRIER_MU), (uniform, None)
+    return tuple(np.append(theta, 1.0 / p)[free] for p in (p_central, p_uniform))
 
 
 def _solve_from(prog: ConvexProgram, warm, z0: np.ndarray):
-    """engine.solve on prog from the first of the warm starts (point, scan
-    top) whose point prog holds strictly feasible, with that start's scan
-    top, else from z0 with the default one. A solve from any warm start but
-    the last that ends short of OPTIMAL gives way to the next start too."""
-    for start, top in warm:
+    """engine.solve on prog from the first of the points warm that prog
+    holds strictly feasible, else from z0. A solve from any warm point but
+    the last that ends short of OPTIMAL gives way to the next point too."""
+    for start in warm:
         with contextlib.suppress(InfeasibleStartError):
-            outcome = solve(prog, start, top)
-            if outcome.status is SolveStatus.OPTIMAL or start is warm[-1][0]:
+            outcome = solve(prog, start)
+            if outcome.status is SolveStatus.OPTIMAL or start is warm[-1]:
                 return outcome
     return solve(prog, z0)
 

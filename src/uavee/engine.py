@@ -11,15 +11,13 @@ that solve fails or gives no descent direction.
 Four choices keep each solve cheap (Boyd & Vandenberghe, Convex
 Optimization, 9.3, 9.5, 11.3.1 and 11.3.3):
 
-- The first stage is the most central one (_first_stage): of mu^j up to
-  the scan's top, by default mu^_FIRST_STAGE_SPAN, the t whose scale-free
-  Newton decrement at the start is least, so a start near a stage's center
-  skips the stages before it. The top is bounded: final stages entered from
-  far up the path crawl. A caller whose start it knows to be central higher
-  up raises the top for that solve (opa's first solve scans up to 1e7). The
-  scan runs from the top down and stops at the first rise of the
-  decrement, and the picked stage starts from the Newton system the scan
-  solved there.
+- The first stage is the most central one (_first_stage): of mu^j,
+  j <= _FIRST_STAGE_SPAN, the t whose scale-free Newton decrement at the
+  start is least, so a start near a stage's center skips the stages before
+  it. The span is bounded: final stages entered from far up the path crawl.
+  The scan runs from the top of the span down and stops at the first rise
+  of the decrement, and the picked stage starts from the Newton system the
+  scan solved there.
 - The line search stays below the linearization bound. Every constraint
   row is convex, so it lies above its linearization at the current point,
   and no step beyond min over (J d)_j > 0 of -c_j / (J d)_j is feasible.
@@ -99,16 +97,15 @@ _STAGE_DECREMENT_TOL = 1e-6
 _MODEL_ITERS = 12
 _MODEL_TOL = 0.05
 
-# _first_stage picks among BARRIER_MU**j, j = 0.._FIRST_STAGE_SPAN, unless
-# solve's caller raises the top. On the four interference-limited sets of
-# 300 trials (radius 20 m or 100 m, noise -170 dBm/Hz, and all three with
-# p_cir 1e-6 W), 1,599 of jhtpa's and opa's 1,604 solves are most central
-# at t <= 1e3 and 5 pick 1e4; at span 6 one of those picks 1e5. Spans 4, 5
-# and 6 gave the same statuses and Newton steps there, and EE to 1e-13,
-# while every solve started at its iterate. A start most central far up the
-# path can enter a final stage that crawls, so the span stays bounded: with
-# the SCA's central warm starts, a span of 5 costs one radius-20 m jhtpa
-# run (p_cir 1e-6 W, -170 dBm/Hz) 5.5% of its EE.
+# _first_stage picks among BARRIER_MU**j, j = 0.._FIRST_STAGE_SPAN. On the
+# four interference-limited sets of 300 trials (radius 20 m or 100 m, noise
+# -170 dBm/Hz, and all three with p_cir 1e-6 W), 1,599 of jhtpa's and opa's
+# 1,604 solves are most central at t <= 1e3 and 5 pick 1e4; at span 6 one of
+# those picks 1e5. Spans 4, 5 and 6 gave the same statuses and Newton steps
+# there, and EE to 1e-13, while every solve started at its iterate. A start
+# most central far up the path can enter a final stage that crawls, so the
+# span stays bounded: with the SCA's central warm starts, a span of 5 costs
+# one radius-20 m jhtpa run (p_cir 1e-6 W, -170 dBm/Hz) 5.5% of its EE.
 _FIRST_STAGE_SPAN = 4
 
 
@@ -351,17 +348,15 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
     return point, steps, SolveStatus.MAX_ITERATIONS
 
 
-def _first_stage(prog: ConvexProgram, point: _Point, top: float | None = None) -> float:
-    """The t the first stage centers at (B&V 11.3.1): of BARRIER_MU**j <= top
-    (by default BARRIER_MU**_FIRST_STAGE_SPAN), short of the final stage
-    (m/t < _DUALITY_GAP_TOL), the one whose scale-free Newton decrement
-    t * (-g(t) . d(t)) at point is least, the smaller t on a tie; 1 when
-    there is none. The scan runs from the largest such t downward and stops
-    at the first decrement above the least so far, and point keeps the
-    picked t's Newton system for _center."""
-    top = BARRIER_MU**_FIRST_STAGE_SPAN if top is None else top
+def _first_stage(prog: ConvexProgram, point: _Point) -> float:
+    """The t the first stage centers at (B&V 11.3.1): of BARRIER_MU**j,
+    j <= _FIRST_STAGE_SPAN, short of the final stage (m/t < _DUALITY_GAP_TOL),
+    the one whose scale-free Newton decrement t * (-g(t) . d(t)) at point is
+    least, the smaller t on a tie; 1 when there is none. The scan runs from
+    the largest such t downward and stops at the first decrement above the
+    least so far, and point keeps the picked t's Newton system for _center."""
     ts = [1.0]
-    while ts[-1] * BARRIER_MU <= top:
+    while len(ts) <= _FIRST_STAGE_SPAN:
         ts.append(ts[-1] * BARRIER_MU)
     best_t, best, kept = 1.0, math.inf, None
     for t in reversed([t for t in ts if not point.c.size / t < _DUALITY_GAP_TOL]):
@@ -374,24 +369,22 @@ def _first_stage(prog: ConvexProgram, point: _Point, top: float | None = None) -
     return best_t
 
 
-def solve(prog: ConvexProgram, z0: np.ndarray, top: float | None = None) -> SolveOutcome:
+def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
     """Path-following log-barrier minimization from a strictly feasible start.
 
     Centers f + (1/t) * barrier for t = t_start, t_start * BARRIER_MU, ...
-    (t_start from _first_stage, the stage most central at z0 of those up to
-    top, by default BARRIER_MU**_FIRST_STAGE_SPAN) until the duality gap
-    bound m/t drops below _DUALITY_GAP_TOL. Raise top only for a start
-    known to be central above it: a start entering a final stage from far
-    up the path can crawl. Only that final stage is centered to
-    _NEWTON_TOL; earlier stages stop at _STAGE_DECREMENT_TOL. Both tests
-    are on the Newton decrement. Raises InfeasibleStartError when z0 is not
-    strictly feasible; numerical breakdown is reported via status rather
-    than raised so callers can keep partial traces.
+    (t_start from _first_stage, the stage most central at z0) until the
+    duality gap bound m/t drops below _DUALITY_GAP_TOL. Only that final
+    stage is centered to _NEWTON_TOL; earlier stages stop at
+    _STAGE_DECREMENT_TOL. Both tests are on the Newton decrement. Raises
+    InfeasibleStartError when z0 is not strictly feasible; numerical
+    breakdown is reported via status rather than raised so callers can keep
+    partial traces.
     """
     point = _point_at(prog, np.array(z0, dtype=float))
     if point is None:
         raise InfeasibleStartError("starting point is outside the domain or not strictly feasible")
-    t = t_start = _first_stage(prog, point, top)
+    t = t_start = _first_stage(prog, point)
     total_steps = 0
     trace: list[float] = []
     status = SolveStatus.MAX_ITERATIONS

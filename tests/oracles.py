@@ -266,18 +266,16 @@ def check_gradients(prog, z: np.ndarray) -> float:
     )
 
 
-def exhaustive_first_stage(prog, point, top: float | None = None) -> float:
-    """engine._first_stage's rule by an exhaustive scan: of BARRIER_MU**j <=
-    top (by default j = 0.._FIRST_STAGE_SPAN) in turn, short of the final
-    stage (m/t < _DUALITY_GAP_TOL), the t whose scale-free Newton decrement
-    t * (-g(t) . d(t)) at point is least, the smaller t on a tie; 1 when
-    there is none. Each t's Newton system is solved afresh from
-    point.derivatives."""
+def exhaustive_first_stage(prog, point) -> float:
+    """engine._first_stage's rule by an exhaustive scan: of BARRIER_MU**j,
+    j = 0.._FIRST_STAGE_SPAN in turn, short of the final stage (m/t <
+    _DUALITY_GAP_TOL), the t whose scale-free Newton decrement t * (-g(t) .
+    d(t)) at point is least, the smaller t on a tie; 1 when there is none.
+    Each t's Newton system is solved afresh from point.derivatives."""
     from uavee import engine
 
-    top = engine.BARRIER_MU**engine._FIRST_STAGE_SPAN if top is None else top
     best_t, best, t = 1.0, math.inf, 1.0
-    while t <= top:
+    for _ in range(engine._FIRST_STAGE_SPAN + 1):
         if point.c.size / t < engine._DUALITY_GAP_TOL:
             break
         grad, hess, _ = point.derivatives(prog, 1.0 / t)

@@ -120,8 +120,8 @@ def write(out: Path) -> None:
         runs[-1][-1] = report.stop_reason
         return report
 
-    def solve(prog, z0, *args):
-        outcome = real_solve(prog, z0, *args)
+    def solve(prog, z0):
+        outcome = real_solve(prog, z0)
         runs[-1][1] += outcome.newton_step_count
         runs[-1][4] += outcome.status is not engine.SolveStatus.OPTIMAL
         return outcome

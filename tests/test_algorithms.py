@@ -599,17 +599,13 @@ def test_warm_start_reaches_the_same_subproblem_solution_in_fewer_steps(
     # ScenarioConfig(3, 7)'s jhtpa solve, 6.6e-8. From the central start z*
     # is within 5.4e-9 relative of the iterate's solve here, worst on
     # (10, 87) jhtpa, so that start is held to the objective the duality gap
-    # bounds.) The central start's solve scans for its first stage up to
-    # one BARRIER_MU below the weight it aims at: 1e4 for jhtpa, whose theta
-    # is free, 1e7 for opa, which holds theta; the uniform start keeps the
-    # engine's default span. The N = 3 case is test_engine's
-    # captured_subproblems scenario, the N = 10 ones
-    # test_subproblem_step_counts' seeds. opa certifies its vertex on all
-    # four without a solve, so its SCA runs with the certificate off.
+    # bounds.) The N = 3 case is test_engine's captured_subproblems
+    # scenario, the N = 10 ones test_subproblem_step_counts' seeds. opa
+    # certifies its vertex on all four without a solve, so its SCA runs
+    # with the certificate off.
     config, ch = scenario(num_pairs, seed)
     sca_only(monkeypatch)
-    prog, ((central, top), (uniform, uniform_top)), z0 = first_solve(monkeypatch, name, ch, config)
-    assert (top, uniform_top) == ({"jhtpa": 1e4, "opa": 1e7}[name], None)
+    prog, (central, uniform), z0 = first_solve(monkeypatch, name, ch, config)
     r_bar = core.qos_threshold(ch, config)
     if name == "jhtpa":
         assert central[0] == uniform[0] == z0[0]
@@ -623,8 +619,7 @@ def test_warm_start_reaches_the_same_subproblem_solution_in_fewer_steps(
     depth_central, depth_uniform, depth_start = (1.0 - 1.0 / (q * p_max) for q in (q_central, q_uniform, q_start))
     np.testing.assert_allclose(depth_uniform, depth_start / algorithms.BARRIER_MU, rtol=1e-6)
     assert np.all(depth_central > 0.0) and np.all(depth_central <= depth_uniform)
-    from_central = algorithms.solve(prog, central, top)
-    from_uniform, from_iterate = (algorithms.solve(prog, z) for z in (uniform, z0))
+    from_central, from_uniform, from_iterate = (algorithms.solve(prog, z) for z in (central, uniform, z0))
     assert from_central.status is from_uniform.status is from_iterate.status is SolveStatus.OPTIMAL
     np.testing.assert_allclose(from_uniform.z_star, from_iterate.z_star, rtol=1e-9, atol=0.0)
     gap = prog.objective.value(from_central.z_star) - prog.objective.value(from_iterate.z_star)
@@ -650,7 +645,6 @@ def test_a_surrogate_rejecting_the_warm_start_solves_from_the_iterate(monkeypatc
     if certified:
         sca_only(monkeypatch)
     _, warm, z0 = first_solve(monkeypatch, name, ch, config)
-    points = [point for point, _ in warm]
     # every solve from the iterate, as before the warm starts
     monkeypatch.setattr(algorithms, "_solve_from", lambda prog, warm, z0: algorithms.solve(prog, z0))
     expected = run_algorithm(name, ch, config)
@@ -665,18 +659,18 @@ def test_a_surrogate_rejecting_the_warm_start_solves_from_the_iterate(monkeypatc
         prog = build(*args, **kwargs)
         guard = prog.domain_guard
         return dataclasses.replace(
-            prog, domain_guard=lambda z: guard(z) and not any(np.array_equal(z, w) for w in points)
+            prog, domain_guard=lambda z: guard(z) and not any(np.array_equal(z, w) for w in warm)
         )
 
-    def recording(prog, z0, *args):
+    def recording(prog, z0):
         starts.append(z0)
-        return solve(prog, z0, *args)
+        return solve(prog, z0)
 
     monkeypatch.setattr(algorithms, builder, rejecting)
     monkeypatch.setattr(algorithms, "solve", recording)
     report = run_algorithm(name, ch, config)
-    assert len(points) == 2
-    assert all(np.array_equal(a, b) for a, b in zip(starts, [*points, z0]))
+    assert len(warm) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(starts, [*warm, z0]))
     assert len(starts) == report.subsolver_calls + 2
     assert report.stop_reason == expected.stop_reason != "infeasible_start"
     assert report.trace == expected.trace and report.iterations >= (1 if radius == 800.0 else 2)
@@ -698,9 +692,9 @@ def test_rejected_second_step_counts_its_subproblem_solve(monkeypatch, stop_reas
     theta, p, _ = algorithms._start(ch, config, r_bar, algorithms._face_theta(ch, config, r_bar))
     iterate = np.append(theta, 1.0 / p)
 
-    def second_rejected(prog, z0, *args):
+    def second_rejected(prog, z0):
         starts.append(z0)
-        outcome = real(prog, z0, *args)
+        outcome = real(prog, z0)
         if len(starts) == 1:
             return outcome
         if stop_reason == "non_improving":
@@ -783,8 +777,8 @@ def test_interference_limited_solves_end_centered(monkeypatch, algorithm, parent
     statuses = []
     real_solve = algorithms.solve
 
-    def recording_solve(prog, z0, *args):
-        out = real_solve(prog, z0, *args)
+    def recording_solve(prog, z0):
+        out = real_solve(prog, z0)
         statuses.append(out.status)
         return out
 

@@ -12,14 +12,13 @@ jhtpa's and opa's warm-started first solve must never turn a run into an
 infeasible_start that a start from the iterate would not give, nor end short
 of OPTIMAL where a solve from the uniform warm start alone would not, and
 the barrier's early-stopping first-stage scan must pick the t an exhaustive
-scan picks, also up to a raised top, and opa's central start aimed at 1e8
-must keep the run it makes when aimed at 1e5. Where opa certifies its
-full-harvest vertex, an oracle that differences the EE formula must find the
-EE rising in every power there, and the vertex must be feasible and score at
-least opa's SCA run with the certificate off; where it does not, the oracle
-must find a power whose cut does not lower the EE. Scaling every power (P0,
-p_cir and the noise power) by a power of two must leave every algorithm's
-path and answer unchanged but for that unit.
+scan picks. Where opa certifies its full-harvest vertex, an oracle that
+differences the EE formula must find the EE rising in every power there, and
+the vertex must be feasible and score at least opa's SCA run with the
+certificate off; where it does not, the oracle must find a power whose cut
+does not lower the EE. Scaling every power (P0, p_cir and the noise power) by
+a power of two must leave every algorithm's path and answer unchanged but for
+that unit.
 """
 
 import dataclasses
@@ -254,9 +253,9 @@ def test_the_first_stage_scan_stops_where_an_exhaustive_scan_picks(config):
     _, ch = make_scenario(config)
     real, picks = engine._first_stage, []
 
-    def first_stage(prog, point, top=None):
-        expected = exhaustive_first_stage(prog, engine._Point(point.z, point.c, point.f), top)
-        picks.append((real(prog, point, top), expected))
+    def first_stage(prog, point):
+        expected = exhaustive_first_stage(prog, engine._Point(point.z, point.c, point.f))
+        picks.append((real(prog, point), expected))
         return picks[-1][0]
 
     with mock.patch.object(engine, "_first_stage", first_stage):
@@ -293,49 +292,6 @@ def test_the_central_start_loses_no_optimal_first_solve(config):
     for name in ("jhtpa", "opa"):
         if first_solve_status(name, ch, config, 1) is engine.SolveStatus.OPTIMAL:
             assert first_solve_status(name, ch, config, 0) is engine.SolveStatus.OPTIMAL, name
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(
-    config=st.builds(
-        ScenarioConfig,
-        num_pairs=st.integers(1, 30),
-        seed=st.integers(0, 2**32 - 1),
-        coverage_radius_m=st.one_of(st.just(20.0), st.floats(20.0, 5000.0)),
-        eta=st.floats(0.01, 0.99),
-        theta_fix=st.one_of(st.floats(1.01, 50.0), st.floats(50.0, 1e5)),
-        noise_density_dbm_hz=st.floats(-170.0, -80.0),
-        p_cir_watt=st.one_of(st.just(1e-6), st.floats(1e-6, 10.0)),
-        rate_cap_bpshz=st.floats(0.01, 5.0),
-        alpha_h=st.floats(2.0, 4.5),
-        alpha_g=st.floats(2.0, 4.5),
-    )
-)
-@example(config=ScenarioConfig(num_pairs=10, seed=23, coverage_radius_m=20.0))
-def test_opa_aimed_higher_up_the_central_path_keeps_its_run(config):
-    # opa's central start aims at t = 1e8 and its solve scans up to 1e7.
-    # With jhtpa's target, 1e5 (scan top 1e4, the default span), as the
-    # reference, opa keeps its stop reason and SCA steps, and its EE to
-    # 1e-8 relative: only the barrier's route to the same subproblem
-    # optimum changed. Where opa certifies its vertex both runs are that
-    # vertex; the explicit example is a radius-20 m instance whose vertex
-    # the certificate rejects, so its presolve and SCA run (one step).
-    _, ch = make_scenario(config)
-
-    def opa_run():
-        try:
-            return run_algorithm("opa", ch, config)
-        except NoFeasiblePointFoundError:  # before any solve: no start
-            return None
-
-    report = opa_run()
-    with mock.patch.object(algorithms, "_CENTRAL_T0_THETA_HELD", 1e5):
-        reference = opa_run()
-    if report is None or reference is None:
-        assert report is reference
-        return
-    assert (report.stop_reason, report.iterations) == (reference.stop_reason, reference.iterations)
-    assert report.ee_nats_per_joule == pytest.approx(reference.ee_nats_per_joule, rel=1e-8, abs=0.0)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -405,15 +361,15 @@ def test_a_certified_opa_answer_is_a_kkt_point_no_worse_than_its_sca(config):
             "opa",
             ScenarioConfig(
                 num_pairs=19,
-                seed=63307576,
+                seed=12152,
                 coverage_radius_m=20.0,
-                eta=0.041843942570749464,
+                eta=0.01,
                 p_cir_watt=1e-6,
                 alpha_h=2.0,
-                alpha_g=3.085284877004648,
+                alpha_g=2.0,
                 noise_density_dbm_hz=-170.0,
                 rate_cap_bpshz=0.01,
-                theta_fix=65893.55367717565,
+                theta_fix=1.01,
             ),
         ),
         (
@@ -447,7 +403,7 @@ def test_a_first_solve_short_of_optimal_from_the_central_start_gives_way(monkeyp
 
     def recording(prog, warm, z0):
         if warm:  # the first solve: its status from the central start alone
-            statuses.append(algorithms.solve(prog, *warm[0]).status)
+            statuses.append(algorithms.solve(prog, warm[0]).status)
         return real(prog, warm, z0)
 
     monkeypatch.setattr(algorithms, "_solve_from", recording)

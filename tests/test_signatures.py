@@ -308,8 +308,8 @@ def test_non_optimal_counts_every_barrier_solve_short_of_optimal(tmp_path, monke
     calls = {"solves": 0, "first_solves": 0, "first_steps": 0}
     real, real_from, in_first = algorithms.solve, algorithms._solve_from, []
 
-    def short_of_optimal(prog, z0, *args):
-        outcome = real(prog, z0, *args)
+    def short_of_optimal(prog, z0):
+        outcome = real(prog, z0)
         calls["solves"] += 1
         if in_first:
             calls["first_solves"] += 1
