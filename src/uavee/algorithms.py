@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -110,11 +111,21 @@ class ScaSettings:
     an accepted step never lowers it, so the test is scale-free: the same
     run stops at the same step whatever unit the powers are given in. Trace
     monotonicity does not rest on subsolver accuracy: steps that fail to
-    improve the true objective are rejected outright.
+    improve the true objective are rejected outright. epsilon must be a
+    finite real >= 0 and max_iterations an int >= 1 (not a bool): a NaN or
+    negative epsilon would pass no step's test, and a count of 0 or 2.5
+    would run no step or raise mid-run.
     """
 
     epsilon: float = 1e-2
     max_iterations: int = 100
+
+    def __post_init__(self):
+        eps, count = self.epsilon, self.max_iterations
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0.0 <= eps < math.inf:
+            raise ValueError(f"epsilon must be a finite real >= 0, got {eps!r}")
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"max_iterations must be an int >= 1, got {count!r}")
 
 
 @dataclass(slots=True)
@@ -210,23 +221,28 @@ _FACE_THETAS = 1.0 + np.geomspace(1e-3, _THETA_CAP - 1.0, _FACE_GRID)
 # ---------------------------------------------------------------------------
 
 
-def _violation(theta: float, p: np.ndarray, ch, config, r_bar: float, pinned=None):
-    """Largest constraint value of (theta, p) in the original problem.
+def _violation(theta, p: np.ndarray, ch, config, r_bar: float, pinned=None):
+    """Largest constraint value of (theta, p) in the original problem, or of
+    each (theta_k, p_k) when theta is a (K,) array and p a (K, N) one.
 
     The rows, each scaled to O(1), are the theta guard, energy causality
     p_n / p_max_n - 1 and QoS (theta r_bar - ln(1 + SINR_n)) / (theta r_bar)
     plus _QOS_FEAS_MARGIN; a pinned pair (see opa) passes only at p_max.
     Negative iff (theta, p) is strictly feasible with that margin; NaN
     propagates, and a zero p_max (an underflowed UAV gain) gives a NaN row.
+    Each of a batch's values equals that (theta_k, p_k)'s alone, bit for
+    bit: core.sinr handles each row as it handles one p, and the rest is
+    elementwise or a max over the row.
     """
-    p_max = core.pinned_powers(theta, ch, config)
-    qos_rhs = theta * r_bar
+    theta = np.asarray(theta)
+    p_max = core.pinned_powers(theta[..., None], ch, config)
+    qos_rhs = theta[..., None] * r_bar
     qos = (qos_rhs - np.log1p(core.sinr(p, ch))) / np.maximum(qos_rhs, _QOS_SCALE_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         pairs = np.maximum(p / p_max - 1.0, qos + _QOS_FEAS_MARGIN)
     if pinned is not None:
-        pairs[pinned] = np.where(p[pinned] == p_max[pinned], -math.inf, math.inf)
-    return np.maximum((1.0 + THETA_GAP) - theta, pairs.max())
+        pairs[..., pinned] = np.where(p[..., pinned] == p_max[..., pinned], -math.inf, math.inf)
+    return np.maximum((1.0 + THETA_GAP) - theta, pairs.max(axis=-1))
 
 
 def _interior_powers(ch, config, r_bar: float, theta: float, pinned=None):
@@ -378,8 +394,10 @@ def _jhtpa_coefficients(z_bar: np.ndarray, phi: float, ch, config, r_bar: float)
     """
     theta_bar, q_bar = float(z_bar[0]), z_bar[1:]
     n = q_bar.size
-    hd = np.diag(ch.h).copy()
-    off = ch.h - np.diag(hd)
+    diag = np.arange(n)
+    hd = ch.h.diagonal()
+    off = ch.h.copy()
+    off[diag, diag] = 0.0
     s2 = ch.sigma2_watt
     ep = config.eta * config.p0_watt
     cap = ep * ch.g  # causality scale: p_n <= (theta-1) * cap_n
@@ -393,9 +411,9 @@ def _jhtpa_coefficients(z_bar: np.ndarray, phi: float, ch, config, r_bar: float)
     lin = np.zeros((2 * n + 1, n + 1))
     lin[: n + 1, 0] = -1.0
     lin[n + 1 :, 0] = ct / qos_scale
-    lin[n + 1 :, 1:] = np.diag(cx / (hd * qos_scale))
+    lin[n + 1 + diag, 1 + diag] = cx / (hd * qos_scale)
     rec = np.zeros((2 * n + 1, n + 1))
-    rec[1 : n + 1, 1:] = np.diag(1.0 / cap)
+    rec[1 + diag, 1 + diag] = 1.0 / cap
     rec[n + 1 :, 1:] = cy[:, None] * off / qos_scale
 
     # Normalize the surplus to O(1): sum rates can sit many decades below one,
@@ -478,23 +496,33 @@ def _jhtpa_extrapolate(z_bar, z_new, phi_new, score, ch, config, r_bar):
     Candidates scale (theta - 1) by the accepted step's ratio raised to
     doubling powers while holding each pair's position relative to its
     causality bound fixed, i.e. they track the harvest-budget boundary the
-    optimizer rides. Every candidate must be strictly feasible by _violation,
-    so ascent and feasibility are preserved.
+    optimizer rides. The candidates up to the first theta outside (1 +
+    THETA_GAP, _THETA_CAP] are checked in one batched _violation call; in
+    order, each must be strictly feasible and score above the best so far,
+    and the first that is not ends the ladder. So ascent and feasibility are
+    preserved.
     """
     cap = config.eta * config.p0_watt * ch.g
     theta_bar = float(z_bar[0])
     theta_new = float(z_new[0])
     ratio_t = (theta_new - 1.0) / (theta_bar - 1.0)
     slack_u = z_new[1:] * (theta_new - 1.0) * cap  # >= 1, distance off the bound
-    best_z, best_phi = z_new, phi_new
+    thetas = []
     for s in _EXTRAPOLATION_POWERS:
-        theta_e = 1.0 + (theta_bar - 1.0) * ratio_t**s
+        theta_e = 1.0 + (theta_bar - 1.0) * ratio_t**s  # float **: numpy's array ** rounds differently
         if not 1.0 + THETA_GAP < theta_e <= _THETA_CAP:  # NaN and inf fail too
             break
-        q_e = slack_u / ((theta_e - 1.0) * cap)  # _violation rejects a non-finite or zero q_e
-        if not _violation(theta_e, 1.0 / q_e, ch, config, r_bar) < 0.0:
+        thetas.append(theta_e)
+    best_z, best_phi = z_new, phi_new
+    if not thetas:
+        return best_z, best_phi
+    batch = np.array(thetas)
+    q_e = slack_u / ((batch[:, None] - 1.0) * cap)  # _violation rejects a non-finite or zero q_e
+    feasible = _violation(batch, 1.0 / q_e, ch, config, r_bar) < 0.0
+    for theta, q, ok in zip(thetas, q_e, feasible):
+        if not ok:
             break
-        z_e = np.concatenate(([theta_e], q_e))
+        z_e = np.concatenate(([theta], q))
         phi_e = score(z_e)
         if phi_e <= best_phi:
             break

@@ -190,12 +190,14 @@ class _Point:
 
     def newton_system(self, prog: ConvexProgram, inv_t: float):
         """(grad, hess, jac, direction, ok) at weight 1/t: derivatives and the
-        Newton direction of _newton_direction, a zero step on an exactly zero
-        gradient, whose decrement 0 reads as centered. The last weight's
-        system is cached."""
+        Newton direction of _newton_direction, which no direction passes on
+        an exactly zero gradient: that gradient gets a zero step, whose
+        decrement 0 reads as centered. The last weight's system is cached."""
         if self.system is None or self.system[0] != inv_t:
             grad, hess, jac = self.derivatives(prog, inv_t)
-            direction, ok = _newton_direction(hess, grad) if grad.any() else (np.zeros_like(grad), True)
+            direction, ok = _newton_direction(hess, grad)
+            if not ok and not grad.any():
+                direction, ok = np.zeros_like(grad), True
             self.system = (inv_t, grad, hess, jac, direction, ok)
         return self.system[1:]
 
@@ -209,25 +211,14 @@ def _point_at(prog: ConvexProgram, z: np.ndarray) -> _Point | None:
     return point if math.isfinite(point.f - point.log_slack) else None
 
 
-def _linearized_step_bound(r: np.ndarray) -> float:
-    """Smallest s > 0 at which some linearized row c_j + s * (J d)_j reaches 0.
-
-    r_j = (J(z) d)_j / -c_j are the rows' directional derivatives along d over
-    their (positive) slacks at z; inf when no row grows along d. Convex rows
-    lie above their linearizations, so no step at or beyond this bound is
-    strictly feasible; for affine rows the bound is exact.
-    """
-    growth = float(r.max()) if r.size else 0.0
-    return 1.0 / growth if growth > 0.0 else math.inf
-
-
 def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     """Solve H d = -g with Jacobi equilibration and a Levenberg fallback.
 
     The equilibrated system is solved by one LU factorization. The
-    regularization grows while the solve fails, returns a non-finite y or a
-    y that is not a descent direction (gs . y >= 0). Returns (direction, ok);
-    ok is False when the regularization cap is hit.
+    regularization grows while the solve fails or returns a y that is not a
+    finite descent direction, -inf < gs . y < 0 (a NaN or infinite entry of
+    y makes the dot NaN or infinite). Returns (direction, ok); ok is False
+    when the regularization cap is hit.
     """
     diag = hess.diagonal()
     top = float(diag.max()) if diag.size else 1.0
@@ -238,7 +229,7 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray):
     while True:
         try:
             y = np.linalg.solve(hs if reg == 0.0 else hs + reg * np.eye(hs.shape[0]), -gs)
-            if np.isfinite(y).all() and float(gs @ y) < 0.0:
+            if -math.inf < float(gs @ y) < 0.0:
                 return scale * y, True
         except np.linalg.LinAlgError:
             pass
@@ -300,10 +291,14 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
     Each point's Newton system comes from _Point.newton_system, so the first
     one is the system _first_stage already solved when it picked this
     stage. The linearized slack ratios r = (J d) / -c are formed once per
-    step, for the linearization bound and the model step: when 0.99 times the
-    bound exceeds 1, backtracking starts at the model step (_model_step on
-    the slope, curvature and r this direction gives), else at the first rung
-    below 0.99 times the bound (see the module docstring).
+    step, for the linearization bound and the model step. The bound is the
+    smallest s > 0 at which some linearized row c_j + s (J d)_j reaches 0,
+    1 / max_j r_j (inf when no row grows along d): convex rows lie above
+    their linearizations, so no step at or beyond it is strictly feasible,
+    and for affine rows it is exact. When 0.99 times the bound exceeds 1,
+    backtracking starts at the model step (_model_step on the slope,
+    curvature and r this direction gives), else at the first rung below
+    0.99 times the bound (see the module docstring).
 
     Returns (point, steps_taken, status): OPTIMAL when centered,
     NUMERICAL_FAILURE when the Newton system cannot be repaired, and
@@ -324,7 +319,8 @@ def _center(prog: ConvexProgram, point: _Point, inv_t: float, decrement_tol: flo
 
         slope = _ARMIJO_SLOPE * gd
         r = (jac @ direction) / point.slack
-        limit = 0.99 * _linearized_step_bound(r)
+        growth = float(r.max()) if r.size else 0.0
+        limit = 0.99 * (1.0 / growth) if growth > 0.0 else math.inf
         if 1.0 < limit < math.inf:
             # along d: objective slope a = g.d - (1/t) sum r_j, non-barrier
             # curvature lambda^2 - (1/t) sum r_j^2, with lambda^2 = -g.d

@@ -8,7 +8,9 @@ own EE formula, not core's gradient, to check opa's vertex certificate. check_gr
 ConvexProgram's oracles to check their derivatives. exhaustive_first_stage
 alone calls into the solver: it is the barrier's first-stage scan over every
 allowed t, built from the engine's own Newton systems, and the reference for
-the engine's early-stopping scan.
+the engine's early-stopping scan. sequential_extrapolate is jhtpa's
+extrapolation ladder as it ran before its feasibility checks were batched,
+one _violation call per rung, and the reference for the batched ladder.
 """
 
 import math
@@ -285,3 +287,31 @@ def exhaustive_first_stage(prog, point) -> float:
             best_t, best = t, decrement
         t *= engine.BARRIER_MU
     return best_t
+
+
+def sequential_extrapolate(z_bar, z_new, phi_new, score, ch, config, r_bar):
+    """algorithms._jhtpa_extrapolate rung by rung: (z, EE, stop), stop naming
+    what ended the ladder: "range" (a theta outside (1 + THETA_GAP,
+    _THETA_CAP]), "infeasible" (_violation not negative), "no_gain" (the
+    score does not rise) or "exhausted" (every rung accepted)."""
+    from uavee import algorithms
+
+    cap = config.eta * config.p0_watt * ch.g
+    theta_bar = float(z_bar[0])
+    theta_new = float(z_new[0])
+    ratio_t = (theta_new - 1.0) / (theta_bar - 1.0)
+    slack_u = z_new[1:] * (theta_new - 1.0) * cap
+    best_z, best_phi = z_new, phi_new
+    for s in algorithms._EXTRAPOLATION_POWERS:
+        theta_e = 1.0 + (theta_bar - 1.0) * ratio_t**s
+        if not 1.0 + algorithms.THETA_GAP < theta_e <= algorithms._THETA_CAP:
+            return best_z, best_phi, "range"
+        q_e = slack_u / ((theta_e - 1.0) * cap)
+        if not algorithms._violation(theta_e, 1.0 / q_e, ch, config, r_bar) < 0.0:
+            return best_z, best_phi, "infeasible"
+        z_e = np.concatenate(([theta_e], q_e))
+        phi_e = score(z_e)
+        if phi_e <= best_phi:
+            return best_z, best_phi, "no_gain"
+        best_z, best_phi = z_e, phi_e
+    return best_z, best_phi, "exhausted"

@@ -23,14 +23,16 @@ count in COUNTS: the Newton steps of the barrier solves, the Newton systems
 they solved (engine._newton_direction calls, the first stage's scan
 included), the full-harvest rate calls (core.pinned_rates, which oht's
 search, jhtpa's face scan and the QoS floor call), the barrier solves that
-ended short of OPTIMAL and the Newton steps of each run's first SCA solve,
-the solves from its warm starts included ("n/a" when a file holds no such
-counts), and last the tally in OLD and NEW of the runs' stop reasons
+ended short of OPTIMAL, the Newton steps of each run's first SCA solve,
+the solves from its warm starts included, and the SINR evaluations made
+during the run (core.sinr calls: every EE score and every batched or single
+feasibility check of a start or an extrapolation rung) ("n/a" when a file
+holds no such counts), and last the tally in OLD and NEW of the runs' stop reasons
 (SolveReport.stop_reason, "raised" for a run that raised), such as
 "epsilon:360 → kkt_certified:360". A change that moves only the rounding of
 EE or trace shows every solve on the same path with the same allocation;
 the counts are deterministic, so a change to the barrier's route or work,
-or to oht's search, shows in the five count columns even where every
+or to oht's search, shows in the six count columns even where every
 answer stays the same.
 """
 
@@ -72,6 +74,7 @@ COUNTS = {
     "rate_calls": "rate calls",
     "non_optimal": "non-OPTIMAL",
     "first_solve_steps": "first-solve steps",
+    "sinr_calls": "SINR calls",
 }
 
 
@@ -100,23 +103,29 @@ def _trials(harness, name: str, seed: int, count: int) -> list:
 def write(out: Path) -> None:
     """Write each solve's signature, under each COUNTS key each run's
     count: Newton steps, Newton systems, core.pinned_rates calls, barrier
-    solves whose status is not OPTIMAL and the Newton steps of the first SCA
-    solve (the one algorithms._solve_from is handed warm starts for), and
-    under "stop_reasons" each run's stop reason, all read by wrapping
-    bench.run_algorithm, algorithms.solve, algorithms._solve_from,
-    engine._newton_direction and core.pinned_rates while the trials run."""
+    solves whose status is not OPTIMAL, the Newton steps of the first SCA
+    solve (the one algorithms._solve_from is handed warm starts for) and
+    the core.sinr calls made while the run is in bench.run_algorithm (not
+    the reports' EE read afterwards), and under "stop_reasons" each run's
+    stop reason, all read by wrapping bench.run_algorithm, algorithms.solve,
+    algorithms._solve_from, engine._newton_direction, core.pinned_rates and
+    core.sinr while the trials run."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
     from uavee import algorithms, bench, core, engine
 
     real_run, real_solve, real_direction = bench.run_algorithm, algorithms.solve, engine._newton_direction
-    real_rates, real_solve_from = core.pinned_rates, algorithms._solve_from
+    real_rates, real_solve_from, real_sinr = core.pinned_rates, algorithms._solve_from, core.sinr
     # [algorithm, *counts in COUNTS order, stop reason] of each run in the current trial
-    runs = []
+    runs, running = [], []
 
     def run_algorithm(name, *args):
-        runs.append([name, 0, 0, 0, 0, 0, "raised"])
-        report = real_run(name, *args)
+        runs.append([name, 0, 0, 0, 0, 0, 0, "raised"])
+        running.append(name)
+        try:
+            report = real_run(name, *args)
+        finally:
+            running.pop()
         runs[-1][-1] = report.stop_reason
         return report
 
@@ -142,11 +151,16 @@ def write(out: Path) -> None:
         runs[-1][3] += 1
         return real_rates(*args)
 
+    def sinr(*args):
+        if running:
+            runs[-1][6] += 1
+        return real_sinr(*args)
+
     # counts[key][set] holds, per trial, {algorithm: count} of each run
     data, counts = {}, {key: {name: [] for name, _, _ in TRIAL_SETS} for key in COUNTS}
     reasons = {name: [] for name, _, _ in TRIAL_SETS}
     bench.run_algorithm, algorithms.solve, engine._newton_direction = run_algorithm, solve, newton_direction
-    core.pinned_rates, algorithms._solve_from = pinned_rates, solve_from
+    core.pinned_rates, algorithms._solve_from, core.sinr = pinned_rates, solve_from, sinr
     try:
         for name, seed, count in TRIAL_SETS:
             data[name] = []
@@ -160,7 +174,7 @@ def write(out: Path) -> None:
                 reasons[name].append({run[0]: run[-1] for run in runs})
     finally:
         bench.run_algorithm, algorithms.solve, engine._newton_direction = real_run, real_solve, real_direction
-        core.pinned_rates, algorithms._solve_from = real_rates, real_solve_from
+        core.pinned_rates, algorithms._solve_from, core.sinr = real_rates, real_solve_from, real_sinr
     out.write_text(json.dumps({**data, **counts, "stop_reasons": reasons}))
 
 

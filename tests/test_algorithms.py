@@ -491,6 +491,38 @@ def test_feasibility_is_checked_on_demand():
     )
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"epsilon": float("nan")},
+        {"epsilon": -1e-3},
+        {"epsilon": float("inf")},
+        {"epsilon": "0.01"},
+        {"epsilon": True},
+        {"max_iterations": 0},
+        {"max_iterations": -1},
+        {"max_iterations": 2.5},
+        {"max_iterations": True},
+        {"max_iterations": "100"},
+    ],
+    ids=repr,
+)
+def test_sca_settings_reject_a_stop_rule_no_run_can_follow(fields):
+    # a NaN or negative epsilon passes no step's test (a radius-20 m N = 5
+    # jhtpa then ran 71 steps to non_improving and reported converged); 0
+    # iterations made a stepless report and 2.5 raised TypeError mid-run
+    with pytest.raises(ValueError):
+        algorithms.ScaSettings(**fields)
+
+
+def test_sca_settings_accept_any_finite_real_epsilon_and_integral_count():
+    # numpy scalars, an int epsilon of 0 and a one-step cap are valid rules
+    algorithms.ScaSettings(epsilon=np.float64(1e-3), max_iterations=np.int64(7))
+    config, ch = scenario(3, 7)
+    capped = jhtpa(ch, config, algorithms.ScaSettings(epsilon=0, max_iterations=1))
+    assert (capped.stop_reason, capped.iterations) == ("max_iterations", 1)
+
+
 def test_stop_reason_names_the_exit():
     import json
 

@@ -18,7 +18,9 @@ the vertex must be feasible and score at least opa's SCA run with the
 certificate off; where it does not, the oracle must find a power whose cut
 does not lower the EE. Scaling every power (P0, p_cir and the noise power) by
 a power of two must leave every algorithm's path and answer unchanged but for
-that unit.
+that unit. jhtpa's extrapolation ladder, which checks its rungs in one
+batched _violation call, must return what the rung-by-rung reference returns
+from iterates near full harvest, bit for bit.
 """
 
 import dataclasses
@@ -37,7 +39,7 @@ from uavee import ScenarioConfig, derive_child_seed, make_scenario
 from uavee.algorithms import ALGORITHM_NAMES, oht, run_algorithm
 from uavee.engine import NoFeasiblePointFoundError
 
-from oracles import ee_power_slopes, exhaustive_first_stage
+from oracles import ee_power_slopes, exhaustive_first_stage, iterate_ee, sequential_extrapolate
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -474,3 +476,108 @@ def test_a_run_keeps_its_last_sca_step_when_powers_are_scaled_by_2_to_the_40():
     _, ch = make_scenario(config)
     assert run_algorithm("jhtpa", ch, config).iterations == 2
     assert_power_unit_invariant(ch, config, 40)
+
+
+_LADDER_CONFIGS = st.builds(
+    ScenarioConfig,
+    num_pairs=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    coverage_radius_m=st.one_of(st.just(20.0), st.floats(20.0, 5000.0)),
+    eta=st.floats(0.01, 0.99),
+    theta_fix=st.one_of(st.floats(1.01, 50.0), st.floats(50.0, 1e5)),
+    noise_density_dbm_hz=st.floats(-170.0, -80.0),
+    p_cir_watt=st.one_of(st.just(1e-6), st.floats(1e-6, 10.0)),
+    rate_cap_bpshz=st.floats(0.01, 5.0),
+    alpha_h=st.floats(2.0, 4.5),
+    alpha_g=st.floats(2.0, 4.5),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    config=_LADDER_CONFIGS,
+    log_tm1=st.floats(-3.0, 3.0),
+    log_ratio=st.floats(-1.0, 1.5),
+    log_depth=st.floats(-12.0, -1.0),
+    depth_seed=st.integers(0, 2**32 - 1),
+    expect=st.none(),
+)
+@example(
+    config=ScenarioConfig(num_pairs=1, seed=2848888437, coverage_radius_m=20.0),
+    log_tm1=-1.7170105060393186,
+    log_ratio=1.3833900259946388,
+    log_depth=-2.25183135259509,
+    depth_seed=3316599123,
+    expect="infeasible",
+)
+@example(
+    config=ScenarioConfig(num_pairs=1, seed=789153504, coverage_radius_m=841.9382400984589),
+    log_tm1=-2.9095633288175,
+    log_ratio=0.14543305135592988,
+    log_depth=-10.207853050951503,
+    depth_seed=2037309254,
+    expect="infeasible",
+)
+@example(
+    config=ScenarioConfig(num_pairs=1, seed=431652075, coverage_radius_m=20.0),
+    log_tm1=-0.3361976484274143,
+    log_ratio=0.604556022855107,
+    log_depth=-10.481739046107206,
+    depth_seed=750752571,
+    expect="no_gain",
+)
+@example(
+    config=ScenarioConfig(num_pairs=1, seed=1158095938, coverage_radius_m=3966.35421668678),
+    log_tm1=0.7027729984137836,
+    log_ratio=0.015780674728532507,
+    log_depth=-7.406448738404332,
+    depth_seed=790562696,
+    expect="range",
+)
+def test_the_batched_ladder_returns_the_sequential_ladders_step(
+    config, log_tm1, log_ratio, log_depth, depth_seed, expect
+):
+    # z_bar at theta_bar = 1 + 10^log_tm1 and the step z_new at theta_bar's
+    # theta - 1 times 10^log_ratio, each pair a relative depth of about
+    # 10^log_depth below its causality bound: the ladder's z must equal the
+    # rung-by-rung reference's, and its EE too. Every row of the batched
+    # _violation call over the in-range rungs equals that rung's call alone.
+    # The explicit examples end the reference where expect says: at an
+    # infeasible rung after one accepted rung and at the first rung, at a
+    # rung that does not raise the EE, and at one past _THETA_CAP.
+    _, ch = make_scenario(config)
+    cap = config.eta * config.p0_watt * ch.g
+    if not np.all(cap > 0.0):  # an underflowed UAV gain: no start exists
+        return
+    r_bar = core.qos_threshold(ch, config)
+    rng = np.random.default_rng(depth_seed)
+
+    def near_full_harvest(theta):
+        depth = 10.0**log_depth * rng.uniform(0.5, 2.0, config.num_pairs)
+        return np.append(theta, 1.0 / ((1.0 - depth) * (theta - 1.0) * cap))
+
+    theta_bar = 1.0 + 10.0**log_tm1
+    z_bar = near_full_harvest(theta_bar)
+    z_new = near_full_harvest(1.0 + (theta_bar - 1.0) * 10.0**log_ratio)
+
+    def score(z):
+        return iterate_ee(z, ch, config)
+
+    phi_new = score(z_new)
+    z_ref, phi_ref, stop = sequential_extrapolate(z_bar, z_new, phi_new, score, ch, config, r_bar)
+    z, phi = algorithms._jhtpa_extrapolate(z_bar, z_new, phi_new, score, ch, config, r_bar)
+    assert np.array_equal(z, z_ref) and phi == phi_ref
+    assert expect is None or stop == expect
+
+    ratio, thetas = float((z_new[0] - 1.0) / (theta_bar - 1.0)), []
+    for s in algorithms._EXTRAPOLATION_POWERS:  # the in-range rungs, as the ladder stops
+        thetas.append(1.0 + (theta_bar - 1.0) * ratio**s)
+        if not 1.0 + algorithms.THETA_GAP < thetas[-1] <= algorithms._THETA_CAP:
+            thetas.pop()
+            break
+    slack_u = z_new[1:] * (z_new[0] - 1.0) * cap
+    powers = [(t - 1.0) * cap / slack_u for t in thetas]
+    if thetas:
+        batch = algorithms._violation(np.array(thetas), np.array(powers), ch, config, r_bar)
+        alone = [algorithms._violation(t, p, ch, config, r_bar) for t, p in zip(thetas, powers)]
+        assert np.array_equal(batch, alone, equal_nan=True)

@@ -19,7 +19,6 @@ from uavee.algorithms import (
 )
 from uavee.engine import (
     _MODEL_TOL,
-    _linearized_step_bound,
     _model_step,
     ConvexProgram,
     Functional,
@@ -529,16 +528,18 @@ def captured_subproblems():
     beyond=st.one_of(st.just(0.0), st.floats(1e-12, 1e3)),
 )
 def test_linearized_step_bound_cuts_no_feasible_step(captured_subproblems, pick, unit, beyond):
-    # convex rows lie above their linearizations, so every step at or past
-    # the bound leaves the strictly feasible set (or the oracles' domain).
-    # The rows are scaled to O(1) and round at ~1e-16 when evaluated, so a
-    # point on the boundary may read a hair below zero.
+    # _center's bound 1 / max_j r_j, r = (J d) / -c: convex rows lie above
+    # their linearizations, so every step at or past it leaves the strictly
+    # feasible set (or the oracles' domain). The rows are scaled to O(1) and
+    # round at ~1e-16 when evaluated, so a point on the boundary may read a
+    # hair below zero.
     prog, z = captured_subproblems[pick % len(captured_subproblems)]
     direction = np.asarray(unit[: z.size]) * np.abs(z)
     c = prog.constraint_values(z)
-    bound = _linearized_step_bound(prog.constraint_jacobian(z) @ direction / -c)
-    if not np.isfinite(bound):
+    growth = float((prog.constraint_jacobian(z) @ direction / -c).max())
+    if not growth > 0.0:
         return
+    bound = 1.0 / growth
     trial = z + bound * (1.0 + beyond) * direction
     assert not prog.domain_guard(trial) or prog.constraint_values(trial).max() >= -1e-12
 

@@ -34,8 +34,8 @@ def _compare(tmp_path, capsys, before, after):
     lines = capsys.readouterr().out.splitlines()
     # set, algorithm, identical, same path, same alloc, lower trace[-1],
     # drift, then Newton steps, Newton systems, rate calls, non-OPTIMAL
-    # solves, first-solve steps and the stop-reason tallies, each
-    # "old → new" or "n/a"
+    # solves, first-solve steps, SINR calls and the stop-reason tallies,
+    # each "old → new" or "n/a"
     table = {}
     for row in (line.split() for line in lines[1:]):
         table[tuple(row[:2])] = row[2:7] + _old_new_cells(row[7:])
@@ -56,7 +56,7 @@ def test_identical_files_compare_equal(tmp_path, capsys):
     same, table = _compare(tmp_path, capsys, _trials(), _trials())
     assert same
     assert len(table) == 3 * len(signatures.TRIAL_SETS)
-    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 6] for row in table.values())
+    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 7] for row in table.values())
 
 
 def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
@@ -67,7 +67,7 @@ def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
     identical, path, alloc, lower, drift, *_ = table[("dense_n30", "jhtpa")]
     assert (identical, path, alloc, lower) == ("0/1", "1/1", "1/1", "1/1")
     assert float(drift) == pytest.approx(1e-3, rel=1e-2)
-    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 6]
+    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 7]
 
 
 def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
@@ -75,11 +75,17 @@ def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
     after["paper_sweep"][0]["opa"] = ["raised", "NoFeasiblePointFoundError", "no start"]
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
-    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", *["n/a"] * 6]
+    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", *["n/a"] * 7]
 
 
 def _with_steps(
-    trials, jhtpa_steps, jhtpa_systems=None, oht_rate_calls=None, opa_non_optimal=None, opa_first_steps=None
+    trials,
+    jhtpa_steps,
+    jhtpa_systems=None,
+    oht_rate_calls=None,
+    opa_non_optimal=None,
+    opa_first_steps=None,
+    jhtpa_sinr_calls=None,
 ):
     steps = {name: [{"jhtpa": jhtpa_steps, "opa": 10, "oht": 0}] for name in trials}
     if jhtpa_systems is None:
@@ -95,7 +101,11 @@ def _with_steps(
     if opa_first_steps is None:
         return {**trials, **counts}
     first = {name: [{"jhtpa": jhtpa_steps, "opa": opa_first_steps, "oht": 0}] for name in trials}
-    return {**trials, **counts, "first_solve_steps": first}
+    counts["first_solve_steps"] = first
+    if jhtpa_sinr_calls is None:
+        return {**trials, **counts}
+    sinr = {name: [{"jhtpa": jhtpa_sinr_calls, "opa": 3, "oht": 0}] for name in trials}
+    return {**trials, **counts, "sinr_calls": sinr}
 
 
 def test_newton_step_totals_print_old_to_new(tmp_path, capsys):
@@ -157,7 +167,7 @@ def test_non_optimal_solve_totals_print_old_to_new_after_the_rate_calls(tmp_path
 def test_first_solve_step_totals_print_old_to_new_last(tmp_path, capsys):
     before, after = _with_steps(_trials(), 40, 48, 5, 0, 9), _with_steps(_trials(), 40, 48, 5, 0, 2)
     # opa's first solves took fewer steps but every answer is the same; the
-    # last count column, before the stop-reason tallies
+    # last of the barrier's count columns, before the SINR calls
     same, table = _compare(tmp_path, capsys, before, after)
     assert same
     assert {tuple(row[5:10]) for key, row in table.items() if key[1] == "opa"} == {
@@ -169,6 +179,25 @@ def test_first_solve_step_totals_print_old_to_new_last(tmp_path, capsys):
     _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40, 48, 5, 0), after)
     assert {tuple(row[5:10]) for key, row in table.items() if key[1] == "opa"} == {
         ("10 → 10", "14 → 14", "1 → 1", "0 → 0", "n/a")
+    }
+
+
+def test_sinr_call_totals_print_old_to_new_last(tmp_path, capsys):
+    before = _with_steps(_trials(), 40, 48, 5, 0, 9, 30)
+    after = _with_steps(_trials(), 40, 48, 5, 0, 9, 21)
+    # jhtpa's runs evaluated fewer SINR vectors but every answer is the same;
+    # the last count column, before the stop-reason tallies
+    same, table = _compare(tmp_path, capsys, before, after)
+    assert same
+    assert {tuple(row[5:11]) for key, row in table.items() if key[1] == "jhtpa"} == {
+        ("40 → 40", "48 → 48", "2 → 2", "0 → 0", "40 → 40", "30 → 21")
+    }
+    assert {row[10] for key, row in table.items() if key[1] == "opa"} == {"3 → 3"}
+    assert {row[10] for key, row in table.items() if key[1] == "oht"} == {"0 → 0"}
+    # a file written before the count was recorded reads n/a in that column only
+    _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40, 48, 5, 0, 9), after)
+    assert {tuple(row[5:11]) for key, row in table.items() if key[1] == "jhtpa"} == {
+        ("40 → 40", "48 → 48", "2 → 2", "0 → 0", "40 → 40", "n/a")
     }
 
 
@@ -185,14 +214,14 @@ def test_stop_reason_tallies_print_old_to_new_last(tmp_path, capsys):
     same, table = _compare(tmp_path, capsys, before, after)
     assert same
     assert {tuple(row[:5]) for row in table.values()} == {("3/3", "3/3", "3/3", "0/3", "0")}
-    assert {row[10] for key, row in table.items() if key[1] == "opa"} == {
+    assert {row[11] for key, row in table.items() if key[1] == "opa"} == {
         "boundary_fallback:1,epsilon:2 → epsilon:1,kkt_certified:2"
     }
-    assert {row[10] for key, row in table.items() if key[1] != "opa"} == {"epsilon:3 → epsilon:3"}
+    assert {row[11] for key, row in table.items() if key[1] != "opa"} == {"epsilon:3 → epsilon:3"}
     # a file written before stop reasons were recorded reads n/a in that column
     del before["stop_reasons"]
     _, table = _compare(tmp_path, capsys, before, after)
-    assert {tuple(row[5:]) for row in table.values()} == {("n/a",) * 6}
+    assert {tuple(row[5:]) for row in table.values()} == {("n/a",) * 7}
 
 
 def test_a_set_missing_from_one_file_is_not_the_same(tmp_path, capsys):
@@ -239,7 +268,7 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     data = json.loads((tmp_path / "first.json").read_text())
     steps, systems, rates = data.pop("newton_steps"), data.pop("newton_systems"), data.pop("rate_calls")
     non_optimal, first_steps = data.pop("non_optimal"), data.pop("first_solve_steps")
-    reasons = data.pop("stop_reasons")
+    sinr_calls, reasons = data.pop("sinr_calls"), data.pop("stop_reasons")
     assert {name: len(trials) for name, trials in data.items()} == sizes
     assert all(set(trial) == {"jhtpa", "opa", "oht"} for trials in data.values() for trial in trials)
     # one count per run; only jhtpa and opa call the barrier solver, and
@@ -248,9 +277,9 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     for name in sizes:
         for k, signature in enumerate(data[name]):
             runs, solved, short = steps[name][k], systems[name][k], non_optimal[name][k]
-            first_solve, reason = first_steps[name][k], reasons[name][k]
+            first_solve, reason, sinr = first_steps[name][k], reasons[name][k], sinr_calls[name][k]
             assert set(runs) == set(solved) == set(rates[name][k]) == set(short) == {"jhtpa", "opa", "oht"}
-            assert set(first_solve) == set(reason) == set(runs)
+            assert set(first_solve) == set(reason) == set(sinr) == set(runs)
             # a run that returned has its report's stop reason; oht always
             # stops at epsilon, and a certified opa run solved nothing
             for alg, stop in reason.items():
@@ -260,6 +289,15 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
             if certified:  # nor read the QoS floor, which the vertex meets by its definition
                 assert runs["opa"] == solved["opa"] == rates[name][k]["opa"] == signature["opa"][-1] == 0
             assert runs["oht"] == solved["oht"] == short["oht"] == first_solve["oht"] == 0
+            # oht evaluates full-harvest rates only; a certified opa run
+            # scores its vertex once; every other returned run checks its
+            # start and scores it, and each SCA step scores its solution
+            assert sinr["oht"] == 0
+            if certified:
+                assert sinr["opa"] == 1
+            for alg, stop in reason.items():
+                if alg != "oht" and stop not in ("raised", "kkt_certified"):
+                    assert sinr[alg] >= 2 + signature[alg][-1]
             # every other run reads the QoS floor or scores theta_fix before it can raise
             assert all(n >= 1 for alg, n in rates[name][k].items() if not (alg == "opa" and certified))
             for alg in ("jhtpa", "opa"):
@@ -280,16 +318,17 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 3 * len(sizes)
     assert all(row[2] == "1/1" or row[2] == f"{sizes[row[0]]}/{sizes[row[0]]}" for row in rows)
-    # the same checkout repeats its counts: "k → k" in each of the five columns
-    for column, counts in zip((7, 10, 13, 16, 19), (steps, systems, rates, non_optimal, first_steps)):
+    # the same checkout repeats its counts: "k → k" in each of the six columns
+    columns = (7, 10, 13, 16, 19, 22)
+    for column, counts in zip(columns, (steps, systems, rates, non_optimal, first_steps, sinr_calls)):
         assert all(row[column] == row[column + 2] and row[column + 1] == "→" for row in rows)
         assert sum(int(row[column]) for row in rows) == sum(
             sum(run.values()) for runs in counts.values() for run in runs
         )
     # and its stop reasons: one tally per row, "t → t", counting each run once
-    assert all(row[22] == row[24] and row[23] == "→" and len(row) == 25 for row in rows)
+    assert all(row[25] == row[27] and row[26] == "→" and len(row) == 28 for row in rows)
     for row in rows:
-        tally = dict(cell.split(":") for cell in row[22].split(","))
+        tally = dict(cell.split(":") for cell in row[25].split(","))
         assert tally == {
             stop: str(sum(run[row[1]] == stop for run in reasons[row[0]])) for stop in tally
         }
