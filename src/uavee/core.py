@@ -53,7 +53,8 @@ class BoundCoeffs:
     ct: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.cx <= 0.0) or np.any(self.cy <= 0.0) or np.any(self.ct <= 0.0):
+        # tested as > 0, which a NaN fails, not as <= 0, which it passes
+        if not (np.all(self.cx > 0.0) and np.all(self.cy > 0.0) and np.all(self.ct > 0.0)):
             raise ValueError("bound coefficients must be strictly positive")
 
 
@@ -154,7 +155,7 @@ def log_bound_coeffs(x_bar, y_bar, t_bar) -> BoundCoeffs:
     x_bar = np.asarray(x_bar, dtype=float)
     y_bar = np.asarray(y_bar, dtype=float)
     t_bar = np.asarray(t_bar, dtype=float)
-    if np.any(x_bar <= 0.0) or np.any(y_bar <= 0.0) or np.any(t_bar <= 0.0):
+    if not (np.all(x_bar > 0.0) and np.all(y_bar > 0.0) and np.all(t_bar > 0.0)):  # NaN fails too
         raise ValueError("expansion point must be strictly positive")
     prod = x_bar * y_bar
     log_term = np.log1p(1.0 / prod)

@@ -182,31 +182,31 @@ def d2d_gain(distance_m: float, rho: float, config: ScenarioConfig) -> float:
     raise ValueError("D2D gain out of range: beta0_db, alpha_h")
 
 
-def _disk_point(rng: np.random.Generator, radius: float) -> np.ndarray:
-    r = radius * math.sqrt(rng.uniform())
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    return np.array([r * math.cos(ang), r * math.sin(ang)])
+def _polar(radius: float, u_radius: float, u_angle: float) -> tuple[float, float]:
+    """The disk point of two unit uniforms; 2*pi*u_angle is what uniform(0, 2*pi) returns."""
+    r, ang = radius * math.sqrt(u_radius), 2.0 * math.pi * u_angle
+    return r * math.cos(ang), r * math.sin(ang)
 
 
 def generate_placement(config: ScenarioConfig, rng: np.random.Generator) -> Placement:
     """Drop Tx nodes uniformly in the coverage disk and each Rx uniformly around its Tx.
 
-    Zero-length pairs are rejected and resampled. Draw order is fixed
-    (per pair: Tx, then Rx offsets) so placements are bit-reproducible per seed.
+    One draw of 4N uniforms, per pair Tx radius, Tx angle, offset radius and offset
+    angle, keeps placements bit-reproducible per seed; a zero offset is redrawn after it.
     """
     n = config.num_pairs
-    tx = np.empty((n, 2))
-    rx = np.empty((n, 2))
-    for k in range(n):
-        tx[k] = _disk_point(rng, config.coverage_radius_m)
+    tx, offset = np.empty((n, 2)), np.empty((n, 2))
+    for k, (tx_r, tx_ang, off_r, off_ang) in enumerate(rng.uniform(size=(n, 4)).tolist()):
+        tx[k] = _polar(config.coverage_radius_m, tx_r, tx_ang)
+        offset[k] = _polar(config.max_pair_dist_m, off_r, off_ang)
+    for k in np.flatnonzero(~offset.any(axis=1)):
         for _ in range(MAX_RESAMPLES):
-            offset = _disk_point(rng, config.max_pair_dist_m)
-            if offset[0] != 0.0 or offset[1] != 0.0:
+            offset[k] = _polar(config.max_pair_dist_m, rng.uniform(), rng.uniform())
+            if offset[k].any():
                 break
         else:
             raise RuntimeError("placement sampling failed: degenerate pair geometry")
-        rx[k] = tx[k] + offset
-    return Placement(tx_pos=tx, rx_pos=rx)
+    return Placement(tx_pos=tx, rx_pos=tx + offset)
 
 
 def realize_channels(
@@ -215,26 +215,26 @@ def realize_channels(
     """Draw one channel realization for a placement.
 
     h[n][i] applies the D2D model to the Tx_i -> Rx_n distance with an
-    independent unit-mean exponential power fading per link; fading draws are
-    row-major in (n, i). Zero fading draws are resampled.
+    independent unit-mean exponential power fading per link; the fading
+    powers are one row-major (n, i) draw. A zero power is redrawn after it.
     """
     n = placement.num_pairs
     g = np.array([atg_gain(p, config) for p in placement.tx_pos])
+    rho2 = rng.exponential(1.0, size=(n, n))
+    for k in np.flatnonzero(rho2 <= 0.0):
+        for _ in range(MAX_RESAMPLES):
+            rho2.flat[k] = rng.exponential(1.0)
+            if rho2.flat[k] > 0.0:
+                break
+        else:
+            raise RuntimeError("fading sampling failed")
     h = np.empty((n, n))
-    for row in range(n):
+    for row, fading in enumerate(rho2.tolist()):
         for col in range(n):
             d = float(np.linalg.norm(placement.tx_pos[col] - placement.rx_pos[row]))
             if d <= 0.0:
-                raise ValueError(
-                    f"degenerate geometry: Tx_{col} coincides with Rx_{row}"
-                )
-            for _ in range(MAX_RESAMPLES):
-                rho2 = rng.exponential(1.0)
-                if rho2 > 0.0:
-                    break
-            else:
-                raise RuntimeError("fading sampling failed")
-            h[row, col] = d2d_gain(d, math.sqrt(rho2), config)
+                raise ValueError(f"degenerate geometry: Tx_{col} coincides with Rx_{row}")
+            h[row, col] = d2d_gain(d, math.sqrt(fading[col]), config)
     return ChannelRealization(g=g, h=h, sigma2_watt=noise_power(config))
 
 

@@ -13,8 +13,11 @@ seed 5, N = 2/5/10, 30 trials each; extreme: r20 with p_cir 1e-6 W and
 noise -170 dBm/Hz, 10 trials each). Every trial runs through
 harness.run_paired_trial. A solve's signature is harness.solve_signature:
 status, EE, tau, powers, trace, iterations and subsolver calls, or the
-exception it raised. Write the file from each of two checkouts and compare
-them; the comparison prints, per set and algorithm, how many solves are
+exception it raised. Each trial's channel realization (g, h and σ²) is stored
+as a digest. Write the file from each of two checkouts and compare them; the
+comparison prints, per set, how many trials drew identical channels
+("channels identical k/n", "channels n/a" when either file holds none; a
+difference fails the comparison), then per set and algorithm how many solves are
 identical, how many keep their status, iterations and subsolver calls ("same
 path"), how many keep a bit-identical allocation (tau, powers), how many end
 with a lower trace[-1] than in OLD (jhtpa's and opa's EE, oht's max-min
@@ -38,6 +41,7 @@ answer stays the same.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -86,6 +90,11 @@ def _jsonable(value):
     return value
 
 
+def _channel_digest(ch) -> str:
+    """sha256 of a ChannelRealization's g, h and sigma2_watt bytes."""
+    return hashlib.sha256(ch.g.tobytes() + ch.h.tobytes() + float(ch.sigma2_watt).hex().encode()).hexdigest()
+
+
 def _trials(harness, name: str, seed: int, count: int) -> list:
     """The harness.Trials of one TRIAL_SETS entry."""
     from uavee import ScenarioConfig, bench
@@ -106,10 +115,11 @@ def write(out: Path) -> None:
     solves whose status is not OPTIMAL, the Newton steps of the first SCA
     solve (the one algorithms._solve_from is handed warm starts for) and
     the core.sinr calls made while the run is in bench.run_algorithm (not
-    the reports' EE read afterwards), and under "stop_reasons" each run's
+    the reports' EE read afterwards), under "stop_reasons" each run's
     stop reason, all read by wrapping bench.run_algorithm, algorithms.solve,
     algorithms._solve_from, engine._newton_direction, core.pinned_rates and
-    core.sinr while the trials run."""
+    core.sinr while the trials run, and under "channels" each trial's
+    channel digest."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
     from uavee import algorithms, bench, core, engine
@@ -159,6 +169,7 @@ def write(out: Path) -> None:
     # counts[key][set] holds, per trial, {algorithm: count} of each run
     data, counts = {}, {key: {name: [] for name, _, _ in TRIAL_SETS} for key in COUNTS}
     reasons = {name: [] for name, _, _ in TRIAL_SETS}
+    channels = {name: [] for name, _, _ in TRIAL_SETS}
     bench.run_algorithm, algorithms.solve, engine._newton_direction = run_algorithm, solve, newton_direction
     core.pinned_rates, algorithms._solve_from, core.sinr = pinned_rates, solve_from, sinr
     try:
@@ -172,10 +183,11 @@ def write(out: Path) -> None:
                 for column, by_set in enumerate(counts.values(), start=1):
                     by_set[name].append({run[0]: run[column] for run in runs})
                 reasons[name].append({run[0]: run[-1] for run in runs})
+                channels[name].append(_channel_digest(tr.channels))
     finally:
         bench.run_algorithm, algorithms.solve, engine._newton_direction = real_run, real_solve, real_direction
         core.pinned_rates, algorithms._solve_from, core.sinr = real_rates, real_solve_from, real_sinr
-    out.write_text(json.dumps({**data, **counts, "stop_reasons": reasons}))
+    out.write_text(json.dumps({**data, **counts, "stop_reasons": reasons, "channels": channels}))
 
 
 def _ee(signature) -> float | None:
@@ -238,6 +250,13 @@ def compare(old: Path, new: Path) -> bool:
             same_everywhere = False
             continue
         pairs = list(zip(before[name], after[name], strict=True))
+        digests = [data.get("channels", {}).get(name) for data in (before, after)]
+        if None in digests:
+            print(f"{name:<18}channels n/a")
+        else:
+            same_channels = sum(a == b for a, b in zip(*digests, strict=True))
+            same_everywhere &= same_channels == len(pairs)
+            print(f"{name:<18}channels identical {same_channels}/{len(pairs)}")
         for alg in pairs[0][0]:
             identical, path, alloc, lower, drift = 0, 0, 0, 0, 0.0
             for a, b in ((x[alg], y[alg]) for x, y in pairs):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -122,9 +123,18 @@ def test_log_bound_ct_scaling():
 
 
 def test_log_bound_rejects_nonpositive():
-    for bad in [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, 0.0)]:
-        with pytest.raises(ValueError):
+    # NaN is not positive: an expansion point or coefficient holding one is rejected
+    nan = math.nan
+    for bad in [
+        (0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, 0.0),
+        (nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan), ([1.0, nan], 1.0, 1.0),
+    ]:
+        with pytest.raises(ValueError, match="expansion point"):
             log_bound_coeffs(*bad)
+    coeffs = log_bound_coeffs([1.0, 2.0], 1.0, 1.0)
+    for field in ("cx", "cy", "ct"):
+        with pytest.raises(ValueError, match="coefficients"):
+            dataclasses.replace(coeffs, **{field: np.array([1.0, nan])})
 
 
 def test_surrogate_is_global_lower_bound():

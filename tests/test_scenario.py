@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import uavee.scenario as scenario
 from uavee import ScenarioConfig
 from uavee.scenario import (
     atg_gain,
@@ -192,6 +193,24 @@ def test_realize_channels_shapes_and_determinism():
     assert first.sigma2_watt == second.sigma2_watt
 
 
+def test_generate_placement_compositional():
+    # every coordinate is reproducible from the scalar uniform stream: per
+    # pair the Tx radius, the Tx angle, the offset radius, the offset angle
+    cfg = ScenarioConfig(num_pairs=6, seed=7)
+    placement = generate_placement(cfg, np.random.default_rng(123))
+
+    replay = np.random.default_rng(123)
+    for k in range(6):
+        points = []
+        for radius in (cfg.coverage_radius_m, cfg.max_pair_dist_m):
+            r = radius * math.sqrt(replay.uniform())
+            ang = replay.uniform(0.0, 2.0 * math.pi)
+            points.append((r * math.cos(ang), r * math.sin(ang)))
+        (tx, ty), (ox, oy) = points
+        assert placement.tx_pos[k].tolist() == [tx, ty]
+        assert placement.rx_pos[k].tolist() == [tx + ox, ty + oy]
+
+
 def test_realize_channels_compositional():
     # every matrix entry is reproducible from the logged distances and
     # fading draws with the same draw order
@@ -211,6 +230,68 @@ def test_realize_channels_compositional():
     for k in range(5):
         assert ch.g[k] == atg_gain(placement.tx_pos[k], cfg)
     assert ch.sigma2_watt == noise_power(cfg)
+
+
+class _Draws:
+    """A Generator stand-in. Batched draws come from a seeded Generator, with
+    an exact 0.0 at the given (row, col) of uniform's or exponential's batch.
+    Scalar draws, the redraws, are counted and passed through. With zero,
+    every draw is 0.0."""
+
+    def __init__(self, seed, zero_uniform=None, zero_exponential=None, zero=False):
+        self.rng = np.random.default_rng(seed)
+        self.zero_at = {"uniform": zero_uniform, "exponential": zero_exponential}
+        self.zero = zero
+        self.redraws = 0
+
+    def _draw(self, name, args, size):
+        if size is None:
+            self.redraws += 1
+            return 0.0 if self.zero else getattr(self.rng, name)(*args)
+        if self.zero:
+            return np.zeros(size)
+        batch = getattr(self.rng, name)(*args, size=size)
+        batch[self.zero_at[name]] = 0.0
+        return batch
+
+    def uniform(self, *args, size=None):
+        return self._draw("uniform", args, size)
+
+    def exponential(self, *args, size=None):
+        return self._draw("exponential", args, size)
+
+
+def test_zero_draws_are_redrawn_after_their_batch():
+    # pair 1's offset radius and the fading power of link (2, 0) draw an
+    # exact 0.0; each is redrawn from the scalar stream after its batch
+    cfg = ScenarioConfig(num_pairs=3, seed=5)
+    rng = _Draws(5, zero_uniform=(1, 2), zero_exponential=(2, 0))
+    placement = generate_placement(cfg, rng)
+    assert rng.redraws == 2  # the offset's radius and angle
+    assert np.all(np.any(placement.rx_pos != placement.tx_pos, axis=1))
+    # pairs 0 and 2 keep the batch's points
+    plain = generate_placement(cfg, np.random.default_rng(5))
+    assert np.array_equal(placement.tx_pos, plain.tx_pos)
+    assert np.array_equal(placement.rx_pos[[0, 2]], plain.rx_pos[[0, 2]])
+    assert not np.array_equal(placement.rx_pos[1], plain.rx_pos[1])
+    ch = realize_channels(placement, cfg, rng)
+    assert rng.redraws == 3
+    assert np.all(ch.h > 0.0)
+
+
+def test_zero_draw_redraws_are_bounded(monkeypatch):
+    # a generator that only ever draws 0.0 exhausts MAX_RESAMPLES redraws
+    monkeypatch.setattr(scenario, "MAX_RESAMPLES", 3)
+    cfg = ScenarioConfig(num_pairs=2, seed=0)
+    rng = _Draws(0, zero=True)
+    with pytest.raises(RuntimeError, match="placement sampling failed"):
+        generate_placement(cfg, rng)
+    assert rng.redraws == 2 * 3
+    placement = generate_placement(cfg, np.random.default_rng(0))
+    rng = _Draws(0, zero=True)
+    with pytest.raises(RuntimeError, match="fading sampling failed"):
+        realize_channels(placement, cfg, rng)
+    assert rng.redraws == 3
 
 
 def test_fading_power_unit_mean():

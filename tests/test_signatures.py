@@ -26,20 +26,33 @@ def _trials():
     return {name: [copy.deepcopy(trial)] for name, _, _ in signatures.TRIAL_SETS}
 
 
-def _compare(tmp_path, capsys, before, after):
+def _rows(tmp_path, capsys, before, after):
+    """signatures.compare's result and the rows it printed, split into words."""
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(json.dumps(before))
     new.write_text(json.dumps(after))
     same = signatures.compare(old, new)
     lines = capsys.readouterr().out.splitlines()
+    return same, [line.split() for line in lines[1:]]
+
+
+def _compare(tmp_path, capsys, before, after):
+    same, rows = _rows(tmp_path, capsys, before, after)
     # set, algorithm, identical, same path, same alloc, lower trace[-1],
     # drift, then Newton steps, Newton systems, rate calls, non-OPTIMAL
     # solves, first-solve steps, SINR calls and the stop-reason tallies,
     # each "old → new" or "n/a"
     table = {}
-    for row in (line.split() for line in lines[1:]):
-        table[tuple(row[:2])] = row[2:7] + _old_new_cells(row[7:])
+    for row in rows:
+        if row[1] != "channels":
+            table[tuple(row[:2])] = row[2:7] + _old_new_cells(row[7:])
     return same, table
+
+
+def _compare_channels(tmp_path, capsys, before, after):
+    """compare's result and, per set, its channels cell: "identical k/n" or "n/a"."""
+    same, rows = _rows(tmp_path, capsys, before, after)
+    return same, {row[0]: " ".join(row[2:]) for row in rows if row[1] == "channels"}
 
 
 def _old_new_cells(tokens):
@@ -57,6 +70,28 @@ def test_identical_files_compare_equal(tmp_path, capsys):
     assert same
     assert len(table) == 3 * len(signatures.TRIAL_SETS)
     assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 7] for row in table.values())
+
+
+def test_channel_digests_compare_per_set(tmp_path, capsys):
+    def with_channels(trials, dense_digest):
+        digests = {name: ["0" * 64] for name in trials}
+        digests["dense_n30"] = [dense_digest]
+        return {**trials, "channels": digests}
+
+    # files without digests read n/a and compare on the solves alone
+    same, channels = _compare_channels(tmp_path, capsys, _trials(), _trials())
+    assert same and channels == {name: "n/a" for name, _, _ in signatures.TRIAL_SETS}
+    same, channels = _compare_channels(tmp_path, capsys, _trials(), with_channels(_trials(), "0" * 64))
+    assert same and set(channels.values()) == {"n/a"}
+    # one trial drew other channels: not the same, though every solve is
+    same, channels = _compare_channels(
+        tmp_path, capsys, with_channels(_trials(), "0" * 64), with_channels(_trials(), "1" * 64)
+    )
+    assert not same
+    assert channels.pop("dense_n30") == "identical 0/1"
+    assert set(channels.values()) == {"identical 1/1"}
+    _, table = _compare(tmp_path, capsys, with_channels(_trials(), "0" * 64), with_channels(_trials(), "1" * 64))
+    assert table[("dense_n30", "jhtpa")][:3] == ["1/1", "1/1", "1/1"]
 
 
 def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
@@ -269,7 +304,11 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     steps, systems, rates = data.pop("newton_steps"), data.pop("newton_systems"), data.pop("rate_calls")
     non_optimal, first_steps = data.pop("non_optimal"), data.pop("first_solve_steps")
     sinr_calls, reasons = data.pop("sinr_calls"), data.pop("stop_reasons")
+    channels = data.pop("channels")
     assert {name: len(trials) for name, trials in data.items()} == sizes
+    # one sha256 digest per trial, and each trial of a set drew its own channels
+    assert {name: len(set(digests)) for name, digests in channels.items()} == sizes
+    assert all(len(digest) == 64 for digests in channels.values() for digest in digests)
     assert all(set(trial) == {"jhtpa", "opa", "oht"} for trials in data.values() for trial in trials)
     # one count per run; only jhtpa and opa call the barrier solver, and
     # a run that raised (feasibility_edge can) counts the solves it made
@@ -316,6 +355,11 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
                     assert first_solve[alg] == runs[alg]
     assert signatures.main([first, second]) == 0
     rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+    # the same checkout draws the same channels: one channels row per set
+    assert [row for row in rows if row[1] == "channels"] == [
+        [name, "channels", "identical", f"{n}/{n}"] for name, n in sizes.items()
+    ]
+    rows = [row for row in rows if row[1] != "channels"]
     assert len(rows) == 3 * len(sizes)
     assert all(row[2] == "1/1" or row[2] == f"{sizes[row[0]]}/{sizes[row[0]]}" for row in rows)
     # the same checkout repeats its counts: "k → k" in each of the six columns
