@@ -546,16 +546,7 @@ def jhtpa(
     """
     started = time.perf_counter()
     r_bar = core.qos_threshold(ch, config)
-    return _sca_loop(
-        "jhtpa",
-        ch,
-        config,
-        r_bar,
-        settings,
-        started,
-        start=_start(ch, config, r_bar, _face_theta(ch, config, r_bar)),
-        build=lambda z, phi: build_jhtpa_subproblem(z, phi, ch, config, r_bar),
-    )
+    return _sca_loop("jhtpa", ch, config, r_bar, settings, started, _face_theta(ch, config, r_bar))
 
 
 # ---------------------------------------------------------------------------
@@ -650,17 +641,7 @@ def opa(
         )
     r_bar = core.qos_threshold(ch, config)
     pinned = 1.0 - _interior_powers(ch, config, r_bar, theta_fix)[1] <= _PIN_TOL
-    return _sca_loop(
-        "opa",
-        ch,
-        config,
-        r_bar,
-        settings,
-        started,
-        start=_start(ch, config, r_bar, theta_fix, pinned),
-        build=lambda z, phi: build_opa_subproblem(z, phi, ch, config, r_bar, pinned),
-        free=np.append(False, ~pinned),
-    )
+    return _sca_loop("opa", ch, config, r_bar, settings, started, theta_fix, np.append(False, ~pinned))
 
 
 # ---------------------------------------------------------------------------
@@ -721,23 +702,22 @@ def _sca_loop(
     r_bar: float,
     settings: ScaSettings | None,
     started: float,
-    *,
-    start,
-    build,
+    theta: float,
     free: np.ndarray | None = None,
 ) -> SolveReport:
     """The SCA loop jhtpa and opa share, on the iterate z = (theta, 1/p).
 
-    z starts at start, _start's (theta, p, strict). free marks the entries
-    of z the subproblems move (all by default); the others stay at the
-    start. z's allocation has theta z[0] and powers 1/z[1:], with the held
-    pairs (the report's pinned) at the start's powers; its EE scores z, and
-    a start whose EE is not positive (every rate zero) raises
+    free marks the entries of z the subproblems move (all by default) and
+    alone configures the run. z starts at _start's (theta, p, strict) with
+    the pairs free leaves out held (the report's pinned) at the start's
+    powers. z's allocation has theta z[0] and powers 1/z[1:]; its EE
+    scores z, and a start whose EE is not positive (every rate zero) raises
     NoFeasiblePointFoundError, as oht does. Each iteration builds the
-    surrogate program at z with build(z, phi), phi being z's score, solves
-    it (each solve picks its own first barrier stage) and writes the
-    solution into a copy of z, whose score is the next Dinkelbach
-    multiplier; _jhtpa_extrapolate extends the step when theta is free.
+    surrogate at z, phi being z's score (build_jhtpa_subproblem when theta
+    is free, else build_opa_subproblem), solves it (each solve picks its
+    own first barrier stage) and writes the solution into a copy of z,
+    whose score is the next Dinkelbach multiplier; _jhtpa_extrapolate
+    extends the step when theta is free.
 
     Later solves start from z[free]. The first tries the warm starts of
     _warm_starts in turn, then z[free] (_solve_from): each free pair at its
@@ -756,9 +736,10 @@ def _sca_loop(
     names the exit taken (see _STOP_STATUS).
     """
     settings = settings or ScaSettings()
-    theta, p_start, strict = start
+    free = np.ones(ch.num_pairs + 1, dtype=bool) if free is None else free
+    held = None if free[1:].all() else ~free[1:]
+    theta, p_start, strict = _start(ch, config, r_bar, theta, held)
     z = np.append(theta, 1.0 / p_start)
-    free = np.ones(z.size, dtype=bool) if free is None else free
 
     def allocation(z: np.ndarray) -> Allocation:
         return Allocation.from_theta(float(z[0]), np.where(free[1:], 1.0 / z[1:], p_start))
@@ -771,7 +752,10 @@ def _sca_loop(
         raise NoFeasiblePointFoundError(f"{name}'s start EE is {trace[0]}, not positive")
     stop_reason = "max_iterations" if strict else "boundary_fallback"
     for _ in range(settings.max_iterations if strict else 0):
-        prog = build(z, trace[-1])
+        if free[0]:
+            prog = build_jhtpa_subproblem(z, trace[-1], ch, config, r_bar)
+        else:
+            prog = build_opa_subproblem(z, trace[-1], ch, config, r_bar, held)
         # every pass that does not break appends to trace: one entry means the first solve
         warm = _warm_starts(prog, theta, p_start, free, ch, config) if len(trace) == 1 else ()
         try:

@@ -4,7 +4,9 @@ Everything here recomputes the physics from first principles with plain
 numpy grids; none of it calls into the SCA loops. iterate_ee alone reads
 core's EE formula: it is the multiplier the SCA scores an iterate by, which
 the subproblem tests pass to the builders. ee_power_slopes differences its
-own EE formula, not core's gradient, to check opa's vertex certificate. check_gradients differences a
+own EE formula, not core's gradient, to check opa's vertex certificate.
+relative_deficit scales core.check_feasible's deficits, the ones a report
+carries, to their rows. check_gradients differences a
 ConvexProgram's oracles to check their derivatives. exhaustive_first_stage
 alone calls into the solver: it is the barrier's first-stage scan over every
 allowed t, built from the engine's own Newton systems, and the reference for
@@ -23,6 +25,21 @@ from uavee import core
 def iterate_ee(z, ch, config):
     """EE of the SCA iterate z = (theta, q = 1/p): its Dinkelbach multiplier."""
     return core.energy_efficiency(core.Allocation.from_theta(z[0], 1.0 / z[1:]), ch, config)
+
+
+def relative_deficit(report) -> float:
+    """The largest constraint deficit of a report's allocation in its row's
+    scale: core.check_feasible's causality deficits over the harvested
+    budgets tau eta P0 g_n and its QoS deficits over r_bar, each scale
+    floored at 1e-300. inf when tau is outside [0, 1]; a NaN deficit gives
+    NaN. A feasible answer reads at most ~3e-16, its rounding."""
+    alloc, ch, config = report.allocation, report.channels, report.config
+    feas = core.check_feasible(alloc, ch, config, report.r_bar)
+    if not feas.tau_in_range:
+        return math.inf
+    budget = alloc.tau * config.eta * config.p0_watt * ch.g
+    causality = feas.causality_violation / np.maximum(budget, 1e-300)
+    return float(np.max(np.append(causality, feas.qos_violation / max(report.r_bar, 1e-300))))
 
 
 def grid_ee_n1(ch, config, r_bar, tau_points=500, p_points=500):

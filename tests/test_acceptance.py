@@ -28,6 +28,7 @@ from oracles import (
     iterate_ee,
     log_uniform_jhtpa_points,
     log_uniform_opa_points,
+    relative_deficit,
 )
 
 PAIR_COUNTS = tuple(range(2, 11))
@@ -271,17 +272,11 @@ def test_criterion_8_feasibility_of_reports(scenario_reports):
     worst = 0.0
     checked = 0
     for entry in scenario_reports:
-        config, ch = entry["config"], entry["ch"]
         for report in entry["reports"].values():
             if report is None or report.status != "converged":
                 continue
             checked += 1
-            feas = core.check_feasible(report.allocation, ch, config, report.r_bar)
-            assert feas.tau_in_range
-            budget = report.allocation.tau * config.eta * config.p0_watt * ch.g
-            rel_caus = float(np.max(feas.causality_violation / np.maximum(budget, 1e-300)))
-            rel_qos = float(np.max(feas.qos_violation / max(report.r_bar, 1e-300)))
-            worst = max(worst, rel_caus, rel_qos)
+            worst = float(np.max([worst, relative_deficit(report)]))  # a NaN stays
     ok = worst <= 1e-8
     _verdict(
         8,

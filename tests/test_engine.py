@@ -135,6 +135,19 @@ def test_nan_hessian_ends_numerical_failure():
     np.testing.assert_array_equal(out.z_star, [0.5, 3.0])
 
 
+def test_an_ascent_direction_ends_its_line_search_at_max_iterations():
+    # with the objective's gradient negated, every Newton direction climbs
+    # the true objective, so no step passes the Armijo test: the line search
+    # shrinks below _MIN_STEP and the solve stays at its start, up to the
+    # one-ulp steps that rounding lets pass
+    prog = box_program()
+    grad = prog.objective.grad
+    objective = dataclasses.replace(prog.objective, grad=lambda z: -grad(z))
+    out = solve(dataclasses.replace(prog, objective=objective), np.array([1.0]))
+    assert out.status is SolveStatus.MAX_ITERATIONS
+    assert out.z_star[0] == pytest.approx(1.0, abs=1e-15)
+
+
 def test_solve_deterministic():
     a = solve(reciprocal_program(), np.array([0.5, 3.0]))
     b = solve(reciprocal_program(), np.array([0.5, 3.0]))
@@ -319,7 +332,8 @@ def test_find_feasible_succeeds_on_fixture(channels3, config3):
     assert strict
     alloc = core.Allocation.from_theta(theta, p)
     report = core.check_feasible(alloc, channels3, config3, r_bar)
-    assert report.is_feasible(atol=1e-18)
+    assert report.tau_in_range
+    assert np.all(report.causality_violation <= 1e-18) and np.all(report.qos_violation <= 1e-18)
 
 
 def test_find_feasible_impossible_qos(channels3, config3):

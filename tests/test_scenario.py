@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import uavee.scenario as scenario
-from uavee import ScenarioConfig
+from uavee import Placement, ScenarioConfig
 from uavee.scenario import (
     atg_gain,
     d2d_gain,
@@ -230,6 +230,13 @@ def test_realize_channels_compositional():
     for k in range(5):
         assert ch.g[k] == atg_gain(placement.tx_pos[k], cfg)
     assert ch.sigma2_watt == noise_power(cfg)
+
+
+def test_realize_channels_rejects_a_tx_on_an_rx():
+    # a zero Tx-Rx distance has no path loss: the draw names the two nodes
+    placement = Placement(tx_pos=np.array([[1.0, 2.0], [3.0, 4.0]]), rx_pos=np.array([[3.0, 4.0], [5.0, 6.0]]))
+    with pytest.raises(ValueError, match="Tx_1 coincides with Rx_0"):
+        realize_channels(placement, ScenarioConfig(num_pairs=2, seed=0), np.random.default_rng(0))
 
 
 class _Draws:
