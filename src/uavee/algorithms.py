@@ -358,7 +358,7 @@ def _start(ch, config, r_bar: float, theta: float, pinned=None) -> tuple[float, 
     p = _interior_powers(ch, config, r_bar, theta, pinned)[0]
     candidate = np.append(theta, p)
     try:
-        v = find_feasible([violation], lambda rng, k: candidate, None, 1)
+        v = find_feasible(violation, lambda rng, k: candidate)
         return float(v[0]), v[1:], True
     except NoFeasiblePointFoundError:
         p = core.pinned_powers(theta, ch, config)

@@ -61,7 +61,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -431,19 +431,11 @@ def solve(prog: ConvexProgram, z0: np.ndarray) -> SolveOutcome:
 
 
 def find_feasible(
-    constraints: Sequence[Callable[[np.ndarray], float]],
-    sampler: Callable[[np.random.Generator | None, int], np.ndarray],
-    rng: np.random.Generator | None,
-    max_tries: int,
+    violation: Callable[[np.ndarray], float], sampler: Callable[[None, int], np.ndarray]
 ) -> np.ndarray:
-    """The first of max_tries candidates that is strictly feasible (every constraint in (-inf, 0)).
-
-    sampler(rng, k) proposes the k-th candidate; rng is handed through and
-    may be None for a deterministic candidate list. Raises
-    NoFeasiblePointFoundError when none of the max_tries proposals passes.
-    """
-    for k in range(max_tries):
-        z = sampler(rng, k)
-        if all(-math.inf < con(z) < 0.0 for con in constraints):
-            return np.asarray(z, dtype=float)
-    raise NoFeasiblePointFoundError(f"no strictly feasible point in {max_tries} tries")
+    """The start z = sampler(None, 0) when -inf < violation(z) < 0 (NaN is not), else raises
+    NoFeasiblePointFoundError. The sampler lets perfbench/tracer.py count proposals."""
+    z = sampler(None, 0)
+    if -math.inf < violation(z) < 0.0:
+        return np.asarray(z, dtype=float)
+    raise NoFeasiblePointFoundError("the start candidate is not strictly feasible")

@@ -174,8 +174,7 @@ def d2d_gain(distance_m: float, rho: float, config: ScenarioConfig) -> float:
     try:
         beta0 = 10.0 ** (config.beta0_db / 10.0)
         gain = beta0 * rho * rho * distance_m ** (-config.alpha_h)
-        # distance_m may be an array; a float takes the cheaper scalar test
-        if np.isfinite(gain).all() if isinstance(gain, np.ndarray) else math.isfinite(gain):
+        if math.isfinite(gain):
             return gain
     except ArithmeticError:
         pass

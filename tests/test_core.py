@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uavee import ScenarioConfig
+from uavee import ScenarioConfig, make_scenario
 from uavee.core import (
     LN2,
     Allocation,
@@ -12,12 +12,14 @@ from uavee.core import (
     energy_efficiency,
     log_bound_coeffs,
     pinned_allocation,
+    pinned_powers,
     pinned_rates,
     pinned_total_power,
     qos_threshold,
     rates,
     rates_from_inverse,
     sinr,
+    sum_rate_gradient,
     surrogate_psi,
     total_power,
 )
@@ -213,6 +215,29 @@ def test_sinr_uses_cross_links_only():
     s = sinr(p, ch)
     assert s[0] == pytest.approx(p[0] * 5e-9 / (p[1] * 2e-10 + 1e-10), rel=1e-12)
     assert s[1] == pytest.approx(p[1] * 4e-9 / (p[0] * 3e-10 + 1e-10), rel=1e-12)
+
+
+@pytest.mark.parametrize("at", ["p_max", "interior"])
+@pytest.mark.parametrize(
+    "num_pairs, radius", [(1, 800.0), (3, 800.0), (10, 800.0), (30, 800.0), (2, 20.0), (5, 20.0), (10, 20.0)]
+)
+def test_sum_rate_gradient_matches_central_differences(num_pairs, radius, at):
+    # opa's kkt_certified test reads this gradient at p_max(theta_fix). At
+    # a 20 m radius the cross terms matter, so a cross term summed over the
+    # wrong index fails there; paper-regime gradients hardly see it.
+    config = ScenarioConfig(num_pairs=num_pairs, seed=num_pairs, coverage_radius_m=radius)
+    _, ch = make_scenario(config)
+    p = pinned_powers(config.theta_fix, ch, config)
+    if at == "interior":
+        p = p * np.random.default_rng(num_pairs).uniform(0.05, 0.95, num_pairs)
+    grad = sum_rate_gradient(p, ch)
+    numeric = np.empty(num_pairs)
+    for k in range(num_pairs):
+        step = np.zeros(num_pairs)
+        step[k] = 1e-5 * p[k]
+        up, down = np.log1p(sinr(p + step, ch)).sum(), np.log1p(sinr(p - step, ch)).sum()
+        numeric[k] = (up - down) / (2.0 * step[k])
+    assert np.max(np.abs(grad - numeric)) <= 1e-5 * np.max(np.abs(grad))
 
 
 def test_allocation_theta_roundtrip():

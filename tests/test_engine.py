@@ -25,6 +25,7 @@ from uavee.engine import (
     InfeasibleStartError,
     NoFeasiblePointFoundError,
     SolveStatus,
+    find_feasible,
     solve,
 )
 
@@ -342,6 +343,28 @@ def test_find_feasible_impossible_qos(channels3, config3):
 
 
 @pytest.mark.parametrize(
+    "violation, accepted",
+    [(-1.0, True), (0.0, False), (1.0, False), (float("nan"), False), (-float("inf"), False)],
+)
+def test_find_feasible_checks_one_candidate_strictly(violation, accepted):
+    # the sampler proposes once, as sampler(None, 0), and the candidate passes
+    # only when its violation lies in (-inf, 0)
+    calls = []
+
+    def sampler(rng, k):
+        calls.append((rng, k))
+        return [2.0, 1e-3]
+
+    if accepted:
+        z = find_feasible(lambda z: violation, sampler)
+        assert isinstance(z, np.ndarray) and z.dtype == float and z.tolist() == [2.0, 1e-3]
+    else:
+        with pytest.raises(NoFeasiblePointFoundError):
+            find_feasible(lambda z: violation, sampler)
+    assert calls == [(None, 0)]
+
+
+@pytest.mark.parametrize(
     "n, seed, theta_fix", [(3, 7, 2.0), (6, 3, 2.0), (10, 5, 2.0), (5, 11, 1.01)]
 )
 def test_each_start_builds_and_proposes_one_candidate(monkeypatch, n, seed, theta_fix):
@@ -357,9 +380,14 @@ def test_each_start_builds_and_proposes_one_candidate(monkeypatch, n, seed, thet
         tried.append(theta)
         return real_interior(ch, config, r_bar, theta, pinned)
 
-    def recording_find(constraints, sampler, rng, max_tries):
-        tries.append(max_tries)
-        return real_find(constraints, sampler, rng, max_tries)
+    def recording_find(violation, sampler):
+        tries.append(0)
+
+        def counted(rng, k):
+            tries[-1] += 1
+            return sampler(rng, k)
+
+        return real_find(violation, counted)
 
     monkeypatch.setattr(alg, "_interior_powers", recording_interior)
     monkeypatch.setattr(alg, "find_feasible", recording_find)

@@ -83,14 +83,14 @@ def test_edge_configs_start_from_few_candidates(monkeypatch, physics):
     proposals = []
     real_find_feasible = algorithms.find_feasible
 
-    def counting_find_feasible(constraints, sampler, rng, max_tries):
+    def counting_find_feasible(violation, sampler):
         proposals.append(0)
 
         def counted(rng, k):
             proposals[-1] += 1
             return sampler(rng, k)
 
-        return real_find_feasible(constraints, counted, rng, max_tries)
+        return real_find_feasible(violation, counted)
 
     monkeypatch.setattr(algorithms, "find_feasible", counting_find_feasible)
     for seed in range(5):

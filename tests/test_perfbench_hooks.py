@@ -2,9 +2,12 @@
 perfbench/selftest.py and perfbench/harness.py use.
 
 The benchmark's tracer wraps uavee.algorithms.find_feasible / solve / the
-subproblem builders and rebuilds every ConvexProgram by field name. A
-renamed hook or field would otherwise surface only in the benchmark's own
-self-test; this runs one traced paired trial instead.
+subproblem builders and rebuilds every ConvexProgram by field name. Of
+find_feasible it relies on the name, on the first two positional parameters
+(constraints, sampler) and on find_feasible calling sampler(rng, k) once per
+proposal, which it counts. A renamed hook or field would otherwise surface
+only in the benchmark's own self-test; this runs one traced paired trial
+instead.
 """
 
 import dataclasses
@@ -62,7 +65,9 @@ def test_tracer_hooks_count_and_keep_results(perfbench):
             solved = alg != "opa" or not certified
             assert (tr.counts[f"engine.solve.calls.{alg}"] > 0) == solved
             assert (tr.counts[f"oracle.values.calls.{alg}"] > 0) == solved
-            assert (tr.counts[f"engine.find_feasible.calls.{alg}"] > 0) == solved
+            calls = tr.counts[f"engine.find_feasible.calls.{alg}"]
+            assert (calls > 0) == solved
+            assert tr.counts[f"engine.find_feasible.proposals.{alg}"] == calls
 
 
 def test_run_trial_takes_sca_settings_as_the_benchmark_passes_them(perfbench):
