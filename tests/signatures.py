@@ -21,22 +21,14 @@ difference fails the comparison), then per set and algorithm how many solves are
 identical, how many keep their status, iterations and subsolver calls ("same
 path"), how many keep a bit-identical allocation (tau, powers), how many end
 with a lower trace[-1] than in OLD (jhtpa's and opa's EE, oht's max-min
-rate), the largest relative EE change, and the totals in OLD and NEW of each
-count in COUNTS: the Newton steps of the barrier solves, the Newton systems
-they solved (engine._newton_direction calls, the first stage's scan
-included), the full-harvest rate calls (core.pinned_rates, which oht's
-search, jhtpa's face scan and the QoS floor call), the barrier solves that
-ended short of OPTIMAL, the Newton steps of each run's first SCA solve,
-the solves from its warm starts included, and the SINR evaluations made
-during the run (core.sinr calls: every EE score and every batched or single
-feasibility check of a start or an extrapolation rung) ("n/a" when a file
-holds no such counts), and last the tally in OLD and NEW of the runs' stop reasons
-(SolveReport.stop_reason, "raised" for a run that raised), such as
-"epsilon:360 → kkt_certified:360". A change that moves only the rounding of
-EE or trace shows every solve on the same path with the same allocation;
-the counts are deterministic, so a change to the barrier's route or work,
-or to oht's search, shows in the six count columns even where every
-answer stays the same.
+rate), the largest relative EE change, the totals in OLD and NEW of each
+count in COUNTS ("n/a" when a file holds no such counts), and last the
+tally in OLD and NEW of the runs' stop reasons (SolveReport.stop_reason,
+"raised" for a run that raised), such as "epsilon:360 → kkt_certified:360".
+A change that moves only the rounding of EE or trace shows every solve on
+the same path with the same allocation; the counts are deterministic, so a
+change to the barrier's route or work, or to oht's search, shows in the
+count columns even where every answer stays the same.
 """
 
 from __future__ import annotations
@@ -72,13 +64,14 @@ BASELINE_SETS = {
 }
 
 # The per-run counts a signature file holds, by key, with their column heads.
+# write's wrappers count each while bench.run_algorithm runs:
 COUNTS = {
-    "newton_steps": "Newton steps",
-    "newton_systems": "Newton systems",
-    "rate_calls": "rate calls",
-    "non_optimal": "non-OPTIMAL",
-    "first_solve_steps": "first-solve steps",
-    "sinr_calls": "SINR calls",
+    "newton_steps": "Newton steps",  # of the barrier solves
+    "newton_systems": "Newton systems",  # engine._newton_direction calls, first-stage scans included
+    "rate_calls": "rate calls",  # core.pinned_rates: oht's search, jhtpa's face scan, the QoS floor
+    "non_optimal": "non-OPTIMAL",  # barrier solves whose status is not OPTIMAL
+    "first_solve_steps": "first-solve steps",  # of the first SCA solve, its warm starts' solves included
+    "sinr_calls": "SINR calls",  # core.sinr: EE scores and the checks of a start or an extrapolation rung
 }
 
 
@@ -110,60 +103,59 @@ def _trials(harness, name: str, seed: int, count: int) -> list:
 
 
 def write(out: Path) -> None:
-    """Write each solve's signature, under each COUNTS key each run's
-    count: Newton steps, Newton systems, core.pinned_rates calls, barrier
-    solves whose status is not OPTIMAL, the Newton steps of the first SCA
-    solve (the one algorithms._solve_from is handed warm starts for) and
-    the core.sinr calls made while the run is in bench.run_algorithm (not
-    the reports' EE read afterwards), under "stop_reasons" each run's
-    stop reason, all read by wrapping bench.run_algorithm, algorithms.solve,
-    algorithms._solve_from, engine._newton_direction, core.pinned_rates and
-    core.sinr while the trials run, and under "channels" each trial's
-    channel digest."""
+    """Write each solve's signature, under each COUNTS key each run's count,
+    under "stop_reasons" each run's stop reason, all read by wrapping
+    bench.run_algorithm, algorithms.solve, algorithms._solve_from,
+    engine._newton_direction, core.pinned_rates and core.sinr while the
+    trials run, and under "channels" each trial's channel digest."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import harness
     from uavee import algorithms, bench, core, engine
 
     real_run, real_solve, real_direction = bench.run_algorithm, algorithms.solve, engine._newton_direction
     real_rates, real_solve_from, real_sinr = core.pinned_rates, algorithms._solve_from, core.sinr
-    # [algorithm, *counts in COUNTS order, stop reason] of each run in the current trial
+    # the current trial's runs, each {"algorithm", *COUNTS, "stop_reason"}, and the run in progress
     runs, running = [], []
 
+    def add(key, n=1):
+        if running:
+            running[-1][key] += n
+
     def run_algorithm(name, *args):
-        runs.append([name, 0, 0, 0, 0, 0, 0, "raised"])
-        running.append(name)
+        run = {"algorithm": name, **dict.fromkeys(COUNTS, 0), "stop_reason": "raised"}
+        runs.append(run)
+        running.append(run)
         try:
             report = real_run(name, *args)
         finally:
             running.pop()
-        runs[-1][-1] = report.stop_reason
+        run["stop_reason"] = report.stop_reason
         return report
 
     def solve(prog, z0):
         outcome = real_solve(prog, z0)
-        runs[-1][1] += outcome.newton_step_count
-        runs[-1][4] += outcome.status is not engine.SolveStatus.OPTIMAL
+        add("newton_steps", outcome.newton_step_count)
+        add("non_optimal", outcome.status is not engine.SolveStatus.OPTIMAL)
         return outcome
 
     def solve_from(prog, warm, z0):
-        steps = runs[-1][1]
+        steps = running[-1]["newton_steps"]
         try:
             return real_solve_from(prog, warm, z0)
         finally:
             if warm:  # the first solve: its warm starts' solves count too
-                runs[-1][5] += runs[-1][1] - steps
+                add("first_solve_steps", running[-1]["newton_steps"] - steps)
 
     def newton_direction(hess, grad):
-        runs[-1][2] += 1
+        add("newton_systems")
         return real_direction(hess, grad)
 
     def pinned_rates(*args):
-        runs[-1][3] += 1
+        add("rate_calls")
         return real_rates(*args)
 
     def sinr(*args):
-        if running:
-            runs[-1][6] += 1
+        add("sinr_calls")
         return real_sinr(*args)
 
     # counts[key][set] holds, per trial, {algorithm: count} of each run
@@ -180,9 +172,9 @@ def write(out: Path) -> None:
                 tr = harness.run_paired_trial(trial)
                 signatures = {alg: harness.solve_signature(res) for alg, res in tr.solves.items()}
                 data[name].append({alg: _jsonable(sig) for alg, sig in signatures.items()})
-                for column, by_set in enumerate(counts.values(), start=1):
-                    by_set[name].append({run[0]: run[column] for run in runs})
-                reasons[name].append({run[0]: run[-1] for run in runs})
+                for key, by_set in counts.items():
+                    by_set[name].append({run["algorithm"]: run[key] for run in runs})
+                reasons[name].append({run["algorithm"]: run["stop_reason"] for run in runs})
                 channels[name].append(_channel_digest(tr.channels))
     finally:
         bench.run_algorithm, algorithms.solve, engine._newton_direction = real_run, real_solve, real_direction

@@ -309,22 +309,21 @@ def test_subproblem_oracles_match_the_surrogate_rate_bound(
     assert check_gradients(prog, q) < 1e-5
 
 
+def _assert_oht_powers_pinned(num_pairs, seed):
+    # oht's powers are exactly the full-harvest closed form at its reported theta
+    config, ch = scenario(num_pairs, seed)
+    report = oht(ch, config)
+    closed_form = (report.allocation.theta - 1.0) * config.eta * config.p0_watt * ch.g
+    assert np.array_equal(report.allocation.p, closed_form)
+
+
 def test_oht_closed_form_power_identity():
-    # oht's powers are the full-harvest closed form at its reported theta
     for seed in (7, 11, 42):
-        config, ch = scenario(4, seed)
-        report = oht(ch, config)
-        closed_form = (report.allocation.theta - 1.0) * config.eta * config.p0_watt * ch.g
-        np.testing.assert_allclose(report.allocation.p / closed_form, 1.0, rtol=1e-10, atol=0.0)
+        _assert_oht_powers_pinned(4, seed)
 
 
 def test_oht_power_pinning_exact():
-    config, ch = scenario(3, 7)
-    report = oht(ch, config)
-    pinned = (report.allocation.theta - 1.0) * config.eta * config.p0_watt * ch.g
-    assert np.array_equal(report.allocation.p, pinned)
-    ratio = report.allocation.p / pinned
-    assert np.all(ratio == 1.0)
+    _assert_oht_powers_pinned(3, 7)
 
 
 def test_pinned_power_endpoint():

@@ -36,6 +36,19 @@ def test_run_writes_json(tmp_path, capsys):
     assert payload["summary"] == json.loads(capsys.readouterr().out)["summary"]
 
 
+def test_run_on_two_jobs_writes_the_rows_of_one(tmp_path):
+    # a pool of two workers writes the rows one process writes, apart from
+    # their wall times
+    rows = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        argv = ["run", "--pairs", "2", "--trials", "2", "--seed", "1", "--jobs", jobs, "--out", str(out)]
+        assert cli_main(argv) == 0
+        rows[jobs] = [row[:6] + row[7:] for row in csv.reader(out.read_text().splitlines())]
+    assert rows["1"][0][6] == "iterations"  # wall_time_ms is the column left out
+    assert rows["2"] == rows["1"] and len(rows["1"]) == 1 + 6
+
+
 def test_run_rejects_zero_pairs(capsys):
     assert cli_main(["run", "--pairs", "0"]) == 1
     assert "error" in capsys.readouterr().err

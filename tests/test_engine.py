@@ -733,6 +733,28 @@ def test_no_newton_system_is_solved_twice(monkeypatch, start):
     assert len(set(solved)) == len(solved)
 
 
+def test_a_singular_newton_system_gets_a_regularized_descent_direction(monkeypatch):
+    # H = [[1, 1], [1, 1]] is singular: its unregularized solve raises, and
+    # the first Levenberg shift solves along H's null space [1, -1]
+    import uavee.engine as engine
+
+    real, raised = np.linalg.solve, []
+
+    def solve_or_record(a, b):
+        try:
+            return real(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(a.copy())
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", solve_or_record)
+    hess, grad = np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0])
+    direction, ok = engine._newton_direction(hess, grad)
+    assert len(raised) == 1 and np.array_equal(raised[0], hess)
+    assert ok and np.all(np.isfinite(direction)) and grad @ direction < 0.0
+    assert direction == pytest.approx(np.array([-0.5, 0.5]) / engine._REG_START, rel=1e-6)
+
+
 def test_first_stage_scan_runs_down_and_stops_at_the_first_rise(monkeypatch):
     # started on the central path at mu^3, one below the top of the span:
     # the scan solves the top's, mu^3's and mu^2's Newton systems, stops at

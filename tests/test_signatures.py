@@ -16,6 +16,11 @@ from uavee.engine import SolveStatus
 import signatures
 
 
+ALGORITHMS = ("jhtpa", "opa", "oht")
+# the stop reasons and every COUNTS column of a row whose files hold none
+NONE_COUNTED = ["n/a"] * (len(signatures.COUNTS) + 1)
+
+
 def _signature(ee: float):
     # status, EE, tau, powers, trace, iterations, subsolver calls
     return ["converged", ee.hex(), (0.5).hex(), "00" * 16, [(ee / 2).hex(), ee.hex()], 1, 1]
@@ -39,9 +44,8 @@ def _rows(tmp_path, capsys, before, after):
 def _compare(tmp_path, capsys, before, after):
     same, rows = _rows(tmp_path, capsys, before, after)
     # set, algorithm, identical, same path, same alloc, lower trace[-1],
-    # drift, then Newton steps, Newton systems, rate calls, non-OPTIMAL
-    # solves, first-solve steps, SINR calls and the stop-reason tallies,
-    # each "old → new" or "n/a"
+    # drift, then each COUNTS column and the stop-reason tallies, each
+    # "old → new" or "n/a"
     table = {}
     for row in rows:
         if row[1] != "channels":
@@ -69,7 +73,7 @@ def test_identical_files_compare_equal(tmp_path, capsys):
     same, table = _compare(tmp_path, capsys, _trials(), _trials())
     assert same
     assert len(table) == 3 * len(signatures.TRIAL_SETS)
-    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 7] for row in table.values())
+    assert all(row == ["1/1", "1/1", "1/1", "0/1", "0", *NONE_COUNTED] for row in table.values())
 
 
 def test_channel_digests_compare_per_set(tmp_path, capsys):
@@ -102,7 +106,7 @@ def test_ee_drift_on_the_same_path_is_reported(tmp_path, capsys):
     identical, path, alloc, lower, drift, *_ = table[("dense_n30", "jhtpa")]
     assert (identical, path, alloc, lower) == ("0/1", "1/1", "1/1", "1/1")
     assert float(drift) == pytest.approx(1e-3, rel=1e-2)
-    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", *["n/a"] * 7]
+    assert table[("dense_n30", "opa")] == ["1/1", "1/1", "1/1", "0/1", "0", *NONE_COUNTED]
 
 
 def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
@@ -110,130 +114,48 @@ def test_a_raise_on_one_side_is_infinite_drift(tmp_path, capsys):
     after["paper_sweep"][0]["opa"] = ["raised", "NoFeasiblePointFoundError", "no start"]
     same, table = _compare(tmp_path, capsys, _trials(), after)
     assert not same
-    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", *["n/a"] * 7]
+    assert table[("paper_sweep", "opa")] == ["0/1", "0/1", "0/1", "1/1", "inf", *NONE_COUNTED]
 
 
-def _with_steps(
-    trials,
-    jhtpa_steps,
-    jhtpa_systems=None,
-    oht_rate_calls=None,
-    opa_non_optimal=None,
-    opa_first_steps=None,
-    jhtpa_sinr_calls=None,
-):
-    steps = {name: [{"jhtpa": jhtpa_steps, "opa": 10, "oht": 0}] for name in trials}
-    if jhtpa_systems is None:
-        return {**trials, "newton_steps": steps}
-    systems = {name: [{"jhtpa": jhtpa_systems, "opa": 14, "oht": 0}] for name in trials}
-    if oht_rate_calls is None:
-        return {**trials, "newton_steps": steps, "newton_systems": systems}
-    rates = {name: [{"jhtpa": 2, "opa": 1, "oht": oht_rate_calls}] for name in trials}
-    if opa_non_optimal is None:
-        return {**trials, "newton_steps": steps, "newton_systems": systems, "rate_calls": rates}
-    non_optimal = {name: [{"jhtpa": 0, "opa": opa_non_optimal, "oht": 0}] for name in trials}
-    counts = {"newton_steps": steps, "newton_systems": systems, "rate_calls": rates, "non_optimal": non_optimal}
-    if opa_first_steps is None:
-        return {**trials, **counts}
-    first = {name: [{"jhtpa": jhtpa_steps, "opa": opa_first_steps, "oht": 0}] for name in trials}
-    counts["first_solve_steps"] = first
-    if jhtpa_sinr_calls is None:
-        return {**trials, **counts}
-    sinr = {name: [{"jhtpa": jhtpa_sinr_calls, "opa": 3, "oht": 0}] for name in trials}
-    return {**trials, **counts, "sinr_calls": sinr}
+def _count(column, alg):
+    """The count of alg's one run in column column of a _with_counts file."""
+    return 10 * column + ALGORITHMS.index(alg) + 1
 
 
-def test_newton_step_totals_print_old_to_new(tmp_path, capsys):
-    before, after = _with_steps(_trials(), 40), _with_steps(_trials(), 30)
-    # the steps moved but every answer is the same: still identical
+def _with_counts(trials, **changed):
+    """trials with one run per algorithm under each COUNTS key, counting
+    _count(column, alg) unless changed[key] gives {alg: count}."""
+    counts = {}
+    for column, key in enumerate(signatures.COUNTS):
+        run = {alg: _count(column, alg) for alg in ALGORITHMS} | changed.get(key, {})
+        counts[key] = {name: [run] for name in trials}
+    return {**trials, **counts}
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+@pytest.mark.parametrize(("column", "key"), enumerate(signatures.COUNTS))
+def test_count_totals_print_old_to_new_in_their_column(tmp_path, capsys, column, key, alg):
+    old = _count(column, alg)
+    before, after = _with_counts(_trials()), _with_counts(_trials(), **{key: {alg: old + 1}})
+
+    def check(table, cells):
+        # each count column reads "k → k", but column reads cells[algorithm] where given
+        for (_, row_alg), row in table.items():
+            totals = [f"{_count(c, row_alg)} → {_count(c, row_alg)}" for c in range(len(signatures.COUNTS))]
+            totals[column] = cells.get(row_alg, totals[column])
+            assert row[5:] == [*totals, "n/a"]
+
+    def without(data):
+        return {k: v for k, v in data.items() if k != key}
+
+    # one of alg's counts moved but every answer is the same: still identical
     same, table = _compare(tmp_path, capsys, before, after)
     assert same
-    assert {row[5] for key, row in table.items() if key[1] == "jhtpa"} == {"40 → 30"}
-    assert {row[5] for key, row in table.items() if key[1] == "opa"} == {"10 → 10"}
-    assert {row[5] for key, row in table.items() if key[1] == "oht"} == {"0 → 0"}
-    # a file written before steps were recorded reads n/a on either side
-    for old, new in ((_trials(), after), (before, _trials())):
-        _, table = _compare(tmp_path, capsys, old, new)
-        assert {row[5] for row in table.values()} == {"n/a"}
-
-
-def test_newton_system_totals_print_old_to_new_beside_the_steps(tmp_path, capsys):
-    before, after = _with_steps(_trials(), 40, 55), _with_steps(_trials(), 40, 48)
-    same, table = _compare(tmp_path, capsys, before, after)
-    assert same
-    assert {tuple(row[5:7]) for key, row in table.items() if key[1] == "jhtpa"} == {("40 → 40", "55 → 48")}
-    assert {tuple(row[5:7]) for key, row in table.items() if key[1] == "opa"} == {("10 → 10", "14 → 14")}
-    assert {tuple(row[5:7]) for key, row in table.items() if key[1] == "oht"} == {("0 → 0", "0 → 0")}
-    # a file with steps but no systems reads n/a in the systems column only
-    _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40), after)
-    assert {tuple(row[5:7]) for key, row in table.items() if key[1] == "jhtpa"} == {("40 → 40", "n/a")}
-
-
-def test_rate_call_totals_print_old_to_new_after_the_systems(tmp_path, capsys):
-    before, after = _with_steps(_trials(), 40, 48, 5), _with_steps(_trials(), 40, 48, 1)
-    # oht's search made fewer rate calls but every answer is the same
-    same, table = _compare(tmp_path, capsys, before, after)
-    assert same
-    assert {tuple(row[5:8]) for key, row in table.items() if key[1] == "oht"} == {("0 → 0", "0 → 0", "5 → 1")}
-    assert {row[7] for key, row in table.items() if key[1] == "jhtpa"} == {"2 → 2"}
-    assert {row[7] for key, row in table.items() if key[1] == "opa"} == {"1 → 1"}
-    # a file written before rate calls were recorded reads n/a in that column only
-    for old, new in ((_with_steps(_trials(), 40, 48), after), (before, _with_steps(_trials(), 40, 48))):
-        _, table = _compare(tmp_path, capsys, old, new)
-        assert {tuple(row[5:8]) for key, row in table.items() if key[1] == "oht"} == {("0 → 0", "0 → 0", "n/a")}
-
-
-def test_non_optimal_solve_totals_print_old_to_new_after_the_rate_calls(tmp_path, capsys):
-    before, after = _with_steps(_trials(), 40, 48, 5, 0), _with_steps(_trials(), 40, 48, 5, 2)
-    # two of opa's solves stopped short of OPTIMAL but every answer is the same
-    same, table = _compare(tmp_path, capsys, before, after)
-    assert same
-    assert {tuple(row[5:9]) for key, row in table.items() if key[1] == "opa"} == {
-        ("10 → 10", "14 → 14", "1 → 1", "0 → 2")
-    }
-    assert {row[8] for key, row in table.items() if key[1] != "opa"} == {"0 → 0"}
-    # a file written before the count was recorded reads n/a in that column only
-    _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40, 48, 5), after)
-    assert {tuple(row[5:9]) for key, row in table.items() if key[1] == "opa"} == {
-        ("10 → 10", "14 → 14", "1 → 1", "n/a")
-    }
-
-
-def test_first_solve_step_totals_print_old_to_new_last(tmp_path, capsys):
-    before, after = _with_steps(_trials(), 40, 48, 5, 0, 9), _with_steps(_trials(), 40, 48, 5, 0, 2)
-    # opa's first solves took fewer steps but every answer is the same; the
-    # last of the barrier's count columns, before the SINR calls
-    same, table = _compare(tmp_path, capsys, before, after)
-    assert same
-    assert {tuple(row[5:10]) for key, row in table.items() if key[1] == "opa"} == {
-        ("10 → 10", "14 → 14", "1 → 1", "0 → 0", "9 → 2")
-    }
-    assert {row[9] for key, row in table.items() if key[1] == "jhtpa"} == {"40 → 40"}
-    assert {row[9] for key, row in table.items() if key[1] == "oht"} == {"0 → 0"}
-    # a file written before the count was recorded reads n/a in that column only
-    _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40, 48, 5, 0), after)
-    assert {tuple(row[5:10]) for key, row in table.items() if key[1] == "opa"} == {
-        ("10 → 10", "14 → 14", "1 → 1", "0 → 0", "n/a")
-    }
-
-
-def test_sinr_call_totals_print_old_to_new_last(tmp_path, capsys):
-    before = _with_steps(_trials(), 40, 48, 5, 0, 9, 30)
-    after = _with_steps(_trials(), 40, 48, 5, 0, 9, 21)
-    # jhtpa's runs evaluated fewer SINR vectors but every answer is the same;
-    # the last count column, before the stop-reason tallies
-    same, table = _compare(tmp_path, capsys, before, after)
-    assert same
-    assert {tuple(row[5:11]) for key, row in table.items() if key[1] == "jhtpa"} == {
-        ("40 → 40", "48 → 48", "2 → 2", "0 → 0", "40 → 40", "30 → 21")
-    }
-    assert {row[10] for key, row in table.items() if key[1] == "opa"} == {"3 → 3"}
-    assert {row[10] for key, row in table.items() if key[1] == "oht"} == {"0 → 0"}
-    # a file written before the count was recorded reads n/a in that column only
-    _, table = _compare(tmp_path, capsys, _with_steps(_trials(), 40, 48, 5, 0, 9), after)
-    assert {tuple(row[5:11]) for key, row in table.items() if key[1] == "jhtpa"} == {
-        ("40 → 40", "48 → 48", "2 → 2", "0 → 0", "40 → 40", "n/a")
-    }
+    check(table, {alg: f"{old} → {old + 1}"})
+    # a file written before the count was recorded reads n/a in that column
+    # only, on either side
+    for files in ((without(before), after), (before, without(after))):
+        check(_compare(tmp_path, capsys, *files)[1], dict.fromkeys(ALGORITHMS, "n/a"))
 
 
 def test_stop_reason_tallies_print_old_to_new_last(tmp_path, capsys):
@@ -249,14 +171,14 @@ def test_stop_reason_tallies_print_old_to_new_last(tmp_path, capsys):
     same, table = _compare(tmp_path, capsys, before, after)
     assert same
     assert {tuple(row[:5]) for row in table.values()} == {("3/3", "3/3", "3/3", "0/3", "0")}
-    assert {row[11] for key, row in table.items() if key[1] == "opa"} == {
+    assert {row[-1] for key, row in table.items() if key[1] == "opa"} == {
         "boundary_fallback:1,epsilon:2 → epsilon:1,kkt_certified:2"
     }
-    assert {row[11] for key, row in table.items() if key[1] != "opa"} == {"epsilon:3 → epsilon:3"}
+    assert {row[-1] for key, row in table.items() if key[1] != "opa"} == {"epsilon:3 → epsilon:3"}
     # a file written before stop reasons were recorded reads n/a in that column
     del before["stop_reasons"]
     _, table = _compare(tmp_path, capsys, before, after)
-    assert {tuple(row[5:]) for row in table.values()} == {("n/a",) * 7}
+    assert {tuple(row[5:]) for row in table.values()} == {tuple(NONE_COUNTED)}
 
 
 def test_a_set_missing_from_one_file_is_not_the_same(tmp_path, capsys):
@@ -301,10 +223,8 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     assert _write_isolated([second]) == 0
     assert core.pinned_rates is real_rates  # write restores what it wraps
     data = json.loads((tmp_path / "first.json").read_text())
-    steps, systems, rates = data.pop("newton_steps"), data.pop("newton_systems"), data.pop("rate_calls")
-    non_optimal, first_steps = data.pop("non_optimal"), data.pop("first_solve_steps")
-    sinr_calls, reasons = data.pop("sinr_calls"), data.pop("stop_reasons")
-    channels = data.pop("channels")
+    counts = {key: data.pop(key) for key in signatures.COUNTS}
+    reasons, channels = data.pop("stop_reasons"), data.pop("channels")
     assert {name: len(trials) for name, trials in data.items()} == sizes
     # one sha256 digest per trial, and each trial of a set drew its own channels
     assert {name: len(set(digests)) for name, digests in channels.items()} == sizes
@@ -312,13 +232,15 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     assert all(set(trial) == {"jhtpa", "opa", "oht"} for trials in data.values() for trial in trials)
     # one count per run; only jhtpa and opa call the barrier solver, and
     # a run that raised (feasibility_edge can) counts the solves it made
-    assert {name: len(runs) for name, runs in steps.items()} == sizes
+    for by_set in (*counts.values(), reasons):
+        assert {name: len(runs) for name, runs in by_set.items()} == sizes
+        assert all(set(run) == {"jhtpa", "opa", "oht"} for runs in by_set.values() for run in runs)
     for name in sizes:
         for k, signature in enumerate(data[name]):
-            runs, solved, short = steps[name][k], systems[name][k], non_optimal[name][k]
-            first_solve, reason, sinr = first_steps[name][k], reasons[name][k], sinr_calls[name][k]
-            assert set(runs) == set(solved) == set(rates[name][k]) == set(short) == {"jhtpa", "opa", "oht"}
-            assert set(first_solve) == set(reason) == set(sinr) == set(runs)
+            count = {key: by_set[name][k] for key, by_set in counts.items()}
+            runs, solved, rates = count["newton_steps"], count["newton_systems"], count["rate_calls"]
+            short, first_solve, sinr = count["non_optimal"], count["first_solve_steps"], count["sinr_calls"]
+            reason = reasons[name][k]
             # a run that returned has its report's stop reason; oht always
             # stops at epsilon, and a certified opa run solved nothing
             for alg, stop in reason.items():
@@ -326,7 +248,7 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
             assert reason["oht"] == "epsilon"
             certified = reason["opa"] == "kkt_certified"
             if certified:  # nor read the QoS floor, which the vertex meets by its definition
-                assert runs["opa"] == solved["opa"] == rates[name][k]["opa"] == signature["opa"][-1] == 0
+                assert runs["opa"] == solved["opa"] == rates["opa"] == signature["opa"][-1] == 0
             assert runs["oht"] == solved["oht"] == short["oht"] == first_solve["oht"] == 0
             # oht evaluates full-harvest rates only; a certified opa run
             # scores its vertex once; every other returned run checks its
@@ -338,7 +260,7 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
                 if alg != "oht" and stop not in ("raised", "kkt_certified"):
                     assert sinr[alg] >= 2 + signature[alg][-1]
             # every other run reads the QoS floor or scores theta_fix before it can raise
-            assert all(n >= 1 for alg, n in rates[name][k].items() if not (alg == "opa" and certified))
+            assert all(n >= 1 for alg, n in rates.items() if not (alg == "opa" and certified))
             for alg in ("jhtpa", "opa"):
                 # a run's barrier solve scans for its first stage, but takes
                 # no Newton step from a start central at its final stage
@@ -362,17 +284,16 @@ def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkey
     rows = [row for row in rows if row[1] != "channels"]
     assert len(rows) == 3 * len(sizes)
     assert all(row[2] == "1/1" or row[2] == f"{sizes[row[0]]}/{sizes[row[0]]}" for row in rows)
-    # the same checkout repeats its counts: "k → k" in each of the six columns
-    columns = (7, 10, 13, 16, 19, 22)
-    for column, counts in zip(columns, (steps, systems, rates, non_optimal, first_steps, sinr_calls)):
-        assert all(row[column] == row[column + 2] and row[column + 1] == "→" for row in rows)
-        assert sum(int(row[column]) for row in rows) == sum(
-            sum(run.values()) for runs in counts.values() for run in runs
-        )
+    # the same checkout repeats its counts: "k → k" in each COUNTS column
     # and its stop reasons: one tally per row, "t → t", counting each run once
-    assert all(row[25] == row[27] and row[26] == "→" and len(row) == 28 for row in rows)
     for row in rows:
-        tally = dict(cell.split(":") for cell in row[25].split(","))
+        cells = [cell.split() for cell in _old_new_cells(row[7:])]
+        assert len(cells) == len(signatures.COUNTS) + 1
+        assert all(arrow == "→" and old == new for old, arrow, new in cells)
+        *totals, (tallies, _, _) = cells
+        for (total, _, _), by_set in zip(totals, counts.values()):
+            assert int(total) == sum(run[row[1]] for run in by_set[row[0]])
+        tally = dict(cell.split(":") for cell in tallies.split(","))
         assert tally == {
             stop: str(sum(run[row[1]] == stop for run in reasons[row[0]])) for stop in tally
         }
