@@ -11,7 +11,7 @@ maximizer. jhtpa's start scores the full-harvest EE on a fixed grid at once.
 
   jhtpa  joint harvesting-time and power allocation in (theta, 1/p) space
   opa    the full-harvest point at theta_fix when a KKT test certifies it,
-         else jhtpa's SCA with theta and the presolve's pinned pairs held
+         else jhtpa's SCA with theta fixed there
   oht    harvesting-time-only max-min rate with full-harvest powers
 
 Both SCA algorithms iterate the one point z = (theta, q_1..q_N), q_n = 1/p_n;
@@ -79,9 +79,6 @@ _CENTRAL_T0 = BARRIER_MU ** (_FIRST_STAGE_SPAN + 1)
 # as weakly feasible when no strict interior point passes the check.
 _BOUNDARY_TOL = 1e-9
 
-# opa pins pair k at full harvest when 1 - x_min_k <= _PIN_TOL (see opa).
-_PIN_TOL = 1e-5
-
 # SolveReport.status of the stop reasons that are not "converged". opa stops
 # at kkt_certified when its full-harvest vertex passes the KKT test before
 # any SCA solve (0 iterations, trace [EE]; see opa). jhtpa and opa's SCA stop
@@ -144,7 +141,6 @@ class SolveReport:
     stop_reason: str
     channels: ChannelRealization = field(repr=False, compare=False)
     config: ScenarioConfig = field(repr=False, compare=False)
-    pinned: int = 0  # pairs opa's presolve fixed at full harvest; 0 when no presolve ran
 
     @property
     def status(self) -> str:
@@ -188,7 +184,6 @@ class SolveReport:
             "wall_time_ms": self.wall_time_ms,
             "status": self.status,
             "stop_reason": self.stop_reason,
-            "pinned": self.pinned,
             "r_bar": self.r_bar,
             "causality_violation": feasibility.causality_violation.tolist(),
             "qos_violation": feasibility.qos_violation.tolist(),
@@ -221,13 +216,13 @@ _FACE_THETAS = 1.0 + np.geomspace(1e-3, _THETA_CAP - 1.0, _FACE_GRID)
 # ---------------------------------------------------------------------------
 
 
-def _violation(theta, p: np.ndarray, ch, config, r_bar: float, pinned=None):
+def _violation(theta, p: np.ndarray, ch, config, r_bar: float):
     """Largest constraint value of (theta, p) in the original problem, or of
     each (theta_k, p_k) when theta is a (K,) array and p a (K, N) one.
 
     The rows, each scaled to O(1), are the theta guard, energy causality
     p_n / p_max_n - 1 and QoS (theta r_bar - ln(1 + SINR_n)) / (theta r_bar)
-    plus _QOS_FEAS_MARGIN; a pinned pair (see opa) passes only at p_max.
+    plus _QOS_FEAS_MARGIN.
     Negative iff (theta, p) is strictly feasible with that margin; NaN
     propagates, and a zero p_max (an underflowed UAV gain) gives a NaN row.
     Each of a batch's values equals that (theta_k, p_k)'s alone, bit for
@@ -240,12 +235,10 @@ def _violation(theta, p: np.ndarray, ch, config, r_bar: float, pinned=None):
     qos = (qos_rhs - np.log1p(core.sinr(p, ch))) / np.maximum(qos_rhs, _QOS_SCALE_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         pairs = np.maximum(p / p_max - 1.0, qos + _QOS_FEAS_MARGIN)
-    if pinned is not None:
-        pairs[..., pinned] = np.where(p[..., pinned] == p_max[..., pinned], -math.inf, math.inf)
     return np.maximum((1.0 + THETA_GAP) - theta, pairs.max(axis=-1))
 
 
-def _interior_powers(ch, config, r_bar: float, theta: float, pinned=None):
+def _interior_powers(ch, config, r_bar: float, theta: float) -> np.ndarray:
     """Transmit powers strictly inside the SINR polytope at harvesting time theta.
 
     At fixed theta the QoS rows ln(1 + SINR_n) >= theta r_bar are linear in
@@ -263,39 +256,31 @@ def _interior_powers(ch, config, r_bar: float, theta: float, pinned=None):
     whenever full harvest is weakly feasible, as it is at theta_fix by the
     definition of the QoS floor and at _face_theta by its choice.
 
-    Returns (p, x_min). p is NaN when gamma overflows, x_min < 0, m1 <= 0
-    or delta eps*/2 <= _QOS_FEAS_MARGIN: at theta_fix the QoS rows' slack at
-    p is about delta eps*/2 (in units of x), and a thinner interior could
-    not clear the margin the start is checked against, nor be resolved in
-    floating point. Pinned pairs stay at x = 1:
-    (I - G)_FF [x_min, m1] = [b_F + G_FP 1, 1].
+    p is NaN when gamma overflows, x_min < 0, m1 <= 0 or delta eps*/2 <=
+    _QOS_FEAS_MARGIN: at theta_fix the QoS rows' slack at p is about
+    delta eps*/2 (in units of x), and a thinner interior could not clear
+    the margin the start is checked against, nor be resolved in floating
+    point.
     """
     p_max = core.pinned_powers(theta, ch, config)
     gamma = math.inf  # math.expm1: np.expm1 rounds differently
     with contextlib.suppress(OverflowError):
         gamma = math.expm1(theta * r_bar)
-    free = np.ones(ch.num_pairs, dtype=bool) if pinned is None else ~pinned
     with np.errstate(all="ignore"):
         scale = gamma / (np.diag(ch.h) * p_max)
         system = -(scale[:, None] * ch.h * p_max)
         system.flat[:: ch.num_pairs + 1] = 1.0
         rhs = np.column_stack((scale * ch.sigma2_watt, np.ones_like(scale)))
-        if pinned is not None:  # x_P = 1 moves to the right-hand side
-            rows = system[free]
-            system, rhs = rows[:, free], rhs[free]
-            rhs[:, 0] -= rows[:, pinned].sum(axis=-1)
         try:
             sol = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:  # an exact zero pivot: no candidate
             sol = np.full(rhs.shape, np.nan)
         x_min, m1 = sol[:, 0], sol[:, 1]
         eps = ((1.0 - x_min) / m1).min(initial=math.inf)
-        ok = (x_min >= 0.0).all() and (m1 > 0.0).all() and free.any()
-        ok = ok and 0.5 * _INTERIOR_DEPTH * eps > _QOS_FEAS_MARGIN
+        ok = (x_min >= 0.0).all() and (m1 > 0.0).all() and 0.5 * _INTERIOR_DEPTH * eps > _QOS_FEAS_MARGIN
         x_c = x_min + 0.5 * eps * m1
-        p = p_max.copy()
-        p[free] = (1.0 - _INTERIOR_DEPTH * (1.0 - x_c)) * p_max[free]
-    return (p if ok else np.full_like(p, np.nan)), x_min
+        p = (1.0 - _INTERIOR_DEPTH * (1.0 - x_c)) * p_max
+    return p if ok else np.full_like(p, np.nan)
 
 
 def _log_bracket_max(values, lo: float, hi: float, points: int):
@@ -338,7 +323,7 @@ def _face_theta(ch, config, r_bar: float) -> float:
     return float(thetas[i]) if ee[i] > ee[-1] else config.theta_fix
 
 
-def _start(ch, config, r_bar: float, theta: float, pinned=None) -> tuple[float, np.ndarray, bool]:
+def _start(ch, config, r_bar: float, theta: float) -> tuple[float, np.ndarray, bool]:
     """The starting (theta, p) of jhtpa and opa and whether it is strictly feasible.
 
     theta is jhtpa's _face_theta or opa's theta_fix. The one candidate is
@@ -353,10 +338,9 @@ def _start(ch, config, r_bar: float, theta: float, pinned=None) -> tuple[float, 
     """
 
     def violation(v):
-        return _violation(v[0], v[1:], ch, config, r_bar, pinned)
+        return _violation(v[0], v[1:], ch, config, r_bar)
 
-    p = _interior_powers(ch, config, r_bar, theta, pinned)[0]
-    candidate = np.append(theta, p)
+    candidate = np.append(theta, _interior_powers(ch, config, r_bar, theta))
     try:
         v = find_feasible(violation, lambda rng, k: candidate)
         return float(v[0]), v[1:], True
@@ -560,27 +544,22 @@ def build_opa_subproblem(
     ch: ChannelRealization,
     config: ScenarioConfig,
     r_bar: float,
-    pinned: np.ndarray | None = None,
 ) -> ConvexProgram:
-    """jhtpa's subproblem at the iterate z_bar = (theta, q) with theta and the
-    pinned pairs held, over the q = 1/p of the pairs left free.
+    """jhtpa's subproblem at the iterate z_bar = (theta, q) with theta fixed,
+    over q = 1/p.
 
-    phi is z_bar's EE. _jhtpa_coefficients is taken at z_bar; theta's and
-    the pinned pairs' columns fold into the constants, and the theta guard
-    and the pinned pairs' rows are dropped. Each remaining causality row
-    reads q_n >= 1/p_max_n at theta = z_bar[0]. With f_cpl / theta folded
-    into f_rec the objective f0 + f_lin @ q + f_rec @ (1/q) is separable.
+    phi is z_bar's EE. _jhtpa_coefficients is taken at z_bar; theta's
+    column folds into the constants (its rec and f_rec entries are zero),
+    and the theta guard row is dropped. Each causality row reads q_n >=
+    1/p_max_n at theta = z_bar[0]. With f_cpl / theta folded into f_rec the
+    objective f0 + f_lin @ q + f_rec @ (1/q) is separable.
     """
-    # over z = (theta, q): theta and the pinned pairs are held
-    free = np.append(False, np.ones(ch.num_pairs, dtype=bool) if pinned is None else ~pinned)
     (c0, lin, rec), (f0, f_lin, f_rec, f_cpl) = _jhtpa_coefficients(z_bar, phi, ch, config, r_bar)
-    z_fix, r_fix = np.where(free, 0.0, z_bar), np.where(free, 0.0, 1.0 / z_bar)
-    keep = np.concatenate(([False], free[1:], free[1:]))  # drop the theta guard and pinned rows
-    c0 = (c0 + lin @ z_fix + rec @ r_fix)[keep]
-    lin, rec = lin[np.ix_(keep, free)], rec[np.ix_(keep, free)]
-    f_rec = f_rec + f_cpl / z_bar[0]
-    f0 += float(f_lin @ z_fix + f_rec @ r_fix)
-    f_lin, f_rec, dim = f_lin[free], f_rec[free], int(free.sum())
+    theta = z_bar[0]
+    c0 = c0[1:] + lin[1:, 0] * theta
+    lin, rec = lin[1:, 1:], rec[1:, 1:]
+    f0 += float(f_lin[0] * theta)
+    f_lin, f_rec, dim = f_lin[1:], f_rec[1:] + f_cpl[1:] / theta, z_bar.size - 1
 
     def obj_hess(q: np.ndarray) -> np.ndarray:
         out = np.zeros((dim, dim))
@@ -613,17 +592,10 @@ def opa(
     are those derivatives, all strictly positive, and the QoS multipliers
     are zero: a KKT point whose critical cone is {0}, hence a strict local
     maximizer (Nocedal & Wright, Numerical Optimization, Thm 12.6). opa
-    reports it with stop_reason kkt_certified and no presolve, SCA step or
-    pinned pair.
+    reports it with stop_reason kkt_certified and no SCA step.
 
-    Otherwise opa runs jhtpa's SCA on z = (theta, q) with theta and the
-    pinned pairs held (build_opa_subproblem). The QoS floor leaves its worst
-    pair a ~1e-10-wide power interval where a barrier stalls, so a presolve
-    fixes each pair with 1 - x_min_k <= _PIN_TOL at p_max_k and drops its
-    rows (Andersen & Andersen, Math. Programming 71, 1995); its QoS row is
-    implied, as SINR_k there is least at full harvest, which meets the floor
-    by its definition. SCA runs on the rest. Raises
-    NoFeasiblePointFoundError as jhtpa does.
+    Otherwise opa runs jhtpa's SCA on z = (theta, q) with theta fixed
+    (build_opa_subproblem). Raises NoFeasiblePointFoundError as jhtpa does.
     """
     started = time.perf_counter()
     theta_fix = config.theta_fix
@@ -640,8 +612,7 @@ def opa(
             config=config,
         )
     r_bar = core.qos_threshold(ch, config)
-    pinned = 1.0 - _interior_powers(ch, config, r_bar, theta_fix)[1] <= _PIN_TOL
-    return _sca_loop("opa", ch, config, r_bar, settings, started, theta_fix, np.append(False, ~pinned))
+    return _sca_loop("opa", ch, config, r_bar, settings, started, theta_fix, np.arange(ch.num_pairs + 1) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +678,10 @@ def _sca_loop(
 ) -> SolveReport:
     """The SCA loop jhtpa and opa share, on the iterate z = (theta, 1/p).
 
-    free marks the entries of z the subproblems move (all by default) and
-    alone configures the run. z starts at _start's (theta, p, strict) with
-    the pairs free leaves out held (the report's pinned) at the start's
-    powers. z's allocation has theta z[0] and powers 1/z[1:]; its EE
-    scores z, and a start whose EE is not positive (every rate zero) raises
+    free marks the entries of z the subproblems move (all by default, all
+    but theta for opa) and alone configures the run. z starts at _start's
+    (theta, p, strict). z's allocation has theta z[0] and powers 1/z[1:];
+    its EE scores z, and a start whose EE is not positive (every rate zero) raises
     NoFeasiblePointFoundError, as oht does. Each iteration builds the
     surrogate at z, phi being z's score (build_jhtpa_subproblem when theta
     is free, else build_opa_subproblem), solves it (each solve picks its
@@ -737,12 +707,11 @@ def _sca_loop(
     """
     settings = settings or ScaSettings()
     free = np.ones(ch.num_pairs + 1, dtype=bool) if free is None else free
-    held = None if free[1:].all() else ~free[1:]
-    theta, p_start, strict = _start(ch, config, r_bar, theta, held)
+    theta, p_start, strict = _start(ch, config, r_bar, theta)
     z = np.append(theta, 1.0 / p_start)
 
     def allocation(z: np.ndarray) -> Allocation:
-        return Allocation.from_theta(float(z[0]), np.where(free[1:], 1.0 / z[1:], p_start))
+        return Allocation.from_theta(float(z[0]), 1.0 / z[1:])
 
     def score(z: np.ndarray) -> float:
         return core.energy_efficiency(allocation(z), ch, config)
@@ -755,7 +724,7 @@ def _sca_loop(
         if free[0]:
             prog = build_jhtpa_subproblem(z, trace[-1], ch, config, r_bar)
         else:
-            prog = build_opa_subproblem(z, trace[-1], ch, config, r_bar, held)
+            prog = build_opa_subproblem(z, trace[-1], ch, config, r_bar)
         # every pass that does not break appends to trace: one entry means the first solve
         warm = _warm_starts(prog, theta, p_start, free, ch, config) if len(trace) == 1 else ()
         try:
@@ -789,7 +758,6 @@ def _sca_loop(
         stop_reason=stop_reason,
         channels=ch,
         config=config,
-        pinned=int(np.count_nonzero(~free[1:])),
     )
 
 

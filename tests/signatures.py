@@ -1,5 +1,5 @@
-"""Bit-identity check of every solve on the benchmark's 440 quality trials
-and on the five Baseline sets of ROADMAP.md.
+"""Bit-identity check of every solve on the benchmark's 440 quality trials,
+on the five Baseline sets of ROADMAP.md and on 1,500 random configs.
 
     python tests/signatures.py OUT.json           write the signatures
     python tests/signatures.py OLD.json NEW.json  compare two signature files
@@ -10,7 +10,11 @@ BASELINE_SETS: trial k at N pairs draws bench.derive_child_seed(seed, N, k)
 (Sample: seed 101, N = 2-10, 12 trials each; dense: seed 601, N = 30, 30
 trials, dense_n30's first 30; r20 and r100: coverage radius 20 m or 100 m,
 seed 5, N = 2/5/10, 30 trials each; extreme: r20 with p_cir 1e-6 W and
-noise -170 dBm/Hz, 10 trials each). Every trial runs through
+noise -170 dBm/Hz, 10 trials each). The random set is random_configs(7,
+1500): each config field uniform over the ranges of test_config_space.py's
+test_every_algorithm_reports_a_consistent_feasible_answer (RANDOM_FIELDS),
+a draw whose scenario raises skipped, with the number skipped printed to
+stderr. Every trial runs through
 harness.run_paired_trial. A solve's signature is harness.solve_signature:
 status, EE, tau, powers, trace, iterations and subsolver calls, or the
 exception it raised. Each trial's channel realization (g, h and σ²) is stored
@@ -39,6 +43,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 # (name, seed, count): a perfbench workload's first count trials, or a
 # BASELINE_SETS set's count trials at each of its pair counts
 TRIAL_SETS = (
@@ -50,6 +56,7 @@ TRIAL_SETS = (
     ("r20", 5, 30),
     ("r100", 5, 30),
     ("extreme", 5, 10),
+    ("random", 7, 1500),
 )
 
 # ROADMAP's Baseline sets by name: pair counts and ScenarioConfig fields
@@ -62,6 +69,29 @@ BASELINE_SETS = {
     "r100": ((2, 5, 10), {"coverage_radius_m": 100.0}),
     "extreme": ((2, 5, 10), {**_R20, "p_cir_watt": 1e-6, "noise_density_dbm_hz": -170.0}),
 }
+
+# The random set's (field, low, high), in the order of the @given of
+# test_config_space.py's test_every_algorithm_reports_a_consistent_feasible_answer;
+# theta_fix takes this range or _THETA_FIX_HIGH with equal odds
+RANDOM_FIELDS = (
+    ("coverage_radius_m", 20.0, 5000.0),
+    ("eta", 0.01, 0.99),
+    ("theta_fix", 1.01, 50.0),
+    ("noise_density_dbm_hz", -170.0, -80.0),
+    ("p_cir_watt", 1e-6, 10.0),
+    ("rate_cap_bpshz", 0.01, 5.0),
+    ("uav_height_m", 5.0, 500.0),
+    ("max_pair_dist_m", 1.0, 200.0),
+    ("p0_watt", 0.1, 50.0),
+    ("alpha_h", 2.0, 4.5),
+    ("alpha_g", 2.0, 4.5),
+    ("beta0_db", -60.0, -20.0),
+    ("gamma_db", 0.0, 40.0),
+    ("atg_a", 0.0, 30.0),
+    ("atg_b", 0.01, 1.0),
+    ("bandwidth_hz", 1e4, 1e8),
+)
+_THETA_FIX_HIGH = (50.0, 1e5)
 
 # The per-run counts a signature file holds, by key, with their column heads.
 # write's wrappers count each while bench.run_algorithm runs:
@@ -88,12 +118,42 @@ def _channel_digest(ch) -> str:
     return hashlib.sha256(ch.g.tobytes() + ch.h.tobytes() + float(ch.sigma2_watt).hex().encode()).hexdigest()
 
 
+def random_configs(seed: int, count: int) -> list:
+    """count ScenarioConfig draws from numpy.random.default_rng(seed). Each
+    takes 18 uniforms: u[0] gives num_pairs = 1 + floor(30 u[0]), u[1:17]
+    place RANDOM_FIELDS in their ranges, and u[17] >= 0.5 moves theta_fix to
+    _THETA_FIX_HIGH; then one integer draw gives the seed."""
+    from uavee import ScenarioConfig
+
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(count):
+        u = rng.uniform(size=len(RANDOM_FIELDS) + 2)
+        ranges = {name: (lo, hi) for name, lo, hi in RANDOM_FIELDS}
+        if u[-1] >= 0.5:
+            ranges["theta_fix"] = _THETA_FIX_HIGH
+        fields = {name: float(lo + (hi - lo) * x) for (name, (lo, hi)), x in zip(ranges.items(), u[1:])}
+        seed_k = int(rng.integers(0, 2**32 - 1))
+        configs.append(ScenarioConfig(num_pairs=1 + int(30 * u[0]), seed=seed_k, **fields))
+    return configs
+
+
 def _trials(harness, name: str, seed: int, count: int) -> list:
     """The harness.Trials of one TRIAL_SETS entry."""
-    from uavee import ScenarioConfig, bench
+    from uavee import ScenarioConfig, bench, make_scenario
 
     if name in harness.WORKLOADS:
         return harness.plan(harness.WORKLOADS[name], seed, count)
+    if name == "random":
+        trials = []
+        for k, config in enumerate(random_configs(seed, count)):
+            try:
+                make_scenario(config)
+            except (ValueError, RuntimeError):
+                continue
+            trials.append(harness.Trial(k, f"n{config.num_pairs}", config))
+        print(f"random: skipped {count - len(trials)} of {count} draws whose scenario raised", file=sys.stderr)
+        return trials
     pair_counts, fields = BASELINE_SETS[name]
     return [
         harness.Trial(k, f"n{n}", ScenarioConfig(num_pairs=n, seed=bench.derive_child_seed(seed, n, k), **fields))

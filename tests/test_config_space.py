@@ -322,11 +322,11 @@ def test_a_certified_opa_answer_is_a_kkt_point_no_worse_than_its_sca(config):
     # Whenever opa certifies its full-harvest vertex, it reports that vertex
     # with no SCA step, an oracle that differences the EE formula finds the
     # EE rising in every power there, the vertex is feasible, and it scores
-    # at least what opa's presolve and SCA (the certificate off) reach on
-    # the same instance. Where opa does not certify a vertex of positive EE,
-    # the oracle finds a power whose cut does not lower the EE. The two
-    # explicit examples (r20 N = 5 and extreme N = 2 trials of ROADMAP's
-    # Baseline) each have exactly one such power.
+    # at least what opa's SCA (the certificate off) reaches on the same
+    # instance. Where opa does not certify a vertex of positive EE, the
+    # oracle finds a power whose cut does not lower the EE. The two explicit
+    # examples (r20 N = 5 and extreme N = 2 trials of ROADMAP's Baseline)
+    # each have exactly one such power.
     _, ch = make_scenario(config)
     vertex = core.pinned_allocation(config.theta_fix, ch, config)
     try:
@@ -339,7 +339,7 @@ def test_a_certified_opa_answer_is_a_kkt_point_no_worse_than_its_sca(config):
         return
     alloc = report.allocation
     assert alloc.tau == vertex.tau and np.array_equal(alloc.p, vertex.p)
-    assert (report.status, report.iterations, report.subsolver_calls, report.pinned) == ("converged", 0, 0, 0)
+    assert (report.status, report.iterations, report.subsolver_calls) == ("converged", 0, 0)
     assert report.trace == [report.ee_nats_per_joule]
     assert np.all(ee_power_slopes(alloc.tau, alloc.p, ch, config) > 0.0)
     assert relative_deficit(report) <= 1e-8

@@ -369,16 +369,15 @@ def test_find_feasible_checks_one_candidate_strictly(violation, accepted):
 )
 def test_each_start_builds_and_proposes_one_candidate(monkeypatch, n, seed, theta_fix):
     # jhtpa starts from the one candidate at _face_theta and opa from the one
-    # at theta_fix, each proposed once. opa's presolve reads x_min from its
-    # own _interior_powers call at theta_fix before its start.
+    # at theta_fix, each built by one _interior_powers call and proposed once
     import uavee.algorithms as alg
 
     tried, tries = [], []
     real_interior, real_find = alg._interior_powers, alg.find_feasible
 
-    def recording_interior(ch, config, r_bar, theta, pinned=None):
+    def recording_interior(ch, config, r_bar, theta):
         tried.append(theta)
-        return real_interior(ch, config, r_bar, theta, pinned)
+        return real_interior(ch, config, r_bar, theta)
 
     def recording_find(violation, sampler):
         tries.append(0)
@@ -398,7 +397,7 @@ def test_each_start_builds_and_proposes_one_candidate(monkeypatch, n, seed, thet
     theta, p, strict = _start(ch, config, r_bar, face)
     assert tried == [face] and tries == [1]
     assert strict and theta == face and _violation(theta, p, ch, config, r_bar) < 0.0
-    assert np.array_equal(p, real_interior(ch, config, r_bar, face)[0])
+    assert np.array_equal(p, real_interior(ch, config, r_bar, face))
 
     del tried[:], tries[:]
     jhtpa(ch, config)
@@ -409,14 +408,14 @@ def test_each_start_builds_and_proposes_one_candidate(monkeypatch, n, seed, thet
         _start(ch, config, 1e3, _face_theta(ch, config, 1e3))
     assert tried == [theta_fix] and tries == [1]
 
-    # opa certifies its full-harvest vertex here before any presolve or
-    # start; with the certificate off it builds and proposes its one start
+    # opa certifies its full-harvest vertex here before any start; with the
+    # certificate off it builds and proposes its one start
     del tried[:], tries[:]
     assert opa(ch, config).stop_reason == "kkt_certified"
     assert tried == [] and tries == []
     monkeypatch.setattr(alg, "_kkt_certified", lambda *args: False)
     opa(ch, config)
-    assert tried == [theta_fix, theta_fix] and tries == [1]
+    assert tried == [theta_fix] and tries == [1]
 
 
 def test_debug_dump_emits_json(caplog):

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 
 import pytest
 
@@ -204,19 +205,22 @@ def _write_isolated(argv):
 
 
 def _one_each(monkeypatch):
-    """TRIAL_SETS cut to one trial per set and pair count; returns the
-    number of trials each set then holds."""
-    one_each = tuple((name, seed, 1) for name, seed, _ in signatures.TRIAL_SETS)
+    """TRIAL_SETS cut to one trial per set and pair count, and to the random
+    set's first three draws; returns the number of trials each set then
+    holds."""
+    one_each = tuple((name, seed, 3 if name == "random" else 1) for name, seed, _ in signatures.TRIAL_SETS)
     monkeypatch.setattr(signatures, "TRIAL_SETS", one_each)
     baseline = signatures.BASELINE_SETS
-    return {name: len(baseline[name][0]) if name in baseline else 1 for name, _, _ in one_each}
+    return {name: len(baseline[name][0]) if name in baseline else count for name, _, count in one_each}
 
 
 def test_two_writes_from_one_checkout_compare_identical(tmp_path, capsys, monkeypatch):
     sizes = _one_each(monkeypatch)
     # the Baseline sets hold one trial per pair count: Sample's 9, dense's 1
-    # and r20's, r100's and extreme's 3
+    # and r20's, r100's and extreme's 3; no scenario of the random set's
+    # first three draws (N = 19, 30 and 1) raises
     assert [sizes[name] for name in signatures.BASELINE_SETS] == [9, 1, 3, 3, 3]
+    assert [config.num_pairs for config in signatures.random_configs(7, 3)] == [19, 30, 1]
     first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
     real_rates = core.pinned_rates
     assert _write_isolated([first]) == 0
@@ -306,17 +310,22 @@ def test_non_optimal_counts_every_barrier_solve_short_of_optimal(tmp_path, monke
     # The first solve from the central start then gives way to the uniform
     # start, and the first-solve steps count both of those solves' steps.
     # opa certifies its vertex on this trial without a solve, so the
-    # certificate is off and opa's SCA solves as jhtpa's does.
+    # certificate is off and opa's SCA solves too.
     monkeypatch.setattr(signatures, "TRIAL_SETS", (("paper_sweep", 501, 1),))
     monkeypatch.setattr(algorithms, "_kkt_certified", lambda *args: False)
-    calls = {"solves": 0, "first_solves": 0, "first_steps": 0}
-    real, real_from, in_first = algorithms.solve, algorithms._solve_from, []
+    calls = {"solves": 0, "first_steps": 0}
+    first_solves, running = Counter(), []
+    real, real_from, real_loop, in_first = algorithms.solve, algorithms._solve_from, algorithms._sca_loop, []
+
+    def sca_loop(name, *args):
+        running[:] = [name]
+        return real_loop(name, *args)
 
     def short_of_optimal(prog, z0):
         outcome = real(prog, z0)
         calls["solves"] += 1
         if in_first:
-            calls["first_solves"] += 1
+            first_solves[running[0]] += 1
             calls["first_steps"] += outcome.newton_step_count
         return dataclasses.replace(outcome, status=SolveStatus.MAX_ITERATIONS)
 
@@ -329,6 +338,7 @@ def test_non_optimal_counts_every_barrier_solve_short_of_optimal(tmp_path, monke
 
     monkeypatch.setattr(algorithms, "solve", short_of_optimal)
     monkeypatch.setattr(algorithms, "_solve_from", solve_from)
+    monkeypatch.setattr(algorithms, "_sca_loop", sca_loop)
     out = str(tmp_path / "short.json")
     assert _write_isolated([out]) == 0
     assert algorithms.solve is short_of_optimal  # write restores what it wraps
@@ -337,6 +347,8 @@ def test_non_optimal_counts_every_barrier_solve_short_of_optimal(tmp_path, monke
     counts, first = data["non_optimal"]["paper_sweep"][0], data["first_solve_steps"]["paper_sweep"][0]
     assert calls["solves"] > 0
     assert counts["jhtpa"] + counts["opa"] == calls["solves"] and counts["oht"] == 0
-    # jhtpa's and opa's first solves each tried the central, then the uniform start
-    assert calls["first_solves"] == 4
+    # jhtpa's first solve tried the central, then the uniform start; opa's
+    # surrogate holds neither warm start strictly feasible on this trial, so
+    # its first solve starts from the iterate
+    assert first_solves == {"jhtpa": 2, "opa": 1}
     assert first["jhtpa"] + first["opa"] == calls["first_steps"] > 0 and first["oht"] == 0
